@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint-backend lint-workload serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-kernel bench-serve fuzz-sched fuzz-kernel fmt clean
+.PHONY: all build vet test race check lint-backend lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-kernel bench-serve fuzz-sched fuzz-kernel fmt clean
 
 all: check
 
@@ -18,9 +18,18 @@ race:
 
 # The pre-commit gate: compile everything, vet, lint the back-end seam, run
 # the full suite under the race detector (the parallel engine is on by
-# default, so every test doubles as a race test), and hold the committed
-# benchmark baselines.
-check: build vet lint-backend lint-workload race bench-gate
+# default, so every test doubles as a race test), compile and test the
+# end-to-end benchmark module against this tree's APIs, and hold the
+# committed benchmark baselines.
+check: build vet lint-backend lint-workload race bench-module bench-gate
+
+# The end-to-end benchmark (benchmark/, run by BENCHMARK.json) is a Go
+# module of its own, so ./... above never compiles it. Vet and test it
+# here, outside any workspace, so removing an internal API it calls fails
+# the gate instead of `bash benchmark/run.sh`.
+bench-module:
+	GOWORK=off $(GO) -C benchmark vet .
+	GOWORK=off $(GO) -C benchmark test -race .
 
 # The benchmark regression gate: re-measure the kernel, scheduler, engine,
 # and serving suites and compare against the committed BENCH_*.json baselines.
@@ -38,11 +47,12 @@ bench-gate:
 bench-contention:
 	$(GO) run ./cmd/tclbench -contention
 
-# Hammer the shared caches: the striped schedule cache and plane cache
-# stress tests under the race detector, three times over, with the
-# eviction-accounting invariants checked across stripes.
+# Hammer the shared caches: internal/cache's own tests, then the schedule
+# and plane cache stress tests built on it, under the race detector three
+# times over, with the exact eviction accounting checked.
 cache-stress:
-	$(GO) test -race -count=3 ./internal/sched -run 'TestCache|TestKeyer|TestScheduleGroups'
+	$(GO) test -race -count=3 ./internal/cache
+	$(GO) test -race -count=3 ./internal/sched -run 'TestCache|TestKeyer'
 	$(GO) test -race -count=3 ./internal/sim -run 'TestPlaneCache'
 
 # Guard the back-end seam: all serial-cost semantics live behind the

@@ -133,12 +133,12 @@ type SimOptions = sim.Options
 // Simulate runs every layer of the model under the configuration using the
 // default engine options: one worker per CPU and the shared schedule cache.
 func Simulate(cfg Config, m *Model, acts []*Tensor) (*Result, error) {
-	return sim.SimulateModel(cfg, m, acts)
+	return SimulateContext(context.Background(), cfg, m, acts, SimOptions{})
 }
 
 // SimulateOpts is Simulate with explicit engine options.
 func SimulateOpts(cfg Config, m *Model, acts []*Tensor, opts SimOptions) (*Result, error) {
-	return sim.SimulateModelOpts(cfg, m, acts, opts)
+	return SimulateContext(context.Background(), cfg, m, acts, opts)
 }
 
 // SimulateContext is SimulateOpts under a context: cancellation or a
@@ -146,7 +146,11 @@ func SimulateOpts(cfg Config, m *Model, acts []*Tensor, opts SimOptions) (*Resul
 // returns ctx.Err() with no partial result. An uncancelled context yields
 // output bit-identical to SimulateOpts.
 func SimulateContext(ctx context.Context, cfg Config, m *Model, acts []*Tensor, opts SimOptions) (*Result, error) {
-	return sim.SimulateModelContext(ctx, cfg, m, acts, opts)
+	rs, err := sim.SimulateSweepContext(ctx, []Config{cfg}, m, acts, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // ---- experiments ----

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,7 @@ func main() {
 	for li, lw := range lws {
 		var row [3]int64
 		for ci, cfg := range cfgs {
-			r := sim.SimulateLayer(cfg, lw)
+			r := simulate(cfg, lw)
 			row[ci] = r.Cycles
 			totals[ci] += r.Cycles
 			if ci == 0 {
@@ -62,7 +63,7 @@ func main() {
 	for _, cfg := range cfgs {
 		var sum energy.Breakdown
 		for _, lw := range lws {
-			r := sim.SimulateLayer(cfg, lw)
+			r := simulate(cfg, lw)
 			sum.Add(energy.Price(cfg, r.Activity, memory.LayerTraffic(cfg, lw), tech, k))
 		}
 		if base == 0 {
@@ -75,7 +76,7 @@ func main() {
 	// Where does TCLe's time go? (Figure 9-style census for the whole net.)
 	var bd sim.Breakdown
 	for _, lw := range lws {
-		bd.Add(sim.SimulateLayer(cfgs[2], lw).BackEnd)
+		bd.Add(simulate(cfgs[2], lw).BackEnd)
 	}
 	tot := float64(bd.Total())
 	fmt.Printf("\nTCLe lane-time census: useful %.0f%%, column sync %.0f%%, tile sync %.0f%%, "+
@@ -83,4 +84,13 @@ func main() {
 		100*float64(bd.Useful)/tot, 100*float64(bd.ColumnSync)/tot,
 		100*float64(bd.TileSync)/tot, 100*float64(bd.AZero)/tot,
 		100*float64(bd.WZero)/tot, 100*float64(bd.BothZero)/tot)
+}
+
+// simulate runs one layer under cfg with default engine options.
+func simulate(cfg arch.Config, lw *nn.Lowered) sim.LayerResult {
+	r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, sim.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }

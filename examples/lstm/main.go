@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,10 @@ func main() {
 	var baseTraffic memory.Traffic
 	base := arch.DaDianNaoPP()
 	for li, lw := range lws {
-		r := sim.SimulateLayer(cfg, lw)
+		r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, sim.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if m.Layers[li].Kind == nn.FC {
 			fc += r.Cycles
 			fcD += r.DenseCycles

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -63,7 +64,10 @@ func main() {
 		if err := sim.ExecuteGolden(cfg, lowered); err != nil {
 			log.Fatalf("%s: golden check failed: %v", cfg.Name, err)
 		}
-		r := sim.SimulateLayer(cfg, lowered)
+		r, err := sim.SimulateLayerContext(context.Background(), cfg, lowered, sim.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-22s %9d cycles  speedup %5.2fx  (outputs bit-exact)\n",
 			cfg.Name, r.Cycles, r.Speedup())
 	}

@@ -47,7 +47,7 @@ func (l LayerCycles) Speedup() float64 {
 }
 
 // denseCycles is the DaDianNao++ reference used by every model here,
-// matching sim.SimulateLayer's normalization: 64 resident filters (4 tiles ×
+// matching the sim engine's normalization: 64 resident filters (4 tiles ×
 // 16 rows), 16 lanes, one window at a time per tile.
 func denseCycles(lw *nn.Lowered) int64 {
 	groups := (lw.Filters + 15) / 16

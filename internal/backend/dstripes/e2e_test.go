@@ -1,6 +1,7 @@
 package dstripes_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,10 @@ func TestEndToEndThroughEngine(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := sim.SimulateLayer(cfg, lw)
+	r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Cycles <= 0 {
 		t.Fatalf("no cycles accounted: %+v", r)
 	}
@@ -86,7 +90,11 @@ func TestEngineAtBothWidths(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if r := sim.SimulateLayer(cfg, lw); r.Cycles <= 0 {
+		r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cycles <= 0 {
 			t.Fatalf("%s: no cycles", cfg.Name)
 		}
 	}

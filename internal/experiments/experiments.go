@@ -5,14 +5,15 @@ package experiments
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
+	"bittactical/internal/cache"
 	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
 	"bittactical/internal/sim"
@@ -152,60 +153,49 @@ type workloadKey struct {
 	seed int64
 }
 
-// workloadEntry single-flights one build; concurrent requesters share it.
-// The built workload is published through an atomic pointer so the cache's
-// fast path can observe a completed build without entering the sync.Once
-// (a plain field write inside the Do would race with that peek).
-type workloadEntry struct {
-	once sync.Once
-	wl   atomic.Pointer[workload]
-	err  error
+// workloadResult is one cached build: the workload, or the error that
+// building it returned (builds are deterministic, so the error is too).
+type workloadResult struct {
+	wl  *workload
+	err error
 }
 
 // workloadCacheCap bounds resident workloads. An experiment session uses a
 // handful of (zoo, width) variants over at most the seven zoo models;
 // the bound only matters for long-lived processes sweeping many zoo
-// scales, and the drop-all-on-overflow policy matches the other caches.
+// scales.
 const workloadCacheCap = 64
 
-// workloadCache memoizes built workloads process-wide. Model building
-// dominated the steady-state allocation profile of every figure runner
-// (PruneMagnitude, weight fill, tensor allocation — rebuilt per run before
-// this cache); the figures re-run over identical options, so steady state
-// now rebuilds nothing.
-var (
-	workloadMu    sync.Mutex
-	workloadCache = make(map[workloadKey]*workloadEntry)
-)
+// workloadSeed seeds the workload cache's stripe hash.
+var workloadSeed = maphash.MakeSeed()
+
+// workloadCache memoizes built workloads process-wide, single-flighted so
+// racing runners share one build. Model building dominated the
+// steady-state allocation profile of every figure runner (PruneMagnitude,
+// weight fill, tensor allocation — rebuilt per run before this cache);
+// the figures re-run over identical options, so steady state now
+// rebuilds nothing.
+var workloadCache = cache.New(workloadCacheCap,
+	func(k workloadKey) uint64 { return maphash.String(workloadSeed, k.name) ^ uint64(k.seed) },
+	func(workloadResult) int64 { return 1 },
+	nil)
 
 // buildWorkload returns the cached workload for the key, building it on
-// first use (single-flighted: racing runners share one build).
+// first use.
 func buildWorkload(key workloadKey) (*workload, error) {
-	workloadMu.Lock()
-	e, ok := workloadCache[key]
-	if !ok {
-		if len(workloadCache) >= workloadCacheCap {
-			workloadCache = make(map[workloadKey]*workloadEntry)
-		}
-		e = &workloadEntry{}
-		workloadCache[key] = e
-	}
-	workloadMu.Unlock()
-	e.once.Do(func() {
+	r, _ := workloadCache.Get(key, func() workloadResult {
 		m, err := nn.BuildModel(key.name, key.zoo)
 		if err != nil {
-			e.err = err
-			return
+			return workloadResult{err: err}
 		}
 		acts := m.GenerateActs(key.seed)
 		low, err := m.Lowered(16, acts)
 		if err != nil {
-			e.err = err
-			return
+			return workloadResult{err: err}
 		}
-		e.wl.Store(&workload{Model: m, Acts: acts, Low: low})
+		return workloadResult{wl: &workload{Model: m, Acts: acts, Low: low}}
 	})
-	return e.wl.Load(), e.err
+	return r.wl, r.err
 }
 
 // buildWorkloads instantiates and lowers the selected models in parallel,
@@ -237,21 +227,16 @@ func buildWorkloads(o Options, width fixed.Width) ([]*workload, error) {
 }
 
 // cachedWorkloads fills out from the cache alone, reporting whether every
-// named workload was already built (it stops at the first absent or
-// still-building entry; partial fills are ignored by the caller).
+// named workload was already built (it stops at the first absent,
+// still-building or failed entry; partial fills are ignored by the
+// caller).
 func cachedWorkloads(z nn.ZooConfig, names []string, seed int64, out []*workload) bool {
-	workloadMu.Lock()
-	defer workloadMu.Unlock()
 	for i, name := range names {
-		e, ok := workloadCache[workloadKey{zoo: z, name: name, seed: seed}]
-		if !ok {
+		r, ok := workloadCache.Peek(workloadKey{zoo: z, name: name, seed: seed})
+		if !ok || r.wl == nil {
 			return false
 		}
-		wl := e.wl.Load()
-		if wl == nil {
-			return false
-		}
-		out[i] = wl
+		out[i] = r.wl
 	}
 	return true
 }

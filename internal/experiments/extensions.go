@@ -113,6 +113,7 @@ func AblationSync(o Options) (*Table, error) {
 	}
 	type res struct{ feJoint, feSolo, tcle, ideal float64 }
 	rs := make([]res, len(wls))
+	errs := make([]error, len(wls))
 	parallelDo(o, len(wls), func(wi int) {
 		wl := wls[wi]
 		var r res
@@ -150,13 +151,26 @@ func AblationSync(o Options) (*Table, error) {
 		}
 		r.feJoint = float64(dense) / float64(max64(1, jointCols))
 		r.feSolo = float64(dense) / float64(max64(1, soloCols))
-		tcle, _ := simulateAll(o, arch.NewTCL(p, arch.TCLe), wl, nil)
+		tcle, err := simulateAll(o, arch.NewTCL(p, arch.TCLe), wl, nil)
+		if err != nil {
+			errs[wi] = err
+			return
+		}
 		r.tcle = tcle.Speedup()
 		// Ideal-free product: FE joint × per-value Ae over the layers.
-		be, _ := simulateAll(o, arch.NewTCL(sched.Pattern{}, arch.TCLe), wl, nil)
+		be, err := simulateAll(o, arch.NewTCL(sched.Pattern{}, arch.TCLe), wl, nil)
+		if err != nil {
+			errs[wi] = err
+			return
+		}
 		r.ideal = r.feJoint * be.Speedup()
 		rs[wi] = r
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	for wi, wl := range wls {
 		r := rs[wi]
 		t.Rows = append(t.Rows, []string{

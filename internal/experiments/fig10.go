@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bittactical/internal/arch"
@@ -41,6 +42,7 @@ func Fig10(o Options) (*Table, error) {
 	for i := range grid {
 		grid[i] = make([]res, len(cfgs))
 	}
+	errs := make([]error, len(wls)*len(cfgs))
 	parallelDo(o, len(wls)*len(cfgs), func(i int) {
 		wi, ci := i/len(cfgs), i%len(cfgs)
 		wl, cfg := wls[wi], cfgs[ci]
@@ -54,7 +56,11 @@ func Fig10(o Options) (*Table, error) {
 		base := arch.DaDianNaoPP()
 		runs := make([]layerRun, len(wl.Low))
 		for li, lw := range wl.Low {
-			r := sim.SimulateLayerOpts(cfg, lw, o.simOpts())
+			r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, o.simOpts())
+			if err != nil {
+				errs[i] = err
+				return
+			}
 			runs[li] = layerRun{
 				compute:     r.Cycles,
 				baseCompute: r.DenseCycles,
@@ -82,6 +88,11 @@ func Fig10(o Options) (*Table, error) {
 		}
 		grid[wi][ci] = out
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	for wi, wl := range wls {
 		for ci, cfg := range cfgs {
 			r := grid[wi][ci]

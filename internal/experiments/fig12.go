@@ -29,6 +29,7 @@ func Fig12(o Options) (*Table, error) {
 	for i := range speed {
 		speed[i] = make([]float64, len(wls))
 	}
+	errs := make([]error, len(wls))
 	parallelDo(o, len(wls), func(wi int) {
 		wl := wls[wi]
 		convOnly := func(l *nn.Layer) bool { return l.Kind != nn.FC }
@@ -42,9 +43,11 @@ func Fig12(o Options) (*Table, error) {
 		}
 		for idx, cfg := range simCfgs {
 			res, err := simulateAll(o, cfg, wl, convOnly)
-			if err == nil {
-				speed[idx][wi] = res.Speedup()
+			if err != nil {
+				errs[wi] = err
+				return
 			}
+			speed[idx][wi] = res.Speedup()
 		}
 		// Analytic baselines.
 		var scnnC, scnnD, scnnpC int64
@@ -64,6 +67,11 @@ func Fig12(o Options) (*Table, error) {
 			speed[2][wi] = float64(scnnD) / float64(scnnpC)
 		}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	for i, label := range labels {
 		row := []string{label}
 		for wi := range wls {

@@ -157,6 +157,7 @@ func Fig8c(o Options) (*Table, error) {
 	for i := range grid {
 		grid[i] = make([]cell, len(cfgs))
 	}
+	errs := make([]error, len(wls)*len(cfgs))
 	parallelDo(o, len(wls)*len(cfgs), func(i int) {
 		wi, ci := i/len(cfgs), i%len(cfgs)
 		wl, cfg := wls[wi], cfgs[ci]
@@ -165,12 +166,21 @@ func Fig8c(o Options) (*Table, error) {
 			if wl.Model.Layers[li].Kind == nn.FC {
 				continue
 			}
-			r := sim.SimulateLayerOpts(cfg, lw, o.simOpts())
+			r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, o.simOpts())
+			if err != nil {
+				errs[i] = err
+				return
+			}
 			tr := memory.LayerTraffic(cfg, lw)
 			sum.Add(energy.Price(cfg, r.Activity, tr, tech, k))
 		}
 		grid[wi][ci] = cell{b: sum}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	uj := func(pj float64) string { return fmt.Sprintf("%.1f", pj*1e-6) }
 	var effP, effE []float64
 	for wi, wl := range wls {
@@ -199,15 +209,16 @@ func Fig8c(o Options) (*Table, error) {
 // simulateAll simulates every layer of a workload under cfg on o's engine
 // options; layerFilter (when non-nil) selects layers.
 func simulateAll(o Options, cfg arch.Config, wl *workload, layerFilter func(*nn.Layer) bool) (*sim.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	res := &sim.Result{Config: cfg.Name}
 	for li, lw := range wl.Low {
 		if layerFilter != nil && !layerFilter(wl.Model.Layers[li]) {
 			continue
 		}
-		res.Layers = append(res.Layers, sim.SimulateLayerOpts(cfg, lw, o.simOpts()))
+		r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, o.simOpts())
+		if err != nil {
+			return nil, err
+		}
+		res.Layers = append(res.Layers, r)
 	}
 	return res, nil
 }

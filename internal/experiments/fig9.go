@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bittactical/internal/arch"
@@ -42,7 +43,11 @@ func Fig9(o Options) (*Table, error) {
 		var total sim.LayerResult
 		var rows []rowData
 		for li, lw := range wl.Low {
-			r := sim.SimulateLayerOpts(cfg, lw, o.simOpts())
+			r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, o.simOpts())
+			if err != nil {
+				errs[wi] = err
+				return
+			}
 			total.BackEnd.Add(r.BackEnd)
 			total.FrontEnd.Columns += r.FrontEnd.Columns
 			for k := range total.FrontEnd.Slots {

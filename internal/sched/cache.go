@@ -1,11 +1,10 @@
 package sched
 
 import (
-	"math/bits"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
+	"bittactical/internal/cache"
 	"bittactical/internal/metrics"
 )
 
@@ -21,34 +20,13 @@ import (
 // only the weight values (buildColumn consults Filter.W alone), so groups
 // that differ only in padding share an entry.
 //
-// The cache is striped: entries are sharded over a power-of-two number of
-// independent stripes selected by the low bits of the filter-content
-// fingerprint (h1), each with its own lock, map, slab and counters, so
-// parallel sweeps stop serializing on one mutex. The capacity bound stays
-// global — a shared atomic entry count, checked before each insert — with
-// the rare overflow sweep locking every stripe and dropping everything,
-// exactly the pre-striping drop-all policy. Bounding per stripe instead
-// would shrink the effective capacity to nStripes × the fullest stripe's
-// share: a working set under the total bound but hashed unevenly would
-// thrash hot stripes every sweep, reintroducing the steady-state
-// scheduling work the cache exists to remove.
+// Entries live in an internal/cache table (striped by the filter-content
+// fingerprint, single-flighted, bounded to capacity entries in total); the
+// schedules themselves are carved from one slab.
 type Cache struct {
-	stripes  []cacheStripe
-	mask     uint64 // len(stripes) - 1
-	capacity int
-	count    atomic.Int64 // resident entries, summed over stripes
-}
-
-// cacheStripe is one independent shard: its own lock, entry map, slab
-// arena, and counters. Counters live per stripe so eight workers hammering
-// the cache do not all bounce one hits cache line.
-type cacheStripe struct {
-	mu        sync.RWMutex
-	m         map[groupKey][]*Schedule
-	slab      schedSlab
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	entries *cache.Cache[groupKey, []*Schedule]
+	slabMu  sync.Mutex
+	slab    schedSlab
 }
 
 // groupKey identifies one (filter group, pattern, algorithm) triple. Two
@@ -62,48 +40,22 @@ type groupKey struct {
 
 // defaultCacheCap bounds resident entries. One entry holds a whole group's
 // schedules (up to 16 filters), so the default accommodates every distinct
-// group of a full-zoo sweep while capping worst-case memory; on overflow a
-// stripe drops everything and refills, which keeps results correct and the
-// implementation trivial.
+// group of a full-zoo sweep while capping worst-case memory; on overflow
+// the cache drops everything but the newest entry and refills, which keeps
+// results correct and the implementation trivial.
 const defaultCacheCap = 1 << 14
 
-// defaultCacheStripes is the stripe count for caches whose capacity can
-// support it; tiny capacities use fewer stripes so a near-empty cache does
-// not spread a handful of entries over mostly-idle shards.
-const defaultCacheStripes = 16
-
-// stripeCount picks the power-of-two stripe count for a capacity: the
-// default, reduced so every stripe holds at least one entry.
-func stripeCount(capacity int) int {
-	n := defaultCacheStripes
-	if capacity < n {
-		// Largest power of two <= capacity (capacity >= 1 here).
-		n = 1 << (bits.Len(uint(capacity)) - 1)
-	}
-	return n
-}
-
 // NewCache returns an empty cache. capacity <= 0 selects the default bound.
-// The bound is global across stripes: the cache holds at most capacity
-// entries in total, wherever they hash.
+// The bound is global: the cache holds at most capacity entries in total,
+// wherever they hash.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = defaultCacheCap
 	}
-	n := stripeCount(capacity)
-	c := &Cache{stripes: make([]cacheStripe, n), mask: uint64(n - 1), capacity: capacity}
-	for i := range c.stripes {
-		c.stripes[i].m = make(map[groupKey][]*Schedule)
-	}
-	return c
-}
-
-// stripe selects the shard for a key. The filter-content hash alone picks
-// the stripe (not the pattern-mixed h2), so one group keyed under several
-// patterns or algorithms stays on one stripe — batched lookups for a sweep
-// touch the minimum number of stripes.
-func (c *Cache) stripe(h1 uint64) *cacheStripe {
-	return &c.stripes[h1&c.mask]
+	return &Cache{entries: cache.New(int64(capacity),
+		func(k groupKey) uint64 { return k.h1 },
+		func([]*Schedule) int64 { return 1 },
+		nil)}
 }
 
 // Shared is the process-wide schedule cache the simulator uses by default.
@@ -222,161 +174,40 @@ func (c *Cache) Keyer(p Pattern, alg Algorithm) Keyer {
 // over the same filters) by the caller.
 func (k Keyer) ScheduleGroup(h1, h2 uint64, filters []Filter) []*Schedule {
 	key := groupKey{h1: h1, h2: fnvString(h2, k.pat), pattern: k.pat, alg: k.alg}
-	return k.c.lookupOrFill(key, filters, k.p, k.alg)
-}
-
-// GroupRef is one filter group in a batched lookup: the group's filters
-// plus its precomputed content hash (HashFilters over the same filters).
-type GroupRef struct {
-	H1, H2  uint64
-	Filters []Filter
-}
-
-// ScheduleGroups is the batched lookup path: it resolves every group in
-// refs under the Keyer's (pattern, algorithm) and writes the schedules
-// into out (len(out) must equal len(refs)). Instead of len(refs) separate
-// lock acquisitions, the batch takes each touched stripe's read lock
-// exactly once for the probe; misses are then scheduled outside any lock
-// and inserted with a constant number of critical sections per touched
-// stripe. Duplicate groups within one batch are detected and filled once.
-func (k Keyer) ScheduleGroups(refs []GroupRef, out [][]*Schedule) {
-	if len(out) != len(refs) {
-		panic("sched: ScheduleGroups out length mismatch")
-	}
-	if len(refs) == 0 {
-		return
-	}
-	c := k.c
-	keys := make([]groupKey, len(refs))
-	for i, r := range refs {
-		keys[i] = groupKey{h1: r.H1, h2: fnvString(r.H2, k.pat), pattern: k.pat, alg: k.alg}
-	}
-	// Probe phase: visit each touched stripe once under its read lock.
-	// order[] sorts indices by stripe so each stripe's keys are contiguous.
-	miss := make([]int, 0, len(refs))
-	done := make([]bool, len(refs))
-	for i := range refs {
-		if done[i] {
-			continue
-		}
-		s := c.stripe(keys[i].h1)
-		s.mu.RLock()
-		for j := i; j < len(refs); j++ {
-			if done[j] || c.stripe(keys[j].h1) != s {
-				continue
-			}
-			done[j] = true
-			if ss, ok := s.m[keys[j]]; ok {
-				out[j] = ss
-				s.hits.Add(1)
-			} else {
-				miss = append(miss, j)
-			}
-		}
-		s.mu.RUnlock()
-	}
-	if len(miss) == 0 {
-		return
-	}
-	// Fill phase: compute each missed group once (batch-internal duplicates
-	// share the first computation), then insert. The schedule computation
-	// and the arena copy both run outside any stripe lock; only the slab
-	// carve and the map insert hold it.
-	first := make(map[groupKey]int, len(miss))
-	for _, j := range miss {
-		if fj, dup := first[keys[j]]; dup {
-			out[j] = out[fj]
-			c.stripe(keys[j].h1).misses.Add(1)
-			continue
-		}
-		first[keys[j]] = j
-		s := c.stripe(keys[j].h1)
-		out[j] = s.fill(refs[j].Filters, k.p, k.alg)
-		s.misses.Add(1)
-		c.insert(s, keys[j], out[j])
-	}
+	return k.c.lookup(key, filters, k.p, k.alg)
 }
 
 // ScheduleGroup returns the memoized joint schedule for the filter group,
-// computing and storing it on first use. Concurrent callers may race to fill
-// the same key; both compute the identical deterministic result and one
-// wins the store, so no caller ever observes a partial entry.
+// computing and storing it on first use. Concurrent callers of one group
+// share a single fill: the first schedules it, the rest wait for its
+// result, so no caller ever observes a partial entry.
 func (c *Cache) ScheduleGroup(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
 	h1, h2 := HashFilters(filters)
 	pat := patternKey(p)
 	key := groupKey{h1: h1, h2: fnvString(h2, pat), pattern: pat, alg: alg}
-	return c.lookupOrFill(key, filters, p, alg)
+	return c.lookup(key, filters, p, alg)
 }
 
-func (c *Cache) lookupOrFill(key groupKey, filters []Filter, p Pattern, alg Algorithm) []*Schedule {
-	s := c.stripe(key.h1)
-	s.mu.RLock()
-	ss, ok := s.m[key]
-	s.mu.RUnlock()
-	if ok {
-		s.hits.Add(1)
-		return ss
-	}
-	ss = s.fill(filters, p, alg)
-	s.misses.Add(1)
-	c.insert(s, key, ss)
+func (c *Cache) lookup(key groupKey, filters []Filter, p Pattern, alg Algorithm) []*Schedule {
+	ss, _ := c.entries.Get(key, func() []*Schedule { return c.fill(filters, p, alg) })
 	return ss
 }
 
-// insert stores a filled entry, applying the global overflow policy: when
-// the cache-wide entry count has reached capacity, everything is dropped
-// (recording one eviction per dropped entry) and the cache refills.
-func (c *Cache) insert(s *cacheStripe, key groupKey, ss []*Schedule) {
-	if c.count.Load() >= int64(c.capacity) {
-		c.evictAll()
-	}
-	s.mu.Lock()
-	if _, exists := s.m[key]; !exists {
-		c.count.Add(1)
-	}
-	s.m[key] = ss
-	s.mu.Unlock()
-}
-
-// evictAll is the overflow sweep: it locks every stripe (ascending, so
-// concurrent sweeps cannot deadlock), re-checks residency — a racing
-// inserter may have swept already — and drops every entry. The dropped
-// entries were carved from the stripes' slabs; the slabs retire with them.
-// Chunks still referenced by schedules callers hold stay alive through
-// those references.
-func (c *Cache) evictAll() {
-	for i := range c.stripes {
-		c.stripes[i].mu.Lock()
-	}
-	if c.count.Load() >= int64(c.capacity) {
-		for i := range c.stripes {
-			s := &c.stripes[i]
-			s.evictions.Add(int64(len(s.m)))
-			s.m = make(map[groupKey][]*Schedule)
-			s.slab = schedSlab{}
-		}
-		c.count.Store(0)
-	}
-	for i := len(c.stripes) - 1; i >= 0; i-- {
-		c.stripes[i].mu.Unlock()
-	}
-}
-
-// fill computes the group's schedules into stripe-owned storage. The
+// fill computes the group's schedules into cache-owned storage. The
 // scheduling itself runs in a pooled kernel's arena; the result is then
-// carved out of the stripe slab (four amortized-zero "allocations") and
-// copied with one bulk memmove per filter. Only the carve itself holds
-// the stripe mutex — concurrent fills copy in parallel.
-func (s *cacheStripe) fill(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
+// carved out of the cache's slab (four amortized-zero "allocations") and
+// copied with one bulk memmove per filter. Only the carve holds the slab
+// mutex — concurrent fills copy in parallel.
+func (c *Cache) fill(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
 	k := schedulerPool.Get().(*Scheduler)
 	nf, lanes, steps, cols, fallback := k.runGroup(filters, p, alg)
 	if fallback != nil || nf == 0 {
 		schedulerPool.Put(k)
 		return fallback
 	}
-	s.mu.Lock()
-	ents, fcols, schs, ptrs := s.slab.take(nf, cols, lanes)
-	s.mu.Unlock()
+	c.slabMu.Lock()
+	ents, fcols, schs, ptrs := c.slab.take(nf, cols, lanes)
+	c.slabMu.Unlock()
 	k.assembleInto(ents, fcols, schs, ptrs, nf, lanes, steps, cols)
 	schedulerPool.Put(k)
 	return ptrs
@@ -384,8 +215,8 @@ func (s *cacheStripe) fill(filters []Filter, p Pattern, alg Algorithm) []*Schedu
 
 // CacheStats is a cache's lifetime counters and current residency.
 // Evictions counts individual entries dropped by the overflow policy, so a
-// sweep that drops k entries records k evictions; summed across stripes
-// the accounting stays exact (evictions + entries == inserts).
+// drop of k entries records k evictions and the accounting stays exact
+// (evictions + entries == misses).
 type CacheStats struct {
 	Hits      int64
 	Misses    int64
@@ -394,46 +225,25 @@ type CacheStats struct {
 }
 
 // Stats reports lifetime hit/miss/eviction counters and the current entry
-// count, summed across stripes.
+// count.
 func (c *Cache) Stats() CacheStats {
-	var st CacheStats
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		st.Hits += s.hits.Load()
-		st.Misses += s.misses.Load()
-		st.Evictions += s.evictions.Load()
-		s.mu.RLock()
-		st.Entries += len(s.m)
-		s.mu.RUnlock()
-	}
-	return st
+	st := c.entries.Stats()
+	return CacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: st.Entries}
 }
 
 // RegisterMetrics exposes the cache's counters in the registry as
 // <prefix>_{hits,misses,evictions,entries}, read live at snapshot time.
 func (c *Cache) RegisterMetrics(r *metrics.Registry, prefix string) {
-	r.Func(prefix+"_hits", func() int64 { return c.Stats().Hits })
-	r.Func(prefix+"_misses", func() int64 { return c.Stats().Misses })
-	r.Func(prefix+"_evictions", func() int64 { return c.Stats().Evictions })
-	r.Func(prefix+"_entries", func() int64 { return int64(c.Stats().Entries) })
+	c.entries.RegisterMetrics(r, prefix)
 }
 
 // Reset drops every entry and zeroes the counters. The dropped entries are
 // deliberate, not capacity pressure, so they do not count as evictions.
+// The slab retires with them; chunks still referenced by schedules
+// callers hold stay alive through those references.
 func (c *Cache) Reset() {
-	for i := range c.stripes {
-		c.stripes[i].mu.Lock()
-	}
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.m = make(map[groupKey][]*Schedule)
-		s.slab = schedSlab{}
-		s.hits.Store(0)
-		s.misses.Store(0)
-		s.evictions.Store(0)
-	}
-	c.count.Store(0)
-	for i := len(c.stripes) - 1; i >= 0; i-- {
-		c.stripes[i].mu.Unlock()
-	}
+	c.entries.Reset()
+	c.slabMu.Lock()
+	c.slab = schedSlab{}
+	c.slabMu.Unlock()
 }

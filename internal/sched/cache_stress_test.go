@@ -109,95 +109,47 @@ func TestKeyerMatchesScheduleGroup(t *testing.T) {
 	}
 }
 
-// TestScheduleGroupsBatchDuplicates pins batch-internal dedup: duplicate
-// refs in one batch are computed once and share the first occurrence's
-// result, while each ref still counts toward the lookup tally.
-func TestScheduleGroupsBatchDuplicates(t *testing.T) {
+// TestCacheSingleFlight pins single-flight fills: eight goroutines looking
+// up the same sixteen groups in a fresh cache schedule each group exactly
+// once. Every other lookup — including one that finds the group still
+// being scheduled — is a hit on the one fill, so all goroutines share the
+// same schedule pointers.
+func TestCacheSingleFlight(t *testing.T) {
+	const goroutines, nGroups = 8, 16
+	p, alg := T(2, 5), Algorithm1
+	groups := make([][]Filter, nGroups)
+	for g := range groups {
+		groups[g] = cacheTestGroup(int64(700+g), 10, 8, 0.6, nil)
+	}
 	c := NewCache(0)
-	p, alg := T(2, 5), Algorithm1
-	a := cacheTestGroup(600, 10, 8, 0.6, nil)
-	b := cacheTestGroup(601, 10, 8, 0.6, nil)
-	ah1, ah2 := HashFilters(a)
-	bh1, bh2 := HashFilters(b)
-
-	refs := []GroupRef{
-		{H1: ah1, H2: ah2, Filters: a},
-		{H1: bh1, H2: bh2, Filters: b},
-		{H1: ah1, H2: ah2, Filters: a}, // duplicate of refs[0]
-	}
-	out := make([][]*Schedule, len(refs))
-	c.Keyer(p, alg).ScheduleGroups(refs, out)
-
-	for i := range out[0] {
-		if out[0][i] != out[2][i] {
-			t.Fatalf("filter %d: batch duplicate did not share the first fill", i)
-		}
-	}
-	if !reflect.DeepEqual(out[0], ScheduleGroup(a, p, alg)) || !reflect.DeepEqual(out[1], ScheduleGroup(b, p, alg)) {
-		t.Fatal("batch fill differs from direct ScheduleGroup")
-	}
-	st := c.Stats()
-	if st.Hits+st.Misses != int64(len(refs)) {
-		t.Fatalf("hits %d + misses %d != %d refs", st.Hits, st.Misses, len(refs))
-	}
-	if st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2 distinct groups", st.Entries)
-	}
-}
-
-// TestScheduleGroupsBatchConcurrent drives the batched lookup path from
-// many workers over disjoint dup-free batches with a capacity small enough
-// to force overflow sweeps mid-batch. Results must match the uncached
-// computation on every round and the cross-stripe accounting must stay
-// exact, including entries dropped while other workers' batches were in
-// their probe or fill phases.
-func TestScheduleGroupsBatchConcurrent(t *testing.T) {
-	const workers, groupsPer, rounds = 8, 10, 10
-	p, alg := T(2, 5), Algorithm1
-	groups, fresh := stressWorkload(workers, groupsPer, p, alg)
-
-	c := NewCache(workers * groupsPer / 4) // working set 4x capacity: constant churn
+	got := make([][][]*Schedule, goroutines)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			k := c.Keyer(p, alg)
-			refs := make([]GroupRef, groupsPer)
-			for g := range refs {
-				h1, h2 := HashFilters(groups[w][g])
-				refs[g] = GroupRef{H1: h1, H2: h2, Filters: groups[w][g]}
-			}
-			out := make([][]*Schedule, groupsPer)
-			for r := 0; r < rounds; r++ {
-				for g := range out {
-					out[g] = nil
-				}
-				k.ScheduleGroups(refs, out)
-				for g := range out {
-					if !reflect.DeepEqual(fresh[w][g], out[g]) {
-						t.Errorf("worker %d group %d round %d: batched schedules differ from fresh computation", w, g, r)
-						return
-					}
-				}
+			<-start
+			got[w] = make([][]*Schedule, nGroups)
+			for g := range groups {
+				got[w][g] = c.ScheduleGroup(groups[g], p, alg)
 			}
 		}(w)
 	}
+	close(start)
 	wg.Wait()
-	if t.Failed() {
-		return
-	}
 
 	st := c.Stats()
-	lookups := int64(workers * groupsPer * rounds)
-	if st.Hits+st.Misses != lookups {
-		t.Errorf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, lookups)
+	if st.Misses != nGroups || st.Entries != nGroups || st.Hits != (goroutines-1)*nGroups {
+		t.Errorf("stats = %+v, want %d misses, %d entries, %d hits", st, nGroups, nGroups, (goroutines-1)*nGroups)
 	}
-	if st.Evictions+int64(st.Entries) != st.Misses {
-		t.Errorf("evictions %d + resident %d != misses %d: cross-stripe eviction accounting drifted",
-			st.Evictions, st.Entries, st.Misses)
-	}
-	if st.Evictions == 0 {
-		t.Error("4x-capacity churn recorded no evictions")
+	for w := 1; w < goroutines; w++ {
+		for g := range groups {
+			for i := range got[0][g] {
+				if got[w][g][i] != got[0][g][i] {
+					t.Fatalf("goroutine %d group %d filter %d: distinct schedule pointer, the group was scheduled twice", w, g, i)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,6 @@
 package sched
 
-// schedSlab is the stripe-owned arena cached schedules are carved from.
+// schedSlab is the cache-owned arena cached schedules are carved from.
 // Filling a cache entry used to cost four exactly sized heap allocations
 // per group (entries, columns, schedules, pointers); across a full-zoo
 // figure sweep that is tens of thousands of allocations per run, all
@@ -12,12 +12,11 @@ package sched
 // per ~thousand groups.
 //
 // Carved regions are never reclaimed individually: the slab's memory is
-// dropped wholesale when the owning stripe resets or overflows, exactly
-// when the map entries referencing it are dropped. A chunk that is
-// retired full stays reachable through the schedules carved from it, so
+// dropped wholesale when the owning cache resets. A chunk that is
+// retired stays reachable through the schedules carved from it, so
 // dropping the slab never invalidates a schedule a caller still holds.
 //
-// All carving happens under the owning stripe's mutex; the carved region
+// All carving happens under the cache's slab mutex; the carved region
 // is private to the filler afterwards, so the (potentially large) copy
 // into it runs outside the lock.
 type schedSlab struct {
@@ -38,7 +37,7 @@ const (
 )
 
 // slabTake carves n elements, starting a fresh chunk when the current
-// one cannot fit them. The caller must hold the owning stripe's mutex.
+// one cannot fit them. The caller must hold the slab mutex.
 func slabTake[T any](buf *[]T, n, chunk int) []T {
 	if cap(*buf)-len(*buf) < n {
 		if chunk < n {
@@ -52,7 +51,7 @@ func slabTake[T any](buf *[]T, n, chunk int) []T {
 }
 
 // take carves the slices for one group of nf schedules with cols columns
-// of lanes entries each. Caller holds the stripe mutex.
+// of lanes entries each. Caller holds the slab mutex.
 func (sl *schedSlab) take(nf, cols, lanes int) (ents []Entry, fcols []Column, schs []Schedule, ptrs []*Schedule) {
 	ents = slabTake(&sl.ents, nf*cols*lanes, slabEntChunk)
 	fcols = slabTake(&sl.cols, nf*cols, slabColChunk)

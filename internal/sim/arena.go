@@ -15,20 +15,21 @@ import (
 // its chunk accumulators — identical shapes every time, with two distinct
 // lifetimes:
 //
-//   - groupScratch lives only within one prepareGroup call (weight rows,
-//     the filter headers over them, and the dense-schedule arena for
-//     front-end-less configs). Recycled the moment prepareGroup returns.
-//   - groupBufs lives from prepareGroup to finishGroup (lane refs, SWAR
-//     masks, per-row plane pointers, per-chunk PE totals). Recycled when
-//     the group's last window chunk folds.
+//   - groupScratch lives only within one prepareGroupInto call (weight
+//     rows, the filter headers over them, and the dense-schedule arena for
+//     front-end-less configs). Recycled the moment prepareGroupInto
+//     returns.
+//   - groupBufs lives from prepareGroupInto to finishGroup (lane refs,
+//     SWAR masks, per-row plane pointers, per-chunk PE totals). Recycled
+//     when the group's last window chunk folds.
 //
-// Both recycle through sync.Pools, so steady-state group turnover
-// allocates nothing once the pools have warmed to the largest group
-// shape. Buffers that are rebuilt wholesale (refs, planes, weights) are
+// Both recycle through each worker's workerState (groupBufs falling back
+// to a sync.Pool), so steady-state group turnover allocates nothing once
+// the arenas have warmed to the largest group shape. Buffers that are rebuilt wholesale (refs, planes, weights) are
 // reused dirty; buffers built incrementally (gated masks with |=, PE
 // totals with +=) are zeroed at carve time.
 
-// groupScratch is the transient working set of one prepareGroup call.
+// groupScratch is the transient working set of one prepareGroupInto call.
 type groupScratch struct {
 	weights []int32
 	filters []sched.Filter
@@ -38,13 +39,7 @@ type groupScratch struct {
 	cols    []sched.Column
 	schs    []sched.Schedule
 	ptrs    []*sched.Schedule
-	// Arena-mode scheduler for the cache-disabled front-end path: the
-	// schedules are read only within prepareGroup, so the kernel arena's
-	// valid-until-next-call contract holds trivially.
-	sched *sched.Scheduler
 }
-
-var groupScratchPool = sync.Pool{New: func() any { return &groupScratch{} }}
 
 // groupBufs is the prepare-to-finish working set of one filter group.
 type groupBufs struct {
@@ -56,11 +51,9 @@ type groupBufs struct {
 
 var groupBufsPool = sync.Pool{New: func() any { return &groupBufs{} }}
 
-// releaseTo returns the group's buffers — to the finishing worker's
-// freelist when ws is non-nil, to the shared pool otherwise — and severs
-// the context's views into them. Called by finishGroup after the fold;
-// contexts built by tests that never finish simply let the GC take the
-// buffers.
+// releaseTo returns the group's buffers to the finishing worker's
+// freelist and severs the context's views into them. Called by
+// finishGroup after the fold.
 func (ctx *groupCtx) releaseTo(ws *workerState) {
 	b := ctx.bufs
 	if b == nil {
@@ -68,15 +61,8 @@ func (ctx *groupCtx) releaseTo(ws *workerState) {
 	}
 	ctx.bufs = nil
 	ctx.refs, ctx.masks, ctx.rowPlanes, ctx.peTotals = nil, nil, nil, nil
-	if ws != nil {
-		ws.putBufs(b)
-	} else {
-		groupBufsPool.Put(b)
-	}
+	ws.putBufs(b)
 }
-
-// release is releaseTo without a worker — the tests' entry point.
-func (ctx *groupCtx) release() { ctx.releaseTo(nil) }
 
 // workerState is one pool worker's private arena set, handed out at pool
 // spin-up (indexed by the worker id runPool passes fn) and retained inside
@@ -236,7 +222,7 @@ func costTableFor(be backend.Backend, w fixed.Width) *costTable {
 // denseSchedules builds the value-agnostic dense schedule — one column per
 // step, every weight in place, nothing skipped — in the scratch arena.
 // The schedules are consumed (census, activity, lane refs) before
-// prepareGroup returns, so arena backing is safe.
+// prepareGroupInto returns, so arena backing is safe.
 func denseSchedules(sc *groupScratch, filters []sched.Filter) []*sched.Schedule {
 	nf := len(filters)
 	if nf == 0 {

@@ -25,10 +25,7 @@ func TestEstimateLayerCostMatchesDenseCycles(t *testing.T) {
 		arch.DaDianNaoPP(),
 		arch.NewTCL(sched.T(2, 5), arch.TCLe),
 	} {
-		res, err := SimulateModelOpts(cfg, m, acts, Options{Parallelism: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := simModel(t, cfg, m, acts, Options{Parallelism: 2})
 		for i, l := range m.Layers {
 			est, err := EstimateLayerCost(cfg, l)
 			if err != nil {

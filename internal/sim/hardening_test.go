@@ -36,43 +36,46 @@ func cancellationModel(t *testing.T) (*nn.Model, []*nn.Lowered) {
 
 // TestSimulateCancellation pins the tentpole contract: a context cancelled
 // mid-model returns promptly with ctx.Err() and no partial result, leaks no
-// goroutines, and a context that is never cancelled yields output
-// bit-identical to the context-free path.
+// goroutines, and a live context that is never cancelled yields output
+// bit-identical to a background-context run.
 func TestSimulateCancellation(t *testing.T) {
 	m, _ := cancellationModel(t)
 	acts := m.GenerateActs(7)
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfgs := []arch.Config{arch.NewTCL(sched.T(2, 5), arch.TCLe)}
 
-	want, err := SimulateModelOpts(cfg, m, acts, Options{Parallelism: 4, DisableCache: true})
+	want, err := SimulateSweepContext(context.Background(), cfgs, m, acts, fresh(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Uncancelled context: bit-identical to the context-free run.
-	got, err := SimulateModelContext(context.Background(), cfg, m, acts, Options{Parallelism: 4, DisableCache: true})
+	// Live but uncancelled context: bit-identical to the background run.
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	got, err := SimulateSweepContext(live, cfgs, m, acts, fresh(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("uncancelled SimulateModelContext differs from SimulateModelOpts")
+		t.Error("uncancelled live context differs from the background run")
 	}
 
 	// Already-cancelled context: immediate ctx.Err(), nil result.
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SimulateModelContext(pre, cfg, m, acts, Options{Parallelism: 4})
+	res, err := SimulateSweepContext(pre, cfgs, m, acts, Options{Parallelism: 4})
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("pre-cancelled: got (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 
 	// Cancellation mid-run: prompt partial-free return and no goroutine
-	// leak. The deadline is far shorter than the model's simulate time
-	// (hundreds of ms at this scale), so it always lands mid-run.
+	// leak. The deadline is far shorter than the model's cold-cache
+	// simulate time (hundreds of ms at this scale), so it always lands
+	// mid-run.
 	before := runtime.NumGoroutine()
 	ctx, cancel2 := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	res, err = SimulateModelContext(ctx, cfg, m, acts, Options{Parallelism: 4, DisableCache: true})
+	res, err = SimulateSweepContext(ctx, cfgs, m, acts, fresh(4))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-run cancel: err = %v, want DeadlineExceeded", err)
@@ -100,8 +103,8 @@ func TestSimulateLayerContextCancel(t *testing.T) {
 	lw := testConv(t, 41, 40, 24, 3, 3, 6, 0.6, 0.4)
 	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
 
-	want := SimulateLayerOpts(cfg, lw, Options{Parallelism: 1, DisableCache: true})
-	got, err := SimulateLayerContext(context.Background(), cfg, lw, Options{Parallelism: 4, DisableCache: true})
+	want := simLayer(t, cfg, lw, fresh(1))
+	got, err := SimulateLayerContext(context.Background(), cfg, lw, fresh(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,9 +195,11 @@ func TestEngineMatchesLegacyBackends(t *testing.T) {
 				legacyCfg := cfg
 				legacyCfg.Backend = pair.legacy
 				for _, lw := range lws {
-					opts := Options{Parallelism: 2, DisablePlaneCache: true}
-					got := SimulateLayerOpts(cfg, lw, opts)
-					want := SimulateLayerOpts(legacyCfg, lw, opts)
+					// Each run builds its own planes: a legacy twin keys
+					// planes like its registered back-end, so a shared
+					// plane cache would hand it the registered run's.
+					got := simLayer(t, cfg, lw, Options{Parallelism: 2, PlaneCache: NewPlaneCache(0)})
+					want := simLayer(t, legacyCfg, lw, Options{Parallelism: 2, PlaneCache: NewPlaneCache(0)})
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s/%s on %s: registered result differs from legacy switch logic\nnew:    %+v\nlegacy: %+v",
 							pair.registered.Name(), cfg.Name, lw.Name, got, want)

@@ -24,15 +24,11 @@ type Options struct {
 	// depend only on (weights, pattern, scheduler), so the default shared
 	// cache lets back-end sweeps schedule each filter group once.
 	Cache *sched.Cache
-	// DisableCache forces every group to be rescheduled from scratch.
-	DisableCache bool
 	// PlaneCache overrides the activation cost plane cache (nil =
 	// SharedPlanes). Planes depend only on (activations, lowering geometry,
 	// back-end, width), so the default shared cache lets sweeps over
 	// front-end patterns build each layer's plane once.
 	PlaneCache *PlaneCache
-	// DisablePlaneCache builds planes privately per run, memoizing nothing.
-	DisablePlaneCache bool
 	// OnLayerResult, when set, is invoked the moment one (config, layer)
 	// result has fully merged — from whichever worker goroutine finished
 	// the layer's last chunk, concurrently with callbacks for other
@@ -54,9 +50,6 @@ func (o Options) workers() int {
 }
 
 func (o Options) cache() *sched.Cache {
-	if o.DisableCache {
-		return nil
-	}
 	if o.Cache != nil {
 		return o.Cache
 	}
@@ -64,9 +57,6 @@ func (o Options) cache() *sched.Cache {
 }
 
 func (o Options) planeCache() *PlaneCache {
-	if o.DisablePlaneCache {
-		return nil
-	}
 	if o.PlaneCache != nil {
 		return o.PlaneCache
 	}

@@ -39,24 +39,18 @@ func buildDeterminismModel(t *testing.T, name string) *nn.Model {
 }
 
 // TestParallelDeterminism asserts the engine's central contract: any
-// Parallelism, with or without the schedule cache, produces results
-// bit-identical to the inline serial engine, across every Table-2 config
-// and two activation seeds.
+// Parallelism, with cold or warm caches, produces results bit-identical to
+// the inline serial engine, across every Table-2 config and two
+// activation seeds.
 func TestParallelDeterminism(t *testing.T) {
 	for _, modelName := range []string{"AlexNet-ES", "MobileNet"} {
 		m := buildDeterminismModel(t, modelName)
 		for _, seed := range []int64{7, 13} {
 			acts := m.GenerateActs(seed)
 			for _, cfg := range table2Configs() {
-				serial, err := SimulateModelOpts(cfg, m, acts, Options{Parallelism: 1, DisableCache: true})
-				if err != nil {
-					t.Fatalf("%s/%s seed %d: %v", modelName, cfg.Name, seed, err)
-				}
+				serial := simModel(t, cfg, m, acts, fresh(1))
 				for _, par := range []int{1, 2, 8} {
-					got, err := SimulateModelOpts(cfg, m, acts, Options{Parallelism: par, Cache: sched.NewCache(0)})
-					if err != nil {
-						t.Fatalf("%s/%s seed %d par %d: %v", modelName, cfg.Name, seed, par, err)
-					}
+					got := simModel(t, cfg, m, acts, Options{Parallelism: par, Cache: sched.NewCache(0)})
 					if !reflect.DeepEqual(serial, got) {
 						t.Errorf("%s/%s seed %d: Parallelism=%d result differs from serial",
 							modelName, cfg.Name, seed, par)
@@ -74,12 +68,12 @@ func TestParallelDeterminism(t *testing.T) {
 func TestScheduleCacheSharedAcrossBackEnds(t *testing.T) {
 	lw := testConv(t, 11, 40, 24, 3, 3, 6, 0.6, 0.4)
 	cache := sched.NewCache(0)
-	p := SimulateLayerOpts(arch.NewTCL(sched.T(2, 5), arch.TCLp), lw, Options{Cache: cache})
+	p := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLp), lw, Options{Cache: cache})
 	st := cache.Stats()
 	if st.Hits != 0 || st.Misses == 0 {
 		t.Fatalf("first run: hits=%d misses=%d, want cold misses only", st.Hits, st.Misses)
 	}
-	e := SimulateLayerOpts(arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{Cache: cache})
+	e := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{Cache: cache})
 	st2 := cache.Stats()
 	if st2.Misses != st.Misses {
 		t.Errorf("TCLe re-scheduled %d groups the TCLp run already cached", st2.Misses-st.Misses)
@@ -93,7 +87,7 @@ func TestScheduleCacheSharedAcrossBackEnds(t *testing.T) {
 		t.Error("cached schedules changed the front-end census across back-ends")
 	}
 	// And a cached re-run of the identical config is bit-identical.
-	p2 := SimulateLayerOpts(arch.NewTCL(sched.T(2, 5), arch.TCLp), lw, Options{Cache: cache})
+	p2 := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLp), lw, Options{Cache: cache})
 	if !reflect.DeepEqual(p, p2) {
 		t.Error("cache hit changed the simulation result")
 	}
@@ -116,9 +110,9 @@ func TestSubGroupChunkDeterminism(t *testing.T) {
 	}
 	for _, lw := range lws {
 		for _, cfg := range table2Configs() {
-			want := SimulateLayerOpts(cfg, lw, Options{Parallelism: 1, DisableCache: true})
+			want := simLayer(t, cfg, lw, fresh(1))
 			for _, par := range []int{2, 3, 5, 8, 16} {
-				got := SimulateLayerOpts(cfg, lw, Options{Parallelism: par, DisableCache: true})
+				got := simLayer(t, cfg, lw, fresh(par))
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("%s/%s: Parallelism=%d chunked result differs from serial",
 						lw.Name, cfg.Name, par)
@@ -128,9 +122,9 @@ func TestSubGroupChunkDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelLayerMatchesSerial covers the direct SimulateLayerOpts path
-// on hand-built layers, including the row-variant depthwise lowering whose
-// cost grid optimization must not change the census.
+// TestParallelLayerMatchesSerial covers the direct SimulateLayerContext
+// path on hand-built layers, including the row-variant depthwise lowering
+// whose cost grid optimization must not change the census.
 func TestParallelLayerMatchesSerial(t *testing.T) {
 	lws := []*nn.Lowered{
 		testConv(t, 21, 40, 24, 3, 3, 6, 0.6, 0.4),
@@ -139,8 +133,8 @@ func TestParallelLayerMatchesSerial(t *testing.T) {
 	}
 	for _, lw := range lws {
 		for _, cfg := range table2Configs() {
-			want := SimulateLayerOpts(cfg, lw, Options{Parallelism: 1, DisableCache: true})
-			got := SimulateLayerOpts(cfg, lw, Options{Parallelism: 8, Cache: sched.NewCache(0)})
+			want := simLayer(t, cfg, lw, fresh(1))
+			got := simLayer(t, cfg, lw, Options{Parallelism: 8, Cache: sched.NewCache(0)})
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s/%s: parallel layer result differs from serial", lw.Name, cfg.Name)
 			}

@@ -1,8 +1,7 @@
-// Differential tests for the grouped/depthwise plane path: per-act-group
-// cost planes must be bit-identical to the nil-plane reference that
-// re-fetches every cost through lw.Act with the row's own filter index,
-// and the engine must actually take the plane path for row-variant
-// layers (visible through the PlaneCache group counters).
+// Tests for the grouped/depthwise plane path: per-act-group cost planes
+// must hold exactly the costs each row's own filter index fetches through
+// lw.Act, and the engine must actually take the plane path for
+// row-variant layers (visible through the PlaneCache group counters).
 package sim
 
 import (
@@ -53,11 +52,10 @@ func groupSerialConfigs() []arch.Config {
 
 // TestGroupedPlaneMatchesPerRowRecompute is the row-variant counterpart
 // of TestPlaneMatchesPerRowRecompute: for grouped (2 and 4 groups) and
-// depthwise layers, evalWindows fed per-act-group planes — each row's
-// plane selected by ActGroupOf, built from the group's representative
-// filter — must produce windowPartials identical to the nil-plane
-// reference, for every filter tile, serial back-end (including the
-// dstripes-sm plugin), and width.
+// depthwise layers, the plane of each filter's act group — built from the
+// group's representative filter — must hold the cost each filter's own row
+// fetches, for every serial back-end (including the dstripes-sm plugin)
+// and width.
 func TestGroupedPlaneMatchesPerRowRecompute(t *testing.T) {
 	for _, lw := range []*nn.Lowered{
 		testGroupedConv(t, 41, 2),
@@ -67,32 +65,7 @@ func TestGroupedPlaneMatchesPerRowRecompute(t *testing.T) {
 		if lw.ActRowInvariant() {
 			t.Fatalf("%s: expected row-variant layer", lw.Name)
 		}
-		for _, cfg := range groupSerialConfigs() {
-			ct := newCostTable(cfg.Backend, cfg.Width)
-			pad := padMask(lw)
-			planes := make([]*costPlane, lw.ActGroups())
-			for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
-				f1 := min(f0+cfg.FiltersPerTile, lw.Filters)
-				ctx := prepareGroup(cfg, lw, ct, pad, f0, f1, nil)
-				if !ctx.needsWindows {
-					t.Fatalf("%s/%s: serial config did not need windows", lw.Name, cfg.Name)
-				}
-				rp := make([]*costPlane, f1-f0)
-				for ri := range rp {
-					g := lw.ActGroupOf(f0 + ri)
-					if planes[g] == nil {
-						planes[g] = buildPlane(lw, ct, g)
-					}
-					rp[ri] = planes[g]
-				}
-				got := ctx.evalWindows(cfg, lw, ct, rp, 0, lw.WindowCount, nil)
-				want := ctx.evalWindows(cfg, lw, ct, nil, 0, lw.WindowCount, nil)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s group [%d,%d): grouped-plane partial differs from per-row recompute",
-						lw.Name, cfg.Name, f0, f1)
-				}
-			}
-		}
+		checkPlaneMatchesAct(t, lw, groupSerialConfigs())
 	}
 }
 
@@ -111,7 +84,7 @@ func TestGroupedLayersTakePlanePath(t *testing.T) {
 		{"depthwise", testDW(t, 46, 20, 5), 20},
 	} {
 		pc := NewPlaneCache(0)
-		SimulateLayerOpts(arch.NewTCL(sched.T(2, 5), arch.TCLe), tc.lw, Options{PlaneCache: pc})
+		simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), tc.lw, Options{PlaneCache: pc})
 		st := pc.Stats()
 		if st.GroupBuilds != int64(tc.groups) || st.Entries != tc.groups {
 			t.Fatalf("%s: after first run %+v, want %d group builds / entries", tc.name, st, tc.groups)
@@ -120,13 +93,13 @@ func TestGroupedLayersTakePlanePath(t *testing.T) {
 			t.Fatalf("%s: cold run reported group hits: %+v", tc.name, st)
 		}
 		// Different pattern, same back-end and width: every group plane hits.
-		SimulateLayerOpts(arch.NewTCL(sched.L(1, 6), arch.TCLe), tc.lw, Options{PlaneCache: pc})
+		simLayer(t, arch.NewTCL(sched.L(1, 6), arch.TCLe), tc.lw, Options{PlaneCache: pc})
 		st = pc.Stats()
 		if st.GroupHits != int64(tc.groups) || st.GroupBuilds != int64(tc.groups) {
 			t.Fatalf("%s: after second run %+v, want %d group hits", tc.name, st, tc.groups)
 		}
 		// A different back-end keys its own planes per group.
-		SimulateLayerOpts(arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup(dstripes.Name)), tc.lw, Options{PlaneCache: pc})
+		simLayer(t, arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup(dstripes.Name)), tc.lw, Options{PlaneCache: pc})
 		st = pc.Stats()
 		if st.GroupBuilds != int64(2*tc.groups) || st.Entries != 2*tc.groups {
 			t.Fatalf("%s: after plugin run %+v, want %d group builds", tc.name, st, 2*tc.groups)
@@ -197,8 +170,8 @@ func groupedModel(t *testing.T) (*nn.Model, []*tensor.T) {
 // TestGroupedSweepMatchesIndividualRuns is the whole-engine differential
 // for row-variant layers: sweeping a grouped/depthwise model — including
 // through the dstripes-sm plugin back-end — must reproduce each config's
-// standalone plane-less serial result exactly, at parallelism 1 and 4,
-// with the plane cache on and off.
+// standalone serial result exactly, at parallelism 1 and 4, with cold and
+// warm caches.
 func TestGroupedSweepMatchesIndividualRuns(t *testing.T) {
 	m, acts := groupedModel(t)
 	cfgs := []arch.Config{
@@ -209,33 +182,24 @@ func TestGroupedSweepMatchesIndividualRuns(t *testing.T) {
 	}
 	want := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		r, err := SimulateModelContext(context.Background(), cfg, m, acts, Options{Parallelism: 1, DisablePlaneCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
+		want[i] = simModel(t, cfg, m, acts, fresh(1))
 	}
 	for _, par := range []int{1, 4} {
-		for _, disable := range []bool{false, true} {
-			opts := Options{Parallelism: par, DisablePlaneCache: disable}
-			if !disable {
-				opts.PlaneCache = NewPlaneCache(0)
-			}
+		opts := fresh(par)
+		for _, caches := range []string{"cold", "warm"} {
 			got, err := SimulateSweepContext(context.Background(), cfgs, m, acts, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range cfgs {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("par=%d disablePlanes=%v config %s: grouped sweep differs from standalone run",
-						par, disable, cfgs[i].Name)
+					t.Errorf("par=%d %s caches config %s: grouped sweep differs from standalone run",
+						par, caches, cfgs[i].Name)
 				}
 			}
-			if !disable {
-				if st := opts.PlaneCache.Stats(); st.GroupBuilds == 0 {
-					t.Errorf("par=%d: sweep over grouped model never took the grouped plane path (%+v)", par, st)
-				}
-			}
+		}
+		if st := opts.PlaneCache.Stats(); st.GroupBuilds == 0 || st.GroupHits == 0 {
+			t.Errorf("par=%d: sweeps over grouped model never took the grouped plane path (%+v)", par, st)
 		}
 	}
 }

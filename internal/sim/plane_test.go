@@ -28,12 +28,11 @@ func serialConfigs() []arch.Config {
 	}
 }
 
-// TestPlaneMatchesPerRowRecompute is the differential test of the plane
-// gather: for row-invariant layers, evalWindows with the precomputed plane
-// must produce windowPartials identical to the nil-plane reference path
-// that re-fetches every cost through lw.Act with the row's own filter
-// index — across every filter group, not just the one the plane was built
-// from (the ActRowInvariant guarantee).
+// TestPlaneMatchesPerRowRecompute checks the plane build directly on
+// row-invariant layers: for every filter, window, step and lane, the plane
+// of the filter's act group holds the cost of the activation that filter's
+// own row fetches — across every filter, not just the one the plane was
+// built from (the ActRowInvariant guarantee).
 func TestPlaneMatchesPerRowRecompute(t *testing.T) {
 	for _, lw := range []*nn.Lowered{
 		testConv(t, 21, 20, 24, 3, 3, 6, 0.6, 0.4),
@@ -43,25 +42,33 @@ func TestPlaneMatchesPerRowRecompute(t *testing.T) {
 		if !lw.ActRowInvariant() {
 			t.Fatalf("%s: expected row-invariant layer", lw.Name)
 		}
-		for _, cfg := range serialConfigs() {
-			ct := newCostTable(cfg.Backend, cfg.Width)
-			plane := buildPlane(lw, ct, 0)
-			pad := padMask(lw)
-			for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
-				f1 := min(f0+cfg.FiltersPerTile, lw.Filters)
-				ctx := prepareGroup(cfg, lw, ct, pad, f0, f1, nil)
-				if !ctx.needsWindows {
-					t.Fatalf("%s/%s: serial config did not need windows", lw.Name, cfg.Name)
-				}
-				rp := make([]*costPlane, f1-f0)
-				for i := range rp {
-					rp[i] = plane
-				}
-				got := ctx.evalWindows(cfg, lw, ct, rp, 0, lw.WindowCount, nil)
-				want := ctx.evalWindows(cfg, lw, ct, nil, 0, lw.WindowCount, nil)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s group [%d,%d): plane partial differs from per-row recompute\nplane: %+v\nref:   %+v",
-						lw.Name, cfg.Name, f0, f1, got, want)
+		checkPlaneMatchesAct(t, lw, serialConfigs())
+	}
+}
+
+// checkPlaneMatchesAct asserts that, under every config, buildPlane of
+// filter f's act group holds ct.costU8(lw.Act(f, window, step, lane)) at
+// every slot, for every filter f.
+func checkPlaneMatchesAct(t *testing.T, lw *nn.Lowered, cfgs []arch.Config) {
+	t.Helper()
+	for _, cfg := range cfgs {
+		ct := newCostTable(cfg.Backend, cfg.Width)
+		planes := make([]*costPlane, lw.ActGroups())
+		for g := range planes {
+			planes[g] = buildPlane(lw, ct, g)
+		}
+		for f := 0; f < lw.Filters; f++ {
+			p := planes[lw.ActGroupOf(f)]
+			for w := 0; w < lw.WindowCount; w++ {
+				grid := p.window(w)
+				for st := 0; st < lw.Steps; st++ {
+					for ln := 0; ln < lw.Lanes; ln++ {
+						got, want := grid[st*lw.Lanes+ln], ct.costU8(lw.Act(f, w, st, ln))
+						if got != want {
+							t.Fatalf("%s/%s filter %d window %d step %d lane %d: plane cost %d, per-row cost %d",
+								lw.Name, cfg.Name, f, w, st, ln, got, want)
+						}
+					}
 				}
 			}
 		}
@@ -147,18 +154,18 @@ func TestSimulateUsesSharedPlaneCache(t *testing.T) {
 	SharedPlanes.Reset()
 	defer SharedPlanes.Reset()
 	lw := testFC(t, 28, 20, 40, 18, 0.7)
-	SimulateLayerOpts(arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{})
+	simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{})
 	if st := SharedPlanes.Stats(); st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("after first run: %+v, want 1 miss / 1 entry", st)
 	}
 	// Different pattern, same back-end and width: must reuse the plane.
-	SimulateLayerOpts(arch.NewTCL(sched.L(1, 6), arch.TCLe), lw, Options{})
+	simLayer(t, arch.NewTCL(sched.L(1, 6), arch.TCLe), lw, Options{})
 	if st := SharedPlanes.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("after second run: %+v, want 1 hit / 1 miss", st)
 	}
 	// A plugin back-end at the same width must key its own plane, not hit
 	// the TCLe entry.
-	SimulateLayerOpts(arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup(dstripes.Name)), lw, Options{})
+	simLayer(t, arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup(dstripes.Name)), lw, Options{})
 	if st := SharedPlanes.Stats(); st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("after plugin run: %+v, want 1 hit / 2 misses / 2 entries", st)
 	}
@@ -166,8 +173,8 @@ func TestSimulateUsesSharedPlaneCache(t *testing.T) {
 
 // TestSweepMatchesIndividualRuns pins the sweep core's bit-identity
 // guarantee: one SimulateSweepContext over several configs must reproduce
-// each config's standalone SimulateModelContext result exactly, at every
-// parallelism and with or without the plane cache.
+// each config's standalone serial result exactly, at every parallelism and
+// with cold or warm caches.
 func TestSweepMatchesIndividualRuns(t *testing.T) {
 	zoo := nn.DefaultZoo()
 	zoo.ChannelScale = 0.1
@@ -185,26 +192,19 @@ func TestSweepMatchesIndividualRuns(t *testing.T) {
 	}
 	want := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		r, err := SimulateModelContext(context.Background(), cfg, m, acts, Options{Parallelism: 1, DisablePlaneCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
+		want[i] = simModel(t, cfg, m, acts, fresh(1))
 	}
 	for _, par := range []int{1, 4} {
-		for _, disable := range []bool{false, true} {
-			opts := Options{Parallelism: par, DisablePlaneCache: disable}
-			if !disable {
-				opts.PlaneCache = NewPlaneCache(0)
-			}
+		opts := fresh(par)
+		for _, caches := range []string{"cold", "warm"} {
 			got, err := SimulateSweepContext(context.Background(), cfgs, m, acts, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range cfgs {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("par=%d disablePlanes=%v config %s: sweep result differs from standalone run",
-						par, disable, cfgs[i].Name)
+					t.Errorf("par=%d %s caches config %s: sweep result differs from standalone run",
+						par, caches, cfgs[i].Name)
 				}
 			}
 		}

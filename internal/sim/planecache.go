@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"bittactical/internal/backend"
+	"bittactical/internal/cache"
 	"bittactical/internal/fixed"
 	"bittactical/internal/metrics"
 	"bittactical/internal/nn"
@@ -23,27 +23,12 @@ import (
 // SharedPlanes. Width is in the key because an 8-bit plane costs the same
 // value differently than a 16-bit one.
 //
-// Unlike sched.Cache, fills are single-flighted: a plane is megabytes of
-// work, so concurrent requesters of the same key (two sweep configs hitting
-// the same layer in the pool) wait on the first builder's sync.Once instead
-// of racing to duplicate the build.
-//
-// The entry map is striped over a power-of-two number of shards selected
-// by the content fingerprint (h1), each with its own lock, so parallel
-// sweeps hitting warm planes stop serializing on one mutex. The byte
-// budget stays global: resident bytes are tracked in one atomic off the
-// lookup path, and the (rare) overflow drop locks every stripe, preserving
-// the single-mutex cache's exact semantics — drop everything but the entry
-// being inserted, count each dropped entry as one eviction.
+// Entries live in an internal/cache table: striped by the content
+// fingerprint, single-flighted (a plane is megabytes of work, so two sweep
+// configs hitting the same layer share one build), and bounded by resident
+// bytes.
 type PlaneCache struct {
-	stripes  []planeStripe
-	mask     uint64
-	bytes    atomic.Int64
-	maxBytes int64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	planes *cache.Cache[planeKey, *costPlane]
 
 	// Grouped-plane counters: the same events, restricted to planes of
 	// row-variant layers (act group in the key). They answer the question
@@ -52,24 +37,6 @@ type PlaneCache struct {
 	groupBuilds    atomic.Int64
 	groupHits      atomic.Int64
 	groupEvictions atomic.Int64
-}
-
-// planeStripe is one shard of the entry map with its own lock.
-type planeStripe struct {
-	mu sync.Mutex
-	m  map[planeKey]*planeEntry
-}
-
-// planeCacheStripes is the fixed stripe count. A process caches at most a
-// few hundred planes (layers x back-ends x widths), so a handful of
-// stripes already makes lock collisions between eight workers unlikely.
-const planeCacheStripes = 8
-
-// planeEntry single-flights one plane build: the creator runs the Once body;
-// later requesters of the same key block on it and share the result.
-type planeEntry struct {
-	once  sync.Once
-	plane *costPlane
 }
 
 // planeKey identifies one (layer activations+geometry, act group,
@@ -92,8 +59,7 @@ type planeKey struct {
 // full-size conv layer is megabytes), so unlike the schedule cache the
 // budget is in bytes, not entries; the default holds every layer of a
 // multi-model sweep at the evaluation scales while capping worst-case
-// memory. On overflow the cache drops everything but the entry being
-// inserted and refills — correct, bounded, trivial.
+// memory.
 const defaultPlaneCacheBytes = 256 << 20
 
 // NewPlaneCache returns an empty cache. maxBytes <= 0 selects the default
@@ -102,20 +68,16 @@ func NewPlaneCache(maxBytes int64) *PlaneCache {
 	if maxBytes <= 0 {
 		maxBytes = defaultPlaneCacheBytes
 	}
-	c := &PlaneCache{
-		stripes:  make([]planeStripe, planeCacheStripes),
-		mask:     planeCacheStripes - 1,
-		maxBytes: maxBytes,
-	}
-	for i := range c.stripes {
-		c.stripes[i].m = make(map[planeKey]*planeEntry)
-	}
+	c := &PlaneCache{}
+	c.planes = cache.New(maxBytes,
+		func(k planeKey) uint64 { return k.h1 },
+		(*costPlane).sizeBytes,
+		func(k planeKey) {
+			if k.group >= 0 {
+				c.groupEvictions.Add(1)
+			}
+		})
 	return c
-}
-
-// stripe selects the shard for a key by its content fingerprint.
-func (c *PlaneCache) stripe(h1 uint64) *planeStripe {
-	return &c.stripes[h1&c.mask]
 }
 
 // SharedPlanes is the process-wide plane cache the simulator uses by
@@ -178,81 +140,15 @@ func (c *PlaneCache) get(lw *nn.Lowered, be backend.Backend, w fixed.Width, ct *
 // actGroup is the group a fill builds from. Grouped events additionally
 // tick the sim_plane_group_* counters.
 func (c *PlaneCache) getKeyed(key planeKey, lw *nn.Lowered, ct *costTable, actGroup int) *costPlane {
-	grouped := key.group >= 0
-	s := c.stripe(key.h1)
-	s.mu.Lock()
-	e, ok := s.m[key]
-	if ok {
-		c.hits.Add(1)
-		if grouped {
+	p, hit := c.planes.Get(key, func() *costPlane { return buildPlane(lw, ct, actGroup) })
+	if key.group >= 0 {
+		if hit {
 			c.groupHits.Add(1)
-		}
-	} else {
-		c.misses.Add(1)
-		if grouped {
+		} else {
 			c.groupBuilds.Add(1)
 		}
-		e = &planeEntry{}
-		s.m[key] = e
 	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		e.plane = buildPlane(lw, ct, actGroup)
-		s.mu.Lock()
-		// Account the bytes only if the entry is still resident: an overflow
-		// drop that raced this build already discarded it from the map, and
-		// the builder's reference keeps the plane alive for its caller alone.
-		live := false
-		if cur, ok := s.m[key]; ok && cur == e {
-			live = true
-			c.bytes.Add(e.plane.sizeBytes())
-		}
-		over := c.bytes.Load() > c.maxBytes
-		s.mu.Unlock()
-		if live && over {
-			c.evictAllBut(key, e)
-		}
-	})
-	return e.plane
-}
-
-// evictAllBut is the overflow drop: everything except the inserting entry
-// goes, each dropped entry counting one eviction. It locks every stripe —
-// overflow is rare by construction (the default budget holds a whole
-// multi-model sweep), so the hot lookup path never pays for this.
-func (c *PlaneCache) evictAllBut(key planeKey, e *planeEntry) {
-	for i := range c.stripes {
-		c.stripes[i].mu.Lock()
-	}
-	// Re-check under full lock: a concurrent drop may already have fixed
-	// the budget (and possibly discarded our entry with it).
-	if c.bytes.Load() > c.maxBytes {
-		var dropped int64
-		for i := range c.stripes {
-			s := &c.stripes[i]
-			for k2, e2 := range s.m {
-				if k2 == key && e2 == e {
-					continue
-				}
-				dropped++
-				if k2.group >= 0 {
-					c.groupEvictions.Add(1)
-				}
-				delete(s.m, k2)
-			}
-		}
-		c.evictions.Add(dropped)
-		// The only survivor is the inserting entry (if still resident); any
-		// dropped in-flight build skips its accounting via the live-check.
-		var resident int64
-		if cur, ok := c.stripe(key.h1).m[key]; ok && cur == e {
-			resident = e.plane.sizeBytes()
-		}
-		c.bytes.Store(resident)
-	}
-	for i := len(c.stripes) - 1; i >= 0; i-- {
-		c.stripes[i].mu.Unlock()
-	}
+	return p
 }
 
 // PlaneCacheStats is a plane cache's lifetime counters and current
@@ -274,19 +170,13 @@ type PlaneCacheStats struct {
 
 // Stats reports lifetime hit/miss/eviction counters and current residency.
 func (c *PlaneCache) Stats() PlaneCacheStats {
-	n := 0
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
+	st := c.planes.Stats()
 	return PlaneCacheStats{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Evictions:      c.evictions.Load(),
-		Entries:        n,
-		Bytes:          c.bytes.Load(),
+		Hits:           st.Hits,
+		Misses:         st.Misses,
+		Evictions:      st.Evictions,
+		Entries:        st.Entries,
+		Bytes:          st.Cost,
 		GroupBuilds:    c.groupBuilds.Load(),
 		GroupHits:      c.groupHits.Load(),
 		GroupEvictions: c.groupEvictions.Load(),
@@ -294,14 +184,11 @@ func (c *PlaneCache) Stats() PlaneCacheStats {
 }
 
 // RegisterMetrics exposes the cache's counters in the registry as
-// <prefix>_{hits,misses,evictions,entries,bytes}, read live at snapshot
-// time.
+// <prefix>_{hits,misses,evictions,entries,bytes} and
+// <prefix>_group_{builds,hits,evictions}, read live at snapshot time.
 func (c *PlaneCache) RegisterMetrics(r *metrics.Registry, prefix string) {
-	r.Func(prefix+"_hits", c.hits.Load)
-	r.Func(prefix+"_misses", c.misses.Load)
-	r.Func(prefix+"_evictions", c.evictions.Load)
-	r.Func(prefix+"_entries", func() int64 { return int64(c.Stats().Entries) })
-	r.Func(prefix+"_bytes", c.bytes.Load)
+	c.planes.RegisterMetrics(r, prefix)
+	r.Func(prefix+"_bytes", func() int64 { return c.planes.Stats().Cost })
 	r.Func(prefix+"_group_builds", c.groupBuilds.Load)
 	r.Func(prefix+"_group_hits", c.groupHits.Load)
 	r.Func(prefix+"_group_evictions", c.groupEvictions.Load)
@@ -310,16 +197,7 @@ func (c *PlaneCache) RegisterMetrics(r *metrics.Registry, prefix string) {
 // Reset drops every entry and zeroes the counters. The dropped entries are
 // deliberate, not capacity pressure, so they do not count as evictions.
 func (c *PlaneCache) Reset() {
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		s.m = make(map[planeKey]*planeEntry)
-		s.mu.Unlock()
-	}
-	c.bytes.Store(0)
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
+	c.planes.Reset()
 	c.groupBuilds.Store(0)
 	c.groupHits.Store(0)
 	c.groupEvictions.Store(0)

@@ -67,7 +67,8 @@ func TestPlaneCacheEvictionUnderConcurrentPressure(t *testing.T) {
 
 	// Budget for ~2 planes: every few cold fills trip the overflow drop,
 	// which may discard the hot entry mid-wait.
-	c := NewPlaneCache(one*2 + one/2)
+	budget := one*2 + one/2
+	c := NewPlaneCache(budget)
 
 	const workers = 8
 	const iters = 40
@@ -105,28 +106,14 @@ func TestPlaneCacheEvictionUnderConcurrentPressure(t *testing.T) {
 		t.Error("hot plane after churn differs from a direct build")
 	}
 
-	// All builds have completed; resident bytes must equal the sum of the
-	// resident planes, and fit the budget (a lone entry may exceed it).
-	var sum int64
-	entries := 0
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		entries += len(s.m)
-		for _, e := range s.m {
-			if e.plane == nil {
-				t.Error("resident entry with nil plane after all gets returned")
-				continue
-			}
-			sum += e.plane.sizeBytes()
-		}
-		s.mu.Unlock()
+	// All builds have completed. Every plane here has the same geometry,
+	// so the accounted bytes must be exactly one plane's size per
+	// resident entry, and fit the budget (a lone entry may exceed it).
+	st = c.Stats()
+	if st.Bytes != int64(st.Entries)*one {
+		t.Errorf("accounted bytes %d != %d resident planes of %d bytes", st.Bytes, st.Entries, one)
 	}
-	bytes, budget := c.bytes.Load(), c.maxBytes
-	if bytes != sum {
-		t.Errorf("accounted bytes %d != resident plane bytes %d", bytes, sum)
-	}
-	if bytes > budget && entries > 1 {
-		t.Errorf("%d resident entries hold %d bytes over the %d budget", entries, bytes, budget)
+	if st.Bytes > budget && st.Entries > 1 {
+		t.Errorf("%d resident entries hold %d bytes over the %d budget", st.Entries, st.Bytes, budget)
 	}
 }

@@ -11,81 +11,12 @@ import (
 	"bittactical/internal/metrics"
 	"bittactical/internal/nn"
 	"bittactical/internal/sched"
-	"bittactical/internal/tensor"
 )
 
 // layerLatency records, per layer, the wall time from the first work item
 // of that layer starting to its last filter group finishing — the quantity
 // an operator of the evaluation service watches per request.
 var layerLatency = metrics.Default.Histogram("sim_layer_latency")
-
-// SimulateModel runs every layer of a model under the configuration with
-// default engine options (GOMAXPROCS workers, shared schedule cache).
-func SimulateModel(cfg arch.Config, m *nn.Model, acts []*tensor.T) (*Result, error) {
-	return SimulateModelOpts(cfg, m, acts, Options{})
-}
-
-// SimulateModelOpts runs every layer of a model under the configuration,
-// decomposed into independent (layer, filter-group) work items executed by
-// the option's worker pool. Output is bit-identical at any Parallelism.
-func SimulateModelOpts(cfg arch.Config, m *nn.Model, acts []*tensor.T, opts Options) (*Result, error) {
-	return SimulateModelContext(context.Background(), cfg, m, acts, opts)
-}
-
-// SimulateModelContext is SimulateModelOpts under a context: when ctx is
-// cancelled or its deadline passes, workers stop claiming (group,
-// window-chunk) items — in-flight items finish first — and the call returns
-// (nil, ctx.Err()) with no partial result. An uncancelled context yields
-// output bit-identical to SimulateModelOpts.
-func SimulateModelContext(ctx context.Context, cfg arch.Config, m *nn.Model, acts []*tensor.T, opts Options) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	lws, err := m.Lowered(cfg.Lanes, acts)
-	if err != nil {
-		return nil, err
-	}
-	layers, err := simulateLayers(ctx, cfg, lws, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Config: cfg.Name, Layers: layers}, nil
-}
-
-// SimulateLayer runs one lowered layer with default engine options.
-//
-// Mapping (Section 5.3): filters are assigned to tiles and PE rows; the
-// serial back-ends process WindowsPerTile activation windows concurrently
-// across PE columns. Layers with fewer windows than columns (CNN
-// fully-connected layers) split the reduction across spare columns instead,
-// combining partial sums over the per-row ring.
-func SimulateLayer(cfg arch.Config, lw *nn.Lowered) LayerResult {
-	return SimulateLayerOpts(cfg, lw, Options{})
-}
-
-// SimulateLayerOpts runs one lowered layer under the configuration and
-// returns cycles, the Figure-9 censuses, and datapath activity.
-func SimulateLayerOpts(cfg arch.Config, lw *nn.Lowered, opts Options) LayerResult {
-	rs, err := simulateLayers(context.Background(), cfg, []*nn.Lowered{lw}, opts)
-	if err != nil {
-		// Unreachable: the background context never cancels.
-		panic(err)
-	}
-	return rs[0]
-}
-
-// SimulateLayerContext is SimulateLayerOpts with the cancellation semantics
-// of SimulateModelContext.
-func SimulateLayerContext(ctx context.Context, cfg arch.Config, lw *nn.Lowered, opts Options) (LayerResult, error) {
-	rs, err := simulateLayers(ctx, cfg, []*nn.Lowered{lw}, opts)
-	if err != nil {
-		return LayerResult{}, err
-	}
-	return rs[0], nil
-}
 
 // workItem is one unit of pool work: one window chunk [w0, w1) of one
 // resident filter group of one layer of one sweep config. Most groups are a
@@ -111,17 +42,8 @@ type configWork struct {
 	cfg    arch.Config
 	lws    []*nn.Lowered
 	ct     *costTable
-	keyer  sched.Keyer // pre-keyed schedule-cache handle; valid iff hasKeyer
-	hasKey bool
+	keyer  sched.Keyer // pre-keyed schedule-cache handle; set iff cfg.HasFrontEnd()
 	layers []layerWork
-}
-
-// keyerPtr adapts the inline keyer to prepareGroupInto's nil-able view.
-func (cw *configWork) keyerPtr() *sched.Keyer {
-	if !cw.hasKey {
-		return nil
-	}
-	return &cw.keyer
 }
 
 // layerWork is one layer's slice of a config's run state, kept in a single
@@ -164,18 +86,14 @@ type layerPlanes struct {
 	slots   []planeSlot
 }
 
-// planeFor returns the cost plane of layer li's act group, from the cache
-// when one is configured, built privately otherwise. Only called under a
-// serial back-end — the path the plane layout is defined for.
+// planeFor returns the cost plane of layer li's act group from the plane
+// cache. Only called under a serial back-end — the path the plane layout
+// is defined for.
 func (cw *configWork) planeFor(li, actGroup int, pc *PlaneCache) *costPlane {
 	lp := &cw.layers[li].planes
 	s := &lp.slots[actGroup]
 	s.once.Do(func() {
 		lw := cw.lws[li]
-		if pc == nil {
-			s.plane = buildPlane(lw, cw.ct, actGroup)
-			return
-		}
 		lp.keyOnce.Do(func() {
 			lp.baseKey = planeKeyOf(lw, cw.cfg.Backend, cw.cfg.Width)
 		})
@@ -230,24 +148,16 @@ func layerChunks(cfg arch.Config, lw *nn.Lowered, totalGroups, workers int) (nCh
 	return nChunks, denseGroups, windowGroups
 }
 
-// simulateLayers runs one config — the single-entry case of the sweep core.
-func simulateLayers(ctx context.Context, cfg arch.Config, lws []*nn.Lowered, opts Options) ([]LayerResult, error) {
-	rs, err := simulateSweep(ctx, []arch.Config{cfg}, [][]*nn.Lowered{lws}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
-// simulateSweep is the engine core shared by the layer, model, and sweep
-// entry points: it flattens every config's (layer, filter group) work into
-// one queue (splitting groups into window chunks when groups alone cannot
-// fill the pool), executes the chunks on the option's pool, and merges each
-// config's shards in (layer, group) order so no result depends on execution
+// simulateSweep is the engine core behind every entry point: it flattens
+// every config's (layer, filter group) work into one queue (splitting
+// groups into window chunks when groups alone cannot fill the pool),
+// executes the chunks on the option's pool, and merges each config's
+// shards in (layer, group) order so no result depends on execution
 // interleaving — per config, output is bit-identical to a serial run at any
 // Parallelism and any sweep composition. A cancelled ctx stops the pool
 // from claiming further chunks and returns (nil, ctx.Err()) — never a
-// partial merge.
+// partial merge. The entry points validate every config and lane count
+// before calling it.
 func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered, opts Options) ([][]LayerResult, error) {
 	cache := opts.cache()
 	planeCache := opts.planeCache()
@@ -259,9 +169,6 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 	for k, cfg := range cfgs {
 		totalLayers += len(lwss[k])
 		for _, lw := range lwss[k] {
-			if lw.Lanes != cfg.Lanes {
-				panic(fmt.Sprintf("sim: lowered lanes %d != config lanes %d", lw.Lanes, cfg.Lanes))
-			}
 			totalGroups += (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
 		}
 	}
@@ -300,12 +207,11 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 		cw.ct = costTableFor(cfg.Backend, cfg.Width)
 		cw.layers = st.layers[layerOff : layerOff+len(lws)]
 		layerOff += len(lws)
-		if cache != nil && cfg.HasFrontEnd() {
+		if cfg.HasFrontEnd() {
 			// Key the cache once per (config): the pattern key and algorithm
 			// tag are shared by every group lookup below, so per-group calls
 			// hash only filter contents.
 			cw.keyer = cache.Keyer(cfg.Pattern, cfg.Scheduler)
-			cw.hasKey = true
 		}
 		rows := cfg.FiltersPerTile
 		for li, lw := range lws {
@@ -365,7 +271,7 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 		}
 		ga := &lwk.accums[it.group]
 		ga.once.Do(func() {
-			prepareGroupInto(&ga.ctxStore, cw.cfg, lw, cw.ct, lwk.pad, it.f0, it.f1, len(ga.partials), cw.keyerPtr(), ws)
+			prepareGroupInto(&ga.ctxStore, cw.cfg, lw, lwk.pad, it.f0, it.f1, len(ga.partials), &cw.keyer, ws)
 			ga.ctx = &ga.ctxStore
 			if ga.ctx.needsWindows {
 				// Resolve each PE row's act-group plane once per group; a
@@ -378,7 +284,7 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 		})
 		var wp windowPartial
 		if ga.ctx.needsWindows {
-			wp = ga.ctx.evalWindows(cw.cfg, lw, cw.ct, ga.ctx.rowPlanes, it.w0, it.w1, ga.ctx.peChunk(it.chunk))
+			wp = ga.ctx.evalWindows(cw.cfg, it.w0, it.w1, ga.ctx.peChunk(it.chunk))
 		}
 		ga.partials[it.chunk] = wp
 		if ga.remaining.Add(-1) == 0 {
@@ -498,12 +404,11 @@ func padMask(lw *nn.Lowered) []bool {
 
 // laneRef is one lane's activation source in one schedule column: the
 // promoted weight's dense position for effectual lanes, the window head for
-// idle ones. flat is the precomputed step*lanes+lane plane offset so the
-// window walk gathers straight out of a cost plane's window slice.
+// idle ones, as the precomputed step*lanes+lane plane offset so the window
+// walk gathers straight out of a cost plane's window slice.
 type laneRef struct {
-	step, lane int32
-	flat       int32
-	weight     int32 // 0 for idle lanes
+	flat   int32
+	weight int32 // 0 for idle lanes
 }
 
 // groupResult is one filter group's private accumulation shard: everything
@@ -522,7 +427,6 @@ type groupResult struct {
 // (groupBufs), flattened: refs[(ci*nrows+ri)*lanes+ln] is lane ln's
 // activation source in column ci of row ri's schedule.
 type groupCtx struct {
-	f0, f1       int
 	nrows, cols  int
 	needsWindows bool // serial back-ends walk windows; bit-parallel is done at prepare
 	refs         []laneRef
@@ -536,13 +440,11 @@ type groupCtx struct {
 	maskStride int
 	// rowPlanes[ri] is PE row ri's activation cost plane (rows of one act
 	// group share a plane; row-invariant layers share one across all
-	// rows). Resolved by the engine under the groupAccum Once; nil only on
-	// the differential tests' reference path.
+	// rows). Resolved by the engine under the groupAccum Once.
 	rowPlanes []*costPlane
 	// peTotals is the engine's pre-zeroed per-chunk accumulator arena
 	// (nChunks strides of peStride = nrows*WindowsPerTile); peChunk hands
-	// each chunk its stride. Test-built contexts leave it nil and
-	// evalWindows allocates per call.
+	// each chunk its stride.
 	peTotals []int64
 	peStride int
 	bufs     *groupBufs // backing arena, returned to the pool at release
@@ -552,9 +454,6 @@ type groupCtx struct {
 
 // peChunk is window chunk c's view of the group's PE-total arena.
 func (ctx *groupCtx) peChunk(c int) []int64 {
-	if ctx.peTotals == nil {
-		return nil
-	}
 	return ctx.peTotals[c*ctx.peStride : (c+1)*ctx.peStride]
 }
 
@@ -568,41 +467,28 @@ type windowPartial struct {
 	serial   int64
 }
 
-// prepareGroup is prepareGroupInto for a fresh single-chunk context — the
-// differential tests' entry point.
-func prepareGroup(cfg arch.Config, lw *nn.Lowered, ct *costTable, pad []bool, f0, f1 int, keyer *sched.Keyer) *groupCtx {
-	ctx := new(groupCtx)
-	prepareGroupInto(ctx, cfg, lw, ct, pad, f0, f1, 1, keyer, nil)
-	return ctx
-}
-
 // prepareGroupInto builds one resident filter group's shared context:
-// filters, schedules, the front-end census, datapath activity that depends
-// only on column structure, and the per-column lane references the window
-// walk consumes. For the bit-parallel back-end the group's full result is
-// computed here (its cost model is window-independent).
+// filters, schedules (through keyer, which front-end configs must carry),
+// the front-end census, datapath activity that depends only on column
+// structure, and the per-column lane references the window walk consumes.
+// For the bit-parallel back-end the group's full result is computed here
+// (its cost model is window-independent).
 //
 // Filter rows are materialized into the worker's private scratch arena
-// (handed out at pool spin-up; the shared sync.Pool is the ws == nil
-// fallback for tests) and recycled before returning — safe because
-// schedules never retain their filters (sched.NewFilter wraps the row
-// slice, and both the cache and the kernel copy entry data, not weights).
-// The context's own grids carve from a second arena (the worker's
-// freelist, or the shared pool) held until finishGroup releases it.
-func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTable, pad []bool, f0, f1, nChunks int, keyer *sched.Keyer, ws *workerState) {
+// (handed out at pool spin-up) and recycled before returning — safe
+// because schedules never retain their filters (sched.NewFilter wraps the
+// row slice, and both the cache and the kernel copy entry data, not
+// weights). The context's own grids carve from a second arena (the
+// worker's freelist, or the shared pool) held until finishGroup releases
+// it.
+func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, pad []bool, f0, f1, nChunks int, keyer *sched.Keyer, ws *workerState) {
 	lanes, rows, wg := cfg.Lanes, cfg.FiltersPerTile, cfg.WindowsPerTile
 	steps, W := lw.Steps, lw.WindowCount
 	nrows := f1 - f0
-	*ctx = groupCtx{f0: f0, f1: f1, nrows: nrows}
+	*ctx = groupCtx{nrows: nrows}
 	r := &ctx.base
 
-	var sc *groupScratch
-	if ws != nil {
-		sc = ws.scratch()
-	} else {
-		sc = groupScratchPool.Get().(*groupScratch)
-		defer groupScratchPool.Put(sc)
-	}
+	sc := ws.scratch()
 	sc.weights = grow(sc.weights, nrows*steps*lanes)
 	sc.filters = grow(sc.filters, nrows)
 	filters := sc.filters[:nrows]
@@ -612,20 +498,11 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 		filters[i] = sched.NewFilter(lanes, steps, row, pad)
 	}
 	var schedules []*sched.Schedule
-	switch {
-	case !cfg.HasFrontEnd():
-		schedules = denseSchedules(sc, filters)
-	case keyer != nil:
+	if cfg.HasFrontEnd() {
 		h1, h2 := sched.HashFilters(filters)
 		schedules = keyer.ScheduleGroup(h1, h2, filters)
-	default:
-		// Cache disabled: schedule in the scratch's own arena-mode kernel;
-		// the schedules are read below and dropped, so arena reuse on the
-		// next prepare is safe.
-		if sc.sched == nil {
-			sc.sched = sched.NewScheduler()
-		}
-		schedules = sc.sched.ScheduleGroup(filters, cfg.Pattern, cfg.Scheduler)
+	} else {
+		schedules = denseSchedules(sc, filters)
 	}
 	cols := 0
 	if nrows > 0 {
@@ -681,12 +558,7 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 	// rowPlanes are rebuilt wholesale (reused dirty); the |=-built gated
 	// masks and +=-folded PE totals are zeroed at carve.
 	ctx.gate = cfg.HasFrontEnd()
-	var b *groupBufs
-	if ws != nil {
-		b = ws.getBufs()
-	} else {
-		b = groupBufsPool.Get().(*groupBufs)
-	}
+	b := ws.getBufs()
 	ctx.bufs = b
 	b.refs = grow(b.refs, cols*nrows*lanes)
 	ctx.refs = b.refs[:cols*nrows*lanes]
@@ -717,19 +589,12 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 			}
 			for ln, e := range col.Entries {
 				if e.Weight != 0 {
-					refs[ln] = laneRef{
-						step: int32(e.SrcStep), lane: int32(e.SrcLane),
-						flat:   int32(e.SrcStep*lanes + e.SrcLane),
-						weight: e.Weight,
-					}
+					refs[ln] = laneRef{flat: int32(e.SrcStep*lanes + e.SrcLane), weight: e.Weight}
 					if ctx.gate {
 						mask[ln>>3] |= 0xff << (8 * uint(ln&7))
 					}
 				} else {
-					refs[ln] = laneRef{
-						step: int32(col.Head), lane: int32(ln),
-						flat: int32(col.Head*lanes + ln),
-					}
+					refs[ln] = laneRef{flat: int32(col.Head*lanes + ln)}
 				}
 			}
 		}
@@ -737,7 +602,8 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 }
 
 // evalWindows walks the serial back-end over the window range [w0, w1) —
-// always whole window groups — and returns the chunk's partial sums.
+// always whole window groups — and returns the chunk's partial sums, its
+// PE totals accumulated into dst (the chunk's peChunk stride).
 //
 // Lanes within a PE are lockstep every column (they feed one adder
 // tree), so a PE's column duration is the max lane cost ("Column
@@ -750,20 +616,14 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTa
 //
 // Cost evaluation is single-pass: each lane's serial cost lands once per
 // (column, row, window) in laneCost, feeding both the SWAR column-max
-// (columnMax over the group's participation mask) and the census. When
-// per-row cost planes are supplied, costs are gathered from the row's
-// plane window slice by precomputed flat offset — no Act fetch, no
-// costTable mask, no per-chunk grid build; rows of one act group share a
-// plane, so row-invariant, grouped, and depthwise layers all take this
-// path. planes == nil falls back to fetching each cost through lw.Act
-// with the row's own filter index — the executable reference the plane
-// gather is differentially pinned against.
-func (ctx *groupCtx) evalWindows(cfg arch.Config, lw *nn.Lowered, ct *costTable, planes []*costPlane, wLo, wHi int, dst []int64) windowPartial {
+// (columnMax over the group's participation mask) and the census. Costs
+// are gathered from PE row ri's cost plane, rowPlanes[ri], by precomputed
+// flat offset — no Act fetch, no costTable mask, no per-chunk grid build;
+// rows of one act group share a plane, so row-invariant, grouped, and
+// depthwise layers all take this path.
+func (ctx *groupCtx) evalWindows(cfg arch.Config, wLo, wHi int, dst []int64) windowPartial {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
-	nrows, cols, f0 := ctx.nrows, ctx.cols, ctx.f0
-	if dst == nil {
-		dst = make([]int64, nrows*wg)
-	}
+	nrows, cols := ctx.nrows, ctx.cols
 	wp := windowPartial{peTotals: dst}
 	// Lane costs live on the stack for every supported geometry; the slice
 	// fallback only fires past 64 lanes.
@@ -787,22 +647,11 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config, lw *nn.Lowered, ct *costTable,
 				if ctx.maskStride > 0 {
 					mask = ctx.masks[(ci*nrows+ri)*ctx.maskStride : (ci*nrows+ri+1)*ctx.maskStride]
 				}
-				fIdx := f0 + ri
-				var plane *costPlane
-				if planes != nil {
-					plane = planes[ri]
-				}
+				plane := ctx.rowPlanes[ri]
 				for wi := 0; wi < nw; wi++ {
-					if plane != nil {
-						g := plane.window(w0 + wi)
-						for ln := 0; ln < lanes; ln++ {
-							laneCost[ln] = g[refs[ln].flat]
-						}
-					} else {
-						for ln := 0; ln < lanes; ln++ {
-							rf := refs[ln]
-							laneCost[ln] = ct.costU8(lw.Act(fIdx, w0+wi, int(rf.step), int(rf.lane)))
-						}
+					g := plane.window(w0 + wi)
+					for ln := 0; ln < lanes; ln++ {
+						laneCost[ln] = g[refs[ln].flat]
 					}
 					peMax := columnMax(laneCost, mask)
 					wp.peTotals[ri*wg+wi] += int64(peMax)
@@ -837,8 +686,7 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config, lw *nn.Lowered, ct *costTable,
 // fold order over chunks never matters: peTotals merge by element-wise
 // addition and the census fields are sums, so the max/sync pass below sees
 // exactly the accumulators the serial single-chunk walk would have built.
-// The group's buffers return to the finishing worker's freelist (ws may be
-// nil on test paths, which fall back to the shared pool).
+// The group's buffers return to the finishing worker's freelist.
 func finishGroup(cfg arch.Config, ctx *groupCtx, partials []windowPartial, ws *workerState) groupResult {
 	r := ctx.base
 	if !ctx.needsWindows {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bittactical/internal/arch"
@@ -66,6 +68,34 @@ func testDW(t *testing.T, seed int64, c, in int) *nn.Lowered {
 	return lw
 }
 
+// simLayer runs one layer through SimulateLayerContext, failing the test
+// on error.
+func simLayer(t *testing.T, cfg arch.Config, lw *nn.Lowered, opts Options) LayerResult {
+	t.Helper()
+	r, err := SimulateLayerContext(context.Background(), cfg, lw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// simModel runs every layer of a model under one config through
+// SimulateSweepContext, failing the test on error.
+func simModel(t *testing.T, cfg arch.Config, m *nn.Model, acts []*tensor.T, opts Options) *Result {
+	t.Helper()
+	rs, err := SimulateSweepContext(context.Background(), []arch.Config{cfg}, m, acts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
+}
+
+// fresh returns engine options with private, empty schedule and plane
+// caches, so a run computes every schedule and plane itself.
+func fresh(par int) Options {
+	return Options{Parallelism: par, Cache: sched.NewCache(0), PlaneCache: NewPlaneCache(0)}
+}
+
 func allConfigs() []arch.Config {
 	return []arch.Config{
 		arch.DaDianNaoPP(),
@@ -121,7 +151,7 @@ func TestDenseBaselineMatchesReference(t *testing.T) {
 		testFC(t, 6, 20, 40, 18, 0.7),
 		testDW(t, 7, 20, 5),
 	} {
-		r := SimulateLayer(arch.DaDianNaoPP(), lw)
+		r := simLayer(t, arch.DaDianNaoPP(), lw, Options{})
 		if r.Cycles != r.DenseCycles {
 			t.Errorf("%s: baseline cycles %d != dense reference %d", lw.Name, r.Cycles, r.DenseCycles)
 		}
@@ -138,7 +168,7 @@ func TestFrontEndSpeedupTracksSparsity(t *testing.T) {
 	prev := 0.0
 	for _, sp := range []float64{0.0, 0.5, 0.8} {
 		lw := testConv(t, 8, 16, 32, 3, 3, 6, sp, 0.4)
-		r := SimulateLayer(cfg, lw)
+		r := simLayer(t, cfg, lw, Options{})
 		got := r.Speedup()
 		if got < 1.0 {
 			t.Errorf("sparsity %.1f: front-end speedup %.3f < 1", sp, got)
@@ -155,9 +185,9 @@ func TestBackEndsBeatBitParallelOnLowPrecision(t *testing.T) {
 	// front-end-only configuration, and TCLe must beat TCLp (oneffsets ≤
 	// precision bits).
 	lw := testConv(t, 9, 32, 32, 3, 3, 8, 0.6, 0.4)
-	fe := SimulateLayer(arch.FrontEndOnly(sched.T(2, 5)), lw).Speedup()
-	p := SimulateLayer(arch.NewTCL(sched.T(2, 5), arch.TCLp), lw).Speedup()
-	e := SimulateLayer(arch.NewTCL(sched.T(2, 5), arch.TCLe), lw).Speedup()
+	fe := simLayer(t, arch.FrontEndOnly(sched.T(2, 5)), lw, Options{}).Speedup()
+	p := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLp), lw, Options{}).Speedup()
+	e := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{}).Speedup()
 	if p <= fe {
 		t.Errorf("TCLp %.2f should beat front-end-only %.2f", p, fe)
 	}
@@ -170,9 +200,9 @@ func TestFrontEndBackEndNearMultiplicative(t *testing.T) {
 	// Section 1: "the benefits of the front- and back-end are nearly
 	// multiplicative". Allow generous tolerance for sync losses.
 	lw := testConv(t, 10, 32, 32, 3, 3, 8, 0.7, 0.4)
-	fe := SimulateLayer(arch.FrontEndOnly(sched.T(2, 5)), lw).Speedup()
-	be := SimulateLayer(arch.NewTCL(sched.Pattern{}, arch.TCLe), lw).Speedup()
-	both := SimulateLayer(arch.NewTCL(sched.T(2, 5), arch.TCLe), lw).Speedup()
+	fe := simLayer(t, arch.FrontEndOnly(sched.T(2, 5)), lw, Options{}).Speedup()
+	be := simLayer(t, arch.NewTCL(sched.Pattern{}, arch.TCLe), lw, Options{}).Speedup()
+	both := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{}).Speedup()
 	if both < 0.5*fe*be {
 		t.Errorf("combined %.2f far below product %.2f × %.2f", both, fe, be)
 	}
@@ -186,7 +216,7 @@ func TestBreakdownConservation(t *testing.T) {
 	// summed over every window (W chosen as a multiple of the 16 columns).
 	lw := testConv(t, 11, 20, 24, 3, 3, 7, 0.6, 0.4) // 7x7 in, pad 1 -> 7x7 out? stride1 pad1 k3: out 7 -> 49 windows
 	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
-	r := SimulateLayer(cfg, lw)
+	r := simLayer(t, cfg, lw, Options{})
 	if r.BackEnd.Total() <= 0 {
 		t.Fatal("empty breakdown")
 	}
@@ -213,7 +243,7 @@ func TestBreakdownExactCoverage(t *testing.T) {
 		t.Fatalf("want 16 windows, got %d", lw.WindowCount)
 	}
 	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
-	r := SimulateLayer(cfg, lw)
+	r := simLayer(t, cfg, lw, Options{})
 	want := int64(cfg.FiltersPerTile) * int64(cfg.Lanes) * int64(cfg.WindowsPerTile) * r.Cycles
 	if got := r.BackEnd.Total(); got != want {
 		t.Errorf("census total %d != rows×lanes×wg×cycles %d", got, want)
@@ -223,7 +253,7 @@ func TestBreakdownExactCoverage(t *testing.T) {
 func TestFrontEndCensusConservation(t *testing.T) {
 	lw := testConv(t, 13, 20, 20, 3, 3, 6, 0.6, 0.4)
 	cfg := arch.FrontEndOnly(sched.T(2, 5))
-	r := SimulateLayer(cfg, lw)
+	r := simLayer(t, cfg, lw, Options{})
 	var slots int64
 	for _, v := range r.FrontEnd.Slots {
 		slots += v
@@ -260,8 +290,8 @@ func TestPragmaticLikeIgnoresWeightSparsity(t *testing.T) {
 		return lw
 	}
 	cfg := arch.NewTCL(sched.Pattern{}, arch.TCLe)
-	a := SimulateLayer(cfg, mk(0.0)).Cycles
-	b := SimulateLayer(cfg, mk(0.9)).Cycles
+	a := simLayer(t, cfg, mk(0.0), Options{}).Cycles
+	b := simLayer(t, cfg, mk(0.9), Options{}).Cycles
 	if a != b {
 		t.Errorf("no-front-end cycles vary with weight sparsity: %d vs %d", a, b)
 	}
@@ -277,7 +307,7 @@ func TestTCLpCostIsGroupPrecision(t *testing.T) {
 	act := tensor.New(1, 16, 16, 16)
 	act.Fill(255)
 	lw, _ := nn.Lower(l, act, 16)
-	r := SimulateLayer(arch.NewTCL(sched.Pattern{}, arch.TCLp), lw)
+	r := simLayer(t, arch.NewTCL(sched.Pattern{}, arch.TCLp), lw, Options{})
 	// Dense: 1 column/window-group; 16 window groups ⇒ dense serial cycles
 	// = 16 groups × 8 bits.
 	if r.Cycles != 16*8 {
@@ -290,7 +320,7 @@ func TestReductionSplitFC(t *testing.T) {
 	// must be well below the serial single-column execution.
 	lw := testFC(t, 16, 16, 512, 1, 0.0)
 	cfg := arch.NewTCL(sched.Pattern{}, arch.TCLp)
-	r := SimulateLayer(cfg, lw)
+	r := simLayer(t, cfg, lw, Options{})
 	// Single-column serial would cost ~32 columns × ~cost; split by 16.
 	if r.Cycles >= r.DenseCycles*4 {
 		t.Errorf("FC reduction split ineffective: %d cycles vs dense %d", r.Cycles, r.DenseCycles)
@@ -305,10 +335,7 @@ func TestSimulateModelAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	acts := m.GenerateActs(1)
-	res, err := SimulateModel(arch.NewTCL(sched.T(2, 5), arch.TCLe), m, acts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simModel(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), m, acts, Options{})
 	if len(res.Layers) != len(m.Layers) {
 		t.Fatalf("simulated %d of %d layers", len(res.Layers), len(m.Layers))
 	}
@@ -325,7 +352,7 @@ func TestSimulateModelRejectsInvalidConfig(t *testing.T) {
 	acts := m.GenerateActs(1)
 	bad := arch.DaDianNaoPP()
 	bad.Tiles = 0
-	if _, err := SimulateModel(bad, m, acts); err == nil {
+	if _, err := SimulateSweepContext(context.Background(), []arch.Config{bad}, m, acts, Options{}); err == nil {
 		t.Error("accepted invalid config")
 	}
 }
@@ -357,13 +384,13 @@ func TestCostTableValues(t *testing.T) {
 
 func TestActivityCounts(t *testing.T) {
 	lw := testConv(t, 17, 16, 16, 3, 3, 6, 0.5, 0.4)
-	r := SimulateLayer(arch.NewTCL(sched.T(2, 5), arch.TCLe), lw)
+	r := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{})
 	a := r.Activity
 	if a.SerialLaneCycles <= 0 || a.WSColumnReads <= 0 || a.ActReads <= 0 ||
 		a.MuxSelects <= 0 || a.PsumAccesses <= 0 || a.OffsetEncodes <= 0 {
 		t.Errorf("activity has empty counters: %+v", a)
 	}
-	b := SimulateLayer(arch.DaDianNaoPP(), lw).Activity
+	b := simLayer(t, arch.DaDianNaoPP(), lw, Options{}).Activity
 	if b.ParallelMACs <= 0 {
 		t.Error("baseline records no MACs")
 	}
@@ -401,10 +428,7 @@ func TestResultAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	acts := m.GenerateActs(1)
-	res, err := SimulateModel(arch.NewTCL(sched.T(2, 5), arch.TCLe), m, acts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simModel(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), m, acts, Options{})
 	fe := res.FrontEnd()
 	if fe.Columns <= 0 || fe.DenseSteps <= 0 {
 		t.Error("aggregated front-end census empty")
@@ -435,14 +459,26 @@ func TestLayerResultSpeedupZeroCycles(t *testing.T) {
 	}
 }
 
-func TestSimulateLayerPanicsOnLaneMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("lane mismatch must panic (construction bug)")
-		}
-	}()
+// TestSimulateLayerRejectsBadGeometry pins the single-layer entry's
+// validation: a config whose lane count differs from the lowering's, and
+// one with no filters per tile, are errors — not a construction-bug panic
+// or an integer divide by zero inside the engine.
+func TestSimulateLayerRejectsBadGeometry(t *testing.T) {
 	lw := testConv(t, 40, 4, 16, 1, 1, 4, 0, 0)
-	cfg := arch.DaDianNaoPP()
-	cfg.Lanes = 8
-	SimulateLayer(cfg, lw)
+	lanes := arch.DaDianNaoPP()
+	lanes.Lanes = 8
+	zero := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	zero.FiltersPerTile = 0
+	for _, tc := range []struct {
+		cfg  arch.Config
+		want string
+	}{
+		{lanes, "lowered at 16"},
+		{zero, "non-positive geometry"},
+	} {
+		_, err := SimulateLayerContext(context.Background(), tc.cfg, lw, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.cfg.Name, err, tc.want)
+		}
+	}
 }

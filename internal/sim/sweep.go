@@ -9,10 +9,22 @@ import (
 	"bittactical/internal/tensor"
 )
 
-// SimulateSweep runs one model under several configurations as a single
-// engine invocation with default options. See SimulateSweepContext.
-func SimulateSweep(cfgs []arch.Config, m *nn.Model, acts []*tensor.T) ([]*Result, error) {
-	return SimulateSweepContext(context.Background(), cfgs, m, acts, Options{})
+// SimulateLayerContext runs one lowered layer under the configuration and
+// returns cycles, the Figure-9 censuses, and datapath activity. It is the
+// one-cell case of SimulateLoweredSweepContext, with the same validation
+// and cancellation.
+//
+// Mapping (Section 5.3): filters are assigned to tiles and PE rows; the
+// serial back-ends process WindowsPerTile activation windows concurrently
+// across PE columns. Layers with fewer windows than columns (CNN
+// fully-connected layers) split the reduction across spare columns instead,
+// combining partial sums over the per-row ring.
+func SimulateLayerContext(ctx context.Context, cfg arch.Config, lw *nn.Lowered, opts Options) (LayerResult, error) {
+	rs, err := SimulateLoweredSweepContext(ctx, []arch.Config{cfg}, [][]*nn.Lowered{{lw}}, opts)
+	if err != nil {
+		return LayerResult{}, err
+	}
+	return rs[0][0], nil
 }
 
 // SimulateSweepContext runs one model under several configurations — the
@@ -25,12 +37,11 @@ func SimulateSweep(cfgs []arch.Config, m *nn.Model, acts []*tensor.T) ([]*Result
 // row-invariant layers' activation cost planes are resolved through the
 // options' plane cache, so configs sharing a (back-end, width) share
 // planes. Results are returned in config order, each bit-identical to a
-// standalone SimulateModelContext run of that config.
+// sweep of that config alone.
 //
-// Cancellation matches SimulateModelContext: a done ctx stops the pool and
-// returns (nil, ctx.Err()) with no partial results for any config.
+// Cancellation matches SimulateLoweredSweepContext.
 func SimulateSweepContext(ctx context.Context, cfgs []arch.Config, m *nn.Model, acts []*tensor.T, opts Options) ([]*Result, error) {
-	layerss, err := simulateGrid(ctx, cfgs, m, acts, nil, opts)
+	layerss, err := SimulateGridContext(ctx, cfgs, m, acts, nil, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -51,8 +62,12 @@ func SimulateSweepContext(ctx context.Context, cfgs []arch.Config, m *nn.Model, 
 // bit-identical to a standalone run of that (config, layers) pair at any
 // Parallelism.
 //
-// Every lowered layer must have been lowered at its config's lane count;
-// a mismatch returns an error. Cancellation matches SimulateModelContext.
+// Every config must validate and every lowered layer must have been
+// lowered at its config's lane count; otherwise it returns an error.
+// Cancellation is all-or-nothing: when ctx is cancelled or its deadline
+// passes, workers stop claiming (group, window-chunk) items — in-flight
+// items finish first — and the call returns (nil, ctx.Err()) with no
+// partial results for any cell.
 func SimulateLoweredSweepContext(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered, opts Options) ([][]LayerResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -77,8 +92,8 @@ func SimulateLoweredSweepContext(ctx context.Context, cfgs []arch.Config, lwss [
 // SimulateGridContext runs an arbitrary rectangle of the (config, layer)
 // design-space grid: every config in cfgs against exactly the model layers
 // named by layerIdx (indices into the lowered layer list, any order,
-// duplicates allowed). The returned [config][i] cell corresponds to
-// layerIdx[i].
+// duplicates allowed; nil means every layer in order). The returned
+// [config][i] cell corresponds to layerIdx[i].
 //
 // This is the shard-worker entry point: a coordinator that partitions a
 // sweep's layers across processes has each worker simulate its slice of
@@ -86,15 +101,8 @@ func SimulateLoweredSweepContext(ctx context.Context, cfgs []arch.Config, lwss [
 // sweep — a layer's result depends only on its own filter groups — so a
 // cell is bit-identical however the grid is partitioned, which is what
 // makes the coordinator's fixed-order merge reproduce single-process
-// output exactly.
+// output exactly. Cancellation matches SimulateLoweredSweepContext.
 func SimulateGridContext(ctx context.Context, cfgs []arch.Config, m *nn.Model, acts []*tensor.T, layerIdx []int, opts Options) ([][]LayerResult, error) {
-	return simulateGrid(ctx, cfgs, m, acts, layerIdx, opts)
-}
-
-// simulateGrid validates and lowers, then runs the engine over cfgs ×
-// layers. A nil layerIdx means all layers; a non-nil one selects (and
-// orders) the subset.
-func simulateGrid(ctx context.Context, cfgs []arch.Config, m *nn.Model, acts []*tensor.T, layerIdx []int, opts Options) ([][]LayerResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
