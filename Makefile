@@ -132,10 +132,12 @@ FUZZTIME ?= 30s
 fuzz-sched:
 	$(GO) test ./internal/sched -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) -run '^$$'
 
-# Differential fuzz of the SWAR column-max kernel against the scalar
-# reference.
+# Differential fuzz of the SWAR column-max kernel and of the word-parallel
+# window walk against their scalar references. go test -fuzz takes one
+# target per run, so the targets run one after the other.
 fuzz-kernel:
 	$(GO) test ./internal/sim -fuzz FuzzColumnMaxSWAR -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/sim -fuzz FuzzEvalWindowsMatchesScalar -fuzztime $(FUZZTIME) -run '^$$'
 
 fmt:
 	gofmt -w .

@@ -44,7 +44,9 @@ type Backend interface {
 	// Cost returns the serial cycles one lane spends on activation code v
 	// at width w: oneffset count for TCLe, dynamic precision bits for TCLp,
 	// 1 for bit-parallel. This is the value cost tables and activation cost
-	// planes precompute per code.
+	// planes precompute per code. It must lie in [0, 127]: the simulator
+	// packs costs one per byte with bit 7 clear, and panics on a cost
+	// outside that range.
 	Cost(v int32, w fixed.Width) int
 
 	// MAC returns the contribution of one (weight, activation) pair to a

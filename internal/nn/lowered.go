@@ -50,6 +50,9 @@ type Lowered struct {
 
 	padOnce sync.Once
 	pad     []bool
+
+	hashOnce sync.Once
+	h1, h2   uint64
 }
 
 // Lower produces the lowered view of layer l with its input activations.
@@ -162,6 +165,53 @@ func (lw *Lowered) PadMask() []bool {
 		}
 	})
 	return lw.pad
+}
+
+// ContentHash returns two independent 64-bit hashes (FNV-1a and a djb2
+// variant) over everything Act reads: the lowering geometry, the layer
+// parameters the coords/Act mapping consults, and the full input
+// activation tensor. The simulator keys activation cost planes on it.
+// Hashing a tensor is linear in its size and every sweep config of a run
+// asks for it, so it is computed once per lowering and shared, like
+// PadMask; the input tensor must not change after Lower.
+func (lw *Lowered) ContentHash() (h1, h2 uint64) {
+	lw.hashOnce.Do(func() { lw.h1, lw.h2 = contentHash(lw) })
+	return lw.h1, lw.h2
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// contentHash computes ContentHash without the memo.
+func contentHash(lw *Lowered) (h1, h2 uint64) {
+	h1, h2 = fnvOffset, 5381
+	mix := func(v int64) {
+		for i := 0; i < 8; i++ {
+			h1 ^= uint64(byte(v >> (8 * i)))
+			h1 *= fnvPrime
+		}
+		h2 = h2*33 + uint64(v) + (h2 >> 27)
+	}
+	l := lw.layer
+	mix(int64(lw.Kind))
+	mix(int64(lw.Lanes))
+	mix(int64(lw.Steps))
+	mix(int64(lw.WindowCount))
+	mix(int64(l.C))
+	mix(int64(l.R))
+	mix(int64(l.S))
+	mix(int64(l.Stride))
+	mix(int64(l.Pad))
+	mix(int64(l.Groups))
+	for _, d := range lw.in.Shape {
+		mix(int64(d))
+	}
+	for _, v := range lw.in.Data {
+		mix(int64(v))
+	}
+	return h1, h2
 }
 
 // Weight returns the weight code of filter f at dense-schedule position

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"bittactical/internal/fixed"
@@ -165,6 +166,51 @@ func TestLowerWeightActConsistency(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestContentHashMemo pins the lowering's content hash: the memo equals a
+// fresh hash, lowerings of equal inputs agree, and lowerings of different
+// activations — or of the same activations at another lane count — differ.
+func TestContentHashMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	l := &Layer{Name: "c", Kind: Conv, K: 3, C: 18, R: 3, S: 3, Stride: 1, Pad: 1, InH: 5, InW: 5}
+	l.Weights = tensor.New(3, 18, 3, 3)
+	l.Weights.FillGaussian(rng, 300, 3000)
+	a, b := tensor.New(1, 18, 5, 5), tensor.New(1, 18, 5, 5)
+	a.FillRandom(rng, 1000)
+	copy(b.Data, a.Data)
+	lower := func(in *tensor.T, lanes int) *Lowered {
+		lw, err := Lower(l, in, lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lw
+	}
+	lw := lower(a, 16)
+	m1, m2 := lw.ContentHash()
+	if f1, f2 := contentHash(lw); m1 != f1 || m2 != f2 {
+		t.Fatalf("memo (%#x, %#x) != fresh hash (%#x, %#x)", m1, m2, f1, f2)
+	}
+	// Concurrent workers share lowerings; every caller sees the one memo.
+	shared := lower(b, 16)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if h1, h2 := shared.ContentHash(); h1 != m1 || h2 != m2 {
+				t.Error("equal activations hash differently")
+			}
+		}()
+	}
+	wg.Wait()
+	b.Data[len(b.Data)-1]++
+	if h1, h2 := lower(b, 16).ContentHash(); h1 == m1 || h2 == m2 {
+		t.Fatal("different activations share a content hash")
+	}
+	if h1, h2 := lower(a, 8).ContentHash(); h1 == m1 || h2 == m2 {
+		t.Fatal("lane counts share a content hash")
 	}
 }
 

@@ -20,13 +20,13 @@ import (
 //     front-end-less configs). Recycled the moment prepareGroupInto
 //     returns.
 //   - groupBufs lives from prepareGroupInto to finishGroup (lane refs,
-//     SWAR masks, per-row plane pointers, per-chunk PE totals). Recycled
-//     when the group's last window chunk folds.
+//     effectual-lane masks, per-row plane pointers, per-chunk PE
+//     totals). Recycled when the group's last window chunk folds.
 //
 // Both recycle through each worker's workerState (groupBufs falling back
 // to a sync.Pool), so steady-state group turnover allocates nothing once
 // the arenas have warmed to the largest group shape. Buffers that are rebuilt wholesale (refs, planes, weights) are
-// reused dirty; buffers built incrementally (gated masks with |=, PE
+// reused dirty; buffers built incrementally (lane masks with |=, PE
 // totals with +=) are zeroed at carve time.
 
 // groupScratch is the transient working set of one prepareGroupInto call.
@@ -43,7 +43,7 @@ type groupScratch struct {
 
 // groupBufs is the prepare-to-finish working set of one filter group.
 type groupBufs struct {
-	refs     []laneRef
+	refs     []int32
 	masks    []uint64
 	planes   []*costPlane
 	peTotals []int64
@@ -180,20 +180,6 @@ func (st *sweepState) carve(nCfgs, nLayers, nAccums, nPartials, nSlots, nItems i
 		st.items = st.items[:0]
 		clear(st.items[:cap(st.items)])
 	}
-}
-
-// fullMasks memoizes the ungated participation mask per lane count: the
-// all-lanes SWAR mask is immutable and identical for every ungated group
-// of a given geometry, so groups share one slice instead of building one
-// each.
-var fullMasks sync.Map // int (lanes) -> []uint64
-
-func fullLaneMaskShared(lanes int) []uint64 {
-	if m, ok := fullMasks.Load(lanes); ok {
-		return m.([]uint64)
-	}
-	m, _ := fullMasks.LoadOrStore(lanes, fullLaneMask(lanes))
-	return m.([]uint64)
 }
 
 // costTableKey identifies a memoized cost table: back-ends ride by

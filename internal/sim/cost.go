@@ -14,6 +14,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"bittactical/internal/backend"
 	"bittactical/internal/fixed"
 )
@@ -26,17 +28,22 @@ type costTable struct {
 	tab   []uint8
 }
 
+// newCostTable evaluates be.Cost for every code at width w. The window
+// walk packs costs one per byte and relies on bit 7 staying clear
+// (kernel.go), so a cost outside [0, maxLaneCost] would corrupt the
+// neighbouring windows' column max and census. Real costs are far below
+// the bound (TCLp <= width+1, TCLe <= ceil((width+1)/2)); only a bug in a
+// compiled-in back-end can exceed it, so it panics rather than clamping a
+// wrong cost into a plausible one.
 func newCostTable(be backend.Backend, w fixed.Width) *costTable {
 	n := 1 << uint(w)
 	ct := &costTable{width: w, tab: make([]uint8, n)}
 	for i := 0; i < n; i++ {
 		v := fixed.SignExtend(uint32(i), w)
 		c := be.Cost(v, w)
-		// The SWAR column-max compares costs as 7-bit bytes (kernel.go);
-		// every real cost is far below this bound (TCLp <= width+1, TCLe
-		// <= ceil((width+1)/2)), so the clamp is defensive only.
-		if c > maxLaneCost {
-			c = maxLaneCost
+		if c < 0 || c > maxLaneCost {
+			panic(fmt.Sprintf("sim: back-end %q costs code %d at width %d as %d cycles, outside [0, %d]",
+				be.Name(), v, int(w), c, maxLaneCost))
 		}
 		ct.tab[i] = uint8(c)
 	}

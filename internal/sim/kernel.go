@@ -1,32 +1,39 @@
-// SWAR column-max kernel. Lanes within a PE are lockstep every schedule
-// column (they feed one adder tree), so the back-end's column duration is
-// the maximum serial cost over the PE's participating lanes — the single
-// hottest reduction in the simulator: it runs once per (schedule column, PE
-// row, window). The kernel packs 8 lanes of uint8 costs per uint64 and
-// computes the lane max branch-free with word-parallel byte compares, so a
-// 16-lane tile folds 2 words per column instead of iterating a 16-element
-// byte loop with a data-dependent branch per lane.
+// SWAR byte kernels. Lanes within a PE are lockstep every schedule column
+// (they feed one adder tree), so the back-end's column duration is the
+// maximum serial cost over the PE's participating lanes — the hottest
+// reduction in the simulator: it runs once per (schedule column, PE row,
+// window). byteMax computes that max branch-free for 8 bytes at once with
+// word-parallel byte compares. evalWindows (sim.go) applies it across
+// windows: a window-minor cost plane puts one lane's costs for 8
+// consecutive windows in one uint64, so folding a column's lanes yields 8
+// windows' column maxima per word. columnMax applies it across lanes
+// instead, packing 8 lanes' costs for one window per word; the engine no
+// longer calls it, and it stays, with columnMaxScalar and the exported
+// ColumnMax pair, as the workload of the kernel benchmark suite.
 //
 // Invariants:
 //
 //   - every cost byte is <= maxLaneCost (127): the word-parallel unsigned
-//     compare borrows through bit 7 of each byte, so costs must leave the
-//     high bit clear. newCostTable clamps accordingly; real costs never
-//     exceed width+1 <= 17.
-//   - cost slices are zero-padded to a whole number of 8-byte words
-//     (padLanes), and mask bytes are exactly 0x00 (lane excluded) or 0xFF
-//     (lane participates); padding bytes are 0x00.
+//     compare borrows through bit 7 of each byte, and the census's
+//     nonzero test (c + 0x7f) would carry into the next byte, so costs
+//     must leave the high bit clear. newCostTable panics on any back-end
+//     cost outside [0, maxLaneCost]; real costs never exceed width+1 <= 17.
+//   - columnMax's cost slices are zero-padded to a whole number of 8-byte
+//     words (padLanes), and mask bytes are exactly 0x00 (lane excluded) or
+//     0xFF (lane participates); padding bytes are 0x00.
 //
-// columnMaxScalar is the reference implementation; FuzzColumnMaxSWAR and
-// TestColumnMaxMatchesScalar pin the two bit-identical over random planes
-// and lane counts, including lane counts not divisible by 8.
+// columnMaxScalar is columnMax's reference implementation;
+// FuzzColumnMaxSWAR and TestColumnMaxMatchesScalar pin the two
+// bit-identical over random columns and lane counts, including lane counts
+// not divisible by 8. The window walk has its own scalar reference in
+// window_test.go.
 package sim
 
 import "encoding/binary"
 
 // maxLaneCost bounds the per-value serial cost stored in cost tables and
 // activation cost planes, keeping bit 7 of every packed byte clear for the
-// SWAR compare.
+// SWAR compare and the census's nonzero test.
 const maxLaneCost = 127
 
 // laneWords returns the number of uint64 words that hold `lanes` packed
@@ -90,14 +97,3 @@ func columnMaxScalar(cost []uint8, mask []uint64) int {
 // the unexported kernels directly.
 func ColumnMax(cost []uint8, mask []uint64) int       { return columnMax(cost, mask) }
 func ColumnMaxScalar(cost []uint8, mask []uint64) int { return columnMaxScalar(cost, mask) }
-
-// fullLaneMask returns the participation mask with the first `lanes` lanes
-// set — the mask every PE row shares when the config has no front-end
-// (nothing gates ineffectual lanes out of the column sync).
-func fullLaneMask(lanes int) []uint64 {
-	mask := make([]uint64, laneWords(lanes))
-	for ln := 0; ln < lanes; ln++ {
-		mask[ln>>3] |= 0xff << (8 * uint(ln&7))
-	}
-	return mask
-}

@@ -100,6 +100,17 @@ func TestByteMax(t *testing.T) {
 	}
 }
 
+// fullLaneMask returns the participation mask with the first `lanes` lanes
+// set — the mask every PE row shares when the config has no front-end
+// (nothing gates ineffectual lanes out of the column sync).
+func fullLaneMask(lanes int) []uint64 {
+	mask := make([]uint64, laneWords(lanes))
+	for ln := 0; ln < lanes; ln++ {
+		mask[ln>>3] |= 0xff << (8 * uint(ln&7))
+	}
+	return mask
+}
+
 func TestFullLaneMask(t *testing.T) {
 	for _, lanes := range []int{1, 7, 8, 9, 16, 20} {
 		mask := fullLaneMask(lanes)

@@ -7,7 +7,7 @@
 // conv (one group per filter group), and through the channel itself for
 // depthwise (one group per filter). A costPlane precomputes that cost for
 // every slot of one (layer, act group) exactly once, so the window walk
-// gathers flat uint8s instead of re-deriving each cost through an Act
+// loads flat cost bytes instead of re-deriving each cost through an Act
 // fetch and a costTable mask for every (column, row, window, lane) tuple —
 // work that previously repeated per filter group, per window chunk, and
 // per sweep config, and that row-variant layers repeated per PE row.
@@ -24,14 +24,21 @@ import (
 )
 
 // costPlane stores each activation's serial cost for one (lowered layer,
-// act group) at one (back-end, width): a packed
-// [WindowCount][Steps][Lanes]uint8, lane innermost, matching the
-// dense-schedule coordinates the lane references index. Planes are
-// immutable after build and shared read-only across goroutines, groups,
-// chunks, and configs.
+// act group) at one (back-end, width), window-minor: a packed
+// [Steps*Lanes][WindowCount]uint8 with one row of WindowCount cost bytes
+// per dense-schedule (step, lane) slot, followed by one spare zero word.
+// A lane reference (slot = step*Lanes + lane) therefore sees its costs
+// for consecutive windows as consecutive bytes, so the window walk loads
+// one lane's costs for 8 windows with one little-endian uint64.
+// The spare word keeps a load that starts at any window of the last slot
+// in bounds; bytes a load reads past its slot's last window belong to the
+// next slot (or the spare word) and the caller masks them out.
+//
+// Planes are immutable after build and shared read-only across
+// goroutines, groups, chunks, and configs.
 type costPlane struct {
-	steps, lanes int
-	data         []uint8
+	windows int
+	data    []uint8
 }
 
 // buildPlane evaluates one act group's activation costs once per slot.
@@ -39,17 +46,16 @@ type costPlane struct {
 // ActGroupRep guarantees is representative of every PE row whose filter
 // falls in the group.
 func buildPlane(lw *nn.Lowered, ct *costTable, actGroup int) *costPlane {
-	steps, lanes := lw.Steps, lw.Lanes
+	steps, lanes, W := lw.Steps, lw.Lanes, lw.WindowCount
 	rep := lw.ActGroupRep(actGroup)
 	p := &costPlane{
-		steps: steps,
-		lanes: lanes,
-		data:  make([]uint8, lw.WindowCount*steps*lanes),
+		windows: W,
+		data:    make([]uint8, steps*lanes*W+8),
 	}
 	i := 0
-	for win := 0; win < lw.WindowCount; win++ {
-		for st := 0; st < steps; st++ {
-			for ln := 0; ln < lanes; ln++ {
+	for st := 0; st < steps; st++ {
+		for ln := 0; ln < lanes; ln++ {
+			for win := 0; win < W; win++ {
 				p.data[i] = ct.costU8(lw.Act(rep, win, st, ln))
 				i++
 			}
@@ -58,11 +64,11 @@ func buildPlane(lw *nn.Lowered, ct *costTable, actGroup int) *costPlane {
 	return p
 }
 
-// window returns the (step, lane) cost grid of one output window.
-func (p *costPlane) window(win int) []uint8 {
-	n := p.steps * p.lanes
-	return p.data[win*n : (win+1)*n]
-}
+// slot returns slot s's cost row from window 0 on. Its first WindowCount
+// bytes are the slot's costs; the bytes after them belong to the next slot
+// or the spare word, so an 8-byte load starting at any of the slot's
+// windows stays in bounds.
+func (p *costPlane) slot(s int) []uint8 { return p.data[s*p.windows:] }
 
 // sizeBytes is the plane's resident size, the unit the PlaneCache budget is
 // accounted in.

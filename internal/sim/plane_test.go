@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -46,6 +47,31 @@ func TestPlaneMatchesPerRowRecompute(t *testing.T) {
 	}
 }
 
+// TestPlaneWindowMinorLayout checks the plane geometry at window counts
+// inside one 8-window word (1, 5) and past it (13): every (window, slot) cost
+// matches Act, the plane holds WindowCount*Steps*Lanes cost bytes plus one
+// spare word, and an 8-byte load starting at any window of the last slot —
+// so every word load of its last window group — stays in bounds and reads
+// zeros past the slot's last window.
+func TestPlaneWindowMinorLayout(t *testing.T) {
+	for _, windows := range []int{1, 5, 13} {
+		lw := testFC(t, 29, 20, 40, windows, 0.7)
+		checkPlaneMatchesAct(t, lw, serialConfigs())
+		p := buildPlane(lw, newCostTable(arch.TCLe.Impl(), fixed.W16), 0)
+		slots := lw.Steps * lw.Lanes
+		if got, want := p.sizeBytes(), int64(windows*slots+8); got != want {
+			t.Fatalf("%d windows: plane holds %d bytes, want %d", windows, got, want)
+		}
+		last := p.slot(slots - 1)
+		for w := 0; w < windows; w++ {
+			word := binary.LittleEndian.Uint64(last[w:])
+			if n := windows - w; n < 8 && word>>(8*n) != 0 {
+				t.Fatalf("%d windows: load at window %d reads %#x past the last slot", windows, w, word)
+			}
+		}
+	}
+}
+
 // checkPlaneMatchesAct asserts that, under every config, buildPlane of
 // filter f's act group holds ct.costU8(lw.Act(f, window, step, lane)) at
 // every slot, for every filter f.
@@ -60,10 +86,9 @@ func checkPlaneMatchesAct(t *testing.T, lw *nn.Lowered, cfgs []arch.Config) {
 		for f := 0; f < lw.Filters; f++ {
 			p := planes[lw.ActGroupOf(f)]
 			for w := 0; w < lw.WindowCount; w++ {
-				grid := p.window(w)
 				for st := 0; st < lw.Steps; st++ {
 					for ln := 0; ln < lw.Lanes; ln++ {
-						got, want := grid[st*lw.Lanes+ln], ct.costU8(lw.Act(f, w, st, ln))
+						got, want := p.slot(st*lw.Lanes + ln)[w], ct.costU8(lw.Act(f, w, st, ln))
 						if got != want {
 							t.Fatalf("%s/%s filter %d window %d step %d lane %d: plane cost %d, per-row cost %d",
 								lw.Name, cfg.Name, f, w, st, ln, got, want)

@@ -88,49 +88,19 @@ func init() {
 	SharedPlanes.RegisterMetrics(metrics.Default, "sim_plane")
 }
 
-const (
-	planeFNVOffset = 14695981039346656037
-	planeFNVPrime  = 1099511628211
-)
-
-// planeKeyOf hashes everything the plane build reads: the back-end and
-// width (in the clear), the lowering geometry, the layer parameters the
-// coords/Act mapping consults, and the full input activation tensor.
+// planeKeyOf keys the plane of (lw, be, w): the lowering's memoized
+// content hash (nn.Lowered.ContentHash) with the back-end and width in
+// the clear.
 func planeKeyOf(lw *nn.Lowered, be backend.Backend, w fixed.Width) planeKey {
-	h1, h2 := uint64(planeFNVOffset), uint64(5381)
-	mix := func(v int64) {
-		for i := 0; i < 8; i++ {
-			h1 ^= uint64(byte(v >> (8 * i)))
-			h1 *= planeFNVPrime
-		}
-		h2 = h2*33 + uint64(v) + (h2 >> 27)
-	}
-	l := lw.Layer()
-	mix(int64(lw.Kind))
-	mix(int64(lw.Lanes))
-	mix(int64(lw.Steps))
-	mix(int64(lw.WindowCount))
-	mix(int64(l.C))
-	mix(int64(l.R))
-	mix(int64(l.S))
-	mix(int64(l.Stride))
-	mix(int64(l.Pad))
-	mix(int64(l.Groups))
-	in := lw.Input()
-	for _, d := range in.Shape {
-		mix(int64(d))
-	}
-	for _, v := range in.Data {
-		mix(int64(v))
-	}
+	h1, h2 := lw.ContentHash()
 	return planeKey{h1: h1, h2: h2, be: be.Name(), width: w, group: -1}
 }
 
 // get returns the memoized plane for (lw, be, w), building and storing it
 // on first use. ct must be the cost table of (be, w); it is consulted only
 // on a fill. This is the single-plane entry point for row-invariant
-// layers; grouped layers go through getKeyed with a precomputed base key
-// so the input tensor is hashed once per layer, not once per act group.
+// layers; the engine goes through getKeyed, which also takes grouped
+// layers' act-group keys.
 func (c *PlaneCache) get(lw *nn.Lowered, be backend.Backend, w fixed.Width, ct *costTable) *costPlane {
 	return c.getKeyed(planeKeyOf(lw, be, w), lw, ct, 0)
 }

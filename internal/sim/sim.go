@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +52,7 @@ type configWork struct {
 // per-config array so engine entry costs one allocation for all of it.
 type layerWork struct {
 	pad    []bool
-	planes layerPlanes
+	planes []planeSlot // one per act group (one for row-invariant layers)
 	accums []groupAccum
 	// result is the layer's merged outcome, written by the worker that
 	// finishes the layer's last group (and published to the caller by the
@@ -76,29 +78,18 @@ type planeSlot struct {
 	plane *costPlane
 }
 
-// layerPlanes is one layer's plane slots, one per act group (a single
-// slot for row-invariant layers), plus the lazily computed cache base key
-// they share — a grouped layer must hash its input tensor once, not once
-// per act group.
-type layerPlanes struct {
-	keyOnce sync.Once
-	baseKey planeKey
-	slots   []planeSlot
-}
-
 // planeFor returns the cost plane of layer li's act group from the plane
 // cache. Only called under a serial back-end — the path the plane layout
-// is defined for.
+// is defined for. The key's content hash is memoized on the lowering, so
+// every act group and every config of a run shares one pass over the
+// input tensor.
 func (cw *configWork) planeFor(li, actGroup int, pc *PlaneCache) *costPlane {
-	lp := &cw.layers[li].planes
-	s := &lp.slots[actGroup]
+	slots := cw.layers[li].planes
+	s := &slots[actGroup]
 	s.once.Do(func() {
 		lw := cw.lws[li]
-		lp.keyOnce.Do(func() {
-			lp.baseKey = planeKeyOf(lw, cw.cfg.Backend, cw.cfg.Width)
-		})
-		key := lp.baseKey
-		if len(lp.slots) > 1 {
+		key := planeKeyOf(lw, cw.cfg.Backend, cw.cfg.Width)
+		if len(slots) > 1 {
 			key.group = actGroup
 		}
 		s.plane = pc.getKeyed(key, lw, cw.ct, actGroup)
@@ -218,7 +209,7 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 			lwk := &cw.layers[li]
 			lwk.pad = padMask(lw)
 			if cfg.Serial() {
-				lwk.planes.slots = st.slots[slotOff : slotOff+lw.ActGroups()]
+				lwk.planes = st.slots[slotOff : slotOff+lw.ActGroups()]
 				slotOff += lw.ActGroups()
 			}
 			nChunks, denseGroups, windowGroups := layerChunks(cfg, lw, totalGroups, workers)
@@ -402,15 +393,6 @@ func padMask(lw *nn.Lowered) []bool {
 	return lw.PadMask()
 }
 
-// laneRef is one lane's activation source in one schedule column: the
-// promoted weight's dense position for effectual lanes, the window head for
-// idle ones, as the precomputed step*lanes+lane plane offset so the window
-// walk gathers straight out of a cost plane's window slice.
-type laneRef struct {
-	flat   int32
-	weight int32 // 0 for idle lanes
-}
-
 // groupResult is one filter group's private accumulation shard: everything
 // simulateGroup learns about the group, free of shared state so groups can
 // execute on any worker in any order.
@@ -425,19 +407,18 @@ type groupResult struct {
 // per group (under the groupAccum's Once) and shared read-only by every
 // window chunk of that group. Its grids live in one pooled arena
 // (groupBufs), flattened: refs[(ci*nrows+ri)*lanes+ln] is lane ln's
-// activation source in column ci of row ri's schedule.
+// activation source in column ci of row ri's schedule, as the plane slot
+// step*lanes+lane — the promoted weight's dense position for effectual
+// lanes, the column head's for idle ones.
 type groupCtx struct {
 	nrows, cols  int
 	needsWindows bool // serial back-ends walk windows; bit-parallel is done at prepare
-	refs         []laneRef
-	// masks holds the packed SWAR participation masks: 0xFF bytes for lanes
-	// that join the column sync (effectual weights, or every lane when the
-	// config has no front-end to gate the rest), 0x00 elsewhere. Gated
-	// groups store one maskStride-word mask per (column, row) at
-	// (ci*nrows+ri)*maskStride; gate-free groups set maskStride to 0 and
-	// share the memoized all-lanes mask directly.
-	masks      []uint64
-	maskStride int
+	refs         []int32
+	// masks holds one laneWords-word effectual-lane mask per (column, row)
+	// at (ci*nrows+ri)*laneWords(lanes): 0xFF bytes for lanes carrying a
+	// nonzero weight, 0x00 elsewhere. Gated configs sync the column on
+	// these lanes alone; ungated ones sync every lane.
+	masks []uint64
 	// rowPlanes[ri] is PE row ri's activation cost plane (rows of one act
 	// group share a plane; row-invariant layers share one across all
 	// rows). Resolved by the engine under the groupAccum Once.
@@ -553,25 +534,19 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, pad []bool
 	}
 
 	// Serial back-ends: column structure is window-independent; precompute
-	// per-column, per-row lane references and SWAR participation masks once,
+	// per-column, per-row lane references and effectual-lane masks once,
 	// shared by every chunk. All grids carve from one pooled arena: refs and
-	// rowPlanes are rebuilt wholesale (reused dirty); the |=-built gated
-	// masks and +=-folded PE totals are zeroed at carve.
+	// rowPlanes are rebuilt wholesale (reused dirty); the |=-built masks and
+	// +=-folded PE totals are zeroed at carve.
 	ctx.gate = cfg.HasFrontEnd()
 	b := ws.getBufs()
 	ctx.bufs = b
 	b.refs = grow(b.refs, cols*nrows*lanes)
 	ctx.refs = b.refs[:cols*nrows*lanes]
 	mw := laneWords(lanes)
-	if ctx.gate {
-		b.masks = grow(b.masks, cols*nrows*mw)
-		ctx.masks = b.masks[:cols*nrows*mw]
-		clear(ctx.masks)
-		ctx.maskStride = mw
-	} else {
-		ctx.masks = fullLaneMaskShared(lanes)
-		ctx.maskStride = 0
-	}
+	b.masks = grow(b.masks, cols*nrows*mw)
+	ctx.masks = b.masks[:cols*nrows*mw]
+	clear(ctx.masks)
 	b.planes = grow(b.planes, nrows)
 	ctx.rowPlanes = b.planes[:nrows]
 	clear(ctx.rowPlanes)
@@ -583,101 +558,180 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, pad []bool
 		for ri := 0; ri < nrows; ri++ {
 			col := schedules[ri].Columns[ci]
 			refs := ctx.refs[(ci*nrows+ri)*lanes : (ci*nrows+ri+1)*lanes]
-			var mask []uint64
-			if ctx.gate {
-				mask = ctx.masks[(ci*nrows+ri)*mw : (ci*nrows+ri+1)*mw]
-			}
+			mask := ctx.masks[(ci*nrows+ri)*mw : (ci*nrows+ri+1)*mw]
 			for ln, e := range col.Entries {
 				if e.Weight != 0 {
-					refs[ln] = laneRef{flat: int32(e.SrcStep*lanes + e.SrcLane), weight: e.Weight}
-					if ctx.gate {
-						mask[ln>>3] |= 0xff << (8 * uint(ln&7))
-					}
+					refs[ln] = int32(e.SrcStep*lanes + e.SrcLane)
+					mask[ln>>3] |= 0xff << (8 * uint(ln&7))
 				} else {
-					refs[ln] = laneRef{flat: int32(col.Head*lanes + ln)}
+					refs[ln] = int32(col.Head*lanes + ln)
 				}
 			}
 		}
 	}
 }
 
-// evalWindows walks the serial back-end over the window range [w0, w1) —
+// windowBlock is the widest window span one pass over a (column, row)'s
+// lanes covers: eight 8-window words per census accumulator, all on the
+// stack.
+const windowBlock = 64
+
+// countLanes is how many lanes a byte of a nonzero-count word can count
+// before it wraps. Wider PEs spill the byte counts every countLanes lanes.
+const countLanes = 255
+
+// SWAR constants of the census: each byte of a cost word is one window's
+// cost, at most maxLaneCost.
+const (
+	swarLow7 = 0x7f7f7f7f7f7f7f7f // + cost sets bit 7 of a byte iff cost > 0
+	swarEven = 0x00ff00ff00ff00ff // even bytes, widened to 16-bit sums
+)
+
+// evalWindows walks the serial back-end over the window range [wLo, wHi) —
 // always whole window groups — and returns the chunk's partial sums, its
 // PE totals accumulated into dst (the chunk's peChunk stride).
 //
 // Lanes within a PE are lockstep every column (they feed one adder
 // tree), so a PE's column duration is the max lane cost ("Column
-// Sync"). PEs of a tile run decoupled — buffered weight columns and the
-// per-PE psum registers absorb rate differences across windows and rows
-// — and synchronize when the resident filter group completes ("implicit
+// Sync"): max(1, max cost over the effectual lanes) when the config
+// gates ineffectual lanes out, over every lane when it has no front-end.
+// PEs of a tile run decoupled — buffered weight columns and the per-PE
+// psum registers absorb rate differences across windows and rows — and
+// synchronize when the resident filter group completes ("implicit
 // synchronization at the end of each group of concurrently processed
 // activations", charged as "Tile Sync"). Each PE grid column owns the
 // windows congruent to its position.
 //
-// Cost evaluation is single-pass: each lane's serial cost lands once per
-// (column, row, window) in laneCost, feeding both the SWAR column-max
-// (columnMax over the group's participation mask) and the census. Costs
-// are gathered from PE row ri's cost plane, rowPlanes[ri], by precomputed
-// flat offset — no Act fetch, no costTable mask, no per-chunk grid build;
-// rows of one act group share a plane, so row-invariant, grouped, and
-// depthwise layers all take this path.
+// The walk is word-parallel over windows. Planes are window-minor, so one
+// uint64 load fetches one lane's costs for 8 consecutive windows, and a
+// pass over a (column, row)'s lanes covers a block of up to windowBlock
+// windows. Per window it folds, one byte per window:
+//
+//   - peMax, the column max over the syncing lanes (byteMax);
+//   - nzE and nz, the number of nonzero costs over the effectual lanes
+//     and over all lanes: (c + 0x7f) has bit 7 set iff c > 0, with no
+//     carry into the next byte because c <= maxLaneCost;
+//
+// and per lane the cost sum over the block's windows. The Figure-9 lane
+// census then follows from sums alone (E: effectual lanes, I: idle lanes,
+// nEff and nIdle their counts, Σ over every (column, row, window)):
+//
+//	Useful     = Σ_E c
+//	ColumnSync = Σ peMax·nzE − Σ_E c
+//	AZero      = Σ nEff·peMax − Σ peMax·nzE
+//	WZero      = Σ peMax·nzI
+//	BothZero   = Σ nIdle·peMax − Σ peMax·nzI
+//
+// with nzI = nz − nzE, and the lane cycles add Σ_I c only when the config
+// has no front-end to gate idle lanes. Every term is an exact integer
+// sum, so the result is bit-identical to a per-lane walk that classifies
+// each (lane, window) into one census bucket. Costs are loaded from PE
+// row ri's cost plane, rowPlanes[ri], by precomputed slot offset; rows of
+// one act group share a plane, so row-invariant, grouped, and depthwise
+// layers all take this path.
 func (ctx *groupCtx) evalWindows(cfg arch.Config, wLo, wHi int, dst []int64) windowPartial {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
 	nrows, cols := ctx.nrows, ctx.cols
-	wp := windowPartial{peTotals: dst}
-	// Lane costs live on the stack for every supported geometry; the slice
-	// fallback only fires past 64 lanes.
-	var lcBuf [64]uint8
-	laneCost := lcBuf[:]
-	if n := padLanes(lanes); n <= len(lcBuf) {
-		laneCost = lcBuf[:n]
-	} else {
-		laneCost = make([]uint8, n)
+	mw := laneWords(lanes)
+	var ungated uint64 // ORed into every lane's sync mask without a front-end
+	if !ctx.gate {
+		ungated = ^uint64(0)
 	}
-	for w0 := wLo; w0 < wHi; w0 += wg {
-		w1 := w0 + wg
-		if w1 > wHi {
-			w1 = wHi
+	var (
+		costEff, costAll int64 // Σ_E c, Σ c
+		maxSum, maxEff   int64 // Σ peMax, Σ nEff·peMax
+		maxNzEff, maxNz  int64 // Σ peMax·nzE, Σ peMax·nz
+	)
+	wide := lanes > countLanes
+	var spillE, spillA [windowBlock]int64 // per-window counts past countLanes lanes
+	for b0 := wLo; b0 < wHi; b0 += windowBlock {
+		nw := min(windowBlock, wHi-b0)
+		nWords := (nw + 7) / 8
+		var valid [windowBlock / 8]uint64 // 0xFF for the block's windows
+		for k := 0; k < nWords; k++ {
+			valid[k] = ^uint64(0)
 		}
-		nw := w1 - w0
+		valid[nWords-1] >>= 8 * uint(8*nWords-nw)
+		col0 := (b0 - wLo) % wg
 		for ci := 0; ci < cols; ci++ {
 			for ri := 0; ri < nrows; ri++ {
-				refs := ctx.refs[(ci*nrows+ri)*lanes : (ci*nrows+ri+1)*lanes]
-				mask := ctx.masks
-				if ctx.maskStride > 0 {
-					mask = ctx.masks[(ci*nrows+ri)*ctx.maskStride : (ci*nrows+ri+1)*ctx.maskStride]
-				}
+				cr := ci*nrows + ri
+				refs := ctx.refs[cr*lanes : (cr+1)*lanes]
+				eff := ctx.masks[cr*mw : (cr+1)*mw]
 				plane := ctx.rowPlanes[ri]
-				for wi := 0; wi < nw; wi++ {
-					g := plane.window(w0 + wi)
-					for ln := 0; ln < lanes; ln++ {
-						laneCost[ln] = g[refs[ln].flat]
-					}
-					peMax := columnMax(laneCost, mask)
-					wp.peTotals[ri*wg+wi] += int64(peMax)
-					// Lane census for this PE column, from the same costs.
-					for ln := 0; ln < lanes; ln++ {
-						rf := refs[ln]
-						c := int(laneCost[ln])
-						switch {
-						case rf.weight != 0 && c > 0:
-							wp.backEnd.Useful += int64(c)
-							wp.backEnd.ColumnSync += int64(peMax - c)
-							wp.serial += int64(c)
-						case rf.weight != 0:
-							wp.backEnd.AZero += int64(peMax)
-						case c > 0:
-							wp.backEnd.WZero += int64(peMax)
-							if !ctx.gate {
-								wp.serial += int64(c)
-							}
-						default:
-							wp.backEnd.BothZero += int64(peMax)
+				var mx, nzE, nzA [windowBlock / 8]uint64
+				if wide {
+					clear(spillE[:nw])
+					clear(spillA[:nw])
+				}
+				for l0 := 0; l0 < lanes; l0 += countLanes {
+					if l0 > 0 {
+						for j := 0; j < nw; j++ {
+							sh := 8 * uint(j&7)
+							spillE[j] += int64(nzE[j>>3] >> sh & 0xff)
+							spillA[j] += int64(nzA[j>>3] >> sh & 0xff)
 						}
+						nzE, nzA = [windowBlock / 8]uint64{}, [windowBlock / 8]uint64{}
+					}
+					for ln := l0; ln < min(lanes, l0+countLanes); ln++ {
+						e := -(eff[ln>>3] >> (8 * uint(ln&7)) & 1) // all ones iff effectual
+						sync := e | ungated
+						row := plane.slot(int(refs[ln]))[b0:]
+						// sum holds 16-bit partial sums of byte pairs, each
+						// at most 8 words × 2 × 127, so the multiply's top 16
+						// bits are the lane's exact total (<= 64 × 127).
+						var sum uint64
+						for k := 0; k < nWords; k++ {
+							x := binary.LittleEndian.Uint64(row[8*k:]) & valid[k]
+							mx[k] = byteMax(mx[k], x&sync)
+							nz := (x + swarLow7) & swarHigh >> 7
+							nzA[k] += nz
+							nzE[k] += nz & e
+							sum += x&swarEven + x>>8&swarEven
+						}
+						c := int64(sum * 0x0001000100010001 >> 48)
+						costAll += c
+						costEff += c & int64(e)
 					}
 				}
+				nEff := 0
+				for _, w := range eff {
+					nEff += bits.OnesCount64(w)
+				}
+				nEff /= 8
+				pe := dst[ri*wg : (ri+1)*wg]
+				pc := col0
+				var blockMax int64
+				for j := 0; j < nw; j++ {
+					sh := 8 * uint(j&7)
+					peMax := max(int64(mx[j>>3]>>sh&0xff), 1)
+					ne := int64(nzE[j>>3] >> sh & 0xff)
+					na := int64(nzA[j>>3] >> sh & 0xff)
+					if wide {
+						ne += spillE[j]
+						na += spillA[j]
+					}
+					pe[pc] += peMax
+					if pc++; pc == wg {
+						pc = 0
+					}
+					blockMax += peMax
+					maxNzEff += peMax * ne
+					maxNz += peMax * na
+				}
+				maxSum += blockMax
+				maxEff += int64(nEff) * blockMax
 			}
 		}
+	}
+	wp := windowPartial{peTotals: dst, serial: costEff}
+	wp.backEnd.Useful = costEff
+	wp.backEnd.ColumnSync = maxNzEff - costEff
+	wp.backEnd.AZero = maxEff - maxNzEff
+	wp.backEnd.WZero = maxNz - maxNzEff
+	wp.backEnd.BothZero = int64(lanes)*maxSum - maxEff - wp.backEnd.WZero
+	if !ctx.gate {
+		wp.serial = costAll
 	}
 	return wp
 }

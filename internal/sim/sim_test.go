@@ -2,11 +2,13 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"bittactical/internal/arch"
+	"bittactical/internal/backend"
 	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
 	"bittactical/internal/sched"
@@ -379,6 +381,48 @@ func TestCostTableValues(t *testing.T) {
 	e8 := newCostTable(arch.TCLe.Impl(), fixed.W8)
 	if e8.cost(127) != 2 { // 127 = +128-1
 		t.Errorf("8b TCLe cost(127) = %d, want 2", e8.cost(127))
+	}
+}
+
+// badCostBackend is a TCLe back-end whose Cost returns cost for code 5.
+type badCostBackend struct {
+	backend.Backend
+	cost int
+}
+
+func (b badCostBackend) Name() string { return fmt.Sprintf("bad-cost%d", b.cost) }
+
+func (b badCostBackend) Cost(v int32, w fixed.Width) int {
+	if v == 5 {
+		return b.cost
+	}
+	return b.Backend.Cost(v, w)
+}
+
+// TestCostTableRejectsOutOfRangeCost pins the cost-table guard: a cost
+// outside [0, maxLaneCost] would set bit 7 of its packed byte and corrupt
+// the neighbouring windows of the word-parallel walk, so newCostTable
+// panics, naming the back-end, width, code and cost. Every registered
+// back-end stays inside the range at both widths.
+func TestCostTableRejectsOutOfRangeCost(t *testing.T) {
+	for _, cost := range []int{-1, maxLaneCost + 1} {
+		be := badCostBackend{Backend: arch.TCLe.Impl(), cost: cost}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				for _, want := range []string{be.Name(), "code 5 ", "width 8 ", fmt.Sprintf("as %d cycles", cost)} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("cost %d: panic %q does not name %q", cost, msg, want)
+					}
+				}
+			}()
+			newCostTable(be, fixed.W8)
+		}()
+	}
+	for _, name := range backend.Names() {
+		for _, w := range []fixed.Width{fixed.W8, fixed.W16} {
+			newCostTable(backend.MustLookup(name), w)
+		}
 	}
 }
 
