@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint-backend lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-kernel bench-serve fuzz-sched fuzz-kernel fmt clean
+.PHONY: all build vet test race check lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fmt clean
 
 all: check
 
@@ -16,12 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The pre-commit gate: compile everything, vet, lint the back-end seam, run
+# The pre-commit gate: compile everything, vet, lint the workload seam, run
 # the full suite under the race detector (the parallel engine is on by
-# default, so every test doubles as a race test), compile and test the
-# end-to-end benchmark module against this tree's APIs, and hold the
-# committed benchmark baselines.
-check: build vet lint-backend lint-workload race bench-module bench-gate
+# default, so every test doubles as a race test, and the examples run as
+# Example tests), compile and test the end-to-end benchmark module against
+# this tree's APIs, and hold the committed benchmark baselines.
+check: build vet lint-workload race bench-module bench-gate
 
 # The end-to-end benchmark (benchmark/, run by BENCHMARK.json) is a Go
 # module of its own, so ./... above never compiles it. Vet and test it
@@ -31,8 +31,8 @@ bench-module:
 	GOWORK=off $(GO) -C benchmark vet .
 	GOWORK=off $(GO) -C benchmark test -race .
 
-# The benchmark regression gate: re-measure the kernel, scheduler, engine,
-# and serving suites and compare against the committed BENCH_*.json baselines.
+# The benchmark regression gate: re-measure the scheduler, engine and
+# serving suites and compare against the committed BENCH_*.json baselines.
 # allocs/op gates on every host; ns/op only against a baseline recorded at
 # the same GOMAXPROCS with neither side contended. Exits 1 on any >10%
 # regression (tune with THRESHOLD=0.05 etc.).
@@ -54,20 +54,6 @@ cache-stress:
 	$(GO) test -race -count=3 ./internal/cache
 	$(GO) test -race -count=3 ./internal/sched -run 'TestCache|TestKeyer'
 	$(GO) test -race -count=3 ./internal/sim -run 'TestPlaneCache'
-
-# Guard the back-end seam: all serial-cost semantics live behind the
-# internal/backend registry. Any switch arm on a back-end kind outside that
-# package (and its test-only legacy references) reintroduces the enum
-# dispatch this architecture removed, and breaks plugin back-ends like
-# dstripes-sm.
-lint-backend:
-	@bad=$$(grep -rn -E 'case arch\.(TCLe|TCLp|BitParallel)|switch .*\.BackEnd\b' \
-		--include='*.go' --exclude-dir=backend \
-		internal cmd examples *.go 2>/dev/null); \
-	if [ -n "$$bad" ]; then \
-		echo "back-end dispatch outside internal/backend (use backend.Backend methods):"; \
-		echo "$$bad"; exit 1; \
-	fi
 
 # Guard the workload seam: model resolution lives behind the internal/nn
 # registry (nn.Register / nn.Lookup). A switch or if-chain arm on a model
@@ -114,11 +100,6 @@ bench-sim:
 bench-sched:
 	TCL_BENCH_SCHED=1 TCL_BENCH_FORCE=$(FORCE) $(GO) test ./internal/sched -run TestEmitBenchSched -v -timeout 30m
 
-# Regenerate BENCH_kernel.json: SWAR vs scalar column-max ns/op and
-# allocs/op per lane count.
-bench-kernel:
-	TCL_BENCH_KERNEL=1 TCL_BENCH_FORCE=$(FORCE) $(GO) test ./internal/sim -run TestEmitBenchKernel -v -timeout 10m
-
 # Regenerate BENCH_serve.json: request latency percentiles, throughput and
 # coalesce hit rate for the tclserve HTTP tier under three load shapes,
 # plus deterministic shard-balance rows (max/mean predicted shard cost for
@@ -132,11 +113,9 @@ FUZZTIME ?= 30s
 fuzz-sched:
 	$(GO) test ./internal/sched -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) -run '^$$'
 
-# Differential fuzz of the SWAR column-max kernel and of the word-parallel
-# window walk against their scalar references. go test -fuzz takes one
-# target per run, so the targets run one after the other.
+# Differential fuzz of the word-parallel window walk against its scalar
+# reference.
 fuzz-kernel:
-	$(GO) test ./internal/sim -fuzz FuzzColumnMaxSWAR -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/sim -fuzz FuzzEvalWindowsMatchesScalar -fuzztime $(FUZZTIME) -run '^$$'
 
 fmt:

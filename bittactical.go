@@ -96,10 +96,10 @@ func DaDianNaoPP() Config { return arch.DaDianNaoPP() }
 func FrontEndOnly(p Pattern) Config { return arch.FrontEndOnly(p) }
 
 // TCLp returns the dynamic-precision bit-serial design with pattern p.
-func TCLp(p Pattern) Config { return arch.NewTCL(p, arch.TCLp) }
+func TCLp(p Pattern) Config { return arch.TCLp(p) }
 
 // TCLe returns the Booth effectual-term design with pattern p.
-func TCLe(p Pattern) Config { return arch.NewTCL(p, arch.TCLe) }
+func TCLe(p Pattern) Config { return arch.TCLe(p) }
 
 // Backends lists every registered activation back-end by name — the paper's
 // three plus any plugin registered via a backend.Register init (this package
@@ -115,7 +115,7 @@ func ConfigForBackend(name string, p Pattern) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	return arch.NewTCLBackend(p, be), nil
+	return arch.NewTCL(p, be), nil
 }
 
 // ---- simulation ----

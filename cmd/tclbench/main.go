@@ -2,14 +2,14 @@
 //
 // Emit (regenerate a committed baseline on a quiet host):
 //
-//	tclbench -emit kernel            # or sched, sim, all
+//	tclbench -emit sched             # or sim, serve, all
 //	tclbench -emit sim -force        # overwrite even with contended rows
 //
 // Gate (compare fresh measurements against the committed baselines; the
 // `make bench-gate` target wired into `make check` and CI):
 //
 //	tclbench -compare                # all suites, exit 1 on >10% regression
-//	tclbench -compare -suite kernel -threshold 0.05
+//	tclbench -compare -suite sched -threshold 0.05
 //	tclbench -compare -ids fig8a     # only baseline rows matching a prefix
 //
 // Offline gate (compare two recorded runs without re-measuring — CI legs
@@ -56,9 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tclbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		emit       = fs.String("emit", "", "regenerate baselines: kernel, sched, sim, serve, or all")
+		emit       = fs.String("emit", "", "regenerate baselines: sched, sim, serve, or all")
 		compare    = fs.Bool("compare", false, "measure and compare against committed baselines; exit 1 on regression")
-		suite      = fs.String("suite", "", "restrict to one suite (kernel, sched, sim, serve)")
+		suite      = fs.String("suite", "", "restrict to one suite (sched, sim, serve)")
 		threshold  = fs.Float64("threshold", 0.10, "fractional regression threshold")
 		force      = fs.Bool("force", false, "overwrite a baseline even with contended measurements")
 		ids        = fs.String("ids", "", "comma-separated ID prefixes; only matching baseline rows are compared")

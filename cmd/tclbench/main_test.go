@@ -29,41 +29,41 @@ func serveRec(id string, p50 float64, hitRate float64) bench.Record {
 }
 
 // fixture lays out matching baseline and current directories covering all
-// three suites, with the kernel suite carrying the interesting rows.
-func fixture(t *testing.T, kernelBase, kernelCur bench.Record) (baseDir, curDir string) {
+// three suites. The sched suite carries the interesting row next to a
+// steady one: schedBase in the baseline, schedCur in the current run.
+func fixture(t *testing.T, schedBase, schedCur bench.Record) (baseDir, curDir string) {
 	t.Helper()
 	baseDir, curDir = t.TempDir(), t.TempDir()
+	steady := r("sched/L4<1,2>/algorithm1/kernel", 500, 0)
 	for _, d := range []string{baseDir, curDir} {
-		writeFile(t, d, "BENCH_sched.json", r("sched/L4<1,2>/algorithm1/kernel", 500, 0))
 		writeFile(t, d, "BENCH_sim.json", r("fig8a/j1", 1e9, 50000))
 		writeFile(t, d, "BENCH_serve.json", serveRec("serve/hot", 1e7, 0.95))
 	}
-	writeFile(t, baseDir, "BENCH_kernel.json", kernelBase)
-	writeFile(t, curDir, "BENCH_kernel.json", kernelCur)
+	writeFile(t, baseDir, "BENCH_sched.json", steady, schedBase)
+	writeFile(t, curDir, "BENCH_sched.json", steady, schedCur)
 	return baseDir, curDir
 }
+
+// t8 is the fixture's interesting sched row.
+const t8 = "sched/T8<2,5>/algorithm1/kernel"
 
 // TestGateFailsOnInjectedRegression is the end-to-end negative test the
 // issue requires: a deliberately injected >10% regression must exit 1.
 func TestGateFailsOnInjectedRegression(t *testing.T) {
-	baseDir, curDir := fixture(t,
-		r("kernel/lanes=16/swar", 100, 0),
-		r("kernel/lanes=16/swar", 120, 0)) // 20% slower
+	baseDir, curDir := fixture(t, r(t8, 100, 0), r(t8, 120, 0)) // 20% slower
 	var out, errOut bytes.Buffer
 	code := run([]string{"-compare", "-dir", baseDir, "-current", curDir}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "kernel/lanes=16/swar") || !strings.Contains(errOut.String(), "ns/op") {
+	if !strings.Contains(errOut.String(), t8) || !strings.Contains(errOut.String(), "ns/op") {
 		t.Fatalf("failure not attributed: %s", errOut.String())
 	}
 }
 
 // TestGatePassesWithinThreshold: the same layout inside threshold exits 0.
 func TestGatePassesWithinThreshold(t *testing.T) {
-	baseDir, curDir := fixture(t,
-		r("kernel/lanes=16/swar", 100, 0),
-		r("kernel/lanes=16/swar", 105, 0))
+	baseDir, curDir := fixture(t, r(t8, 100, 0), r(t8, 105, 0))
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-compare", "-dir", baseDir, "-current", curDir}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, want 0\nstderr: %s", code, errOut.String())
@@ -73,29 +73,25 @@ func TestGatePassesWithinThreshold(t *testing.T) {
 // TestGateIDFilter: -ids restricts which baseline rows gate, so a
 // regression outside the filter is ignored and one inside still fails.
 func TestGateIDFilter(t *testing.T) {
-	baseDir, curDir := fixture(t,
-		r("kernel/lanes=16/swar", 100, 0),
-		r("kernel/lanes=16/swar", 200, 0))
+	baseDir, curDir := fixture(t, r(t8, 100, 0), r(t8, 200, 0))
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-compare", "-dir", baseDir, "-current", curDir, "-ids", "fig8a,sched/"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-compare", "-dir", baseDir, "-current", curDir, "-ids", "fig8a,sched/L4"}, &out, &errOut); code != 0 {
 		t.Fatalf("filtered-out regression still failed: %s", errOut.String())
 	}
-	if code := run([]string{"-compare", "-dir", baseDir, "-current", curDir, "-ids", "kernel/"}, &out, &errOut); code != 1 {
+	if code := run([]string{"-compare", "-dir", baseDir, "-current", curDir, "-ids", "sched/T8"}, &out, &errOut); code != 1 {
 		t.Fatalf("filtered-in regression passed")
 	}
 }
 
 // TestGateSuiteRestriction: -suite compares only that suite's file.
 func TestGateSuiteRestriction(t *testing.T) {
-	baseDir, curDir := fixture(t,
-		r("kernel/lanes=16/swar", 100, 0),
-		r("kernel/lanes=16/swar", 200, 0))
+	baseDir, curDir := fixture(t, r(t8, 100, 0), r(t8, 200, 0))
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-compare", "-suite", "sim", "-dir", baseDir, "-current", curDir}, &out, &errOut); code != 0 {
-		t.Fatalf("sim-only compare hit the kernel regression: %s", errOut.String())
+		t.Fatalf("sim-only compare hit the sched regression: %s", errOut.String())
 	}
-	if code := run([]string{"-compare", "-suite", "kernel", "-dir", baseDir, "-current", curDir}, &out, &errOut); code != 1 {
-		t.Fatalf("kernel-only compare missed the regression")
+	if code := run([]string{"-compare", "-suite", "sched", "-dir", baseDir, "-current", curDir}, &out, &errOut); code != 1 {
+		t.Fatalf("sched-only compare missed the regression")
 	}
 	if code := run([]string{"-compare", "-suite", "nope", "-dir", baseDir}, &out, &errOut); code != 2 {
 		t.Fatalf("unknown suite not a usage error")
@@ -106,10 +102,10 @@ func TestGateSuiteRestriction(t *testing.T) {
 // gate failure, not a silent pass.
 func TestGateMissingRowFails(t *testing.T) {
 	baseDir, curDir := fixture(t,
-		r("kernel/lanes=16/swar", 100, 0),
-		r("kernel/lanes=32/swar", 100, 0)) // different ID: 16-lane row missing
+		r(t8, 100, 0),
+		r("sched/T8<2,5>/algorithm1/reference", 100, 0)) // different ID: kernel row missing
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-compare", "-suite", "kernel", "-dir", baseDir, "-current", curDir}, &out, &errOut); code != 1 {
+	if code := run([]string{"-compare", "-suite", "sched", "-dir", baseDir, "-current", curDir}, &out, &errOut); code != 1 {
 		t.Fatalf("missing baseline row passed the gate")
 	}
 	if !strings.Contains(errOut.String(), "missing") {
@@ -157,9 +153,7 @@ func TestUsageErrors(t *testing.T) {
 // TestGateServeMetrics: the serve suite's latency percentiles gate under
 // the ns policy and its coalesce hit rate gates on every host.
 func TestGateServeMetrics(t *testing.T) {
-	baseDir, curDir := fixture(t,
-		r("kernel/lanes=16/swar", 100, 0),
-		r("kernel/lanes=16/swar", 100, 0))
+	baseDir, curDir := fixture(t, r(t8, 100, 0), r(t8, 100, 0))
 	var out, errOut bytes.Buffer
 
 	// 2x p99: latency regression.
@@ -186,8 +180,8 @@ func TestGateServeMetrics(t *testing.T) {
 	}
 }
 
-// promoteFixture writes one clean multi-core artifact set (all four
-// suites) into a directory.
+// promoteFixture writes one clean multi-core artifact set (every suite)
+// into a directory.
 func promoteFixture(t *testing.T, gomaxprocs, numCPU int, contended bool) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -257,8 +251,10 @@ func TestPromoteRefusesTaintedArtifacts(t *testing.T) {
 		if !strings.Contains(errOut.String(), "refusing to promote") {
 			t.Errorf("%s: refusal not reported: %s", name, errOut.String())
 		}
-		if _, err := bench.Load(filepath.Join(dst, "BENCH_kernel.json")); err == nil {
-			t.Errorf("%s: tainted baseline was written anyway", name)
+		for _, s := range bench.Suites {
+			if _, err := bench.Load(filepath.Join(dst, s.File)); err == nil {
+				t.Errorf("%s: tainted baseline %s was written anyway", name, s.File)
+			}
 		}
 	}
 

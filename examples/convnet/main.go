@@ -31,8 +31,8 @@ func main() {
 
 	cfgs := []arch.Config{
 		arch.DaDianNaoPP(),
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
 	}
 
 	// Per-layer speedups.

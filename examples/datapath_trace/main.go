@@ -61,7 +61,7 @@ func main() {
 	}
 
 	// Execute structurally under TCLe and cross-check everything.
-	cfg := arch.NewTCL(pattern, arch.TCLe)
+	cfg := arch.TCLe(pattern)
 	psum, stats, err := datapath.RunFilter(cfg, filter, schedule, src, 0)
 	if err != nil {
 		log.Fatal(err)

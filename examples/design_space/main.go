@@ -32,7 +32,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		area := energy.AreaOf(arch.NewTCL(p, arch.TCLe)).Total()
+		area := energy.AreaOf(arch.TCLe(p)).Total()
 		fmt.Printf("%-10s %6d %9.1f", p.Name, p.MuxInputs(), area)
 		for li, sp := range levels {
 			rng := rand.New(rand.NewSource(int64(li) + 1)) // same filters per level

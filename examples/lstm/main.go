@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("%s: %d layers (%d FC gate projections), %.1fM MACs, %.0f%% weight sparsity\n\n",
 		m.Name, len(m.Layers), countFC(m), float64(m.TotalMACs())/1e6, m.WeightSparsity()*100)
 
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLp)
+	cfg := arch.TCLp(sched.T(2, 5))
 
 	// Compute-only picture per layer group.
 	var conv, fc, convD, fcD int64

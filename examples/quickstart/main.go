@@ -57,8 +57,8 @@ func main() {
 	configs := []arch.Config{
 		arch.DaDianNaoPP(),
 		arch.FrontEndOnly(pattern),
-		arch.NewTCL(pattern, arch.TCLp),
-		arch.NewTCL(pattern, arch.TCLe),
+		arch.TCLp(pattern),
+		arch.TCLe(pattern),
 	}
 	for _, cfg := range configs {
 		if err := sim.ExecuteGolden(cfg, lowered); err != nil {

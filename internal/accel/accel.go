@@ -20,8 +20,8 @@
 //     imbalance bounds the gain.
 //
 // Dynamic Stripes and Pragmatic are exactly TCL back-ends without the
-// front-end and are produced by the sim package (arch.NewTCL with an empty
-// pattern); see experiments.Fig12.
+// front-end and are produced by the sim package (arch.TCLp and arch.TCLe
+// with an empty pattern); see experiments.Fig12.
 package accel
 
 import (

@@ -11,46 +11,6 @@ import (
 	"bittactical/internal/sched"
 )
 
-// BackEnd selects how a processing element consumes activations.
-//
-// Deprecated: the enum survives only so the Table-2 constructors keep their
-// historical signatures. New code should resolve a backend.Backend through
-// the registry (backend.Lookup) and build configs with NewTCLBackend.
-type BackEnd int
-
-const (
-	// BitParallel multiplies a full activation per cycle (DaDianNao++-style
-	// back-end; also the "front-end only" TCL rows of Figure 8a).
-	BitParallel BackEnd = iota
-	// TCLp streams activations bit-serially over their per-group dynamic
-	// precision window (Dynamic-Stripes-style, Section 5.2).
-	TCLp
-	// TCLe streams activations serially over their Booth-encoded effectual
-	// terms (Pragmatic-style oneffsets, Section 5.2).
-	TCLe
-)
-
-// legacyNames maps the enum values onto their registry names.
-var legacyNames = map[BackEnd]string{
-	BitParallel: "bit-parallel",
-	TCLp:        "TCLp",
-	TCLe:        "TCLe",
-}
-
-func (b BackEnd) String() string {
-	if s, ok := legacyNames[b]; ok {
-		return s
-	}
-	return fmt.Sprintf("BackEnd(%d)", int(b))
-}
-
-// Impl resolves the enum value to its registered backend implementation.
-// It panics on a value outside the historical enum — those were undefined
-// behavior under the switch dispatch this shim replaces.
-func (b BackEnd) Impl() backend.Backend {
-	return backend.MustLookup(b.String())
-}
-
 // Config is one accelerator configuration (Table 2).
 type Config struct {
 	Name string
@@ -82,13 +42,9 @@ type Config struct {
 	// FrequencyGHz is the clock (1 GHz in the paper).
 	FrequencyGHz float64
 
-	// ASBytesPerTile and WSBytesPerTile size the on-chip scratchpads
-	// (Table 2: 32 KB × 32 banks AS, 2 KB × 32 banks WS per tile).
+	// ASBytesPerTile sizes the activation scratchpad (Table 2: 32 KB × 32
+	// banks per tile).
 	ASBytesPerTile int
-	WSBytesPerTile int
-	// ActBufBanks is h+1: the per-tile activation buffer banks feeding the
-	// ABRs.
-	ActBufBanks int
 }
 
 // HasFrontEnd reports whether the config performs weight skipping.
@@ -122,7 +78,7 @@ func (c Config) PeakTOPS() float64 {
 
 // Validate checks structural sanity.
 func (c Config) Validate() error {
-	if c.Tiles <= 0 || c.FiltersPerTile <= 0 || c.Lanes <= 0 || c.WindowsPerTile <= 0 {
+	if c.Tiles <= 0 || c.FiltersPerTile <= 0 || c.Lanes <= 0 || c.WindowsPerTile <= 0 || c.PsumRegsPerPE <= 0 {
 		return fmt.Errorf("arch: %s: non-positive geometry", c.Name)
 	}
 	if !c.Width.Valid() {
@@ -149,8 +105,6 @@ func base() Config {
 		PsumRegsPerPE:  4,
 		FrequencyGHz:   1.0,
 		ASBytesPerTile: 32 * 1024 * 32,
-		WSBytesPerTile: 2 * 1024 * 32,
-		ActBufBanks:    1,
 		Backend:        backend.MustLookup("bit-parallel"),
 	}
 }
@@ -168,26 +122,26 @@ func FrontEndOnly(p sched.Pattern) Config {
 	c := base()
 	c.Name = "TCL-FE/" + p.Name
 	c.Pattern = p
-	c.ActBufBanks = p.H + 1
 	return c
 }
 
-// NewTCL builds a full TCL configuration with the given pattern and serial
-// back-end; serial back-ends process 16 windows concurrently (Section 5.2).
-//
-// Deprecated: NewTCL keeps the enum-based signature for the Table-2 call
-// sites; it delegates to NewTCLBackend.
-func NewTCL(p sched.Pattern, be BackEnd) Config {
-	return NewTCLBackend(p, be.Impl())
-}
+// TCLp is the TCL design whose back-end streams activations bit-serially
+// over their per-group dynamic precision window (Dynamic-Stripes-style,
+// Section 5.2).
+func TCLp(p sched.Pattern) Config { return NewTCL(p, backend.MustLookup("TCLp")) }
 
-// NewTCLBackend builds a full TCL configuration with the given pattern and
-// any registered back-end implementation.
-func NewTCLBackend(p sched.Pattern, be backend.Backend) Config {
+// TCLe is the TCL design whose back-end streams activations serially over
+// their Booth-encoded effectual terms (Pragmatic-style oneffsets, Section
+// 5.2).
+func TCLe(p sched.Pattern) Config { return NewTCL(p, backend.MustLookup("TCLe")) }
+
+// NewTCL builds a full TCL configuration with the given pattern and any
+// registered back-end; serial back-ends process 16 windows concurrently
+// (Section 5.2).
+func NewTCL(p sched.Pattern, be backend.Backend) Config {
 	c := base()
 	c.Pattern = p
 	c.Backend = be
-	c.ActBufBanks = p.H + 1
 	if be.Serial() {
 		c.WindowsPerTile = 16
 	}

@@ -1,7 +1,6 @@
 package arch
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -30,15 +29,12 @@ func TestDaDianNaoPPDefaults(t *testing.T) {
 }
 
 func TestNewTCLWindows(t *testing.T) {
-	e := NewTCL(sched.T(2, 5), TCLe)
+	e := TCLe(sched.T(2, 5))
 	if e.WindowsPerTile != 16 {
 		t.Errorf("serial back-end needs 16 windows, got %d", e.WindowsPerTile)
 	}
 	if !e.HasFrontEnd() {
 		t.Error("TCL config must have a front-end")
-	}
-	if e.ActBufBanks != 3 {
-		t.Errorf("activation buffer banks = %d, want h+1 = 3", e.ActBufBanks)
 	}
 	fe := FrontEndOnly(sched.T(2, 5))
 	if fe.WindowsPerTile != 1 || fe.Serial() {
@@ -50,14 +46,13 @@ func TestPeakThroughputParity(t *testing.T) {
 	// The serial tiles' peak dense-equivalent throughput matches the
 	// bit-parallel baseline (Section 5.2: 16 windows compensate 16b serial).
 	base := DaDianNaoPP().PeakMACsPerCycle()
-	for _, be := range []BackEnd{TCLp, TCLe} {
-		c := NewTCL(sched.T(2, 5), be)
+	for _, c := range []Config{TCLp(sched.T(2, 5)), TCLe(sched.T(2, 5))} {
 		if got := c.PeakMACsPerCycle(); got != base {
-			t.Errorf("%s peak %d != baseline %d", be, got, base)
+			t.Errorf("%s peak %d != baseline %d", c.Name, got, base)
 		}
 		c8 := c.WithWidth(fixed.W8)
 		if c8.WindowsPerTile != 8 {
-			t.Errorf("8b %s windows = %d, want 8", be, c8.WindowsPerTile)
+			t.Errorf("8b %s windows = %d, want 8", c.Name, c8.WindowsPerTile)
 		}
 	}
 }
@@ -73,45 +68,20 @@ func TestValidateRejections(t *testing.T) {
 	if c.Validate() == nil {
 		t.Error("accepted invalid width")
 	}
-	c = NewTCL(sched.T(2, 5), TCLe)
+	c = DaDianNaoPP()
+	c.PsumRegsPerPE = 0
+	if c.Validate() == nil {
+		t.Error("accepted zero partial-sum registers")
+	}
+	c = TCLe(sched.T(2, 5))
 	c.WindowsPerTile = 2
 	if c.Validate() == nil {
 		t.Error("accepted starved serial tile")
 	}
-	bad := NewTCL(sched.Pattern{Name: "x", H: 1, Offsets: []sched.Offset{{Dt: 9}}}, TCLe)
+	bad := TCLe(sched.Pattern{Name: "x", H: 1, Offsets: []sched.Offset{{Dt: 9}}})
 	if bad.Validate() == nil {
 		t.Error("accepted invalid pattern")
 	}
-}
-
-func TestBackEndString(t *testing.T) {
-	for be, want := range map[BackEnd]string{BitParallel: "bit-parallel", TCLp: "TCLp", TCLe: "TCLe"} {
-		if be.String() != want {
-			t.Errorf("%d.String() = %q", int(be), be.String())
-		}
-	}
-	// Default branch: values outside the historical enum format as
-	// BackEnd(n), never a registered name.
-	for _, be := range []BackEnd{BackEnd(-1), BackEnd(3), BackEnd(42)} {
-		want := fmt.Sprintf("BackEnd(%d)", int(be))
-		if got := be.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(be), got, want)
-		}
-	}
-}
-
-func TestBackEndImpl(t *testing.T) {
-	for be, want := range map[BackEnd]string{BitParallel: "bit-parallel", TCLp: "TCLp", TCLe: "TCLe"} {
-		if got := be.Impl().Name(); got != want {
-			t.Errorf("%v.Impl().Name() = %q, want %q", be, got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Impl() on an out-of-range enum value did not panic")
-		}
-	}()
-	BackEnd(42).Impl()
 }
 
 func TestValidateRejectsNilBackend(t *testing.T) {
@@ -123,7 +93,10 @@ func TestValidateRejectsNilBackend(t *testing.T) {
 }
 
 func TestConfigNames(t *testing.T) {
-	if n := NewTCL(sched.T(2, 5), TCLe).Name; n != "TCLe/T8<2,5>" {
+	if n := TCLe(sched.T(2, 5)).Name; n != "TCLe/T8<2,5>" {
+		t.Errorf("name = %q", n)
+	}
+	if n := TCLp(sched.L(2, 5)).Name; n != "TCLp/L8<2,5>" {
 		t.Errorf("name = %q", n)
 	}
 	if n := FrontEndOnly(sched.L(1, 6)).Name; n != "TCL-FE/L8<1,6>" {

@@ -39,7 +39,7 @@ func mkLowered(t *testing.T, seed int64) *nn.Lowered {
 // value-exact golden model with zero edits to any engine package.
 func TestEndToEndThroughEngine(t *testing.T) {
 	lw := mkLowered(t, 41)
-	cfg := arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup(dstripes.Name))
+	cfg := arch.NewTCL(sched.T(2, 5), backend.MustLookup(dstripes.Name))
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCostOrderingVsTCLp(t *testing.T) {
 // width-indexed cost table and the serial window provisioning.
 func TestEngineAtBothWidths(t *testing.T) {
 	lw := mkLowered(t, 43)
-	base := arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup(dstripes.Name))
+	base := arch.NewTCL(sched.T(2, 5), backend.MustLookup(dstripes.Name))
 	for _, cfg := range []arch.Config{base, base.WithWidth(fixed.W8)} {
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)

@@ -1,9 +1,8 @@
 // Package bench is the repo's benchmark baseline format and regression
-// gate. One schema covers the four committed baselines — BENCH_sim.json
-// (experiment runners through the engine), BENCH_sched.json (scheduling
-// kernel vs reference), BENCH_kernel.json (SWAR column-max vs scalar),
-// BENCH_serve.json (the tclserve HTTP tier under load) — and one
-// comparison policy decides what counts as a regression:
+// gate. One schema covers the three committed baselines — BENCH_sched.json
+// (scheduling kernel vs reference), BENCH_sim.json (experiment runners
+// through the engine), BENCH_serve.json (the tclserve HTTP tier under
+// load) — and one comparison policy decides what counts as a regression:
 //
 //   - allocs/op compares everywhere: allocation counts are a property of
 //     the code, not the host, so a >threshold growth fails the gate on any
@@ -45,7 +44,7 @@ const Schema = 5
 // Record is one benchmark measurement.
 type Record struct {
 	// ID uniquely names the measurement within its file, e.g.
-	// "fig8a/j1", "sched/T8<2,5>/algorithm1/kernel", "kernel/lanes=16/swar".
+	// "fig8a/j1", "sched/T8<2,5>/algorithm1/kernel", "serve/hot".
 	ID string `json:"id"`
 	// Parallelism is the requested worker parallelism (engine suites; 0
 	// when the benchmark has no worker pool).

@@ -12,8 +12,8 @@ type RunOpts struct {
 	// row: the sim suite iterates until it has elapsed (always at least one
 	// iteration), so a row's Iterations scales with the host instead of
 	// being pinned at 1 by a fixed iteration count. Zero selects the
-	// default. Suites measured through testing.Benchmark (kernel, sched)
-	// calibrate to its own benchtime and ignore this.
+	// default. The sched suite, measured through testing.Benchmark,
+	// calibrates to its own benchtime and ignores this.
 	MinTime time.Duration
 }
 

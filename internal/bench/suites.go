@@ -25,9 +25,6 @@ func (l Logf) printf(format string, args ...any) {
 	}
 }
 
-// benchSink defeats dead-code elimination of the kernel benchmark loops.
-var benchSink int
-
 // simOptions sizes the zoo exactly like the repo's benchmark suite
 // (bench_test.go): all seven networks and every layer type in minutes.
 func simOptions() experiments.Options {
@@ -224,57 +221,6 @@ func RunSched(logf Logf, _ RunOpts) (*File, error) {
 	return f, nil
 }
 
-// kernelColumn builds one random (cost, mask) column in the packed SWAR
-// layout: padLanes-sized costs <= 127, word-packed 0x00/0xFF lane masks.
-func kernelColumn(rng *rand.Rand, lanes int) ([]uint8, []uint64) {
-	words := (lanes + 7) / 8
-	cost := make([]uint8, words*8)
-	mask := make([]uint64, words)
-	for ln := 0; ln < lanes; ln++ {
-		cost[ln] = uint8(rng.Intn(128))
-		if rng.Intn(2) == 0 {
-			mask[ln>>3] |= 0xff << (8 * uint(ln&7))
-		}
-	}
-	return cost, mask
-}
-
-// RunKernel measures the SWAR column-max against its scalar reference
-// per lane count over 256 random columns cycled per op.
-func RunKernel(logf Logf, _ RunOpts) (*File, error) {
-	f := NewFile("256 random (cost, mask) columns cycled per op")
-	for _, lanes := range []int{8, 16, 32, 64} {
-		rng := rand.New(rand.NewSource(7))
-		const n = 256
-		costs := make([][]uint8, n)
-		masks := make([][]uint64, n)
-		for i := range costs {
-			costs[i], masks[i] = kernelColumn(rng, lanes)
-		}
-		for _, v := range []struct {
-			name string
-			fn   func(cost []uint8, mask []uint64) int
-		}{
-			{"swar", sim.ColumnMax},
-			{"scalar", sim.ColumnMaxScalar},
-		} {
-			fn := v.fn
-			var sink int
-			rec := Measure(fmt.Sprintf("kernel/lanes=%d/%s", lanes, v.name), 0, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					j := i & 255
-					sink += fn(costs[j], masks[j])
-				}
-			})
-			benchSink = sink
-			f.Benchmarks = append(f.Benchmarks, rec)
-			logf.printf("%s: %.2f ns/op, %d allocs/op", rec.ID, rec.NsPerOp, rec.AllocsPerOp)
-		}
-	}
-	return f, nil
-}
-
 // Suite names a runnable benchmark suite and its committed baseline file.
 type Suite struct {
 	Name string
@@ -282,9 +228,8 @@ type Suite struct {
 	Run  func(Logf, RunOpts) (*File, error)
 }
 
-// Suites are the repo's four committed baselines in gate order.
+// Suites are the repo's three committed baselines in gate order.
 var Suites = []Suite{
-	{Name: "kernel", File: "BENCH_kernel.json", Run: RunKernel},
 	{Name: "sched", File: "BENCH_sched.json", Run: RunSched},
 	{Name: "sim", File: "BENCH_sim.json", Run: RunSim},
 	{Name: "serve", File: "BENCH_serve.json", Run: RunServe},

@@ -30,7 +30,7 @@ func mkLayer(t *testing.T, k, c, in, windows int) *nn.Lowered {
 }
 
 func TestEnumerateCoversSpace(t *testing.T) {
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	lw := mkLayer(t, 32, 32, 16, 0)
 	cands := Enumerate(cfg, lw, DefaultCosts())
 	if len(cands) != 2*cfg.PsumRegsPerPE {
@@ -44,7 +44,7 @@ func TestEnumerateCoversSpace(t *testing.T) {
 }
 
 func TestOptimizeIsMinimum(t *testing.T) {
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	lw := mkLayer(t, 64, 32, 16, 0)
 	k := DefaultCosts()
 	best := Optimize(cfg, lw, k)
@@ -60,9 +60,9 @@ func TestMorePsumRegsNeverHurt(t *testing.T) {
 	// with 4 registers is at least as cheap as with 1.
 	lw := mkLayer(t, 64, 32, 16, 0)
 	k := DefaultCosts()
-	cfg1 := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg1 := arch.TCLe(sched.T(2, 5))
 	cfg1.PsumRegsPerPE = 1
-	cfg4 := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg4 := arch.TCLe(sched.T(2, 5))
 	cfg4.PsumRegsPerPE = 4
 	if Optimize(cfg4, lw, k).EnergyPJ > Optimize(cfg1, lw, k).EnergyPJ {
 		t.Error("4 psum registers costed more than 1")
@@ -72,7 +72,7 @@ func TestMorePsumRegsNeverHurt(t *testing.T) {
 func TestManyFiltersFavorActStationary(t *testing.T) {
 	// With many filter groups, re-streaming activations per group dominates:
 	// the optimizer must pick act-stationary.
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	lw := mkLayer(t, 512, 32, 16, 0) // 32 filter groups
 	best := Optimize(cfg, lw, DefaultCosts())
 	if best.Order != ActStationary {
@@ -83,7 +83,7 @@ func TestManyFiltersFavorActStationary(t *testing.T) {
 func TestSingleGroupIndifferent(t *testing.T) {
 	// One filter group: the two orders price identically at equal psum
 	// blocking; the optimizer must still return a minimal choice.
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	lw := mkLayer(t, 16, 32, 16, 0)
 	k := DefaultCosts()
 	best := Optimize(cfg, lw, k)
@@ -98,7 +98,7 @@ func TestSingleGroupIndifferent(t *testing.T) {
 }
 
 func TestPlanAggregates(t *testing.T) {
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	lws := []*nn.Lowered{mkLayer(t, 32, 32, 16, 0), mkLayer(t, 64, 32, 8, 0)}
 	choices, total := Plan(cfg, lws, DefaultCosts())
 	if len(choices) != 2 {

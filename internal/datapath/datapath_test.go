@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"bittactical/internal/arch"
+	"bittactical/internal/backend"
 	"bittactical/internal/bits"
 	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
@@ -73,9 +74,9 @@ func TestStructuralMatchesReference(t *testing.T) {
 	for _, cfg := range []arch.Config{
 		arch.DaDianNaoPP(),
 		arch.FrontEndOnly(sched.T(2, 5)),
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
-		arch.NewTCL(sched.L(4, 3), arch.TCLe),
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
+		arch.TCLe(sched.L(4, 3)),
 	} {
 		for f := 0; f < lw.Filters; f++ {
 			for win := 0; win < lw.WindowCount; win += 7 {
@@ -95,8 +96,8 @@ func TestStructuralCyclesMatchSimCostModel(t *testing.T) {
 	// model's: max over lanes of the per-activation serial cost. Check the
 	// filter-total: Σ columns max-lane-cost == structural PE cycles.
 	lw := mkLowered(t, 2, 2, 20, 5, 0.5)
-	for _, be := range []arch.BackEnd{arch.TCLp, arch.TCLe} {
-		cfg := arch.NewTCL(sched.T(2, 5), be)
+	for _, name := range []string{"TCLp", "TCLe"} {
+		cfg := arch.NewTCL(sched.T(2, 5), backend.MustLookup(name))
 		filter := sched.NewFilter(lw.Lanes, lw.Steps, lw.FilterRow(0), nil)
 		s := sched.ScheduleFilter(filter, cfg.Pattern, cfg.Scheduler)
 		win := 3
@@ -109,7 +110,7 @@ func TestStructuralCyclesMatchSimCostModel(t *testing.T) {
 				}
 				a := lw.Act(0, win, e.SrcStep, e.SrcLane)
 				var c int
-				if be == arch.TCLe {
+				if name == "TCLe" {
 					c = bits.OneffsetCount(a, fixed.W16)
 				} else {
 					c = bits.ValuePrecision(a, fixed.W16).Bits()
@@ -126,7 +127,7 @@ func TestStructuralCyclesMatchSimCostModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.Cycles != want {
-			t.Errorf("%s: structural cycles %d != analytic %d", be, stats.Cycles, want)
+			t.Errorf("%s: structural cycles %d != analytic %d", name, stats.Cycles, want)
 		}
 	}
 }
@@ -182,7 +183,7 @@ func TestASUSelectErrors(t *testing.T) {
 func TestTermsForSemantics(t *testing.T) {
 	// TCLe: terms reconstruct the value; count == oneffsets.
 	for _, v := range []int32{0x008F, -5, 1, 32767, -32767} {
-		ts := termsFor(v, arch.TCLe.Impl(), fixed.W16)
+		ts := termsFor(v, backend.MustLookup("TCLe"), fixed.W16)
 		var sum int64
 		for _, x := range ts {
 			sum += x.Factor
@@ -196,7 +197,7 @@ func TestTermsForSemantics(t *testing.T) {
 	}
 	// TCLp: stream length == precision bits; factors reconstruct.
 	for _, v := range []int32{0x008E, -6, 255, -32767} {
-		ts := termsFor(v, arch.TCLp.Impl(), fixed.W16)
+		ts := termsFor(v, backend.MustLookup("TCLp"), fixed.W16)
 		if len(ts) != bits.ValuePrecision(v, fixed.W16).Bits() {
 			t.Errorf("TCLp stream of %d has %d steps, want %d",
 				v, len(ts), bits.ValuePrecision(v, fixed.W16).Bits())
@@ -210,11 +211,11 @@ func TestTermsForSemantics(t *testing.T) {
 		}
 	}
 	// Zero costs nothing serially (column sync supplies the floor).
-	if len(termsFor(0, arch.TCLe.Impl(), fixed.W16)) != 0 || len(termsFor(0, arch.TCLp.Impl(), fixed.W16)) != 0 {
+	if len(termsFor(0, backend.MustLookup("TCLe"), fixed.W16)) != 0 || len(termsFor(0, backend.MustLookup("TCLp"), fixed.W16)) != 0 {
 		t.Error("zero activation must stream no terms")
 	}
 	// Bit-parallel: exactly one step.
-	if len(termsFor(1234, arch.BitParallel.Impl(), fixed.W16)) != 1 {
+	if len(termsFor(1234, backend.MustLookup("bit-parallel"), fixed.W16)) != 1 {
 		t.Error("bit-parallel must take one step")
 	}
 }
@@ -243,8 +244,8 @@ func TestStructuralProperty(t *testing.T) {
 				want += int64(w[st*16+ln]) * int64(acts[st*16+ln])
 			}
 		}
-		for _, be := range []arch.BackEnd{arch.TCLp, arch.TCLe} {
-			cfg := arch.NewTCL(sched.T(2, 5), be)
+		for _, tcl := range []func(sched.Pattern) arch.Config{arch.TCLp, arch.TCLe} {
+			cfg := tcl(sched.T(2, 5))
 			s := sched.ScheduleFilter(filter, cfg.Pattern, cfg.Scheduler)
 			got, _, err := RunFilter(cfg, filter, s, src, 0)
 			if err != nil || got != want {
@@ -274,7 +275,7 @@ func TestABRLoadCountTracksALCSkips(t *testing.T) {
 	steps := 40
 	w := sparsity.RandomSparseFilter(rng, steps, 16, 0.9)
 	filter := sched.NewFilter(16, steps, w, nil)
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	s := sched.ScheduleFilter(filter, cfg.Pattern, cfg.Scheduler)
 	src := func(win, step, lane int) int32 { return 1 }
 	_, stats, err := RunFilter(cfg, filter, s, src, 0)

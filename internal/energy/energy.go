@@ -22,23 +22,8 @@ import (
 type Constants struct {
 	// MultMAC16 is a full 16-bit multiply plus its adder-tree share.
 	MultMAC16 float64
-	// SerialOpTCLe mirrors the registered TCLe back-end's SerialOpPJ.
-	//
-	// Deprecated: kept as a calibration reference; Price reads the
-	// coefficient from the configuration's back-end.
-	SerialOpTCLe float64
-	// SerialOpTCLp mirrors the registered TCLp back-end's SerialOpPJ.
-	//
-	// Deprecated: kept as a calibration reference; Price reads the
-	// coefficient from the configuration's back-end.
-	SerialOpTCLp float64
 	// Mux is one activation-multiplexer switch.
 	Mux float64
-	// OffsetEncode mirrors the registered TCLe back-end's OffsetEncodePJ.
-	//
-	// Deprecated: kept as a calibration reference; Price reads the
-	// coefficient from the configuration's back-end.
-	OffsetEncode float64
 	// WSReadPerByte / ASReadPerByte price the banked scratchpads.
 	WSReadPerByte float64
 	ASReadPerByte float64
@@ -50,27 +35,22 @@ type Constants struct {
 func Defaults65nm() Constants {
 	return Constants{
 		MultMAC16:     3.1,
-		SerialOpTCLe:  0.55,
-		SerialOpTCLp:  0.26,
 		Mux:           0.03,
-		OffsetEncode:  0.35,
 		WSReadPerByte: 0.65,
 		ASReadPerByte: 1.35,
 		PsumAccess:    0.20,
 	}
 }
 
-// Widths of an 8-bit datapath cost roughly a quarter of 16-bit multipliers
-// and half of serial lanes; scaleForWidth adjusts the logic constants.
+// An 8-bit multiplier costs roughly a quarter of a 16-bit one;
+// scaleForWidth adjusts the multiply constant. Serial lanes cost roughly
+// half, which Price applies to the back-end's own coefficients.
 func (c Constants) scaleForWidth(bits int) Constants {
 	if bits >= 16 {
 		return c
 	}
 	s := float64(bits) / 16.0
 	c.MultMAC16 *= s * s // multiplier area/energy ~ quadratic in width
-	c.SerialOpTCLe *= s
-	c.SerialOpTCLp *= s
-	c.OffsetEncode *= s
 	return c
 }
 
@@ -97,7 +77,7 @@ func (b *Breakdown) Add(o Breakdown) {
 // Price converts activity + traffic into an energy breakdown for the
 // configuration under the given off-chip technology. The back-end-specific
 // serial-lane and offset-encode coefficients come from the configuration's
-// registered back-end, width-scaled like the shared constants.
+// registered back-end and scale linearly with width.
 func Price(cfg arch.Config, act sim.Activity, traffic memory.Traffic, tech memory.Tech, k Constants) Breakdown {
 	k = k.scaleForWidth(int(cfg.Width))
 	var b Breakdown

@@ -21,7 +21,7 @@ func TestDaDianNaoArea(t *testing.T) {
 
 func TestTable3ItemizedAnchors(t *testing.T) {
 	// TCLe / TCLp L8<1,6> column values.
-	e := AreaOf(arch.NewTCL(sched.L(1, 6), arch.TCLe))
+	e := AreaOf(arch.TCLe(sched.L(1, 6)))
 	if math.Abs(e.ComputeCore-19.28) > 0.5 {
 		t.Errorf("TCLe compute core = %.2f, want ≈19.28", e.ComputeCore)
 	}
@@ -31,7 +31,7 @@ func TestTable3ItemizedAnchors(t *testing.T) {
 	if math.Abs(e.ActInputBuffer-0.17) > 0.01 {
 		t.Errorf("TCLe act input buffer = %.3f, want ≈0.17", e.ActInputBuffer)
 	}
-	p := AreaOf(arch.NewTCL(sched.L(1, 6), arch.TCLp))
+	p := AreaOf(arch.TCLp(sched.L(1, 6)))
 	if math.Abs(p.ComputeCore-9.22) > 0.3 {
 		t.Errorf("TCLp compute core = %.2f, want ≈9.22", p.ComputeCore)
 	}
@@ -43,8 +43,8 @@ func TestTable3ItemizedAnchors(t *testing.T) {
 func TestTable3NormalizedTotals(t *testing.T) {
 	// Paper: TCLe 1.32–1.37×, TCLp 1.10–1.11×.
 	for _, pat := range []sched.Pattern{sched.L(1, 6), sched.L(2, 5), sched.L(4, 3), sched.T(2, 5)} {
-		ne := NormalizedArea(arch.NewTCL(pat, arch.TCLe))
-		np := NormalizedArea(arch.NewTCL(pat, arch.TCLp))
+		ne := NormalizedArea(arch.TCLe(pat))
+		np := NormalizedArea(arch.TCLp(pat))
 		if ne < 1.28 || ne > 1.42 {
 			t.Errorf("%s TCLe normalized area %.3f outside paper band", pat.Name, ne)
 		}
@@ -57,7 +57,7 @@ func TestTable3NormalizedTotals(t *testing.T) {
 func TestAreaGrowsWithLookahead(t *testing.T) {
 	prev := 0.0
 	for _, h := range []int{1, 2, 4} {
-		a := AreaOf(arch.NewTCL(sched.L(h, 6-h+1), arch.TCLe)).Total()
+		a := AreaOf(arch.TCLe(sched.L(h, 6-h+1))).Total()
 		if a <= prev {
 			t.Errorf("area must grow with lookahead: h=%d gives %.2f after %.2f", h, a, prev)
 		}
@@ -73,7 +73,7 @@ func TestPriceComponents(t *testing.T) {
 		ActReads: 100, MuxSelects: 50, PsumAccesses: 20, OffsetEncodes: 30,
 	}
 	tr := memory.Traffic{WeightBytes: 100, ActInBytes: 100}
-	e := Price(arch.NewTCL(sched.T(2, 5), arch.TCLe), act, tr, tech, k)
+	e := Price(arch.TCLe(sched.T(2, 5)), act, tr, tech, k)
 	if e.LogicPJ <= 0 || e.OnChipPJ <= 0 || e.OffChipPJ <= 0 {
 		t.Errorf("missing energy components: %+v", e)
 	}
@@ -82,7 +82,7 @@ func TestPriceComponents(t *testing.T) {
 		t.Errorf("off-chip = %v, want %v", e.OffChipPJ, wantOff)
 	}
 	// TCLe pays for offset encoding; TCLp does not.
-	p := Price(arch.NewTCL(sched.T(2, 5), arch.TCLp), act, tr, tech, k)
+	p := Price(arch.TCLp(sched.T(2, 5)), act, tr, tech, k)
 	if p.LogicPJ >= e.LogicPJ {
 		t.Errorf("TCLp logic %v should be below TCLe logic %v at equal activity", p.LogicPJ, e.LogicPJ)
 	}
@@ -104,11 +104,18 @@ func TestWidthScaling(t *testing.T) {
 	if k8.MultMAC16 >= k.MultMAC16/3 {
 		t.Errorf("8b multiply %v should be ~quadratically cheaper than %v", k8.MultMAC16, k.MultMAC16)
 	}
-	if k8.SerialOpTCLe >= k.SerialOpTCLe {
-		t.Error("8b serial op should be cheaper")
-	}
 	if got := k.scaleForWidth(16); got != k {
 		t.Error("16b scaling must be identity")
+	}
+	// Serial lanes and the offset generator scale linearly: at equal
+	// activity an 8-bit TCLe pays exactly half the 16-bit logic energy.
+	tech, _ := memory.TechByName("infinite")
+	act := sim.Activity{SerialLaneCycles: 12345, OffsetEncodes: 678}
+	cfg := arch.TCLe(sched.T(2, 5))
+	e16 := Price(cfg, act, memory.Traffic{}, tech, k)
+	e8 := Price(cfg.WithWidth(fixed.W8), act, memory.Traffic{}, tech, k)
+	if e16.LogicPJ <= 0 || e8.LogicPJ != e16.LogicPJ/2 {
+		t.Errorf("8b TCLe logic %v, want exactly half of 16b %v", e8.LogicPJ, e16.LogicPJ)
 	}
 }
 
@@ -136,5 +143,4 @@ func TestPeakTOPSAnchors(t *testing.T) {
 	if got := arch.DaDianNaoPP().PeakTOPS(); math.Abs(got-2.048) > 0.06 {
 		t.Errorf("DaDianNao++ peak = %.2f TOPS, want ≈2", got)
 	}
-	_ = fixed.W16
 }

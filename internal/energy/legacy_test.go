@@ -20,11 +20,15 @@ func legacyPrice(cfg arch.Config, act sim.Activity, traffic memory.Traffic, tech
 	k = k.scaleForWidth(int(cfg.Width))
 	var b Breakdown
 	b.LogicPJ += float64(act.ParallelMACs) * k.MultMAC16
+	s := 1.0
+	if cfg.Width < 16 {
+		s = float64(cfg.Width) / 16.0
+	}
 	if cfg.Backend.Name() == "TCLe" {
-		b.LogicPJ += float64(act.SerialLaneCycles) * k.SerialOpTCLe
-		b.LogicPJ += float64(act.OffsetEncodes) * k.OffsetEncode
+		b.LogicPJ += float64(act.SerialLaneCycles) * (0.55 * s)
+		b.LogicPJ += float64(act.OffsetEncodes) * (0.35 * s)
 	} else if cfg.Backend.Name() == "TCLp" {
-		b.LogicPJ += float64(act.SerialLaneCycles) * k.SerialOpTCLp
+		b.LogicPJ += float64(act.SerialLaneCycles) * (0.26 * s)
 	}
 	b.LogicPJ += float64(act.MuxSelects) * k.Mux
 
@@ -83,10 +87,10 @@ func legacyConfigs() []arch.Config {
 		arch.FrontEndOnly(sched.T(2, 5)),
 		arch.FrontEndOnly(sched.X()),
 	}
-	for _, be := range []arch.BackEnd{arch.TCLp, arch.TCLe} {
+	for _, tcl := range []func(sched.Pattern) arch.Config{arch.TCLp, arch.TCLe} {
 		for _, p := range []sched.Pattern{sched.T(2, 5), sched.L(1, 6), sched.L(4, 3), {}} {
-			cfgs = append(cfgs, arch.NewTCL(p, be))
-			cfgs = append(cfgs, arch.NewTCL(p, be).WithWidth(fixed.W8))
+			cfgs = append(cfgs, tcl(p))
+			cfgs = append(cfgs, tcl(p).WithWidth(fixed.W8))
 		}
 	}
 	return cfgs

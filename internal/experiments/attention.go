@@ -56,8 +56,8 @@ func AttnBatch(o Options) (*Table, error) {
 	o = attnOptions(o)
 	name := o.models()[0]
 	cfgs := []arch.Config{
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
 	}
 	t := &Table{
 		ID:     "attn-batch",

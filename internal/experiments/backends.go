@@ -73,8 +73,8 @@ func BackendsExt(o Options) (*Table, error) {
 		return nil, err
 	}
 	cfgs := []arch.Config{
-		arch.NewTCLBackend(sched.T(2, 5), sm),
-		arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup("TCLp")),
+		arch.NewTCL(sched.T(2, 5), sm),
+		arch.TCLp(sched.T(2, 5)),
 	}
 	t, err := configSweep(o, wls, cfgs,
 		"backends-ext", "Speedup of the dstripes-sm plugin back-end vs TCLp (T8<2,5> front-end)")
@@ -101,7 +101,7 @@ func BackendSpeedup(o Options, name string) (*Table, error) {
 	}
 	var cfgs []arch.Config
 	for _, p := range []sched.Pattern{sched.L(1, 6), sched.T(2, 5), sched.L(4, 3)} {
-		cfgs = append(cfgs, arch.NewTCLBackend(p, be))
+		cfgs = append(cfgs, arch.NewTCL(p, be))
 	}
 	return configSweep(o, wls, cfgs,
 		"backend", fmt.Sprintf("Speedup of back-end %s over DaDianNao++ (all layers)", be.Name()))

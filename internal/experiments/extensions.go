@@ -26,7 +26,7 @@ func SSCoverage(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	t := &Table{
 		ID:     "ss-coverage",
 		Title:  "Section 5.4 schedule-select compaction (TCLe T8<2,5>)",
@@ -151,14 +151,14 @@ func AblationSync(o Options) (*Table, error) {
 		}
 		r.feJoint = float64(dense) / float64(max64(1, jointCols))
 		r.feSolo = float64(dense) / float64(max64(1, soloCols))
-		tcle, err := simulateAll(o, arch.NewTCL(p, arch.TCLe), wl, nil)
+		tcle, err := simulateAll(o, arch.TCLe(p), wl, nil)
 		if err != nil {
 			errs[wi] = err
 			return
 		}
 		r.tcle = tcle.Speedup()
 		// Ideal-free product: FE joint × per-value Ae over the layers.
-		be, err := simulateAll(o, arch.NewTCL(sched.Pattern{}, arch.TCLe), wl, nil)
+		be, err := simulateAll(o, arch.TCLe(sched.Pattern{}), wl, nil)
 		if err != nil {
 			errs[wi] = err
 			return
@@ -275,7 +275,7 @@ func Dataflow(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	naive := cfg
 	naive.PsumRegsPerPE = 1
 	k := dataflow.DefaultCosts()

@@ -20,8 +20,8 @@ func Fig10(o Options) (*Table, error) {
 		return nil, err
 	}
 	cfgs := []arch.Config{
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
 	}
 	t := &Table{
 		ID:     "fig10",

@@ -36,10 +36,10 @@ func Fig12(o Options) (*Table, error) {
 		// sim-backed designs.
 		simCfgs := map[int]arch.Config{
 			0: arch.DaDianNaoPP(),
-			3: arch.NewTCL(sched.Pattern{}, arch.TCLp), // Dynamic Stripes
-			4: arch.NewTCL(sched.Pattern{}, arch.TCLe), // Pragmatic
-			5: arch.NewTCL(sched.T(2, 5), arch.TCLp),
-			6: arch.NewTCL(sched.T(2, 5), arch.TCLe),
+			3: arch.TCLp(sched.Pattern{}), // Dynamic Stripes
+			4: arch.TCLe(sched.Pattern{}), // Pragmatic
+			5: arch.TCLp(sched.T(2, 5)),
+			6: arch.TCLe(sched.T(2, 5)),
 		}
 		for idx, cfg := range simCfgs {
 			res, err := simulateAll(o, cfg, wl, convOnly)

@@ -108,9 +108,9 @@ func Fig8a(o Options) (*Table, error) {
 func fig8bConfigs() []arch.Config {
 	pats := []sched.Pattern{sched.L(1, 6), sched.T(2, 5), sched.L(4, 3)}
 	var out []arch.Config
-	for _, be := range []arch.BackEnd{arch.TCLp, arch.TCLe} {
+	for _, tcl := range []func(sched.Pattern) arch.Config{arch.TCLp, arch.TCLe} {
 		for _, p := range pats {
-			out = append(out, arch.NewTCL(p, be))
+			out = append(out, tcl(p))
 		}
 	}
 	return out
@@ -142,8 +142,8 @@ func Fig8c(o Options) (*Table, error) {
 	}
 	cfgs := []arch.Config{
 		arch.DaDianNaoPP(),
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
 	}
 	tech, _ := memory.TechByName("LPDDR4-3200")
 	k := energy.Defaults65nm()

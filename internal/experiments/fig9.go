@@ -20,7 +20,7 @@ func Fig9(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	t := &Table{
 		ID:    "fig9",
 		Title: "Execution time breakdown, TCLe T8<2,5>",

@@ -43,8 +43,8 @@ func Table3() *Table {
 		Header: []string{"Component", "TCLe L8<1,6>", "TCLp L8<1,6>", "DaDN++"},
 	}
 	p16 := sched.L(1, 6)
-	e := energy.AreaOf(arch.NewTCL(p16, arch.TCLe))
-	p := energy.AreaOf(arch.NewTCL(p16, arch.TCLp))
+	e := energy.AreaOf(arch.TCLe(p16))
+	p := energy.AreaOf(arch.TCLp(p16))
 	d := energy.AreaOf(arch.DaDianNaoPP())
 	row := func(name string, a, b, c float64) {
 		cell := func(v float64) string {
@@ -67,8 +67,8 @@ func Table3() *Table {
 	for _, pat := range []sched.Pattern{sched.L(1, 6), sched.L(2, 5), sched.L(4, 3), sched.T(2, 5)} {
 		t.Rows = append(t.Rows, []string{
 			"Normalized Total " + pat.Name,
-			fmt.Sprintf("%.2fx", energy.NormalizedArea(arch.NewTCL(pat, arch.TCLe))),
-			fmt.Sprintf("%.2fx", energy.NormalizedArea(arch.NewTCL(pat, arch.TCLp))),
+			fmt.Sprintf("%.2fx", energy.NormalizedArea(arch.TCLe(pat))),
+			fmt.Sprintf("%.2fx", energy.NormalizedArea(arch.TCLp(pat))),
 			"1.00x",
 		})
 	}

@@ -171,7 +171,7 @@ func mkLayer(t *testing.T) *nn.Lowered {
 func TestLayerTraffic(t *testing.T) {
 	lw := mkLayer(t)
 	base := LayerTraffic(arch.DaDianNaoPP(), lw)
-	tcl := LayerTraffic(arch.NewTCL(sched.T(2, 5), arch.TCLe), lw)
+	tcl := LayerTraffic(arch.TCLe(sched.T(2, 5)), lw)
 	if base.MetadataBytes != 0 {
 		t.Error("baseline must not carry schedule metadata")
 	}
@@ -211,7 +211,7 @@ func TestMemCyclesAndBound(t *testing.T) {
 
 func TestWeakerMemoryNeverFaster(t *testing.T) {
 	lw := mkLayer(t)
-	tr := LayerTraffic(arch.NewTCL(sched.T(2, 5), arch.TCLe), lw)
+	tr := LayerTraffic(arch.TCLe(sched.T(2, 5)), lw)
 	prev := int64(0)
 	for i := len(Techs) - 1; i >= 0; i-- { // strongest (infinite) to weakest
 		c := BoundedCycles(1000, tr, Techs[i], 1.0)
@@ -224,7 +224,7 @@ func TestWeakerMemoryNeverFaster(t *testing.T) {
 
 func TestSSMetadataBeatsRaw(t *testing.T) {
 	lw := mkLayer(t)
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	pad := make([]bool, lw.Steps*lw.Lanes)
 	var raw, ss int64
 	for f0 := 0; f0 < lw.Filters; f0 += 16 {

@@ -172,12 +172,6 @@ func (l *Layer) MACs() int64 {
 // accelerators' timing models).
 func (l *Layer) HasCompute() bool { return l.Kind == Conv || l.Kind == Depthwise || l.Kind == FC }
 
-// WeightAt returns the weight code for filter f, channel c, kernel position
-// (r, s). For Depthwise, f selects the channel and c must be 0.
-func (l *Layer) WeightAt(f, c, r, s int) int32 {
-	return l.Weights.At(f, c, r, s)
-}
-
 // Validate checks internal consistency, returning a descriptive error.
 func (l *Layer) Validate() error {
 	if l.Name == "" {

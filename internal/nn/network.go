@@ -82,17 +82,6 @@ func (n *Network) TotalMACs() int64 {
 	return total
 }
 
-// ComputeLayers returns the layers that perform MACs.
-func (n *Network) ComputeLayers() []*Layer {
-	var out []*Layer
-	for _, l := range n.Layers {
-		if l.HasCompute() {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // WeightSparsity returns the MAC-weighted fraction of zero weights across
 // compute layers (the paper's headline "45%–87% sparse" metric).
 func (n *Network) WeightSparsity() float64 {

@@ -68,7 +68,7 @@ func (c ConfigSpec) Build() (arch.Config, error) {
 			return arch.Config{}, fmt.Errorf("unknown backend %q (want dense, front-end, or one of: %s)",
 				c.Backend, strings.Join(backend.Names(), ", "))
 		}
-		cfg = arch.NewTCLBackend(p, be)
+		cfg = arch.NewTCL(p, be)
 	}
 	switch c.Width {
 	case 0, 16:

@@ -23,7 +23,7 @@ func TestEstimateLayerCostMatchesDenseCycles(t *testing.T) {
 	acts := m.GenerateActs(7)
 	for _, cfg := range []arch.Config{
 		arch.DaDianNaoPP(),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
+		arch.TCLe(sched.T(2, 5)),
 	} {
 		res := simModel(t, cfg, m, acts, Options{Parallelism: 2})
 		for i, l := range m.Layers {
@@ -49,7 +49,7 @@ func TestEstimateSweepLayerCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := []arch.Config{arch.DaDianNaoPP(), arch.NewTCL(sched.T(2, 5), arch.TCLe)}
+	cfgs := []arch.Config{arch.DaDianNaoPP(), arch.TCLe(sched.T(2, 5))}
 	costs, err := EstimateSweepLayerCosts(cfgs, m)
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func cancellationModel(t *testing.T) (*nn.Model, []*nn.Lowered) {
 func TestSimulateCancellation(t *testing.T) {
 	m, _ := cancellationModel(t)
 	acts := m.GenerateActs(7)
-	cfgs := []arch.Config{arch.NewTCL(sched.T(2, 5), arch.TCLe)}
+	cfgs := []arch.Config{arch.TCLe(sched.T(2, 5))}
 
 	want, err := SimulateSweepContext(context.Background(), cfgs, m, acts, fresh(4))
 	if err != nil {
@@ -101,7 +101,7 @@ func TestSimulateCancellation(t *testing.T) {
 // TestSimulateLayerContextCancel covers the single-layer ctx entry point.
 func TestSimulateLayerContextCancel(t *testing.T) {
 	lw := testConv(t, 41, 40, 24, 3, 3, 6, 0.6, 0.4)
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 
 	want := simLayer(t, cfg, lw, fresh(1))
 	got, err := SimulateLayerContext(context.Background(), cfg, lw, fresh(4))

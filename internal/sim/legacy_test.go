@@ -137,9 +137,9 @@ func legacyPairs() []struct {
 	return []struct {
 		registered, legacy backend.Backend
 	}{
-		{arch.BitParallel.Impl(), legacyBitParallel{}},
-		{arch.TCLp.Impl(), legacyTCLp{}},
-		{arch.TCLe.Impl(), legacyTCLe{}},
+		{backend.MustLookup("bit-parallel"), legacyBitParallel{}},
+		{backend.MustLookup("TCLp"), legacyTCLp{}},
+		{backend.MustLookup("TCLe"), legacyTCLe{}},
 	}
 }
 
@@ -187,7 +187,7 @@ func TestEngineMatchesLegacyBackends(t *testing.T) {
 	patterns := []sched.Pattern{sched.T(2, 5), sched.L(1, 6), {}}
 	for _, pair := range legacyPairs() {
 		for _, p := range patterns {
-			cfgs := []arch.Config{arch.NewTCLBackend(p, pair.registered)}
+			cfgs := []arch.Config{arch.NewTCL(p, pair.registered)}
 			if !pair.registered.Serial() && !cfgs[0].HasFrontEnd() {
 				cfgs = append(cfgs, arch.DaDianNaoPP())
 			}

@@ -16,12 +16,12 @@ func table2Configs() []arch.Config {
 	return []arch.Config{
 		arch.DaDianNaoPP(),
 		arch.FrontEndOnly(sched.T(2, 5)),
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
-		arch.NewTCL(sched.L(1, 6), arch.TCLe),
-		arch.NewTCL(sched.L(2, 5), arch.TCLp),
-		arch.NewTCL(sched.Pattern{}, arch.TCLe), // Pragmatic-like
-		arch.NewTCL(sched.Pattern{}, arch.TCLp), // Dynamic-Stripes-like
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
+		arch.TCLe(sched.L(1, 6)),
+		arch.TCLp(sched.L(2, 5)),
+		arch.TCLe(sched.Pattern{}), // Pragmatic-like
+		arch.TCLp(sched.Pattern{}), // Dynamic-Stripes-like
 	}
 }
 
@@ -68,12 +68,12 @@ func TestParallelDeterminism(t *testing.T) {
 func TestScheduleCacheSharedAcrossBackEnds(t *testing.T) {
 	lw := testConv(t, 11, 40, 24, 3, 3, 6, 0.6, 0.4)
 	cache := sched.NewCache(0)
-	p := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLp), lw, Options{Cache: cache})
+	p := simLayer(t, arch.TCLp(sched.T(2, 5)), lw, Options{Cache: cache})
 	st := cache.Stats()
 	if st.Hits != 0 || st.Misses == 0 {
 		t.Fatalf("first run: hits=%d misses=%d, want cold misses only", st.Hits, st.Misses)
 	}
-	e := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{Cache: cache})
+	e := simLayer(t, arch.TCLe(sched.T(2, 5)), lw, Options{Cache: cache})
 	st2 := cache.Stats()
 	if st2.Misses != st.Misses {
 		t.Errorf("TCLe re-scheduled %d groups the TCLp run already cached", st2.Misses-st.Misses)
@@ -87,7 +87,7 @@ func TestScheduleCacheSharedAcrossBackEnds(t *testing.T) {
 		t.Error("cached schedules changed the front-end census across back-ends")
 	}
 	// And a cached re-run of the identical config is bit-identical.
-	p2 := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLp), lw, Options{Cache: cache})
+	p2 := simLayer(t, arch.TCLp(sched.T(2, 5)), lw, Options{Cache: cache})
 	if !reflect.DeepEqual(p, p2) {
 		t.Error("cache hit changed the simulation result")
 	}

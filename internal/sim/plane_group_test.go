@@ -44,9 +44,9 @@ func testGroupedConv(t *testing.T, seed int64, groups int) *nn.Lowered {
 func groupSerialConfigs() []arch.Config {
 	sm := backend.MustLookup(dstripes.Name)
 	return append(serialConfigs(),
-		arch.NewTCLBackend(sched.T(2, 5), sm),
-		arch.NewTCLBackend(sched.Pattern{}, sm),
-		arch.NewTCLBackend(sched.T(2, 5), sm).WithWidth(fixed.W8),
+		arch.NewTCL(sched.T(2, 5), sm),
+		arch.NewTCL(sched.Pattern{}, sm),
+		arch.NewTCL(sched.T(2, 5), sm).WithWidth(fixed.W8),
 	)
 }
 
@@ -84,7 +84,7 @@ func TestGroupedLayersTakePlanePath(t *testing.T) {
 		{"depthwise", testDW(t, 46, 20, 5), 20},
 	} {
 		pc := NewPlaneCache(0)
-		simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), tc.lw, Options{PlaneCache: pc})
+		simLayer(t, arch.TCLe(sched.T(2, 5)), tc.lw, Options{PlaneCache: pc})
 		st := pc.Stats()
 		if st.GroupBuilds != int64(tc.groups) || st.Entries != tc.groups {
 			t.Fatalf("%s: after first run %+v, want %d group builds / entries", tc.name, st, tc.groups)
@@ -93,13 +93,13 @@ func TestGroupedLayersTakePlanePath(t *testing.T) {
 			t.Fatalf("%s: cold run reported group hits: %+v", tc.name, st)
 		}
 		// Different pattern, same back-end and width: every group plane hits.
-		simLayer(t, arch.NewTCL(sched.L(1, 6), arch.TCLe), tc.lw, Options{PlaneCache: pc})
+		simLayer(t, arch.TCLe(sched.L(1, 6)), tc.lw, Options{PlaneCache: pc})
 		st = pc.Stats()
 		if st.GroupHits != int64(tc.groups) || st.GroupBuilds != int64(tc.groups) {
 			t.Fatalf("%s: after second run %+v, want %d group hits", tc.name, st, tc.groups)
 		}
 		// A different back-end keys its own planes per group.
-		simLayer(t, arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup(dstripes.Name)), tc.lw, Options{PlaneCache: pc})
+		simLayer(t, arch.NewTCL(sched.T(2, 5), backend.MustLookup(dstripes.Name)), tc.lw, Options{PlaneCache: pc})
 		st = pc.Stats()
 		if st.GroupBuilds != int64(2*tc.groups) || st.Entries != 2*tc.groups {
 			t.Fatalf("%s: after plugin run %+v, want %d group builds", tc.name, st, 2*tc.groups)
@@ -112,7 +112,7 @@ func TestGroupedLayersTakePlanePath(t *testing.T) {
 // field, and overflow evictions of grouped planes tick the group counter.
 func TestGroupPlaneKeySharing(t *testing.T) {
 	lw := testGroupedConv(t, 47, 2)
-	be := arch.TCLe.Impl()
+	be := backend.MustLookup("TCLe")
 	ct := newCostTable(be, fixed.W16)
 	base := planeKeyOf(lw, be, fixed.W16)
 	k0, k1 := base, base
@@ -175,10 +175,10 @@ func groupedModel(t *testing.T) (*nn.Model, []*tensor.T) {
 func TestGroupedSweepMatchesIndividualRuns(t *testing.T) {
 	m, acts := groupedModel(t)
 	cfgs := []arch.Config{
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe).WithWidth(fixed.W8),
-		arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup(dstripes.Name)),
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)).WithWidth(fixed.W8),
+		arch.NewTCL(sched.T(2, 5), backend.MustLookup(dstripes.Name)),
 	}
 	want := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {

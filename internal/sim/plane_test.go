@@ -19,13 +19,13 @@ import (
 // ungated variants at both widths.
 func serialConfigs() []arch.Config {
 	return []arch.Config{
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
-		arch.NewTCL(sched.L(1, 6), arch.TCLe),
-		arch.NewTCL(sched.Pattern{}, arch.TCLe), // no front-end: ungated masks
-		arch.NewTCL(sched.Pattern{}, arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLp).WithWidth(fixed.W8),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe).WithWidth(fixed.W8),
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
+		arch.TCLe(sched.L(1, 6)),
+		arch.TCLe(sched.Pattern{}), // no front-end: ungated masks
+		arch.TCLp(sched.Pattern{}),
+		arch.TCLp(sched.T(2, 5)).WithWidth(fixed.W8),
+		arch.TCLe(sched.T(2, 5)).WithWidth(fixed.W8),
 	}
 }
 
@@ -57,7 +57,7 @@ func TestPlaneWindowMinorLayout(t *testing.T) {
 	for _, windows := range []int{1, 5, 13} {
 		lw := testFC(t, 29, 20, 40, windows, 0.7)
 		checkPlaneMatchesAct(t, lw, serialConfigs())
-		p := buildPlane(lw, newCostTable(arch.TCLe.Impl(), fixed.W16), 0)
+		p := buildPlane(lw, newCostTable(backend.MustLookup("TCLe"), fixed.W16), 0)
 		slots := lw.Steps * lw.Lanes
 		if got, want := p.sizeBytes(), int64(windows*slots+8); got != want {
 			t.Fatalf("%d windows: plane holds %d bytes, want %d", windows, got, want)
@@ -117,7 +117,7 @@ func TestPlaneCacheSharing(t *testing.T) {
 	c := NewPlaneCache(0)
 	lw := testFC(t, 25, 20, 40, 18, 0.7)
 	lw2 := testFC(t, 26, 20, 40, 18, 0.7) // same geometry, different values
-	beE, beP := arch.TCLe.Impl(), arch.TCLp.Impl()
+	beE, beP := backend.MustLookup("TCLe"), backend.MustLookup("TCLp")
 	beSM := backend.MustLookup(dstripes.Name)
 	ctE := newCostTable(beE, fixed.W16)
 	ctP := newCostTable(beP, fixed.W16)
@@ -157,7 +157,7 @@ func TestPlaneCacheSharing(t *testing.T) {
 // only the inserting entry and counts the rest as evictions.
 func TestPlaneCacheEviction(t *testing.T) {
 	lw := testFC(t, 27, 20, 40, 18, 0.7)
-	beE, beP := arch.TCLe.Impl(), arch.TCLp.Impl()
+	beE, beP := backend.MustLookup("TCLe"), backend.MustLookup("TCLp")
 	ct := newCostTable(beE, fixed.W16)
 	one := buildPlane(lw, ct, 0).sizeBytes()
 	c := NewPlaneCache(one + one/2) // fits one plane, not two
@@ -179,18 +179,18 @@ func TestSimulateUsesSharedPlaneCache(t *testing.T) {
 	SharedPlanes.Reset()
 	defer SharedPlanes.Reset()
 	lw := testFC(t, 28, 20, 40, 18, 0.7)
-	simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{})
+	simLayer(t, arch.TCLe(sched.T(2, 5)), lw, Options{})
 	if st := SharedPlanes.Stats(); st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("after first run: %+v, want 1 miss / 1 entry", st)
 	}
 	// Different pattern, same back-end and width: must reuse the plane.
-	simLayer(t, arch.NewTCL(sched.L(1, 6), arch.TCLe), lw, Options{})
+	simLayer(t, arch.TCLe(sched.L(1, 6)), lw, Options{})
 	if st := SharedPlanes.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("after second run: %+v, want 1 hit / 1 miss", st)
 	}
 	// A plugin back-end at the same width must key its own plane, not hit
 	// the TCLe entry.
-	simLayer(t, arch.NewTCLBackend(sched.T(2, 5), backend.MustLookup(dstripes.Name)), lw, Options{})
+	simLayer(t, arch.NewTCL(sched.T(2, 5), backend.MustLookup(dstripes.Name)), lw, Options{})
 	if st := SharedPlanes.Stats(); st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("after plugin run: %+v, want 1 hit / 2 misses / 2 entries", st)
 	}
@@ -211,9 +211,9 @@ func TestSweepMatchesIndividualRuns(t *testing.T) {
 	acts := m.GenerateActs(7)
 	cfgs := []arch.Config{
 		arch.DaDianNaoPP(),
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
-		arch.NewTCL(sched.L(1, 6), arch.TCLe),
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
+		arch.TCLe(sched.L(1, 6)),
 	}
 	want := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {

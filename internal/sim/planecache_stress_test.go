@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"bittactical/internal/arch"
+	"bittactical/internal/backend"
 	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
 )
@@ -16,7 +16,7 @@ import (
 func TestPlaneCacheSingleFlight(t *testing.T) {
 	c := NewPlaneCache(0)
 	lw := testFC(t, 60, 20, 40, 18, 0.7)
-	be := arch.TCLe.Impl()
+	be := backend.MustLookup("TCLe")
 	ct := newCostTable(be, fixed.W16)
 
 	const n = 8
@@ -60,7 +60,7 @@ func TestPlaneCacheEvictionUnderConcurrentPressure(t *testing.T) {
 	for i := range cold {
 		cold[i] = testFC(t, int64(70+i), 20, 40, 18, 0.7)
 	}
-	be := arch.TCLe.Impl()
+	be := backend.MustLookup("TCLe")
 	ct := newCostTable(be, fixed.W16)
 	one := buildPlane(hot, ct, 0).sizeBytes()
 	want := buildPlane(hot, ct, 0)

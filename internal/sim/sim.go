@@ -787,11 +787,11 @@ func finishGroup(cfg arch.Config, ctx *groupCtx, partials []windowPartial, ws *w
 }
 
 // ceilDiv64 is ceil(a/b) for non-negative a. A non-positive divisor can
-// only come from a misconfigured architecture parameter (e.g. a hand-built
-// Config with PsumRegsPerPE = 0); returning a quietly would dress the
-// misconfiguration up as a plausible cycle count, so it panics instead. The
-// quotient-plus-remainder form cannot overflow for any a, unlike
-// (a+b-1)/b.
+// only come from a misconfigured architecture parameter that bypassed
+// Config.Validate (e.g. PsumRegsPerPE = 0); returning a quietly would
+// dress the misconfiguration up as a plausible cycle count, so it panics
+// instead. The quotient-plus-remainder form cannot overflow for any a,
+// unlike (a+b-1)/b.
 func ceilDiv64(a, b int64) int64 {
 	if b <= 0 {
 		panic(fmt.Sprintf("sim: ceilDiv64: non-positive divisor %d (misconfigured arch parameter?)", b))

@@ -102,11 +102,11 @@ func allConfigs() []arch.Config {
 	return []arch.Config{
 		arch.DaDianNaoPP(),
 		arch.FrontEndOnly(sched.T(2, 5)),
-		arch.NewTCL(sched.T(2, 5), arch.TCLp),
-		arch.NewTCL(sched.T(2, 5), arch.TCLe),
-		arch.NewTCL(sched.L(1, 6), arch.TCLe),
-		arch.NewTCL(sched.Pattern{}, arch.TCLe), // Pragmatic-like
-		arch.NewTCL(sched.Pattern{}, arch.TCLp), // Dynamic-Stripes-like
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
+		arch.TCLe(sched.L(1, 6)),
+		arch.TCLe(sched.Pattern{}), // Pragmatic-like
+		arch.TCLp(sched.Pattern{}), // Dynamic-Stripes-like
 	}
 }
 
@@ -188,8 +188,8 @@ func TestBackEndsBeatBitParallelOnLowPrecision(t *testing.T) {
 	// precision bits).
 	lw := testConv(t, 9, 32, 32, 3, 3, 8, 0.6, 0.4)
 	fe := simLayer(t, arch.FrontEndOnly(sched.T(2, 5)), lw, Options{}).Speedup()
-	p := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLp), lw, Options{}).Speedup()
-	e := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{}).Speedup()
+	p := simLayer(t, arch.TCLp(sched.T(2, 5)), lw, Options{}).Speedup()
+	e := simLayer(t, arch.TCLe(sched.T(2, 5)), lw, Options{}).Speedup()
 	if p <= fe {
 		t.Errorf("TCLp %.2f should beat front-end-only %.2f", p, fe)
 	}
@@ -203,8 +203,8 @@ func TestFrontEndBackEndNearMultiplicative(t *testing.T) {
 	// multiplicative". Allow generous tolerance for sync losses.
 	lw := testConv(t, 10, 32, 32, 3, 3, 8, 0.7, 0.4)
 	fe := simLayer(t, arch.FrontEndOnly(sched.T(2, 5)), lw, Options{}).Speedup()
-	be := simLayer(t, arch.NewTCL(sched.Pattern{}, arch.TCLe), lw, Options{}).Speedup()
-	both := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{}).Speedup()
+	be := simLayer(t, arch.TCLe(sched.Pattern{}), lw, Options{}).Speedup()
+	both := simLayer(t, arch.TCLe(sched.T(2, 5)), lw, Options{}).Speedup()
 	if both < 0.5*fe*be {
 		t.Errorf("combined %.2f far below product %.2f × %.2f", both, fe, be)
 	}
@@ -217,7 +217,7 @@ func TestBreakdownConservation(t *testing.T) {
 	// The lane-time census must exactly cover rows×lanes×Σ(column duration)
 	// summed over every window (W chosen as a multiple of the 16 columns).
 	lw := testConv(t, 11, 20, 24, 3, 3, 7, 0.6, 0.4) // 7x7 in, pad 1 -> 7x7 out? stride1 pad1 k3: out 7 -> 49 windows
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	r := simLayer(t, cfg, lw, Options{})
 	if r.BackEnd.Total() <= 0 {
 		t.Fatal("empty breakdown")
@@ -244,7 +244,7 @@ func TestBreakdownExactCoverage(t *testing.T) {
 	if lw.WindowCount != 16 {
 		t.Fatalf("want 16 windows, got %d", lw.WindowCount)
 	}
-	cfg := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	cfg := arch.TCLe(sched.T(2, 5))
 	r := simLayer(t, cfg, lw, Options{})
 	want := int64(cfg.FiltersPerTile) * int64(cfg.Lanes) * int64(cfg.WindowsPerTile) * r.Cycles
 	if got := r.BackEnd.Total(); got != want {
@@ -291,7 +291,7 @@ func TestPragmaticLikeIgnoresWeightSparsity(t *testing.T) {
 		lw, _ := nn.Lower(l, act, 16)
 		return lw
 	}
-	cfg := arch.NewTCL(sched.Pattern{}, arch.TCLe)
+	cfg := arch.TCLe(sched.Pattern{})
 	a := simLayer(t, cfg, mk(0.0), Options{}).Cycles
 	b := simLayer(t, cfg, mk(0.9), Options{}).Cycles
 	if a != b {
@@ -309,7 +309,7 @@ func TestTCLpCostIsGroupPrecision(t *testing.T) {
 	act := tensor.New(1, 16, 16, 16)
 	act.Fill(255)
 	lw, _ := nn.Lower(l, act, 16)
-	r := simLayer(t, arch.NewTCL(sched.Pattern{}, arch.TCLp), lw, Options{})
+	r := simLayer(t, arch.TCLp(sched.Pattern{}), lw, Options{})
 	// Dense: 1 column/window-group; 16 window groups ⇒ dense serial cycles
 	// = 16 groups × 8 bits.
 	if r.Cycles != 16*8 {
@@ -321,7 +321,7 @@ func TestReductionSplitFC(t *testing.T) {
 	// A single-window FC on a 16-column tile splits the reduction: cycles
 	// must be well below the serial single-column execution.
 	lw := testFC(t, 16, 16, 512, 1, 0.0)
-	cfg := arch.NewTCL(sched.Pattern{}, arch.TCLp)
+	cfg := arch.TCLp(sched.Pattern{})
 	r := simLayer(t, cfg, lw, Options{})
 	// Single-column serial would cost ~32 columns × ~cost; split by 16.
 	if r.Cycles >= r.DenseCycles*4 {
@@ -337,7 +337,7 @@ func TestSimulateModelAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	acts := m.GenerateActs(1)
-	res := simModel(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), m, acts, Options{})
+	res := simModel(t, arch.TCLe(sched.T(2, 5)), m, acts, Options{})
 	if len(res.Layers) != len(m.Layers) {
 		t.Fatalf("simulated %d of %d layers", len(res.Layers), len(m.Layers))
 	}
@@ -360,7 +360,7 @@ func TestSimulateModelRejectsInvalidConfig(t *testing.T) {
 }
 
 func TestCostTableValues(t *testing.T) {
-	e := newCostTable(arch.TCLe.Impl(), fixed.W16)
+	e := newCostTable(backend.MustLookup("TCLe"), fixed.W16)
 	if e.cost(0x008F) != 3 {
 		t.Errorf("TCLe cost(0x8F) = %d, want 3", e.cost(0x008F))
 	}
@@ -370,15 +370,15 @@ func TestCostTableValues(t *testing.T) {
 	if e.cost(-1) != 1 {
 		t.Errorf("TCLe cost(-1) = %d, want 1", e.cost(-1))
 	}
-	p := newCostTable(arch.TCLp.Impl(), fixed.W16)
+	p := newCostTable(backend.MustLookup("TCLp"), fixed.W16)
 	if p.cost(0x008E) != 7 {
 		t.Errorf("TCLp cost(0x8E) = %d, want 7", p.cost(0x008E))
 	}
-	bp := newCostTable(arch.BitParallel.Impl(), fixed.W16)
+	bp := newCostTable(backend.MustLookup("bit-parallel"), fixed.W16)
 	if bp.cost(12345) != 1 || bp.cost(0) != 1 {
 		t.Error("bit-parallel cost must be 1 for all values")
 	}
-	e8 := newCostTable(arch.TCLe.Impl(), fixed.W8)
+	e8 := newCostTable(backend.MustLookup("TCLe"), fixed.W8)
 	if e8.cost(127) != 2 { // 127 = +128-1
 		t.Errorf("8b TCLe cost(127) = %d, want 2", e8.cost(127))
 	}
@@ -406,7 +406,7 @@ func (b badCostBackend) Cost(v int32, w fixed.Width) int {
 // back-end stays inside the range at both widths.
 func TestCostTableRejectsOutOfRangeCost(t *testing.T) {
 	for _, cost := range []int{-1, maxLaneCost + 1} {
-		be := badCostBackend{Backend: arch.TCLe.Impl(), cost: cost}
+		be := badCostBackend{Backend: backend.MustLookup("TCLe"), cost: cost}
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
@@ -428,7 +428,7 @@ func TestCostTableRejectsOutOfRangeCost(t *testing.T) {
 
 func TestActivityCounts(t *testing.T) {
 	lw := testConv(t, 17, 16, 16, 3, 3, 6, 0.5, 0.4)
-	r := simLayer(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), lw, Options{})
+	r := simLayer(t, arch.TCLe(sched.T(2, 5)), lw, Options{})
 	a := r.Activity
 	if a.SerialLaneCycles <= 0 || a.WSColumnReads <= 0 || a.ActReads <= 0 ||
 		a.MuxSelects <= 0 || a.PsumAccesses <= 0 || a.OffsetEncodes <= 0 {
@@ -472,7 +472,7 @@ func TestResultAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	acts := m.GenerateActs(1)
-	res := simModel(t, arch.NewTCL(sched.T(2, 5), arch.TCLe), m, acts, Options{})
+	res := simModel(t, arch.TCLe(sched.T(2, 5)), m, acts, Options{})
 	fe := res.FrontEnd()
 	if fe.Columns <= 0 || fe.DenseSteps <= 0 {
 		t.Error("aggregated front-end census empty")
@@ -504,21 +504,25 @@ func TestLayerResultSpeedupZeroCycles(t *testing.T) {
 }
 
 // TestSimulateLayerRejectsBadGeometry pins the single-layer entry's
-// validation: a config whose lane count differs from the lowering's, and
-// one with no filters per tile, are errors — not a construction-bug panic
-// or an integer divide by zero inside the engine.
+// validation: a config whose lane count differs from the lowering's, one
+// with no filters per tile, and one with no partial-sum registers are
+// errors — not a construction-bug panic or an integer divide by zero inside
+// the engine.
 func TestSimulateLayerRejectsBadGeometry(t *testing.T) {
 	lw := testConv(t, 40, 4, 16, 1, 1, 4, 0, 0)
 	lanes := arch.DaDianNaoPP()
 	lanes.Lanes = 8
-	zero := arch.NewTCL(sched.T(2, 5), arch.TCLe)
+	zero := arch.TCLe(sched.T(2, 5))
 	zero.FiltersPerTile = 0
+	psum := arch.TCLe(sched.T(2, 5))
+	psum.PsumRegsPerPE = 0
 	for _, tc := range []struct {
 		cfg  arch.Config
 		want string
 	}{
 		{lanes, "lowered at 16"},
 		{zero, "non-positive geometry"},
+		{psum, "non-positive geometry"},
 	} {
 		_, err := SimulateLayerContext(context.Background(), tc.cfg, lw, Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -23,7 +23,7 @@ func evalWindowsScalar(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costT
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
 	mw := laneWords(lanes)
 	wp := windowPartial{peTotals: dst}
-	laneCost := make([]uint8, padLanes(lanes))
+	laneCost := make([]uint8, lanes)
 	all := fullLaneMask(lanes)
 	for w0 := wLo; w0 < wHi; w0 += wg {
 		w1 := min(w0+wg, wHi)
@@ -66,6 +66,20 @@ func evalWindowsScalar(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costT
 		}
 	}
 	return wp
+}
+
+// columnMaxScalar is the reference column max, max(1, max cost over
+// participating lanes): the cycles a PE spends on one schedule column. mask
+// holds 0xFF bytes for participating lanes and 0x00 elsewhere. The floor of
+// 1 models the column issue slot.
+func columnMaxScalar(cost []uint8, mask []uint64) int {
+	peMax := 1
+	for ln := 0; ln < len(cost); ln++ {
+		if mask[ln>>3]>>(8*uint(ln&7))&0xff != 0 && int(cost[ln]) > peMax {
+			peMax = int(cost[ln])
+		}
+	}
+	return peMax
 }
 
 // windowLayer builds a small random layer lowered at the given lane count:
@@ -148,14 +162,14 @@ func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, nCh
 // windowConfig is a serial config reshaped to the given geometry: gated
 // (T<2,5> front-end) or not, TCLe or TCLp, at 16 or 8 bits.
 func windowConfig(gated, tclp, w8 bool, lanes, wg int) arch.Config {
-	p, be := sched.Pattern{}, arch.TCLe
+	p, tcl := sched.Pattern{}, arch.TCLe
 	if gated {
 		p = sched.T(2, 5)
 	}
 	if tclp {
-		be = arch.TCLp
+		tcl = arch.TCLp
 	}
-	cfg := arch.NewTCL(p, be)
+	cfg := tcl(p)
 	if w8 {
 		cfg = cfg.WithWidth(fixed.W8)
 	}
