@@ -86,26 +86,28 @@ shard-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$'
 
-# Baseline regeneration. A contended run (requested parallelism beyond
-# GOMAXPROCS) refuses to overwrite an existing baseline; pass FORCE=1 to
-# override with the contamination recorded honestly in the file.
+# Baseline regeneration, through the same tclbench command CI's "Emit
+# multi-core baselines" step runs. A contended run (requested parallelism
+# beyond GOMAXPROCS) refuses to overwrite an existing baseline; pass FORCE=1
+# to override with the contamination recorded honestly in the file.
 FORCE ?=
+BENCH_EMIT = $(GO) run ./cmd/tclbench$(if $(FORCE), -force) -emit
 
 # Regenerate BENCH_sim.json: fig8/fig11 ns/op at Parallelism 1 and 8.
 bench-sim:
-	TCL_BENCH_SIM=1 TCL_BENCH_FORCE=$(FORCE) $(GO) test -run TestEmitBenchSim -v -timeout 60m
+	$(BENCH_EMIT) sim
 
 # Regenerate BENCH_sched.json: scheduler kernel vs reference ns/op and
 # allocs/op across the Table-2 pattern x algorithm sweep.
 bench-sched:
-	TCL_BENCH_SCHED=1 TCL_BENCH_FORCE=$(FORCE) $(GO) test ./internal/sched -run TestEmitBenchSched -v -timeout 30m
+	$(BENCH_EMIT) sched
 
 # Regenerate BENCH_serve.json: request latency percentiles, throughput and
 # coalesce hit rate for the tclserve HTTP tier under three load shapes,
 # plus deterministic shard-balance rows (max/mean predicted shard cost for
 # the LPT partitioner vs round-robin on every zoo model).
 bench-serve:
-	TCL_BENCH_SERVE=1 TCL_BENCH_FORCE=$(FORCE) $(GO) test -run TestEmitBenchServe -v -timeout 30m
+	$(BENCH_EMIT) serve
 
 # Differential fuzz of the optimized scheduling kernel against the reference
 # implementation (FUZZTIME defaults to 30s; raise for soak runs).

@@ -8,12 +8,10 @@
 package bittactical_test
 
 import (
-	"os"
 	"strconv"
 	"strings"
 	"testing"
 
-	"bittactical/internal/bench"
 	"bittactical/internal/experiments"
 	"bittactical/internal/nn"
 )
@@ -136,44 +134,6 @@ func BenchmarkFig12(b *testing.B) {
 
 func BenchmarkFig13(b *testing.B) {
 	runExperiment(b, "fig13", rowMetric("TCLe<2,5>", "tcle-8b-speedup"))
-}
-
-// TestEmitBenchSim regenerates BENCH_sim.json through the shared
-// internal/bench sim suite (fig8/fig11 runners at parallelism 1 and 8,
-// caches reset per iteration). Gated behind TCL_BENCH_SIM=1 (`make
-// bench-sim`); a contended run refuses to overwrite the committed
-// baseline unless TCL_BENCH_FORCE=1 (`make bench-sim FORCE=1`).
-func TestEmitBenchSim(t *testing.T) {
-	if os.Getenv("TCL_BENCH_SIM") == "" {
-		t.Skip("set TCL_BENCH_SIM=1 to regenerate BENCH_sim.json")
-	}
-	f, err := bench.RunSim(t.Logf, bench.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bench.WriteBaseline("BENCH_sim.json", f, os.Getenv("TCL_BENCH_FORCE") != ""); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEmitBenchServe regenerates BENCH_serve.json through the shared
-// internal/bench serve suite: a fresh in-process tclserve behind loopback
-// HTTP, driven by the tclload machinery over three load shapes (unique
-// requests, hot coalesced repeats, streamed repeats), plus deterministic
-// shard-balance rows — max/mean predicted shard cost for the LPT
-// partitioner vs round-robin on every zoo model. Gated behind
-// TCL_BENCH_SERVE=1 (`make bench-serve`).
-func TestEmitBenchServe(t *testing.T) {
-	if os.Getenv("TCL_BENCH_SERVE") == "" {
-		t.Skip("set TCL_BENCH_SERVE=1 to regenerate BENCH_serve.json")
-	}
-	f, err := bench.RunServe(t.Logf, bench.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bench.WriteBaseline("BENCH_serve.json", f, os.Getenv("TCL_BENCH_FORCE") != ""); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // BenchmarkScheduler isolates the paper's core contribution: Algorithm 1 on

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
 	"bittactical/internal/sched"
 	"bittactical/internal/wsformat"
@@ -65,12 +64,7 @@ func main() {
 	}
 	var jobs []job
 	for _, lw := range lws {
-		pad := make([]bool, lw.Steps*lw.Lanes)
-		for st := 0; st < lw.Steps; st++ {
-			for ln := 0; ln < lw.Lanes; ln++ {
-				pad[st*lw.Lanes+ln] = lw.IsPad(st, ln)
-			}
-		}
+		pad := lw.PadMask()
 		for f0 := 0; f0 < lw.Filters; f0 += 16 {
 			f1 := f0 + 16
 			if f1 > lw.Filters {
@@ -164,7 +158,6 @@ func main() {
 		columns, denseCols, float64(denseCols)/float64(columns))
 	fmt.Printf("WS images: %.1f KB (raw dense weights: %.1f KB; ws+ALC overhead included)\n",
 		float64(imgBits)/8/1024, float64(rawBits)/8/1024)
-	_ = fixed.W16
 	if *out != "" {
 		if err := os.WriteFile(*out, blob, 0o644); err != nil {
 			fatal(err)

@@ -7,6 +7,7 @@
 //
 //	tclsched -pattern 'T8<2,5>' -sparsity 0.7 -steps 18 -dump
 //	tclsched -pattern 'L8<1,6>' -alg greedy -sparsity 0.9
+//	tclsched -alg matching                                   # column-optimal scheduler
 //	tclsched -steps 288 -repeat 1000 -cpuprofile sched.out   # profile Algorithm 1
 package main
 
@@ -24,7 +25,7 @@ import (
 func main() {
 	var (
 		patName  = flag.String("pattern", "T8<2,5>", "connectivity pattern (see -patterns)")
-		alg      = flag.String("alg", "algorithm1", "scheduler: algorithm1 | greedy")
+		alg      = flag.String("alg", "algorithm1", "scheduler: algorithm1 | greedy | matching")
 		sp       = flag.Float64("sparsity", 0.7, "weight sparsity in [0,1]")
 		steps    = flag.Int("steps", 18, "dense schedule steps (3x3x512/16 = 288 in fig11)")
 		lanes    = flag.Int("lanes", 16, "weight lanes")
@@ -60,11 +61,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tclsched:", err)
 		os.Exit(2)
 	}
-	a := sched.Algorithm1
-	if *alg == "greedy" {
-		a = sched.GreedySimple
-	} else if *alg != "algorithm1" {
-		fmt.Fprintf(os.Stderr, "tclsched: unknown algorithm %q\n", *alg)
+	a, err := sched.AlgorithmByName(*alg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tclsched:", err)
 		os.Exit(2)
 	}
 

@@ -19,8 +19,8 @@
 // request's content fingerprint, so repeat sweeps are served without
 // touching the engine. With -workers url,url,… the process becomes a
 // coordinator: each sweep's (config, layer) grid is split across the named
-// worker tclserves — layers packed by predicted cost (-shard-partition lpt)
-// — and merged deterministically (bit-identical to a single-process run at
+// worker tclserves — layers packed by predicted cost (LPT bin packing) —
+// and merged deterministically (bit-identical to a single-process run at
 // any worker count). A failed worker's slice is re-dispatched to survivors
 // (-shard-retries/-shard-backoff), and background /healthz probes
 // (-health-interval) keep known-dead workers out of new partitions, so a
@@ -69,8 +69,6 @@ func main() {
 			"pause before the first re-dispatch round, doubling per round (0 = default of 50ms, negative disables)")
 		healthInterval = flag.Duration("health-interval", 5*time.Second,
 			"period of the coordinator's background worker /healthz probes (<= 0 disables probing)")
-		partition = flag.String("shard-partition", "lpt",
-			"layer partitioning strategy: lpt (cost-balanced) or roundrobin")
 	)
 	flag.Parse()
 
@@ -83,7 +81,6 @@ func main() {
 		ShardRetries:   *shardRetries,
 		ShardBackoff:   *shardBackoff,
 		HealthInterval: *healthInterval,
-		Partition:      *partition,
 	}
 	if *workers != "" {
 		for _, w := range strings.Split(*workers, ",") {

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"bittactical/internal/arch"
 	"bittactical/internal/backend"
 	_ "bittactical/internal/backend/dstripes" // register the plugin back-end
-	"bittactical/internal/nn"
 	"bittactical/internal/sched"
-	"bittactical/internal/sim"
 )
 
 // configSweep runs an arbitrary config list over the workloads and renders a
@@ -20,37 +17,14 @@ func configSweep(o Options, wls []*workload, cfgs []arch.Config, id, title strin
 	for i := range cfgs {
 		cfgs[i] = cfgs[i].WithWidth(wls[0].Model.Width)
 	}
-	t := &Table{ID: id, Title: title, Header: []string{"Config"}}
-	for _, wl := range wls {
-		t.Header = append(t.Header, wl.Model.Name)
-	}
-	t.Header = append(t.Header, "Geomean")
-
-	// All (config, model) cells run as one batched engine invocation —
-	// parallelism flows through the engine pool, and steady-state re-runs
-	// reuse the pooled sweep state and per-worker arenas wholesale.
-	cellCfgs := make([]arch.Config, 0, len(cfgs)*len(wls))
-	lwss := make([][]*nn.Lowered, 0, len(cfgs)*len(wls))
-	for _, cfg := range cfgs {
-		for _, wl := range wls {
-			cellCfgs = append(cellCfgs, cfg)
-			lwss = append(lwss, wl.Low)
-		}
-	}
-	layerss, err := sim.SimulateLoweredSweepContext(context.Background(), cellCfgs, lwss, o.simOpts())
+	cells, err := simulateCells(o, cfgs, wls, nil)
 	if err != nil {
 		return nil, err
 	}
+	t := &Table{ID: id, Title: title, Header: modelHeader("Config", wls)}
 	for ci, cfg := range cfgs {
 		label := fmt.Sprintf("%s<%d,%d>", cfg.Backend.Name(), cfg.Pattern.H, cfg.Pattern.D)
-		row := []string{label}
-		speed := make([]float64, len(wls))
-		for wi := range wls {
-			speed[wi] = speedupOf(layerss[ci*len(wls)+wi])
-			row = append(row, f1(speed[wi]))
-		}
-		row = append(row, f1(geomean(speed)))
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, speedupRow(label, speedups(cells[ci]), f1))
 	}
 	return t, nil
 }

@@ -4,6 +4,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"bittactical/internal/arch"
 	"bittactical/internal/cache"
 	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
@@ -31,7 +33,10 @@ type Options struct {
 	// Trials is the per-point filter count for Figure 11 (0 = the paper's
 	// 100).
 	Trials int
-	// Parallelism bounds worker goroutines (0 = GOMAXPROCS).
+	// Parallelism bounds worker goroutines (0 = GOMAXPROCS): the engine
+	// pool of a figure's one batched simulation, and separately the
+	// parallelDo fan-out of the work outside the engine (model builds,
+	// traffic pricing, scheduling censuses, analytic baselines).
 	Parallelism int
 }
 
@@ -63,9 +68,10 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// simOpts threads the experiment worker budget into the simulation engine,
-// so one flag governs both the job-level fan-out (configs × models) and the
-// per-simulation (layer, filter-group) pool.
+// simOpts threads the experiment worker budget into the simulation engine.
+// Every simulating runner makes exactly one engine call (simulateCells),
+// so the engine's (layer, filter-group) pool is the only parallelism
+// around simulation: no job-level fan-out wraps it.
 func (o Options) simOpts() sim.Options {
 	return sim.Options{Parallelism: o.Parallelism}
 }
@@ -140,6 +146,53 @@ type workload struct {
 	Model *nn.Model
 	Acts  []*tensor.T
 	Low   []*nn.Lowered
+}
+
+// convOnly selects the convolutional layers: Figures 8c and 12 and the
+// related-work baselines leave FC layers out (Section 6.2 and 6.4).
+func convOnly(l *nn.Layer) bool { return l.Kind != nn.FC }
+
+// layers returns the workload's lowered layers that keep accepts, in model
+// order; a nil keep returns them all.
+func (wl *workload) layers(keep func(*nn.Layer) bool) []*nn.Lowered {
+	if keep == nil {
+		return wl.Low
+	}
+	var out []*nn.Lowered
+	for li, lw := range wl.Low {
+		if keep(wl.Model.Layers[li]) {
+			out = append(out, lw)
+		}
+	}
+	return out
+}
+
+// simulateCells runs every (config, workload) cell of a figure as one
+// batched engine invocation and returns the layer results as
+// cells[config][workload]. When keep is non-nil each cell holds only the
+// layers keep accepts, in model order. Configs run exactly as given: a
+// runner that wants them at the zoo width applies WithWidth itself.
+// Parallelism flows through the engine's own pool, which is what lets the
+// pooled sweep state and worker arenas reach their zero-alloc steady state
+// across the whole figure.
+func simulateCells(o Options, cfgs []arch.Config, wls []*workload, keep func(*nn.Layer) bool) ([][][]sim.LayerResult, error) {
+	cellCfgs := make([]arch.Config, 0, len(cfgs)*len(wls))
+	lwss := make([][]*nn.Lowered, 0, len(cfgs)*len(wls))
+	for _, cfg := range cfgs {
+		for _, wl := range wls {
+			cellCfgs = append(cellCfgs, cfg)
+			lwss = append(lwss, wl.layers(keep))
+		}
+	}
+	layerss, err := sim.SimulateLoweredSweepContext(context.Background(), cellCfgs, lwss, o.simOpts())
+	if err != nil {
+		return nil, err
+	}
+	cells := make([][][]sim.LayerResult, len(cfgs))
+	for ci := range cells {
+		cells[ci] = layerss[ci*len(wls) : (ci+1)*len(wls)]
+	}
+	return cells, nil
 }
 
 // workloadKey is everything a built workload depends on: the (fully
@@ -288,8 +341,8 @@ func f1(v float64) string { return fx(v, 1) }
 func f2(v float64) string { return fx(v, 2) }
 
 // speedupOf is sim.Result.Speedup over a bare layer slice: total dense
-// cycles against total actual cycles. The batched figure runners consume
-// engine cells as []sim.LayerResult without assembling a Result per cell.
+// cycles against total actual cycles. The figure runners consume engine
+// cells as []sim.LayerResult without assembling a Result per cell.
 func speedupOf(layers []sim.LayerResult) float64 {
 	var cycles, dense int64
 	for i := range layers {
@@ -300,6 +353,37 @@ func speedupOf(layers []sim.LayerResult) float64 {
 		return 1
 	}
 	return float64(dense) / float64(cycles)
+}
+
+// speedups is speedupOf over one config's row of cells, one per workload.
+func speedups(row [][]sim.LayerResult) []float64 {
+	out := make([]float64, len(row))
+	for wi, layers := range row {
+		out[wi] = speedupOf(layers)
+	}
+	return out
+}
+
+// modelHeader is a per-model table header: the first column's title, one
+// column per workload, then the geomean.
+func modelHeader(first string, wls []*workload) []string {
+	h := make([]string, 0, len(wls)+2)
+	h = append(h, first)
+	for _, wl := range wls {
+		h = append(h, wl.Model.Name)
+	}
+	return append(h, "Geomean")
+}
+
+// speedupRow renders one row under a modelHeader: the label, one cell per
+// workload, then their geomean, each formatted by f.
+func speedupRow(label string, speed []float64, f func(float64) string) []string {
+	row := make([]string, 0, len(speed)+2)
+	row = append(row, label)
+	for _, v := range speed {
+		row = append(row, f(v))
+	}
+	return append(row, f(geomean(speed)))
 }
 
 // Registry maps experiment ids to runners.

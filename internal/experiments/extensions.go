@@ -9,12 +9,8 @@ import (
 	"bittactical/internal/memory"
 	"bittactical/internal/nn"
 	"bittactical/internal/sched"
-	"bittactical/internal/sim"
 	"bittactical/internal/sparsity"
 )
-
-// newDeterministicRand builds a seeded source for parallel workers.
-func newDeterministicRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // SSCoverage quantifies the Section 5.4 reduced-memory front-end: the
 // fraction of schedule columns whose mux-select vector falls within a
@@ -41,12 +37,7 @@ func SSCoverage(o Options) (*Table, error) {
 		wl := wls[wi]
 		var r res
 		for _, lw := range wl.Low {
-			pad := make([]bool, lw.Steps*lw.Lanes)
-			for st := 0; st < lw.Steps; st++ {
-				for ln := 0; ln < lw.Lanes; ln++ {
-					pad[st*lw.Lanes+ln] = lw.IsPad(st, ln)
-				}
-			}
+			pad := lw.PadMask()
 			for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
 				f1 := f0 + cfg.FiltersPerTile
 				if f1 > lw.Filters {
@@ -79,18 +70,11 @@ func SSCoverage(o Options) (*Table, error) {
 			fmt.Sprintf("%.0f%%", cov*100),
 			fmt.Sprintf("%.1f", float64(r.raw)/8/1024),
 			fmt.Sprintf("%.1f", float64(r.ss)/8/1024),
-			fmt.Sprintf("%.2fx", float64(r.raw)/float64(max64(1, r.ss))),
+			fmt.Sprintf("%.2fx", float64(r.raw)/float64(max(1, r.ss))),
 		})
 	}
 	t.Notes = append(t.Notes, "paper profiles ~96% coverage for GoogLeNet-ES and leaves evaluation as future work")
 	return t, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AblationSync isolates the synchronization costs DESIGN.md calls out: per
@@ -111,20 +95,19 @@ func AblationSync(o Options) (*Table, error) {
 		Header: []string{"Model", "FE joint", "FE per-filter", "group sync cost",
 			"TCLe", "FExBE ideal-free", "backend sync cost"},
 	}
+	// Realized TCLe, and the Pragmatic back-end alone for the ideal-free
+	// product.
+	cells, err := simulateCells(o, []arch.Config{arch.TCLe(p), arch.TCLe(sched.Pattern{})}, wls, nil)
+	if err != nil {
+		return nil, err
+	}
+	// The scheduling census is the work outside the engine.
 	type res struct{ feJoint, feSolo, tcle, ideal float64 }
 	rs := make([]res, len(wls))
-	errs := make([]error, len(wls))
 	parallelDo(o, len(wls), func(wi int) {
-		wl := wls[wi]
-		var r res
 		var jointCols, soloCols, dense int64
-		for _, lw := range wl.Low {
-			pad := make([]bool, lw.Steps*lw.Lanes)
-			for st := 0; st < lw.Steps; st++ {
-				for ln := 0; ln < lw.Lanes; ln++ {
-					pad[st*lw.Lanes+ln] = lw.IsPad(st, ln)
-				}
-			}
+		for _, lw := range wls[wi].Low {
+			pad := lw.PadMask()
 			w := int64(lw.WindowCount)
 			for f0 := 0; f0 < lw.Filters; f0 += 16 {
 				f1 := f0 + 16
@@ -149,28 +132,15 @@ func AblationSync(o Options) (*Table, error) {
 				dense += int64(lw.Steps) * w
 			}
 		}
-		r.feJoint = float64(dense) / float64(max64(1, jointCols))
-		r.feSolo = float64(dense) / float64(max64(1, soloCols))
-		tcle, err := simulateAll(o, arch.TCLe(p), wl, nil)
-		if err != nil {
-			errs[wi] = err
-			return
+		feJoint := float64(dense) / float64(max(1, jointCols))
+		rs[wi] = res{
+			feJoint: feJoint,
+			feSolo:  float64(dense) / float64(max(1, soloCols)),
+			tcle:    speedupOf(cells[0][wi]),
+			// Ideal-free product: FE joint × per-value Ae over the layers.
+			ideal: feJoint * speedupOf(cells[1][wi]),
 		}
-		r.tcle = tcle.Speedup()
-		// Ideal-free product: FE joint × per-value Ae over the layers.
-		be, err := simulateAll(o, arch.TCLe(sched.Pattern{}), wl, nil)
-		if err != nil {
-			errs[wi] = err
-			return
-		}
-		r.ideal = r.feJoint * be.Speedup()
-		rs[wi] = r
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	for wi, wl := range wls {
 		r := rs[wi]
 		t.Rows = append(t.Rows, []string{
@@ -183,8 +153,6 @@ func AblationSync(o Options) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"group sync: cost of the shared ASU window across a tile's 16 filters (Section 5.2)",
 		"backend sync: the gap between realized TCLe and the front-end x Pragmatic-back-end product")
-	_ = nn.ModelNames
-	_ = sim.Breakdown{}
 	return t, nil
 }
 
@@ -225,7 +193,7 @@ func StructuredSparsity(o Options) (*Table, error) {
 	rows := make([][2]float64, len(levels))
 	parallelDo(o, len(levels)*2, func(ji int) {
 		li, structured := ji/2, ji%2 == 1
-		rng := newDeterministicRand(o.seed()*77 + int64(li))
+		rng := rand.New(rand.NewSource(o.seed()*77 + int64(li)))
 		var cols, dense int64
 		for trial := 0; trial < o.trials()/4+1; trial++ {
 			fs := make([]sched.Filter, group)

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"bittactical/internal/arch"
 	"bittactical/internal/memory"
 	"bittactical/internal/sched"
-	"bittactical/internal/sim"
 )
 
 // Fig10 reproduces Figure 10: TCLp and TCLe (T<2,5>) speedup over
@@ -33,49 +31,38 @@ func Fig10(o Options) (*Table, error) {
 	}
 	t.Header = append(t.Header, "peak fps", "eff TOPS")
 
+	cells, err := simulateCells(o, cfgs, wls, nil)
+	if err != nil {
+		return nil, err
+	}
 	type res struct {
 		speed   []float64
 		fps     float64
 		effTOPS float64
 	}
-	grid := make([][]res, len(wls))
-	for i := range grid {
-		grid[i] = make([]res, len(cfgs))
+	grid := make([][]res, len(cfgs))
+	for ci := range grid {
+		grid[ci] = make([]res, len(wls))
 	}
-	errs := make([]error, len(wls)*len(cfgs))
-	parallelDo(o, len(wls)*len(cfgs), func(i int) {
-		wi, ci := i/len(cfgs), i%len(cfgs)
-		wl, cfg := wls[wi], cfgs[ci]
+	// Pricing the traffic is the work outside the engine: one job per cell.
+	base := arch.DaDianNaoPP()
+	parallelDo(o, len(cfgs)*len(wls), func(i int) {
+		ci, wi := i/len(wls), i%len(wls)
+		cfg, layers := cfgs[ci], cells[ci][wi]
 		// Per-layer compute cycles and traffic are technology-independent.
-		type layerRun struct {
-			compute, baseCompute int64
-			traffic              memory.Traffic
-			baseTraffic          memory.Traffic
-			macs                 int64
-		}
-		base := arch.DaDianNaoPP()
-		runs := make([]layerRun, len(wl.Low))
-		for li, lw := range wl.Low {
-			r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, o.simOpts())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			runs[li] = layerRun{
-				compute:     r.Cycles,
-				baseCompute: r.DenseCycles,
-				traffic:     memory.LayerTraffic(cfg, lw),
-				baseTraffic: memory.LayerTraffic(base, lw),
-				macs:        r.MACs,
-			}
+		traffic := make([]memory.Traffic, len(layers))
+		baseTraffic := make([]memory.Traffic, len(layers))
+		for li, lw := range wls[wi].Low {
+			traffic[li] = memory.LayerTraffic(cfg, lw)
+			baseTraffic[li] = memory.LayerTraffic(base, lw)
 		}
 		out := res{speed: make([]float64, len(memory.Techs))}
 		for ti, tech := range memory.Techs {
 			var tcl, dense, macs int64
-			for _, lr := range runs {
-				tcl += memory.BoundedCycles(lr.compute, lr.traffic, tech, cfg.FrequencyGHz)
-				dense += memory.BoundedCycles(lr.baseCompute, lr.baseTraffic, tech, cfg.FrequencyGHz)
-				macs += lr.macs
+			for li, r := range layers {
+				tcl += memory.BoundedCycles(r.Cycles, traffic[li], tech, cfg.FrequencyGHz)
+				dense += memory.BoundedCycles(r.DenseCycles, baseTraffic[li], tech, cfg.FrequencyGHz)
+				macs += r.MACs
 			}
 			if tcl > 0 {
 				out.speed[ti] = float64(dense) / float64(tcl)
@@ -86,16 +73,11 @@ func Fig10(o Options) (*Table, error) {
 				out.effTOPS = 2 * float64(macs) * out.fps / 1e12
 			}
 		}
-		grid[wi][ci] = out
+		grid[ci][wi] = out
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	for wi, wl := range wls {
 		for ci, cfg := range cfgs {
-			r := grid[wi][ci]
+			r := grid[ci][wi]
 			row := []string{wl.Model.Name, cfg.Backend.Name()}
 			for _, s := range r.speed {
 				row = append(row, f2(s))

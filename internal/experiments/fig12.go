@@ -4,7 +4,6 @@ import (
 	"bittactical/internal/accel"
 	"bittactical/internal/arch"
 	"bittactical/internal/fixed"
-	"bittactical/internal/nn"
 	"bittactical/internal/sched"
 )
 
@@ -19,42 +18,29 @@ func Fig12(o Options) (*Table, error) {
 		return nil, err
 	}
 	labels := []string{"DaDianNao++", "SCNN", "SCNNp", "DStripes", "Pragmatic", "TCLp<2,5>", "TCLe<2,5>"}
-	t := &Table{ID: "fig12", Title: "Performance vs other accelerators (conv layers)", Header: []string{"Accelerator"}}
-	for _, wl := range wls {
-		t.Header = append(t.Header, wl.Model.Name)
+	// The simulated designs, and the label rows they fill; SCNN and SCNNp
+	// (rows 1 and 2) are analytic.
+	simRows := []int{0, 3, 4, 5, 6}
+	simCfgs := []arch.Config{
+		arch.DaDianNaoPP(),
+		arch.TCLp(sched.Pattern{}), // Dynamic Stripes
+		arch.TCLe(sched.Pattern{}), // Pragmatic
+		arch.TCLp(sched.T(2, 5)),
+		arch.TCLe(sched.T(2, 5)),
 	}
-	t.Header = append(t.Header, "Geomean")
-
+	cells, err := simulateCells(o, simCfgs, wls, convOnly)
+	if err != nil {
+		return nil, err
+	}
 	speed := make([][]float64, len(labels))
-	for i := range speed {
-		speed[i] = make([]float64, len(wls))
+	for ci, row := range simRows {
+		speed[row] = speedups(cells[ci])
 	}
-	errs := make([]error, len(wls))
+	speed[1], speed[2] = make([]float64, len(wls)), make([]float64, len(wls))
 	parallelDo(o, len(wls), func(wi int) {
 		wl := wls[wi]
-		convOnly := func(l *nn.Layer) bool { return l.Kind != nn.FC }
-		// sim-backed designs.
-		simCfgs := map[int]arch.Config{
-			0: arch.DaDianNaoPP(),
-			3: arch.TCLp(sched.Pattern{}), // Dynamic Stripes
-			4: arch.TCLe(sched.Pattern{}), // Pragmatic
-			5: arch.TCLp(sched.T(2, 5)),
-			6: arch.TCLe(sched.T(2, 5)),
-		}
-		for idx, cfg := range simCfgs {
-			res, err := simulateAll(o, cfg, wl, convOnly)
-			if err != nil {
-				errs[wi] = err
-				return
-			}
-			speed[idx][wi] = res.Speedup()
-		}
-		// Analytic baselines.
 		var scnnC, scnnD, scnnpC int64
-		for li, lw := range wl.Low {
-			if wl.Model.Layers[li].Kind == nn.FC {
-				continue
-			}
+		for _, lw := range wl.layers(convOnly) {
 			r := accel.SCNN(lw)
 			scnnC += r.Cycles
 			scnnD += r.DenseCycles
@@ -67,18 +53,9 @@ func Fig12(o Options) (*Table, error) {
 			speed[2][wi] = float64(scnnD) / float64(scnnpC)
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	t := &Table{ID: "fig12", Title: "Performance vs other accelerators (conv layers)", Header: modelHeader("Accelerator", wls)}
 	for i, label := range labels {
-		row := []string{label}
-		for wi := range wls {
-			row = append(row, f1(speed[i][wi]))
-		}
-		row = append(row, f1(geomean(speed[i])))
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, speedupRow(label, speed[i], f1))
 	}
 	t.Notes = append(t.Notes,
 		"DStripes/Pragmatic are the TCL back-ends without the front-end (Section 7's taxonomy)",
@@ -95,22 +72,13 @@ func ExtendedBaselines(o Options) (*Table, error) {
 		return nil, err
 	}
 	labels := []string{"Cambricon-X", "Cnvlutin"}
-	t := &Table{ID: "baselines-ext", Title: "Related-work accelerators (conv layers)", Header: []string{"Accelerator"}}
-	for _, wl := range wls {
-		t.Header = append(t.Header, wl.Model.Name)
-	}
-	t.Header = append(t.Header, "Geomean")
 	speed := make([][]float64, len(labels))
 	for i := range speed {
 		speed[i] = make([]float64, len(wls))
 	}
 	parallelDo(o, len(wls), func(wi int) {
-		wl := wls[wi]
 		var cxC, cxD, cvC int64
-		for li, lw := range wl.Low {
-			if wl.Model.Layers[li].Kind == nn.FC {
-				continue
-			}
+		for _, lw := range wls[wi].layers(convOnly) {
 			r := accel.CambriconX(lw)
 			cxC += r.Cycles
 			cxD += r.DenseCycles
@@ -123,13 +91,9 @@ func ExtendedBaselines(o Options) (*Table, error) {
 			speed[1][wi] = float64(cxD) / float64(cvC)
 		}
 	})
+	t := &Table{ID: "baselines-ext", Title: "Related-work accelerators (conv layers)", Header: modelHeader("Accelerator", wls)}
 	for i, label := range labels {
-		row := []string{label}
-		for wi := range wls {
-			row = append(row, f1(speed[i][wi]))
-		}
-		row = append(row, f1(geomean(speed[i])))
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, speedupRow(label, speed[i], f1))
 	}
 	return t, nil
 }
@@ -141,5 +105,5 @@ func Fig13(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return backEndSweep(o, wls, "fig13", "Speedup with 8b quantization (all layers)")
+	return configSweep(o, wls, fig8bConfigs(), "fig13", "Speedup with 8b quantization (all layers)")
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"bittactical/internal/arch"
@@ -30,45 +29,20 @@ func Fig9(o Options) (*Table, error) {
 			"useful", "colsync", "tilesync", "Azero", "Wzero", "bothzero", // back-end (h-n)
 		},
 	}
-	type rowData struct {
-		model, layer string
-		fe           sched.Stats
-		be           sim.Breakdown
+	cells, err := simulateCells(o, []arch.Config{cfg}, wls, nil)
+	if err != nil {
+		return nil, err
 	}
-	var mu []([]rowData) = make([][]rowData, len(wls))
-	errs := make([]error, len(wls))
-	parallelDo(o, len(wls), func(wi int) {
-		wl := wls[wi]
-		picks := representativeLayers(len(wl.Low))
-		var total sim.LayerResult
-		var rows []rowData
-		for li, lw := range wl.Low {
-			r, err := sim.SimulateLayerContext(context.Background(), cfg, lw, o.simOpts())
-			if err != nil {
-				errs[wi] = err
-				return
-			}
-			total.BackEnd.Add(r.BackEnd)
-			total.FrontEnd.Columns += r.FrontEnd.Columns
-			for k := range total.FrontEnd.Slots {
-				total.FrontEnd.Slots[k] += r.FrontEnd.Slots[k]
-			}
+	for wi, wl := range wls {
+		layers := cells[0][wi]
+		picks := representativeLayers(len(layers))
+		for li, r := range layers {
 			if picks[li] {
-				rows = append(rows, rowData{wl.Model.Name, lw.Name, r.FrontEnd, r.BackEnd})
+				t.Rows = append(t.Rows, formatFig9Row(wl.Model.Name, r.Name, r.FrontEnd, r.BackEnd))
 			}
 		}
-		rows = append(rows, rowData{wl.Model.Name, "Total", total.FrontEnd, total.BackEnd})
-		mu[wi] = rows
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, rows := range mu {
-		for _, r := range rows {
-			t.Rows = append(t.Rows, formatFig9Row(r.model, r.layer, r.fe, r.be))
-		}
+		total := sim.Result{Layers: layers}
+		t.Rows = append(t.Rows, formatFig9Row(wl.Model.Name, "Total", total.FrontEnd(), total.BackEnd()))
 	}
 	t.Notes = append(t.Notes, "front-end columns are fractions of schedule slots; back-end columns are fractions of lane time")
 	return t, nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bittactical/internal/fixed"
-	"bittactical/internal/nn"
 	"bittactical/internal/potential"
 )
 
@@ -57,6 +56,5 @@ func table1At(o Options, w fixed.Width, id, title string) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"A/W/W+A are value-level; Ap uses per-group-of-16 dynamic precision "+
 			"(Dynamic Stripes detection), Ae per-value Booth terms (Pragmatic).")
-	_ = nn.ModelNames
 	return t, nil
 }

@@ -243,12 +243,7 @@ func LayerTraffic(cfg arch.Config, lw *nn.Lowered) Traffic {
 	// Schedule metadata for front-end configs: one schedule per filter.
 	if cfg.HasFrontEnd() && !cfg.Pattern.Infinite {
 		var bitsTotal int64
-		pad := make([]bool, lw.Steps*lw.Lanes)
-		for st := 0; st < lw.Steps; st++ {
-			for ln := 0; ln < lw.Lanes; ln++ {
-				pad[st*lw.Lanes+ln] = lw.IsPad(st, ln)
-			}
-		}
+		pad := lw.PadMask()
 		for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
 			f1 := f0 + cfg.FiltersPerTile
 			if f1 > lw.Filters {

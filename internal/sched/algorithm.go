@@ -38,26 +38,17 @@ func (a Algorithm) String() string {
 	}
 }
 
-// scheduleGroupReference is the straightforward scheduler: it re-enumerates
+// ScheduleGroupReference is the straightforward scheduler: it re-enumerates
 // every lane's promotion candidates from scratch each column with fresh
 // slices and sorts. It is kept as the executable specification the optimized
-// kernel (kernel.go) is differentially fuzzed against, and as the fallback
-// for patterns with more than 64 offsets (beyond the kernel's per-lane
-// candidate bitset).
+// kernel (kernel.go) is differentially fuzzed against, as the fallback for
+// patterns with more than 64 offsets (beyond the kernel's per-lane candidate
+// bitset), and for differential tooling outside the package (the benchmark
+// suite measures kernel vs reference); engine code must use ScheduleGroup or
+// a Cache.
 //
 // All returned schedules have identical column counts, heads, and advances.
-func scheduleGroupReference(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
-	return scheduleGroupRef(filters, p, alg)
-}
-
-// ScheduleGroupReference exposes the reference scheduler to differential
-// tooling outside the package (the benchmark suite measures kernel vs
-// reference); engine code must use ScheduleGroup or a Cache.
 func ScheduleGroupReference(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
-	return scheduleGroupRef(filters, p, alg)
-}
-
-func scheduleGroupRef(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
 	if len(filters) == 0 {
 		return nil
 	}

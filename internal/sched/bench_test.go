@@ -83,7 +83,7 @@ func BenchmarkScheduleGroupReference(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/%s", c.p.Name, c.alg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				scheduleGroupReference(filters, c.p, c.alg)
+				ScheduleGroupReference(filters, c.p, c.alg)
 			}
 		})
 	}

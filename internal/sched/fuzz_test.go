@@ -58,7 +58,7 @@ func diffPatterns() []Pattern {
 // divergence — same column counts, heads, advances, entries, promotions.
 func assertKernelMatchesReference(t *testing.T, sc *Scheduler, filters []Filter, p Pattern, alg Algorithm) {
 	t.Helper()
-	want := scheduleGroupReference(filters, p, alg)
+	want := ScheduleGroupReference(filters, p, alg)
 	got := sc.ScheduleGroup(filters, p, alg)
 	if len(got) != len(want) {
 		t.Fatalf("pattern %s alg %v: kernel returned %d schedules, reference %d",

@@ -99,7 +99,7 @@ func (s *Scheduler) runGroup(filters []Filter, p Pattern, alg Algorithm) (nf, la
 		panic(err)
 	}
 	if len(p.Offsets) > maxKernelOffsets {
-		fallback = scheduleGroupReference(filters, p, alg)
+		fallback = ScheduleGroupReference(filters, p, alg)
 		return
 	}
 	cols = s.runKernel(filters, p, alg, lanes, steps)
@@ -109,7 +109,7 @@ func (s *Scheduler) runGroup(filters []Filter, p Pattern, alg Algorithm) (nf, la
 // runInfinite realizes the X<inf,15> upper bound in the arena with the
 // same column layout as runKernel: entries of filter i, column c at
 // entArena[(i*steps+c)*lanes]. Semantics match scheduleInfinite (the
-// reference, still used by scheduleGroupReference) bit for bit —
+// reference, still used by ScheduleGroupReference) bit for bit —
 // arbitrary promotion compacts each filter to ⌈nnz/L⌉ columns and the
 // group pads to the slowest filter.
 func (s *Scheduler) runInfinite(filters []Filter, lanes, steps int) int {

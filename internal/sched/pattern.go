@@ -17,6 +17,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Offset is one promotion edge of the connectivity pattern: a weight at
@@ -150,6 +151,21 @@ func ByName(name string) (Pattern, error) {
 		return f(), nil
 	}
 	return Pattern{}, fmt.Errorf("sched: unknown pattern %q", name)
+}
+
+// AlgorithmByName resolves a scheduler name, ignoring case: "algorithm1"
+// (alias "alg1", and the empty name), "greedy" or "matching" — the
+// inverse of Algorithm.String.
+func AlgorithmByName(name string) (Algorithm, error) {
+	switch strings.ToLower(name) {
+	case "", "algorithm1", "alg1":
+		return Algorithm1, nil
+	case "greedy":
+		return GreedySimple, nil
+	case "matching":
+		return Matching, nil
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want algorithm1, greedy, or matching)", name)
 }
 
 // KnownPatternNames returns the resolvable labels, sorted.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -461,6 +462,45 @@ func TestMatchingAtLeastAsGoodAsAlg1PerColumn(t *testing.T) {
 func TestAlgorithmString(t *testing.T) {
 	if Algorithm1.String() != "algorithm1" || GreedySimple.String() != "greedy" || Matching.String() != "matching" {
 		t.Error("Algorithm String() labels wrong")
+	}
+}
+
+func TestAlgorithmByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Algorithm
+	}{
+		{"", Algorithm1},
+		{"algorithm1", Algorithm1},
+		{"alg1", Algorithm1},
+		{"Algorithm1", Algorithm1},
+		{"greedy", GreedySimple},
+		{"GREEDY", GreedySimple},
+		{"matching", Matching},
+		{"Matching", Matching},
+	} {
+		got, err := AlgorithmByName(c.name)
+		if err != nil || got != c.want {
+			t.Errorf("AlgorithmByName(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	// Every algorithm round-trips through its String label.
+	for _, a := range []Algorithm{Algorithm1, GreedySimple, Matching} {
+		if got, err := AlgorithmByName(a.String()); err != nil || got != a {
+			t.Errorf("AlgorithmByName(%q) = %v, %v", a.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"alg2", "optimal", " greedy"} {
+		_, err := AlgorithmByName(bad)
+		if err == nil {
+			t.Errorf("AlgorithmByName(%q) accepted", bad)
+			continue
+		}
+		for _, want := range []string{bad, "algorithm1", "greedy", "matching"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("AlgorithmByName(%q) error %q does not mention %q", bad, err, want)
+			}
+		}
 	}
 }
 

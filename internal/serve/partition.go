@@ -57,8 +57,9 @@ func PartitionLPT(layers []int, costs []int64, nWorkers int) [][]int {
 }
 
 // PartitionRoundRobin is the original scheme — layers[i] goes to worker
-// i % nWorkers — kept as the LPT comparison baseline (bench shard-balance
-// stats) and as an explicit opt-out (Config.Partition "roundrobin").
+// i % nWorkers. The coordinator no longer uses it; it stays only as the
+// comparison baseline LPT is measured against (the bench shard-balance
+// rows and the partition tests).
 func PartitionRoundRobin(layers []int, nWorkers int) [][]int {
 	if nWorkers < 1 {
 		nWorkers = 1

@@ -71,10 +71,6 @@ type Config struct {
 	// /healthz probes of the worker fleet; 0 or negative disables the
 	// probe loop (dispatch outcomes still feed the liveness state).
 	HealthInterval time.Duration
-	// Partition picks the layer-partitioning strategy: "lpt" (default,
-	// cost-balanced bin packing on predicted serial cycles) or
-	// "roundrobin".
-	Partition string
 	// Metrics receives the server's instruments; nil means
 	// metrics.Default.
 	Metrics *metrics.Registry
@@ -470,7 +466,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	alg, err := algorithmByName(req.Algorithm)
+	alg, err := sched.AlgorithmByName(req.Algorithm)
 	if err != nil {
 		s.failures.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -488,12 +484,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp := ScheduleResponse{Model: m.Name, Pattern: p.Name, Algorithm: alg.String()}
 	for _, lw := range lws {
-		pad := make([]bool, lw.Steps*lw.Lanes)
-		for st := 0; st < lw.Steps; st++ {
-			for ln := 0; ln < lw.Lanes; ln++ {
-				pad[st*lw.Lanes+ln] = lw.IsPad(st, ln)
-			}
-		}
+		pad := lw.PadMask()
 		lr := ScheduleLayerPayload{Name: lw.Name, Filters: lw.Filters}
 		for f0 := 0; f0 < lw.Filters; f0 += 16 {
 			// Scheduling one group is milliseconds; the claim-grain check

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -111,17 +110,6 @@ func validateShardResponse(resp *ShardResponse, worker string, names []string, s
 	return nil
 }
 
-// partitionShards splits the pending layers over the candidate workers
-// according to the configured strategy.
-func (s *Server) partitionShards(layers []int, costs []int64, nWorkers int) [][]int {
-	switch strings.ToLower(s.cfg.Partition) {
-	case "roundrobin", "rr":
-		return PartitionRoundRobin(layers, nWorkers)
-	default: // "", "lpt"
-		return PartitionLPT(layers, costs, nWorkers)
-	}
-}
-
 // dispatchShards fans the request's layer grid out over s.cfg.Workers with
 // retry/failover and reassembles the full [config][layer] grid. emit, when
 // non-nil, observes each landed cell exactly once, outside the coordinator
@@ -201,7 +189,7 @@ func (s *Server) dispatchShards(ctx context.Context, req SimulateRequest, m *nn.
 			break // every worker has failed this request
 		}
 
-		slices := s.partitionShards(pending, costs, len(cand))
+		slices := PartitionLPT(pending, costs, len(cand))
 		timeoutMs := int64(0)
 		if dl, ok := ctx.Deadline(); ok {
 			timeoutMs = int64(time.Until(dl) / time.Millisecond)

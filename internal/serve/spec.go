@@ -232,15 +232,3 @@ type ScheduleResponse struct {
 	Compaction float64                `json:"compaction"`
 	ElapsedMs  float64                `json:"elapsed_ms"`
 }
-
-func algorithmByName(name string) (sched.Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "", "algorithm1", "alg1":
-		return sched.Algorithm1, nil
-	case "greedy":
-		return sched.GreedySimple, nil
-	case "matching":
-		return sched.Matching, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (want algorithm1, greedy, or matching)", name)
-}

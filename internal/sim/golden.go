@@ -17,7 +17,7 @@ import (
 // may reorder work arbitrarily within its constraints, but each filter's
 // psum must come out bit-exact.
 func ExecuteGolden(cfg arch.Config, lw *nn.Lowered) error {
-	pad := padMask(lw)
+	pad := lw.PadMask()
 	rows := cfg.FiltersPerTile
 	for f0 := 0; f0 < lw.Filters; f0 += rows {
 		f1 := f0 + rows

@@ -168,8 +168,8 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 	// when groups alone cannot fill the pool, and the expansion factor
 	// depends on totalGroups, so this needs its own pass. layerChunks is
 	// the single source of the per-layer chunk arithmetic the build loop
-	// reuses. The totals size the pooled sweepState carves below: the
-	// experiment drivers invoke the engine once per (config, layer), so
+	// reuses. The totals size the pooled sweepState carves below: figure
+	// runners and served requests invoke the engine again and again, so
 	// without the pool every invocation re-allocated this entire assembly.
 	totalItems, totalAccums, totalPartials, totalSlots := 0, 0, 0, 0
 	for k, cfg := range cfgs {
@@ -207,7 +207,7 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 		rows := cfg.FiltersPerTile
 		for li, lw := range lws {
 			lwk := &cw.layers[li]
-			lwk.pad = padMask(lw)
+			lwk.pad = lw.PadMask()
 			if cfg.Serial() {
 				lwk.planes = st.slots[slotOff : slotOff+lw.ActGroups()]
 				slotOff += lw.ActGroups()
@@ -385,12 +385,6 @@ func mergeLayer(cfg arch.Config, lw *nn.Lowered, accums []groupAccum) LayerResul
 		}
 	}
 	return r
-}
-
-// padMask is the channel-padding mask of the dense schedule, or nil when
-// the layer has none — memoized on the lowering, shared across configs.
-func padMask(lw *nn.Lowered) []bool {
-	return lw.PadMask()
 }
 
 // groupResult is one filter group's private accumulation shard: everything
