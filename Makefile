@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fmt clean
+.PHONY: all build vet test race check fmt-check lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fmt clean
 
 all: check
 
@@ -16,12 +16,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The pre-commit gate: compile everything, vet, lint the workload seam, run
-# the full suite under the race detector (the parallel engine is on by
-# default, so every test doubles as a race test, and the examples run as
-# Example tests), compile and test the end-to-end benchmark module against
-# this tree's APIs, and hold the committed benchmark baselines.
-check: build vet lint-workload race bench-module bench-gate
+# The pre-commit gate: check formatting as CI does, compile everything, vet,
+# lint the workload seam, run the full suite under the race detector (the
+# parallel engine is on by default, so every test doubles as a race test,
+# and the examples run as Example tests), compile and test the end-to-end
+# benchmark module against this tree's APIs, and hold the committed
+# benchmark baselines.
+check: fmt-check build vet lint-workload race bench-module bench-gate
+
+# CI's first step: fail on any file gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
 
 # The end-to-end benchmark (benchmark/, run by BENCHMARK.json) is a Go
 # module of its own, so ./... above never compiles it. Vet and test it

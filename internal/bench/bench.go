@@ -159,7 +159,7 @@ func WriteBaseline(path string, f *File, force bool) error {
 // allocate at most this multiple of its serial sibling in steady state.
 // The slack absorbs the honest per-pool-entry costs (spawning worker
 // goroutines, per-worker metric folds) without admitting per-item or
-// per-worker-per-chunk allocation amplification.
+// per-worker allocation amplification.
 const AllocParityCap = 1.05
 
 // AllocParityFloor is the minimum absolute allocs/op excess (parallel

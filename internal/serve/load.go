@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -162,16 +163,11 @@ func RunLoad(ctx context.Context, o LoadOptions) (*LoadReport, error) {
 	return rep, nil
 }
 
-// percentile reads the p-quantile from sorted latencies (nearest-rank).
+// percentile reads the nearest-rank p-quantile from sorted latencies: the
+// smallest value with at least p of the samples at or below it.
 func percentile(sorted []float64, p float64) float64 {
-	i := int(p*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	i := int(math.Ceil(p*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }
 
 // postSimulate runs one request, draining the body fully (a streaming

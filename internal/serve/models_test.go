@@ -165,3 +165,43 @@ func TestFingerprintGrammar(t *testing.T) {
 		t.Error("batch is not hashed for the paper zoo")
 	}
 }
+
+// TestModelSpecBounds pins the request-size bounds: a channel or spatial
+// scale above 1 (the native topology) or a batch above maxBatch is a 400
+// naming the bound, raised before any model is built; values at the bound
+// are served, and zero or negative values keep meaning "default".
+func TestModelSpecBounds(t *testing.T) {
+	h := testServer(t, 2).Routes()
+	for _, tc := range []struct {
+		name    string
+		spec    ModelSpec
+		wantErr string // empty: Build must succeed
+	}{
+		{"channel scale 100", ModelSpec{Model: "AlexNet-ES", ChannelScale: 100}, "channel_scale 100 is above 1"},
+		{"channel scale 1.01", ModelSpec{Model: "AlexNet-ES", ChannelScale: 1.01, SpatialScale: 0.25}, "channel_scale 1.01 is above 1"},
+		{"spatial scale 1.5", ModelSpec{Model: "AlexNet-ES", ChannelScale: 0.1, SpatialScale: 1.5}, "spatial_scale 1.5 is above 1"},
+		{"batch 65", ModelSpec{Model: "BERT-Attn", ChannelScale: 0.1, SpatialScale: 0.25, Batch: 65}, "batch 65 is above the maximum of 64"},
+		{"native spatial scale", ModelSpec{Model: "AlexNet-ES", ChannelScale: 0.1, SpatialScale: 1}, ""},
+		{"batch at the bound", ModelSpec{Model: "AlexNet-ES", ChannelScale: 0.1, SpatialScale: 0.25, Batch: maxBatch}, ""},
+		{"non-positive means default", ModelSpec{Model: "AlexNet-ES", ChannelScale: -1, SpatialScale: 0, Batch: -2}, ""},
+	} {
+		_, _, _, err := tc.spec.Build()
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: Build = %v, want success", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Build error = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+		body, err := json.Marshal(SimulateRequest{ModelSpec: tc.spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := postJSON(t, h, "/v1/simulate", string(body))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.wantErr) {
+			t.Errorf("%s: /v1/simulate = %d %s, want 400 naming %q", tc.name, rec.Code, rec.Body.String(), tc.wantErr)
+		}
+	}
+}

@@ -271,6 +271,22 @@ func TestSimulateBadRequests(t *testing.T) {
 	}
 }
 
+// TestSimulateHugeParallelism pins that a request's parallelism, which both
+// engine endpoints hand to the engine as given, cannot make the engine size
+// state for that many workers: the request is served.
+func TestSimulateHugeParallelism(t *testing.T) {
+	h := testServer(t, 2).Routes()
+	cfgs := `"parallelism":1000000000,"configs":[{"backend":"tcle","pattern":"T8<2,5>"}]`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/simulate", smallBody(cfgs)},
+		{"/v1/shard", smallBody(cfgs + `,"layers":[0,1]`)},
+	} {
+		if rec := postJSON(t, h, tc.path, tc.body); rec.Code != http.StatusOK {
+			t.Errorf("%s at parallelism 1e9 = %d, want 200 (%s)", tc.path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestErrorResponsesAreJSON sweeps every server-written error path —
 // decode failures, bad model/config, saturation, timeout — and requires
 // the JSON content type and a JSON object body with an "error" key on each.

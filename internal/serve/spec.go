@@ -90,6 +90,10 @@ func DefaultConfigs() []ConfigSpec {
 	}
 }
 
+// maxBatch bounds a request's batch. Sequence workloads' layers grow with
+// it, and no experiment, example or test runs above batch 4.
+const maxBatch = 64
+
 // ModelSpec is the shared model-selection part of every endpoint. Model
 // resolves against the process-wide workload registry (nn.Names(), also
 // served at GET /v1/models) — registered zoos outside internal/nn, like the
@@ -109,9 +113,22 @@ type ModelSpec struct {
 // resolved zoo configuration and activation seed alongside — the canonical
 // values Fingerprint hashes, so a request that spells a default explicitly
 // coalesces with one that omits it.
+//
+// Scales above 1 (the native topology) and batches above maxBatch are
+// rejected before anything is built: weights grow with the square of the
+// channel scale, and the build runs before the request's deadline starts.
+// Values <= 0 mean the default.
 func (ms ModelSpec) Build() (*nn.Model, nn.ZooConfig, int64, error) {
 	if ms.Model == "" {
 		return nil, nn.ZooConfig{}, 0, errors.New("missing model (want one of " + strings.Join(nn.Names(), ", ") + ")")
+	}
+	switch {
+	case ms.ChannelScale > 1:
+		return nil, nn.ZooConfig{}, 0, fmt.Errorf("channel_scale %g is above 1 (the native topology)", ms.ChannelScale)
+	case ms.SpatialScale > 1:
+		return nil, nn.ZooConfig{}, 0, fmt.Errorf("spatial_scale %g is above 1 (the native topology)", ms.SpatialScale)
+	case ms.Batch > maxBatch:
+		return nil, nn.ZooConfig{}, 0, fmt.Errorf("batch %d is above the maximum of %d", ms.Batch, maxBatch)
 	}
 	zoo := nn.DefaultZoo()
 	if ms.ChannelScale > 0 {

@@ -8,111 +8,44 @@ import (
 	"bittactical/internal/sched"
 )
 
-// Per-group buffer reuse, mirroring the internal/sched kernel's arena
+// Per-worker buffer reuse, mirroring the internal/sched kernel's arena
 // design. A figure sweep prepares tens of thousands of filter groups, and
-// before this file each prepared group heap-allocated its filter-row
-// materializations, its lane-reference and participation-mask grids, and
-// its chunk accumulators — identical shapes every time, with two distinct
-// lifetimes:
-//
-//   - groupScratch lives only within one prepareGroupInto call (weight
-//     rows, the filter headers over them, and the dense-schedule arena for
-//     front-end-less configs). Recycled the moment prepareGroupInto
-//     returns.
-//   - groupBufs lives from prepareGroupInto to finishGroup (lane refs,
-//     effectual-lane masks, per-row plane pointers, per-chunk PE
-//     totals). Recycled when the group's last window chunk folds.
-//
-// Both recycle through each worker's workerState (groupBufs falling back
-// to a sync.Pool), so steady-state group turnover allocates nothing once
-// the arenas have warmed to the largest group shape. Buffers that are rebuilt wholesale (refs, planes, weights) are
-// reused dirty; buffers built incrementally (lane masks with |=, PE
-// totals with +=) are zeroed at carve time.
+// each needs the same shapes every time: filter-row materializations, the
+// dense-schedule arena, and the lane-reference, effectual-lane-mask,
+// row-plane and PE-total grids the window walk reads. A worker prepares,
+// walks and finishes one group before it claims the next, so one
+// groupScratch per worker serves every group it runs, and steady-state
+// group turnover allocates nothing once the arena has warmed to the
+// largest group shape. Buffers that are rebuilt wholesale (weights, refs,
+// planes) are reused dirty; buffers built incrementally (lane masks with
+// |=, PE totals with +=) are zeroed at carve time.
 
-// groupScratch is the transient working set of one prepareGroupInto call.
+// groupScratch is one pool worker's arena, handed out at pool spin-up
+// (indexed by the worker id runPool passes fn) and retained inside the
+// pooled sweepState across engine entries. Unlike a sync.Pool, which the GC
+// clears, it lives as long as the sweepState and is touched with zero
+// synchronization, so the parallel path allocates exactly as little per
+// group as the serial path: nothing, once warm.
 type groupScratch struct {
+	// Prepare-only: weight rows, the filter headers over them, and the
+	// dense-schedule arena for configs without a front-end, laid out like
+	// the sched kernel's arena (entries of filter i contiguous).
 	weights []int32
 	filters []sched.Filter
-	// Dense-schedule arena for configs without a front-end; laid out like
-	// the sched kernel's arena (entries of filter i contiguous).
 	entries []sched.Entry
 	cols    []sched.Column
 	schs    []sched.Schedule
 	ptrs    []*sched.Schedule
-}
-
-// groupBufs is the prepare-to-finish working set of one filter group.
-type groupBufs struct {
+	// The group being run and the grids its context views.
+	ctx      groupCtx
 	refs     []int32
 	masks    []uint64
 	planes   []*costPlane
 	peTotals []int64
 }
 
-var groupBufsPool = sync.Pool{New: func() any { return &groupBufs{} }}
-
-// releaseTo returns the group's buffers to the finishing worker's
-// freelist and severs the context's views into them. Called by
-// finishGroup after the fold.
-func (ctx *groupCtx) releaseTo(ws *workerState) {
-	b := ctx.bufs
-	if b == nil {
-		return
-	}
-	ctx.bufs = nil
-	ctx.refs, ctx.masks, ctx.rowPlanes, ctx.peTotals = nil, nil, nil, nil
-	ws.putBufs(b)
-}
-
-// workerState is one pool worker's private arena set, handed out at pool
-// spin-up (indexed by the worker id runPool passes fn) and retained inside
-// the pooled sweepState across engine entries. Unlike the sync.Pools —
-// which the GC clears, and which eight workers hit per chunk — these live
-// as long as the sweepState and are touched with zero synchronization, so
-// the parallel path's per-chunk arena traffic allocates exactly as little
-// as the serial path's: nothing, once warm.
-//
-// The scratch arena (sc) is safe per worker because a worker runs one item
-// at a time and prepareGroupInto consumes it synchronously. groupBufs
-// cross workers (acquired by the preparing worker, released by whichever
-// worker folds the group's last chunk), so they route through per-worker
-// freelists: pop on prepare, push on finish.
-type workerState struct {
-	sc   *groupScratch
-	free []*groupBufs
-	// Pad to 128 bytes so adjacent workers' states never share a cache
-	// line (the slice header is rewritten on every push/pop).
-	_ [96]byte
-}
-
-// scratch returns the worker's transient prepare arena, creating it on the
-// worker's first group (the one-time warmup this design accepts).
-func (ws *workerState) scratch() *groupScratch {
-	if ws.sc == nil {
-		ws.sc = new(groupScratch)
-	}
-	return ws.sc
-}
-
-// getBufs pops a prepare-to-finish buffer set from the worker's freelist,
-// falling back to the shared pool when the freelist is dry (first groups,
-// or a workload where other workers finish this worker's groups).
-func (ws *workerState) getBufs() *groupBufs {
-	if n := len(ws.free); n > 0 {
-		b := ws.free[n-1]
-		ws.free[n-1] = nil
-		ws.free = ws.free[:n-1]
-		return b
-	}
-	return groupBufsPool.Get().(*groupBufs)
-}
-
-// putBufs pushes a released buffer set onto the worker's freelist.
-func (ws *workerState) putBufs(b *groupBufs) { ws.free = append(ws.free, b) }
-
 // grow returns sl with length n, reusing capacity when possible. Reused
-// contents are stale; see the lifetime notes above for which buffers
-// tolerate that.
+// contents are stale; see the notes above for which buffers tolerate that.
 func grow[T any](sl []T, n int) []T {
 	if cap(sl) < n {
 		return make([]T, n)
@@ -122,37 +55,32 @@ func grow[T any](sl []T, n int) []T {
 
 // sweepState is the pooled per-invocation assembly of simulateSweep: the
 // config/layer/group bookkeeping structs and the work-item queue, sized by
-// the pre-pass and carved into per-config and per-layer views. The
-// experiment drivers invoke the engine once per (config, layer), so before
-// this pool every invocation re-allocated the entire assembly — the
-// dominant remainder of fig8a's allocation profile after the group arenas
-// landed. Only the LayerResult slices returned to the caller escape; they
-// are allocated fresh per run.
+// the pre-pass and carved into per-config and per-layer views. Figure
+// runners and served requests invoke the engine again and again, so
+// without this pool every invocation re-allocated the entire assembly.
+// Only the LayerResult slices returned to the caller escape; they are
+// allocated fresh per run.
 type sweepState struct {
-	works    []configWork
-	layers   []layerWork
-	accums   []groupAccum
-	partials []windowPartial
-	slots    []planeSlot
-	items    []workItem
-	// wstates is the per-worker arena set, indexed by runPool's worker id.
-	// Deliberately NOT cleared by carve: the scratch arenas and freelists
-	// are exactly what must survive from one engine entry to the next for
-	// the steady state to allocate nothing.
-	wstates []workerState
+	works  []configWork
+	layers []layerWork
+	groups []groupResult
+	slots  []planeSlot
+	items  []workItem
+	// scratch is the per-worker arena, indexed by runPool's worker id.
+	// Deliberately NOT cleared by carve: the warm arenas are exactly what
+	// must survive from one engine entry to the next for the steady state
+	// to allocate nothing.
+	scratch []groupScratch
 }
 
-// workerStates returns the state array for a pool of `workers`, growing it
-// (and preserving existing warm arenas) when a sweep asks for more workers
+// workerScratch returns the arenas for a pool of `workers`, growing the
+// set (and preserving existing warm arenas) when a sweep runs more workers
 // than any before it.
-func (st *sweepState) workerStates(workers int) []workerState {
-	if workers < 1 {
-		workers = 1
+func (st *sweepState) workerScratch(workers int) []groupScratch {
+	for len(st.scratch) < workers {
+		st.scratch = append(st.scratch, groupScratch{})
 	}
-	for len(st.wstates) < workers {
-		st.wstates = append(st.wstates, workerState{})
-	}
-	return st.wstates
+	return st.scratch
 }
 
 var sweepStatePool = sync.Pool{New: func() any { return new(sweepState) }}
@@ -163,23 +91,17 @@ var sweepStatePool = sync.Pool{New: func() any { return new(sweepState) }}
 // start clean, and the clear also drops the previous run's pointers
 // (schedules, planes, lowered layers) so pooling never extends their
 // lifetime past the next engine entry.
-func (st *sweepState) carve(nCfgs, nLayers, nAccums, nPartials, nSlots, nItems int) {
+func (st *sweepState) carve(nCfgs, nLayers, nGroups, nSlots int) {
 	st.works = grow(st.works, nCfgs)
 	clear(st.works)
 	st.layers = grow(st.layers, nLayers)
 	clear(st.layers)
-	st.accums = grow(st.accums, nAccums)
-	clear(st.accums)
-	st.partials = grow(st.partials, nPartials)
-	clear(st.partials)
+	st.groups = grow(st.groups, nGroups)
+	clear(st.groups)
 	st.slots = grow(st.slots, nSlots)
 	clear(st.slots)
-	if cap(st.items) < nItems {
-		st.items = make([]workItem, 0, nItems)
-	} else {
-		st.items = st.items[:0]
-		clear(st.items[:cap(st.items)])
-	}
+	st.items = grow(st.items, nGroups)
+	clear(st.items[:cap(st.items)])
 }
 
 // costTableKey identifies a memoized cost table: back-ends ride by

@@ -83,8 +83,8 @@ func TestSimulateCancellation(t *testing.T) {
 	if res != nil {
 		t.Fatal("mid-run cancel returned a partial result")
 	}
-	// Prompt: bounded by one in-flight chunk per worker, far below the
-	// full-model wall time.
+	// Prompt: bounded by one in-flight filter group per worker, far below
+	// the full-model wall time.
 	if elapsed > 5*time.Second {
 		t.Errorf("cancelled run took %v, want prompt return", elapsed)
 	}

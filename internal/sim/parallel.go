@@ -31,7 +31,7 @@ type Options struct {
 	PlaneCache *PlaneCache
 	// OnLayerResult, when set, is invoked the moment one (config, layer)
 	// result has fully merged — from whichever worker goroutine finished
-	// the layer's last chunk, concurrently with callbacks for other
+	// the layer's last filter group, concurrently with callbacks for other
 	// layers. cfg indexes the sweep's config list, layer the config's
 	// lowered-layer list (for SimulateGridContext, the position within the
 	// requested layer subset). The callback must be safe for concurrent

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bittactical/internal/arch"
@@ -93,12 +94,10 @@ func TestScheduleCacheSharedAcrossBackEnds(t *testing.T) {
 	}
 }
 
-// TestSubGroupChunkDeterminism pins the fig8b fix: layers that lower to a
-// single filter group (or just a few) split below the group grain into
-// window chunks, and the stitched result must stay bit-identical to serial
-// at every worker count — including counts that do not divide the layer's
-// window-group count evenly, which exercises uneven chunk boundaries and a
-// partial final window group.
+// TestSubGroupChunkDeterminism pins loads with fewer filter groups than
+// workers: layers that lower to a single filter group (or just a few), with
+// a partial final window group, must stay bit-identical to serial at every
+// worker count, including counts far above the group count.
 func TestSubGroupChunkDeterminism(t *testing.T) {
 	lws := []*nn.Lowered{
 		// 12 filters < FiltersPerTile: exactly one group, many windows.
@@ -114,11 +113,32 @@ func TestSubGroupChunkDeterminism(t *testing.T) {
 			for _, par := range []int{2, 3, 5, 8, 16} {
 				got := simLayer(t, cfg, lw, fresh(par))
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s/%s: Parallelism=%d chunked result differs from serial",
+					t.Errorf("%s/%s: Parallelism=%d result differs from serial",
 						lw.Name, cfg.Name, par)
 				}
 			}
 		}
+	}
+}
+
+// TestHugeParallelismSizedByWork pins that the engine sizes its pool and
+// per-worker arenas by the work, not by the requested Parallelism, which a
+// /v1/simulate body sets directly: one 8-filter layer at Parallelism 1<<20
+// must return the serial result without allocating for a million workers.
+func TestHugeParallelismSizedByWork(t *testing.T) {
+	lw := testConv(t, 34, 8, 24, 3, 3, 7, 0.6, 0.4)
+	cfg := arch.TCLe(sched.T(2, 5))
+	want := simLayer(t, cfg, lw, fresh(1))
+	opts := fresh(1 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := simLayer(t, cfg, lw, opts)
+	runtime.ReadMemStats(&after)
+	if !reflect.DeepEqual(want, got) {
+		t.Error("Parallelism=1<<20 result differs from serial")
+	}
+	if mib := (after.TotalAlloc - before.TotalAlloc) >> 20; mib > 16 {
+		t.Errorf("Parallelism=1<<20 on a one-group layer allocated %d MiB, want at most 16", mib)
 	}
 }
 

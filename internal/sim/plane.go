@@ -9,8 +9,8 @@
 // every slot of one (layer, act group) exactly once, so the window walk
 // loads flat cost bytes instead of re-deriving each cost through an Act
 // fetch and a costTable mask for every (column, row, window, lane) tuple —
-// work that previously repeated per filter group, per window chunk, and
-// per sweep config, and that row-variant layers repeated per PE row.
+// work that previously repeated per filter group and per sweep config, and
+// that row-variant layers repeated per PE row.
 //
 // A plane is a pure function of (activations, lowering geometry, act
 // group, back-end, width). It does not depend on the front-end pattern,
@@ -35,7 +35,7 @@ import (
 // next slot (or the spare word) and the caller masks them out.
 //
 // Planes are immutable after build and shared read-only across
-// goroutines, groups, chunks, and configs.
+// goroutines, groups, and configs.
 type costPlane struct {
 	windows int
 	data    []uint8

@@ -20,24 +20,18 @@ import (
 // an operator of the evaluation service watches per request.
 var layerLatency = metrics.Default.Histogram("sim_layer_latency")
 
-// workItem is one unit of pool work: one window chunk [w0, w1) of one
-// resident filter group of one layer of one sweep config. Most groups are a
-// single chunk; when a load yields fewer filter groups than workers, groups
-// split below the filter-group grain into contiguous window ranges (aligned
-// to the tile's window-group size) so the pool stays busy on
-// low-group-count layers — the fig8b scaling cliff.
+// workItem is one unit of pool work: one resident filter group of one layer
+// of one sweep config. The worker that claims it prepares, walks and
+// finishes the group, so no group state crosses workers.
 type workItem struct {
 	work         *configWork
 	layer, group int
-	f0, f1       int
-	w0, w1       int
-	chunk        int
 }
 
 // configWork is one sweep config's private slice of the shared pool run:
 // its cost table, per-layer pad masks, lazily-resolved activation cost
-// planes, and the per-group accumulators its chunks fold into. A sweep
-// flattens every config's chunks into one queue, so independent configs
+// planes, and the per-group results its items write. A sweep flattens
+// every config's filter groups into one queue, so independent configs
 // overlap in the pool instead of executing back to back.
 type configWork struct {
 	idx    int // position in the sweep's config list (OnLayerResult's cfg)
@@ -52,14 +46,14 @@ type configWork struct {
 // per-config array so engine entry costs one allocation for all of it.
 type layerWork struct {
 	pad    []bool
-	planes []planeSlot // one per act group (one for row-invariant layers)
-	accums []groupAccum
+	planes []planeSlot   // one per act group (one for row-invariant layers)
+	groups []groupResult // one per filter group, written by the worker that ran it
 	// result is the layer's merged outcome, written by the worker that
 	// finishes the layer's last group (and published to the caller by the
 	// pool's WaitGroup barrier). Merging at completion time instead of
 	// after the pool drains is what lets OnLayerResult stream a layer the
-	// moment its shards fold; the merge consumes only the layer's own
-	// complete accums, so the result is bit-identical either way.
+	// moment its groups finish; the merge reads only the layer's own
+	// complete groups, so the result is bit-identical either way.
 	result LayerResult
 	// Latency tracking: first-touch timestamp (CAS once) and a countdown
 	// of unfinished groups; the worker finishing the layer's last group
@@ -69,10 +63,9 @@ type layerWork struct {
 }
 
 // planeSlot resolves one (layer, act group) activation cost plane at most
-// once per run, whichever chunk worker gets there first; concurrent
-// chunks of other groups of the same layer wait on the Once instead of
-// duplicating the cache lookup (and, through the cache's own
-// single-flight, the build).
+// once per run, whichever worker gets there first; concurrent groups of
+// the same layer wait on the Once instead of duplicating the cache lookup
+// (and, through the cache's own single-flight, the build).
 type planeSlot struct {
 	once  sync.Once
 	plane *costPlane
@@ -97,98 +90,42 @@ func (cw *configWork) planeFor(li, actGroup int, pc *PlaneCache) *costPlane {
 	return s.plane
 }
 
-// groupAccum coordinates the chunks of one filter group. The first chunk
-// worker to arrive prepares the shared group context (schedules, column
-// references, window-independent censuses) under the Once; the last chunk to
-// finish folds the window partials into the group's result shard and drops
-// the context, keeping peak memory at the pre-chunking level. Every partial
-// is a plain integer sum, so the fold is exact regardless of chunk count or
-// completion order — parallel output stays bit-identical to serial at any
-// worker count. The context lives inline (ctxStore) so group turnover
-// costs no allocation; its pooled buffers return to the arena when the
-// fold releases them.
-type groupAccum struct {
-	once      sync.Once
-	ctx       *groupCtx
-	ctxStore  groupCtx
-	partials  []windowPartial
-	remaining atomic.Int32
-	result    groupResult
-}
-
-// layerChunks is the sweep's work-splitting arithmetic for one (config,
-// layer): how many window chunks each filter group splits into, the
-// layer's dense group count, and its window-group count. Sub-group
-// splitting engages only when whole groups — across the whole sweep —
-// cannot occupy the pool, and only for the serial back-ends whose
-// per-window evaluation dominates (the bit-parallel path is already
-// window-independent and cheap). Chunks stay aligned to the tile's
-// window-group size so each chunk sees whole window groups (the unit the
-// PE-total accumulation is indexed by).
-func layerChunks(cfg arch.Config, lw *nn.Lowered, totalGroups, workers int) (nChunks, denseGroups, windowGroups int) {
-	denseGroups = (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
-	windowGroups = (lw.WindowCount + cfg.WindowsPerTile - 1) / cfg.WindowsPerTile
-	chunksPerGroup := 1
-	if cfg.Serial() && totalGroups > 0 && totalGroups < workers {
-		chunksPerGroup = (workers + totalGroups - 1) / totalGroups
-	}
-	nChunks = min(chunksPerGroup, windowGroups)
-	if nChunks < 1 {
-		nChunks = 1
-	}
-	return nChunks, denseGroups, windowGroups
-}
-
 // simulateSweep is the engine core behind every entry point: it flattens
-// every config's (layer, filter group) work into one queue (splitting
-// groups into window chunks when groups alone cannot fill the pool),
-// executes the chunks on the option's pool, and merges each config's
-// shards in (layer, group) order so no result depends on execution
-// interleaving — per config, output is bit-identical to a serial run at any
-// Parallelism and any sweep composition. A cancelled ctx stops the pool
-// from claiming further chunks and returns (nil, ctx.Err()) — never a
-// partial merge. The entry points validate every config and lane count
-// before calling it.
+// every config's (layer, filter group) work into one queue, executes it on
+// the option's pool, and merges each config's groups in (layer, group)
+// order so no result depends on execution interleaving — per config,
+// output is bit-identical to a serial run at any Parallelism and any sweep
+// composition. A cancelled ctx stops the pool from claiming further groups
+// and returns (nil, ctx.Err()) — never a partial merge. The entry points
+// validate every config and lane count before calling it.
 func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered, opts Options) ([][]LayerResult, error) {
 	cache := opts.cache()
 	planeCache := opts.planeCache()
-	workers := opts.workers()
 	onLayer := opts.OnLayerResult
 
-	totalGroups := 0
-	totalLayers := 0
+	// Exact working-set sizes up front. The totals size the pooled
+	// sweepState carved below: figure runners and served requests invoke
+	// the engine again and again, so without the pool every invocation
+	// re-allocated this entire assembly.
+	totalLayers, totalGroups, totalSlots := 0, 0, 0
 	for k, cfg := range cfgs {
 		totalLayers += len(lwss[k])
 		for _, lw := range lwss[k] {
 			totalGroups += (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
-		}
-	}
-
-	// Exact working-set sizes up front — chunking only expands the queue
-	// when groups alone cannot fill the pool, and the expansion factor
-	// depends on totalGroups, so this needs its own pass. layerChunks is
-	// the single source of the per-layer chunk arithmetic the build loop
-	// reuses. The totals size the pooled sweepState carves below: figure
-	// runners and served requests invoke the engine again and again, so
-	// without the pool every invocation re-allocated this entire assembly.
-	totalItems, totalAccums, totalPartials, totalSlots := 0, 0, 0, 0
-	for k, cfg := range cfgs {
-		for _, lw := range lwss[k] {
-			nChunks, denseGroups, _ := layerChunks(cfg, lw, totalGroups, workers)
-			totalItems += denseGroups * nChunks
-			totalAccums += denseGroups
-			totalPartials += denseGroups * nChunks
 			if cfg.Serial() {
 				totalSlots += lw.ActGroups()
 			}
 		}
 	}
+	// Every worker owns an arena, and Parallelism arrives unchecked from
+	// requests, so size the pool by the work before sizing any state.
+	workers := min(opts.workers(), totalGroups)
 
 	st := sweepStatePool.Get().(*sweepState)
 	defer sweepStatePool.Put(st)
-	st.carve(len(cfgs), totalLayers, totalAccums, totalPartials, totalSlots, totalItems)
-	items := st.items
-	layerOff, accumOff, partialOff, slotOff := 0, 0, 0, 0
+	st.carve(len(cfgs), totalLayers, totalGroups, totalSlots)
+	items := st.items[:0]
+	layerOff, groupOff, slotOff := 0, 0, 0
 	for k, cfg := range cfgs {
 		lws := lwss[k]
 		cw := &st.works[k]
@@ -204,7 +141,6 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 			// hash only filter contents.
 			cw.keyer = cache.Keyer(cfg.Pattern, cfg.Scheduler)
 		}
-		rows := cfg.FiltersPerTile
 		for li, lw := range lws {
 			lwk := &cw.layers[li]
 			lwk.pad = lw.PadMask()
@@ -212,11 +148,11 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 				lwk.planes = st.slots[slotOff : slotOff+lw.ActGroups()]
 				slotOff += lw.ActGroups()
 			}
-			nChunks, denseGroups, windowGroups := layerChunks(cfg, lw, totalGroups, workers)
-			lwk.accums = st.accums[accumOff : accumOff+denseGroups]
-			accumOff += denseGroups
-			lwk.remaining.Store(int32(denseGroups))
-			if denseGroups == 0 {
+			groups := (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
+			lwk.groups = st.groups[groupOff : groupOff+groups]
+			groupOff += groups
+			lwk.remaining.Store(int32(groups))
+			if groups == 0 {
 				// A layer with no filter groups never enters the pool; merge
 				// its (empty) result here so callers and callbacks still see
 				// every (config, layer) cell.
@@ -226,33 +162,13 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 				}
 				continue
 			}
-			// One flat partial range per layer; each group views its chunk
-			// range, so the per-group slice costs nothing.
-			layerPartials := st.partials[partialOff : partialOff+denseGroups*nChunks]
-			partialOff += denseGroups * nChunks
-			for g := 0; g < denseGroups; g++ {
-				f0 := g * rows
-				f1 := min(f0+rows, lw.Filters)
-				ga := &lwk.accums[g]
-				ga.partials = layerPartials[g*nChunks : (g+1)*nChunks]
-				ga.remaining.Store(int32(nChunks))
-				for c := 0; c < nChunks; c++ {
-					// Even split of window groups across chunks, in window units.
-					wg0 := windowGroups * c / nChunks
-					wg1 := windowGroups * (c + 1) / nChunks
-					items = append(items, workItem{
-						work: cw, layer: li, group: g, f0: f0, f1: f1,
-						w0:    wg0 * cfg.WindowsPerTile,
-						w1:    min(wg1*cfg.WindowsPerTile, lw.WindowCount),
-						chunk: c,
-					})
-				}
+			for g := 0; g < groups; g++ {
+				items = append(items, workItem{work: cw, layer: li, group: g})
 			}
 		}
 	}
-	wstates := st.workerStates(workers)
+	scratch := st.workerScratch(workers)
 	completed := runPool(ctx.Done(), workers, len(items), func(w, i int) {
-		ws := &wstates[w]
 		it := items[i]
 		cw := it.work
 		lw := cw.lws[it.layer]
@@ -260,33 +176,25 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 		if lwk.start.Load() == 0 {
 			lwk.start.CompareAndSwap(0, time.Now().UnixNano())
 		}
-		ga := &lwk.accums[it.group]
-		ga.once.Do(func() {
-			prepareGroupInto(&ga.ctxStore, cw.cfg, lw, lwk.pad, it.f0, it.f1, len(ga.partials), &cw.keyer, ws)
-			ga.ctx = &ga.ctxStore
-			if ga.ctx.needsWindows {
-				// Resolve each PE row's act-group plane once per group; a
-				// resident group of a grouped/depthwise layer can straddle an
-				// act-group boundary, so rows index their own plane.
-				for ri := range ga.ctx.rowPlanes {
-					ga.ctx.rowPlanes[ri] = cw.planeFor(it.layer, lw.ActGroupOf(it.f0+ri), planeCache)
-				}
+		f0 := it.group * cw.cfg.FiltersPerTile
+		f1 := min(f0+cw.cfg.FiltersPerTile, lw.Filters)
+		gc := prepareGroupInto(&scratch[w], cw.cfg, lw, lwk.pad, f0, f1, &cw.keyer)
+		r := gc.base
+		if gc.needsWindows {
+			// Resolve each PE row's act-group plane; a resident group of a
+			// grouped/depthwise layer can straddle an act-group boundary, so
+			// rows index their own plane.
+			for ri := range gc.rowPlanes {
+				gc.rowPlanes[ri] = cw.planeFor(it.layer, lw.ActGroupOf(f0+ri), planeCache)
 			}
-		})
-		var wp windowPartial
-		if ga.ctx.needsWindows {
-			wp = ga.ctx.evalWindows(cw.cfg, it.w0, it.w1, ga.ctx.peChunk(it.chunk))
+			r = finishGroup(cw.cfg, gc, gc.evalWindows(cw.cfg))
 		}
-		ga.partials[it.chunk] = wp
-		if ga.remaining.Add(-1) == 0 {
-			ga.result = finishGroup(cw.cfg, ga.ctx, ga.partials, ws)
-			ga.ctx = nil
-			if lwk.remaining.Add(-1) == 0 {
-				lwk.result = mergeLayer(cw.cfg, lw, lwk.accums)
-				layerLatency.Observe(time.Duration(time.Now().UnixNano() - lwk.start.Load()))
-				if onLayer != nil {
-					onLayer(cw.idx, it.layer, lwk.result)
-				}
+		lwk.groups[it.group] = r
+		if lwk.remaining.Add(-1) == 0 {
+			lwk.result = mergeLayer(cw.cfg, lw, lwk.groups)
+			layerLatency.Observe(time.Duration(time.Now().UnixNano() - lwk.start.Load()))
+			if onLayer != nil {
+				onLayer(cw.idx, it.layer, lwk.result)
 			}
 		}
 	})
@@ -317,7 +225,7 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 
 // mergeLayer folds the per-group shards into one LayerResult, in group
 // order, reproducing exactly the accumulation the serial engine performs.
-func mergeLayer(cfg arch.Config, lw *nn.Lowered, accums []groupAccum) LayerResult {
+func mergeLayer(cfg arch.Config, lw *nn.Lowered, groups []groupResult) LayerResult {
 	r := LayerResult{Name: lw.Name, MACs: lw.Layer().MACs()}
 
 	rows := cfg.FiltersPerTile
@@ -359,8 +267,8 @@ func mergeLayer(cfg arch.Config, lw *nn.Lowered, accums []groupAccum) LayerResul
 	} else {
 		tileTime = make([]int64, cfg.Tiles)
 	}
-	for g := range accums {
-		gr := &accums[g].result
+	for g := range groups {
+		gr := &groups[g]
 		groupCycles := gr.cycles
 		if split > 1 {
 			groupCycles = (groupCycles + int64(split) - 1) / int64(split)
@@ -397,15 +305,16 @@ type groupResult struct {
 	activity Activity
 }
 
-// groupCtx is the window-independent state of one filter group, built once
-// per group (under the groupAccum's Once) and shared read-only by every
-// window chunk of that group. Its grids live in one pooled arena
-// (groupBufs), flattened: refs[(ci*nrows+ri)*lanes+ln] is lane ln's
-// activation source in column ci of row ri's schedule, as the plane slot
-// step*lanes+lane — the promoted weight's dense position for effectual
-// lanes, the column head's for idle ones.
+// groupCtx is the window-independent state of one filter group, built by
+// prepareGroupInto and read by evalWindows and finishGroup on the same
+// worker. Its grids view the worker's groupScratch, flattened:
+// refs[(ci*nrows+ri)*lanes+ln] is lane ln's activation source in column ci
+// of row ri's schedule, as the plane slot step*lanes+lane — the promoted
+// weight's dense position for effectual lanes, the column head's for idle
+// ones.
 type groupCtx struct {
 	nrows, cols  int
+	windows      int  // the layer's window count; evalWindows walks them all
 	needsWindows bool // serial back-ends walk windows; bit-parallel is done at prepare
 	refs         []int32
 	// masks holds one laneWords-word effectual-lane mask per (column, row)
@@ -415,55 +324,44 @@ type groupCtx struct {
 	masks []uint64
 	// rowPlanes[ri] is PE row ri's activation cost plane (rows of one act
 	// group share a plane; row-invariant layers share one across all
-	// rows). Resolved by the engine under the groupAccum Once.
+	// rows). Resolved by the engine between prepare and the window walk.
 	rowPlanes []*costPlane
-	// peTotals is the engine's pre-zeroed per-chunk accumulator arena
-	// (nChunks strides of peStride = nrows*WindowsPerTile); peChunk hands
-	// each chunk its stride.
+	// peTotals[ri*WindowsPerTile+pc] is PE (row ri, column pc)'s cycle
+	// total over the group's windows: zeroed at prepare, summed by
+	// evalWindows, read by finishGroup.
 	peTotals []int64
-	peStride int
-	bufs     *groupBufs // backing arena, returned to the pool at release
 	gate     bool
 	base     groupResult // window-independent accumulations (full result when !needsWindows)
 }
 
-// peChunk is window chunk c's view of the group's PE-total arena.
-func (ctx *groupCtx) peChunk(c int) []int64 {
-	return ctx.peTotals[c*ctx.peStride : (c+1)*ctx.peStride]
-}
-
-// windowPartial is one chunk's contribution: per-(row, PE column) cycle
-// totals plus the lane census and serial-cycle count over the chunk's
-// windows. All fields are exact integer sums, so chunk partials fold
-// element-wise into precisely the serial engine's accumulators.
+// windowPartial is the window walk's lane census and serial-cycle count
+// over a group's windows; its PE totals go to the context's peTotals.
 type windowPartial struct {
-	peTotals []int64
-	backEnd  Breakdown
-	serial   int64
+	backEnd Breakdown
+	serial  int64
 }
 
-// prepareGroupInto builds one resident filter group's shared context:
+// prepareGroupInto builds one resident filter group's context:
 // filters, schedules (through keyer, which front-end configs must carry),
 // the front-end census, datapath activity that depends only on column
 // structure, and the per-column lane references the window walk consumes.
 // For the bit-parallel back-end the group's full result is computed here
 // (its cost model is window-independent).
 //
-// Filter rows are materialized into the worker's private scratch arena
-// (handed out at pool spin-up) and recycled before returning — safe
-// because schedules never retain their filters (sched.NewFilter wraps the
-// row slice, and both the cache and the kernel copy entry data, not
-// weights). The context's own grids carve from a second arena (the
-// worker's freelist, or the shared pool) held until finishGroup releases
-// it.
-func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, pad []bool, f0, f1, nChunks int, keyer *sched.Keyer, ws *workerState) {
+// Everything lives in the worker's scratch arena sc, and the returned
+// context is sc's own: filter rows are materialized there — safe because
+// schedules never retain their filters (sched.NewFilter wraps the row
+// slice, and both the cache and the kernel copy entry data, not weights) —
+// and the context's grids carve from it. Both stay valid until the worker
+// prepares its next group.
+func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, pad []bool, f0, f1 int, keyer *sched.Keyer) *groupCtx {
 	lanes, rows, wg := cfg.Lanes, cfg.FiltersPerTile, cfg.WindowsPerTile
 	steps, W := lw.Steps, lw.WindowCount
 	nrows := f1 - f0
-	*ctx = groupCtx{nrows: nrows}
+	ctx := &sc.ctx
+	*ctx = groupCtx{nrows: nrows, windows: W}
 	r := &ctx.base
 
-	sc := ws.scratch()
 	sc.weights = grow(sc.weights, nrows*steps*lanes)
 	sc.filters = grow(sc.filters, nrows)
 	filters := sc.filters[:nrows]
@@ -520,7 +418,7 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, pad []bool
 		}
 		r.activity.ParallelMACs += macs * int64(W)
 		r.cycles = int64(cols) * int64(W)
-		return
+		return ctx
 	}
 	ctx.needsWindows = true
 	if cfg.Backend.OffsetEncoder() {
@@ -528,25 +426,21 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, pad []bool
 	}
 
 	// Serial back-ends: column structure is window-independent; precompute
-	// per-column, per-row lane references and effectual-lane masks once,
-	// shared by every chunk. All grids carve from one pooled arena: refs and
-	// rowPlanes are rebuilt wholesale (reused dirty); the |=-built masks and
-	// +=-folded PE totals are zeroed at carve.
+	// per-column, per-row lane references and effectual-lane masks once
+	// for the window walk. refs and rowPlanes are rebuilt wholesale (reused
+	// dirty); the |=-built masks and +=-summed PE totals are zeroed here.
 	ctx.gate = cfg.HasFrontEnd()
-	b := ws.getBufs()
-	ctx.bufs = b
-	b.refs = grow(b.refs, cols*nrows*lanes)
-	ctx.refs = b.refs[:cols*nrows*lanes]
+	sc.refs = grow(sc.refs, cols*nrows*lanes)
+	ctx.refs = sc.refs
 	mw := laneWords(lanes)
-	b.masks = grow(b.masks, cols*nrows*mw)
-	ctx.masks = b.masks[:cols*nrows*mw]
+	sc.masks = grow(sc.masks, cols*nrows*mw)
+	ctx.masks = sc.masks
 	clear(ctx.masks)
-	b.planes = grow(b.planes, nrows)
-	ctx.rowPlanes = b.planes[:nrows]
+	sc.planes = grow(sc.planes, nrows)
+	ctx.rowPlanes = sc.planes
 	clear(ctx.rowPlanes)
-	ctx.peStride = nrows * wg
-	b.peTotals = grow(b.peTotals, nChunks*ctx.peStride)
-	ctx.peTotals = b.peTotals[:nChunks*ctx.peStride]
+	sc.peTotals = grow(sc.peTotals, nrows*wg)
+	ctx.peTotals = sc.peTotals
 	clear(ctx.peTotals)
 	for ci := 0; ci < cols; ci++ {
 		for ri := 0; ri < nrows; ri++ {
@@ -563,6 +457,7 @@ func prepareGroupInto(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, pad []bool
 			}
 		}
 	}
+	return ctx
 }
 
 // windowBlock is the widest window span one pass over a (column, row)'s
@@ -581,9 +476,9 @@ const (
 	swarEven = 0x00ff00ff00ff00ff // even bytes, widened to 16-bit sums
 )
 
-// evalWindows walks the serial back-end over the window range [wLo, wHi) —
-// always whole window groups — and returns the chunk's partial sums, its
-// PE totals accumulated into dst (the chunk's peChunk stride).
+// evalWindows walks the serial back-end over all of the group's windows
+// and returns the lane census and serial cycles, its PE totals summed into
+// ctx.peTotals.
 //
 // Lanes within a PE are lockstep every column (they feed one adder
 // tree), so a PE's column duration is the max lane cost ("Column
@@ -623,7 +518,7 @@ const (
 // row ri's cost plane, rowPlanes[ri], by precomputed slot offset; rows of
 // one act group share a plane, so row-invariant, grouped, and depthwise
 // layers all take this path.
-func (ctx *groupCtx) evalWindows(cfg arch.Config, wLo, wHi int, dst []int64) windowPartial {
+func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
 	nrows, cols := ctx.nrows, ctx.cols
 	mw := laneWords(lanes)
@@ -638,15 +533,15 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config, wLo, wHi int, dst []int64) win
 	)
 	wide := lanes > countLanes
 	var spillE, spillA [windowBlock]int64 // per-window counts past countLanes lanes
-	for b0 := wLo; b0 < wHi; b0 += windowBlock {
-		nw := min(windowBlock, wHi-b0)
+	for b0 := 0; b0 < ctx.windows; b0 += windowBlock {
+		nw := min(windowBlock, ctx.windows-b0)
 		nWords := (nw + 7) / 8
 		var valid [windowBlock / 8]uint64 // 0xFF for the block's windows
 		for k := 0; k < nWords; k++ {
 			valid[k] = ^uint64(0)
 		}
 		valid[nWords-1] >>= 8 * uint(8*nWords-nw)
-		col0 := (b0 - wLo) % wg
+		col0 := b0 % wg
 		for ci := 0; ci < cols; ci++ {
 			for ri := 0; ri < nrows; ri++ {
 				cr := ci*nrows + ri
@@ -693,7 +588,7 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config, wLo, wHi int, dst []int64) win
 					nEff += bits.OnesCount64(w)
 				}
 				nEff /= 8
-				pe := dst[ri*wg : (ri+1)*wg]
+				pe := ctx.peTotals[ri*wg : (ri+1)*wg]
 				pc := col0
 				var blockMax int64
 				for j := 0; j < nw; j++ {
@@ -718,7 +613,7 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config, wLo, wHi int, dst []int64) win
 			}
 		}
 	}
-	wp := windowPartial{peTotals: dst, serial: costEff}
+	wp := windowPartial{serial: costEff}
 	wp.backEnd.Useful = costEff
 	wp.backEnd.ColumnSync = maxNzEff - costEff
 	wp.backEnd.AZero = maxEff - maxNzEff
@@ -730,36 +625,16 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config, wLo, wHi int, dst []int64) win
 	return wp
 }
 
-// finishGroup folds the chunk partials into the group's result shard. The
-// fold order over chunks never matters: peTotals merge by element-wise
-// addition and the census fields are sums, so the max/sync pass below sees
-// exactly the accumulators the serial single-chunk walk would have built.
-// The group's buffers return to the finishing worker's freelist.
-func finishGroup(cfg arch.Config, ctx *groupCtx, partials []windowPartial, ws *workerState) groupResult {
-	r := ctx.base
-	if !ctx.needsWindows {
-		ctx.releaseTo(ws)
-		return r
-	}
+// finishGroup completes a serial group's result shard from its window
+// walk: group cycles are the slowest PE's total, and the PEs that finish
+// earlier charge the difference as tile sync.
+func finishGroup(cfg arch.Config, ctx *groupCtx, wp windowPartial) groupResult {
 	lanes, rows, wg := cfg.Lanes, cfg.FiltersPerTile, cfg.WindowsPerTile
-	defer ctx.releaseTo(ws)
-	// Fold destructively into chunk 0's stride: the strides are disjoint
-	// views of the group's arena, and nothing reads a chunk partial after
-	// the fold.
-	peTotals := partials[0].peTotals
-	var serial int64
-	for pi, wp := range partials {
-		if pi > 0 {
-			for i, t := range wp.peTotals {
-				peTotals[i] += t
-			}
-		}
-		r.backEnd.Add(wp.backEnd)
-		serial += wp.serial
-	}
+	r := ctx.base
+	r.backEnd.Add(wp.backEnd)
 	// Filter-group duration: the slowest PE of the tile.
 	var groupCycles int64
-	for _, t := range peTotals {
+	for _, t := range ctx.peTotals {
 		if t > groupCycles {
 			groupCycles = t
 		}
@@ -769,13 +644,13 @@ func finishGroup(cfg arch.Config, ctx *groupCtx, partials []windowPartial, ws *w
 	// split path — their lane time is already accounted on the owning
 	// column) or idled by a partial final window group; neither is a sync
 	// loss, so the census skips them. Absent rows burn the whole duration.
-	for _, t := range peTotals {
+	for _, t := range ctx.peTotals {
 		if t > 0 {
 			r.backEnd.TileSync += (groupCycles - t) * int64(lanes)
 		}
 	}
 	r.backEnd.WZero += int64(rows-ctx.nrows) * int64(wg) * int64(lanes) * groupCycles
-	r.activity.SerialLaneCycles += serial
+	r.activity.SerialLaneCycles += wp.serial
 	r.cycles = groupCycles
 	return r
 }

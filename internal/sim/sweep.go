@@ -29,11 +29,10 @@ func SimulateLayerContext(ctx context.Context, cfg arch.Config, lw *nn.Lowered, 
 
 // SimulateSweepContext runs one model under several configurations — the
 // shape of a tclserve /v1/simulate request or a figure sweep — as a single
-// engine invocation. Every config's (layer, filter-group, window-chunk)
-// items are flattened into one queue on one worker pool, so independent
-// configs overlap instead of executing back to back, and the tail of one
-// config's largest layer no longer idles the pool before the next config
-// starts. The model is lowered once per distinct lane count, and
+// engine invocation. Every config's (layer, filter group) items are
+// flattened into one queue on one worker pool, so independent configs
+// overlap instead of executing back to back, and the tail of one config's
+// largest layer no longer idles the pool before the next config starts. The model is lowered once per distinct lane count, and
 // row-invariant layers' activation cost planes are resolved through the
 // options' plane cache, so configs sharing a (back-end, width) share
 // planes. Results are returned in config order, each bit-identical to a
@@ -65,8 +64,8 @@ func SimulateSweepContext(ctx context.Context, cfgs []arch.Config, m *nn.Model, 
 // Every config must validate and every lowered layer must have been
 // lowered at its config's lane count; otherwise it returns an error.
 // Cancellation is all-or-nothing: when ctx is cancelled or its deadline
-// passes, workers stop claiming (group, window-chunk) items — in-flight
-// items finish first — and the call returns (nil, ctx.Err()) with no
+// passes, workers stop claiming filter groups — each worker's in-flight
+// group finishes first — and the call returns (nil, ctx.Err()) with no
 // partial results for any cell.
 func SimulateLoweredSweepContext(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered, opts Options) ([][]LayerResult, error) {
 	if err := ctx.Err(); err != nil {

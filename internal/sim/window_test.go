@@ -18,11 +18,13 @@ import (
 // (column, row, window) at a time, fetches every lane's cost straight
 // through Act and the cost table (so it does not depend on the plane
 // layout), takes the column max with columnMaxScalar, and classifies each
-// lane into one census bucket with a four-way switch.
-func evalWindowsScalar(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTable, f0, wLo, wHi int, dst []int64) windowPartial {
+// lane into one census bucket with a four-way switch. It walks the window
+// range [wLo, wHi) — whole window groups — and returns the census and
+// serial cycles over it with the per-(row, PE column) cycle totals.
+func evalWindowsScalar(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTable, f0, wLo, wHi int) (wp windowPartial, peTotals []int64) {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
 	mw := laneWords(lanes)
-	wp := windowPartial{peTotals: dst}
+	peTotals = make([]int64, ctx.nrows*wg)
 	laneCost := make([]uint8, lanes)
 	all := fullLaneMask(lanes)
 	for w0 := wLo; w0 < wHi; w0 += wg {
@@ -41,7 +43,7 @@ func evalWindowsScalar(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costT
 						laneCost[ln] = ct.costU8(lw.Act(f0+ri, win, int(ref)/lanes, int(ref)%lanes))
 					}
 					peMax := columnMaxScalar(laneCost, sync)
-					wp.peTotals[ri*wg+win-w0] += int64(peMax)
+					peTotals[ri*wg+win-w0] += int64(peMax)
 					for ln := range refs {
 						effectual := eff[ln>>3]>>(8*uint(ln&7))&0xff != 0
 						c := int(laneCost[ln])
@@ -65,7 +67,7 @@ func evalWindowsScalar(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costT
 			}
 		}
 	}
-	return wp
+	return wp, peTotals
 }
 
 // columnMaxScalar is the reference column max, max(1, max cost over
@@ -116,11 +118,14 @@ func windowLayer(tb testing.TB, kind nn.Kind, seed int64, lanes, in int, aZero f
 	return lw
 }
 
-// checkWindowsMatchScalar prepares every filter group of lw under cfg,
-// splits its window groups into nChunks chunks exactly as the engine
-// does, and requires evalWindows to reproduce evalWindowsScalar on every
-// chunk: PE totals, every census field and the serial lane cycles.
-func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, nChunks int) {
+// checkWindowsMatchScalar prepares every filter group of lw under cfg and
+// requires evalWindows to reproduce evalWindowsScalar: PE totals, every
+// census field and the serial lane cycles. The reference walks the group's
+// window groups in `slices` contiguous runs and sums them, so the single
+// word-parallel pass is also held to run boundaries that need not fall on
+// its 64-window blocks. One scratch arena serves every group, as on a
+// pool worker.
+func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, slices int) {
 	tb.Helper()
 	ct := newCostTable(cfg.Backend, cfg.Width)
 	planes := make([]*costPlane, lw.ActGroups())
@@ -128,34 +133,38 @@ func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, nCh
 		planes[g] = buildPlane(lw, ct, g)
 	}
 	keyer := sched.NewCache(0).Keyer(cfg.Pattern, cfg.Scheduler)
-	ws := &workerState{}
+	sc := &groupScratch{}
 	wg := cfg.WindowsPerTile
 	windowGroups := (lw.WindowCount + wg - 1) / wg
-	nChunks = min(nChunks, windowGroups)
+	slices = min(slices, windowGroups)
 	for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
-		f1 := min(f0+cfg.FiltersPerTile, lw.Filters)
-		var ctx groupCtx
-		prepareGroupInto(&ctx, cfg, lw, lw.PadMask(), f0, f1, nChunks, &keyer, ws)
+		ctx := prepareGroupInto(sc, cfg, lw, lw.PadMask(), f0, min(f0+cfg.FiltersPerTile, lw.Filters), &keyer)
 		for ri := range ctx.rowPlanes {
 			ctx.rowPlanes[ri] = planes[lw.ActGroupOf(f0+ri)]
 		}
-		for c := 0; c < nChunks; c++ {
-			w0 := windowGroups * c / nChunks * wg
-			w1 := min(windowGroups*(c+1)/nChunks*wg, lw.WindowCount)
-			got := ctx.evalWindows(cfg, w0, w1, ctx.peChunk(c))
-			want := evalWindowsScalar(&ctx, cfg, lw, ct, f0, w0, w1, make([]int64, ctx.peStride))
-			if got.backEnd != want.backEnd || got.serial != want.serial {
-				tb.Fatalf("%s group %d chunk %d [%d, %d): census %+v serial %d, scalar %+v serial %d",
-					cfg.Name, f0/cfg.FiltersPerTile, c, w0, w1, got.backEnd, got.serial, want.backEnd, want.serial)
-			}
-			for i := range want.peTotals {
-				if got.peTotals[i] != want.peTotals[i] {
-					tb.Fatalf("%s group %d chunk %d [%d, %d): PE total %d = %d, scalar %d",
-						cfg.Name, f0/cfg.FiltersPerTile, c, w0, w1, i, got.peTotals[i], want.peTotals[i])
-				}
+		got := ctx.evalWindows(cfg)
+		var want windowPartial
+		wantPE := make([]int64, len(ctx.peTotals))
+		for c := 0; c < slices; c++ {
+			w0 := windowGroups * c / slices * wg
+			w1 := min(windowGroups*(c+1)/slices*wg, lw.WindowCount)
+			wp, pe := evalWindowsScalar(ctx, cfg, lw, ct, f0, w0, w1)
+			want.backEnd.Add(wp.backEnd)
+			want.serial += wp.serial
+			for i, t := range pe {
+				wantPE[i] += t
 			}
 		}
-		ctx.releaseTo(ws)
+		if got != want {
+			tb.Fatalf("%s group %d: census %+v serial %d, scalar %+v serial %d",
+				cfg.Name, f0/cfg.FiltersPerTile, got.backEnd, got.serial, want.backEnd, want.serial)
+		}
+		for i := range wantPE {
+			if ctx.peTotals[i] != wantPE[i] {
+				tb.Fatalf("%s group %d: PE total %d = %d, scalar %d",
+					cfg.Name, f0/cfg.FiltersPerTile, i, ctx.peTotals[i], wantPE[i])
+			}
+		}
 	}
 }
 
@@ -180,9 +189,9 @@ func windowConfig(gated, tclp, w8 bool, lanes, wg int) arch.Config {
 // TestEvalWindowsMatchesScalar pins the word-parallel walk to the scalar
 // reference across lane counts (including ones not divisible by 8),
 // window-group widths below, at and above one 64-window block, window
-// counts that are a multiple of neither 8 nor the group width, 1-4 chunks
-// per group, gated and ungated configs, both serial back-ends and both
-// widths.
+// counts that are a multiple of neither 8 nor the group width, gated and
+// ungated configs, both serial back-ends and both widths. The subtests'
+// chunks label is how many runs the reference sums (1-4).
 func TestEvalWindowsMatchesScalar(t *testing.T) {
 	layers := []struct {
 		kind nn.Kind
@@ -193,8 +202,8 @@ func TestEvalWindowsMatchesScalar(t *testing.T) {
 		for li, ls := range layers {
 			lw := windowLayer(t, ls.kind, int64(100*lanes+li), lanes, ls.in, 0.4)
 			for _, wg := range []int{4, 8, 12, 16, 72} {
-				// Cycle back-end, width and chunk count through all 16
-				// combinations across consecutive cases.
+				// Cycle back-end, width and reference run count through all
+				// 16 combinations across consecutive cases.
 				k++
 				tclp, w8, chunks := k%2 == 0, k/2%2 == 0, 1+k/4%4
 				for _, gated := range []bool{true, false} {
@@ -218,16 +227,16 @@ func TestEvalWindowsMatchesScalar(t *testing.T) {
 }
 
 // FuzzEvalWindowsMatchesScalar drives the differential check over random
-// FC layers: lane count, window count, window-group width, chunk count,
-// gating, back-end and width all come from the fuzzer.
+// FC layers: lane count, window count, window-group width, gating,
+// back-end and width all come from the fuzzer.
 func FuzzEvalWindowsMatchesScalar(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(16), uint8(13), uint8(1), true, false, false)
-	f.Add(int64(2), uint8(12), uint8(72), uint8(90), uint8(2), false, true, false)
-	f.Add(int64(3), uint8(8), uint8(4), uint8(29), uint8(4), true, true, true)
-	f.Fuzz(func(t *testing.T, seed int64, lanes, wg, windows, chunks uint8, gated, tclp, w8 bool) {
+	f.Add(int64(1), uint8(16), uint8(16), uint8(13), true, false, false)
+	f.Add(int64(2), uint8(12), uint8(72), uint8(90), false, true, false)
+	f.Add(int64(3), uint8(8), uint8(4), uint8(29), true, true, true)
+	f.Fuzz(func(t *testing.T, seed int64, lanes, wg, windows uint8, gated, tclp, w8 bool) {
 		nLanes := int(lanes)%40 + 1
 		cfg := windowConfig(gated, tclp, w8, nLanes, int(wg)%80+1)
 		lw := windowLayer(t, nn.FC, seed, nLanes, int(windows)%130+1, 0.4)
-		checkWindowsMatchScalar(t, cfg, lw, int(chunks)%4+1)
+		checkWindowsMatchScalar(t, cfg, lw, 1)
 	})
 }
