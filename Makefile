@@ -24,7 +24,7 @@ race:
 # benchmark baselines.
 check: fmt-check build vet lint-workload race bench-module bench-gate
 
-# CI's first step: fail on any file gofmt would rewrite.
+# Fail on any file gofmt would rewrite (the first check of make check).
 fmt-check:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then \

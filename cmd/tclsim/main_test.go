@@ -1,0 +1,90 @@
+package main
+
+import (
+	"encoding/csv"
+	"flag"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"bittactical/internal/experiments"
+)
+
+// runMain calls main with args as its command line. main defines its flags
+// on every call, so each call gets a fresh flag.CommandLine.
+func runMain(args ...string) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	os.Args = append([]string{"tclsim"}, args...)
+	flag.CommandLine = flag.NewFlagSet("tclsim", flag.ExitOnError)
+	main()
+}
+
+// Example lists the experiment ids, then the registered back-ends and
+// models the -backend and -models flags accept.
+func Example() {
+	runMain("-list")
+	// Output:
+	// ablation-sched
+	// ablation-sync
+	// attn-batch
+	// attn-fig8
+	// attn-table1
+	// backends-ext
+	// baselines-ext
+	// dataflow
+	// fig10
+	// fig11a
+	// fig11b
+	// fig12
+	// fig13
+	// fig8a
+	// fig8b
+	// fig8c
+	// fig9
+	// ss-coverage
+	// structured
+	// table1
+	// table1q8
+	// table2
+	// table3
+	// back-ends (for -backend): TCLe, TCLp, bit-parallel, dstripes-sm
+	// models (for -models): AlexNet-ES, AlexNet-SS, BERT-Attn, Bi-LSTM, ConvNeXt-DW, GPT2-Attn, GoogLeNet-ES, GoogLeNet-SS, MobileNet, ResNet50-SS, ViT-Attn
+}
+
+// TestCSVMatchesTable runs one experiment with -csv and reads the file back:
+// it must hold the experiment table's header and rows exactly.
+func TestCSVMatchesTable(t *testing.T) {
+	dir := t.TempDir()
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	// The rendered table on stdout is not under test here.
+	defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
+	os.Stdout = devnull
+	runMain("-exp", "table2", "-csv", dir)
+
+	f, err := os.Open(filepath.Join(dir, "table2.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.Table2()
+	if len(got) != len(want.Rows)+1 {
+		t.Fatalf("table2.csv has %d records, want a header and %d rows", len(got), len(want.Rows))
+	}
+	if !slices.Equal(got[0], want.Header) {
+		t.Errorf("header = %q, want %q", got[0], want.Header)
+	}
+	for i, row := range want.Rows {
+		if !slices.Equal(got[i+1], row) {
+			t.Errorf("row %d = %q, want %q", i, got[i+1], row)
+		}
+	}
+}

@@ -303,19 +303,3 @@ func Cnvlutin(lw *nn.Lowered) LayerCycles {
 	r.Cycles = sum * rounds
 	return r
 }
-
-// SCNNe is the paper's other unevaluated extension (Section 6.4 closes with
-// "SCNNp and SCNNe"): SCNN with Pragmatic-style term-serial MACs at 16× the
-// tiles — each activation-vector fetch costs the group's worst oneffset
-// count instead of its dynamic precision.
-func SCNNe(lw *nn.Lowered, width fixed.Width) LayerCycles {
-	g := scnnGeom{gridH: 32, gridW: 32, vecA: 4, vecW: 4, crossbarStall: 1.15}
-	cost := func(vs []int32) int {
-		c := bits.SerialCyclesTCLe(vs, width)
-		if c < 1 {
-			c = 1
-		}
-		return c
-	}
-	return scnnModel(lw, g, cost, width, "SCNNe")
-}

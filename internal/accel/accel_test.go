@@ -147,13 +147,3 @@ func TestSpeedupDegenerate(t *testing.T) {
 		t.Error("zero-cycle layer should report neutral speedup")
 	}
 }
-
-func TestSCNNeBeatsSCNNpOnLargeMaps(t *testing.T) {
-	// Term-serial MACs beat bit-serial MACs wherever SCNNp itself is
-	// viable: oneffsets <= precision bits per value.
-	big := mkConv(t, 14, 16, 16, 64, 0.4, 0.35)
-	e, p := SCNNe(big, fixed.W16).Speedup(), SCNNp(big, fixed.W16).Speedup()
-	if e <= p {
-		t.Errorf("SCNNe (%.2f) should beat SCNNp (%.2f)", e, p)
-	}
-}

@@ -52,9 +52,6 @@ func (c Config) HasFrontEnd() bool {
 	return c.Pattern.Infinite || len(c.Pattern.Offsets) > 0
 }
 
-// TotalFilterRows is the number of filters resident at once chip-wide.
-func (c Config) TotalFilterRows() int { return c.Tiles * c.FiltersPerTile }
-
 // Serial reports whether the configured back-end streams activations over
 // multiple cycles (false for a nil back-end, like the zero Config).
 func (c Config) Serial() bool {

@@ -103,9 +103,3 @@ func TestConfigNames(t *testing.T) {
 		t.Errorf("name = %q", n)
 	}
 }
-
-func TestTotalFilterRows(t *testing.T) {
-	if got := DaDianNaoPP().TotalFilterRows(); got != 64 {
-		t.Errorf("TotalFilterRows = %d, want 64", got)
-	}
-}

@@ -93,12 +93,6 @@ func OneffsetCount(v int32, w fixed.Width) int {
 	return n
 }
 
-// SetBitCount returns the plain popcount of the magnitude representation
-// used for "ineffectual bit content" statistics.
-func SetBitCount(v int32, w fixed.Width) int {
-	return bits.OnesCount32(uint32(v) & w.Mask())
-}
-
 // Precision describes the dynamic precision window of a value or group:
 // the bit positions [Lo, Hi] that must be transmitted/processed serially.
 type Precision struct {
@@ -167,42 +161,4 @@ func GroupPrecision(vs []int32, w fixed.Width) Precision {
 		return Precision{Hi: -1, Lo: 0}
 	}
 	return g
-}
-
-// SerialCyclesTCLp returns the number of bit-serial cycles TCLp needs for a
-// synchronized group of activations (its per-group dynamic precision).
-func SerialCyclesTCLp(vs []int32, w fixed.Width) int {
-	return GroupPrecision(vs, w).Bits()
-}
-
-// SerialCyclesTCLe returns the number of serial cycles TCLe needs for a
-// synchronized group of activations: the max oneffset count in the group.
-func SerialCyclesTCLe(vs []int32, w fixed.Width) int {
-	max := 0
-	for _, v := range vs {
-		if n := OneffsetCount(v, w); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// EffectualTerms returns the total oneffset count over a slice, used by the
-// ideal-potential analysis (Table 1 column Ae).
-func EffectualTerms(vs []int32, w fixed.Width) int64 {
-	var n int64
-	for _, v := range vs {
-		n += int64(OneffsetCount(v, w))
-	}
-	return n
-}
-
-// ReconstructBooth sums a term list back into a value (test/verification
-// helper and the functional model of TCLe's shift-add datapath).
-func ReconstructBooth(terms []Term) int64 {
-	var v int64
-	for _, t := range terms {
-		v += t.Value()
-	}
-	return v
 }

@@ -1,11 +1,29 @@
 package bits
 
 import (
+	mbits "math/bits"
 	"testing"
 	"testing/quick"
 
 	"bittactical/internal/fixed"
 )
+
+// reconstructBooth sums a term list back into a value: the functional model
+// of TCLe's shift-add datapath, the oracle the Booth encoder is checked
+// against.
+func reconstructBooth(terms []Term) int64 {
+	var v int64
+	for _, t := range terms {
+		v += t.Value()
+	}
+	return v
+}
+
+// setBitCount is the plain popcount of v's low w bits, the term count a
+// bit-serial engine without Booth encoding would pay.
+func setBitCount(v int32, w fixed.Width) int {
+	return mbits.OnesCount32(uint32(v) & w.Mask())
+}
 
 func TestBoothPaperExample(t *testing.T) {
 	// Paper Section 5.2: 0b0000_0000_1000_1111 -> {+2^7, +2^4, -2^0}.
@@ -33,7 +51,7 @@ func TestBoothZero(t *testing.T) {
 
 func TestBoothReconstruct(t *testing.T) {
 	for v := int32(-512); v <= 512; v++ {
-		if got := ReconstructBooth(Booth(v, fixed.W16)); got != int64(v) {
+		if got := reconstructBooth(Booth(v, fixed.W16)); got != int64(v) {
 			t.Fatalf("Booth(%d) reconstructs to %d", v, got)
 		}
 	}
@@ -42,7 +60,7 @@ func TestBoothReconstruct(t *testing.T) {
 func TestBoothReconstructProperty(t *testing.T) {
 	f := func(raw int32) bool {
 		v := fixed.Sat(int64(raw), fixed.W16)
-		return ReconstructBooth(Booth(v, fixed.W16)) == int64(v)
+		return reconstructBooth(Booth(v, fixed.W16)) == int64(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -55,7 +73,7 @@ func TestBoothMinimality(t *testing.T) {
 	f := func(raw int32) bool {
 		v := fixed.Sat(int64(raw), fixed.W16)
 		n := OneffsetCount(v, fixed.W16)
-		if v >= 0 && n > SetBitCount(v, fixed.W16) {
+		if v >= 0 && n > setBitCount(v, fixed.W16) {
 			return false
 		}
 		// CSD of a w-bit value has at most ceil((w+1)/2) nonzero digits.
@@ -151,25 +169,6 @@ func TestGroupPrecisionDominates(t *testing.T) {
 	}
 }
 
-func TestSerialCyclesTCLp(t *testing.T) {
-	if got := SerialCyclesTCLp([]int32{0x008E}, fixed.W16); got != 7 {
-		t.Errorf("TCLp cycles = %d, want 7", got)
-	}
-	if got := SerialCyclesTCLp([]int32{0, 0}, fixed.W16); got != 0 {
-		t.Errorf("TCLp cycles for zero group = %d, want 0", got)
-	}
-}
-
-func TestSerialCyclesTCLe(t *testing.T) {
-	// 0x008F has 3 oneffsets; group max governs.
-	if got := SerialCyclesTCLe([]int32{0x008F, 1, 0}, fixed.W16); got != 3 {
-		t.Errorf("TCLe cycles = %d, want 3", got)
-	}
-	if got := SerialCyclesTCLe(nil, fixed.W16); got != 0 {
-		t.Errorf("TCLe cycles of empty group = %d, want 0", got)
-	}
-}
-
 func TestTCLeNeverSlowerThanTCLpOnSingles(t *testing.T) {
 	// For any single value, oneffset count <= precision window width + 1:
 	// serial-by-term is at least as compact as serial-by-bit for the values
@@ -180,17 +179,10 @@ func TestTCLeNeverSlowerThanTCLpOnSingles(t *testing.T) {
 		if v < 0 {
 			v = -v
 		}
-		return OneffsetCount(v, fixed.W16) <= SetBitCount(v, fixed.W16) || v == 0
+		return OneffsetCount(v, fixed.W16) <= setBitCount(v, fixed.W16) || v == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEffectualTerms(t *testing.T) {
-	got := EffectualTerms([]int32{0x008F, 0, 1}, fixed.W16)
-	if got != 4 {
-		t.Errorf("EffectualTerms = %d, want 4", got)
 	}
 }
 

@@ -64,9 +64,6 @@ type Breakdown struct {
 // TotalPJ sums the stacks.
 func (b Breakdown) TotalPJ() float64 { return b.LogicPJ + b.OnChipPJ + b.OffChipPJ }
 
-// MJPerImage converts to the paper's millijoules-per-frame unit.
-func (b Breakdown) MJPerImage() float64 { return b.TotalPJ() * 1e-9 }
-
 // Add accumulates another breakdown.
 func (b *Breakdown) Add(o Breakdown) {
 	b.LogicPJ += o.LogicPJ

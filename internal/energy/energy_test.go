@@ -125,9 +125,6 @@ func TestBreakdownArithmetic(t *testing.T) {
 	if a.TotalPJ() != 9 {
 		t.Errorf("TotalPJ = %v, want 9", a.TotalPJ())
 	}
-	if math.Abs(a.MJPerImage()-9e-9) > 1e-18 {
-		t.Errorf("MJPerImage = %v", a.MJPerImage())
-	}
 }
 
 func TestXPatternAreaIsImpractical(t *testing.T) {

@@ -2,16 +2,12 @@
 // throughout the Bit-Tactical simulator.
 //
 // The paper's datapath operates on 16-bit (and, in Section 6.5, 8-bit)
-// fixed-point activations and weights. A value is stored as a signed
-// integer of configurable width together with a power-of-two scale
-// (the number of fractional bits). Quantization saturates symmetrically,
+// fixed-point activations and weights. A value is a signed integer code at
+// a declared width. Saturation (Sat, RequantizeProduct) is symmetric,
 // matching common inference quantizers.
 package fixed
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Width describes a fixed-point data width in bits, including sign.
 type Width int
@@ -38,63 +34,6 @@ func (w Width) String() string { return fmt.Sprintf("%db", int(w)) }
 
 // Valid reports whether w is one of the supported widths.
 func (w Width) Valid() bool { return w == W16 || w == W8 }
-
-// Quantizer maps real values to fixed-point codes at a given width and
-// fractional precision.
-type Quantizer struct {
-	Width Width
-	// Frac is the number of fractional bits: code = round(x * 2^Frac).
-	Frac int
-}
-
-// NewQuantizer returns a quantizer with the given width and fractional bits.
-func NewQuantizer(w Width, frac int) Quantizer { return Quantizer{Width: w, Frac: frac} }
-
-// Scale returns the multiplicative scale 2^Frac.
-func (q Quantizer) Scale() float64 { return math.Ldexp(1, q.Frac) }
-
-// Quantize converts a real value to its saturated fixed-point code.
-func (q Quantizer) Quantize(x float64) int32 {
-	v := math.RoundToEven(x * q.Scale())
-	max, min := float64(q.Width.MaxInt()), float64(q.Width.MinInt())
-	if v > max {
-		v = max
-	}
-	if v < min {
-		v = min
-	}
-	return int32(v)
-}
-
-// Dequantize converts a fixed-point code back to a real value.
-func (q Quantizer) Dequantize(v int32) float64 { return float64(v) / q.Scale() }
-
-// QuantizeSlice quantizes xs into a fresh slice of codes.
-func (q Quantizer) QuantizeSlice(xs []float64) []int32 {
-	out := make([]int32, len(xs))
-	for i, x := range xs {
-		out[i] = q.Quantize(x)
-	}
-	return out
-}
-
-// FitFrac chooses the largest fractional bit count such that maxAbs fits
-// without saturation at width w. This mirrors the paper's "range-oblivious"
-// per-layer linear quantization (Section 6.5): the integer range is expanded
-// exactly as far as the layer's largest magnitude requires.
-func FitFrac(w Width, maxAbs float64) int {
-	if maxAbs <= 0 {
-		return int(w) - 1
-	}
-	frac := int(w) - 1
-	for frac > -32 {
-		if maxAbs*math.Ldexp(1, frac) <= float64(w.MaxInt()) {
-			return frac
-		}
-		frac--
-	}
-	return frac
-}
 
 // SignExtend reinterprets the low w bits of code as a two's-complement
 // signed value: bit w-1 is the sign. This is the inverse of masking a code

@@ -1,10 +1,6 @@
 package fixed
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestWidthBounds(t *testing.T) {
 	if got := W16.MaxInt(); got != 32767 {
@@ -27,80 +23,6 @@ func TestWidthBounds(t *testing.T) {
 func TestWidthString(t *testing.T) {
 	if W16.String() != "16b" || W8.String() != "8b" {
 		t.Errorf("String() = %q, %q", W16.String(), W8.String())
-	}
-}
-
-func TestQuantizeRoundTrip(t *testing.T) {
-	q := NewQuantizer(W16, 8)
-	for _, x := range []float64{0, 1, -1, 0.5, -0.5, 3.14159, -2.71828, 100.0} {
-		v := q.Quantize(x)
-		back := q.Dequantize(v)
-		if math.Abs(back-x) > 1.0/q.Scale() {
-			t.Errorf("round trip %v -> %d -> %v error too large", x, v, back)
-		}
-	}
-}
-
-func TestQuantizeSaturates(t *testing.T) {
-	q := NewQuantizer(W8, 0)
-	if got := q.Quantize(1e9); got != 127 {
-		t.Errorf("positive saturation = %d, want 127", got)
-	}
-	if got := q.Quantize(-1e9); got != -127 {
-		t.Errorf("negative saturation = %d, want -127", got)
-	}
-}
-
-func TestQuantizeSlice(t *testing.T) {
-	q := NewQuantizer(W16, 4)
-	got := q.QuantizeSlice([]float64{0, 1, -1})
-	want := []int32{0, 16, -16}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("QuantizeSlice[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestFitFrac(t *testing.T) {
-	cases := []struct {
-		w      Width
-		maxAbs float64
-		want   int
-	}{
-		{W16, 1.0, 15},   // 1.0 * 2^15 = 32768 > 32767, so 14? check below
-		{W8, 1.0, 6},     // 1*2^7=128>127 -> 6
-		{W16, 0, 15},     // degenerate
-		{W16, 100.0, 8},  // 100*2^8=25600 <= 32767
-		{W8, 1000.0, -3}, // 1000*2^-3 = 125 <= 127
-	}
-	for _, c := range cases {
-		got := FitFrac(c.w, c.maxAbs)
-		// Verify the invariant rather than exact values for the 1.0 case.
-		if c.maxAbs > 0 {
-			if c.maxAbs*math.Ldexp(1, got) > float64(c.w.MaxInt()) {
-				t.Errorf("FitFrac(%v,%v)=%d overflows", c.w, c.maxAbs, got)
-			}
-			if c.maxAbs*math.Ldexp(1, got+1) <= float64(c.w.MaxInt()) {
-				t.Errorf("FitFrac(%v,%v)=%d not maximal", c.w, c.maxAbs, got)
-			}
-		} else if got != int(c.w)-1 {
-			t.Errorf("FitFrac(%v,0)=%d, want %d", c.w, got, int(c.w)-1)
-		}
-	}
-}
-
-func TestFitFracProperty(t *testing.T) {
-	f := func(x float64) bool {
-		maxAbs := math.Abs(x)
-		if math.IsNaN(maxAbs) || math.IsInf(maxAbs, 0) || maxAbs == 0 || maxAbs > 1e30 {
-			return true
-		}
-		frac := FitFrac(W16, maxAbs)
-		return maxAbs*math.Ldexp(1, frac) <= float64(W16.MaxInt())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -131,15 +53,6 @@ func TestRequantizeProduct(t *testing.T) {
 	// Negative frac shifts left.
 	if got := RequantizeProduct(3, -2, W16); got != 12 {
 		t.Errorf("RequantizeProduct(3,-2) = %d, want 12", got)
-	}
-}
-
-func TestQuantizerScale(t *testing.T) {
-	if NewQuantizer(W16, 8).Scale() != 256 {
-		t.Error("Scale(frac=8) != 256")
-	}
-	if NewQuantizer(W16, -2).Scale() != 0.25 {
-		t.Error("Scale(frac=-2) != 0.25")
 	}
 }
 

@@ -93,31 +93,6 @@ func CompressedBits(vs []int32, w fixed.Width) int64 {
 	return total
 }
 
-// CompressRoundTrip is the lossless-ness witness used by tests: it encodes
-// and decodes a group, returning the reconstructed values.
-func CompressRoundTrip(vs []int32, w fixed.Width) []int32 {
-	out := make([]int32, len(vs))
-	p := bits.GroupPrecision(vs, w)
-	for i, v := range vs {
-		if v == 0 {
-			continue
-		}
-		neg := v < 0
-		m := v
-		if neg {
-			m = -m
-		}
-		// Encode: keep bits [Lo, Hi]; values are guaranteed to fit.
-		enc := (uint32(m) >> uint(p.Lo)) & ((1 << uint(p.Hi-p.Lo+1)) - 1)
-		dec := int32(enc << uint(p.Lo))
-		if neg {
-			dec = -dec
-		}
-		out[i] = dec
-	}
-	return out
-}
-
 // MetadataBits returns the raw TCL schedule-select stream footprint for one
 // filter's schedule: per weight-lane slot a mux select of
 // ceil(log2(muxInputs)) bits, plus a per-column ALC field.

@@ -90,32 +90,10 @@ func TestCompressedBitsBoundedOverhead(t *testing.T) {
 	}
 }
 
-func TestCompressRoundTripLossless(t *testing.T) {
-	f := func(raws []int32) bool {
-		if len(raws) == 0 || len(raws) > 16 {
-			return true
-		}
-		vs := make([]int32, len(raws))
-		for i, r := range raws {
-			vs[i] = fixed.Sat(int64(r), fixed.W16)
-		}
-		got := CompressRoundTrip(vs, fixed.W16)
-		for i := range vs {
-			if got[i] != vs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGroupWindowCoversMembers(t *testing.T) {
-	// The group precision window must reconstruct every member exactly —
-	// the property CompressRoundTrip exercises; double-check the bits
-	// package contract the codec relies on.
+	// The group precision window must reconstruct every member exactly:
+	// the bits package contract the compress codec's lossless round trip
+	// relies on.
 	vs := []int32{0x0080, -0x0002, 0, 0x7FFF}
 	p := bits.GroupPrecision(vs, fixed.W16)
 	for _, v := range vs {

@@ -83,9 +83,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[i].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // HistogramBucket is one non-empty bucket of a snapshot. UpperMicros is the
 // exclusive upper bound in microseconds; -1 marks the overflow bucket.
 type HistogramBucket struct {
@@ -228,26 +225,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(buf, '\n'))
 	return err
-}
-
-// Reset zeroes every owned instrument (Func callbacks are left registered;
-// the state they read belongs to their owner). Intended for tests and batch
-// tools that report per-run deltas.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-		g.max.Store(0)
-	}
-	for _, h := range r.histograms {
-		h.count.Store(0)
-		h.sumNs.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
 }

@@ -100,26 +100,3 @@ func TestSnapshotAndWriteJSON(t *testing.T) {
 		t.Errorf("hits=%s external=%s, want 7 and 42", got["hits"], got["external"])
 	}
 }
-
-func TestResetPreservesFuncs(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(3)
-	g := r.Gauge("g")
-	g.Inc()
-	r.Histogram("h").Observe(time.Millisecond)
-	r.Func("f", func() int64 { return 9 })
-	r.Reset()
-	snap := r.Snapshot()
-	if snap["c"].(int64) != 0 {
-		t.Errorf("counter survived Reset: %v", snap["c"])
-	}
-	if gs := snap["g"].(gaugeSnapshot); gs.Value != 0 || gs.Max != 0 {
-		t.Errorf("gauge survived Reset: %+v", gs)
-	}
-	if hs := snap["h"].(HistogramSnapshot); hs.Count != 0 {
-		t.Errorf("histogram survived Reset: %+v", hs)
-	}
-	if snap["f"].(int64) != 9 {
-		t.Errorf("Func deregistered by Reset: %v", snap["f"])
-	}
-}

@@ -1,8 +1,12 @@
 // Package nn models the neural networks Bit-Tactical accelerates: layer
-// types, a fixed-point reference forward pass (the golden model every
-// accelerator simulation is checked against), the "lowered" GEMM view that
-// maps a layer onto the accelerator's weight lanes and schedule steps, and
-// the model zoo with the seven networks of the paper's evaluation.
+// types, the "lowered" GEMM view that maps a layer onto the accelerator's
+// weight lanes and schedule steps, and the workload registry with the seven
+// networks of the paper's evaluation. Each layer's input activations are
+// sampled from the model's calibrated activation law (Model.GenerateActs),
+// not produced by a forward pass. The golden value an accelerator
+// simulation is checked against is Lowered.ReferenceOutput, the lowering's
+// direct dot product, which sim.ExecuteGolden compares the modeled
+// datapath with.
 package nn
 
 import (
@@ -49,8 +53,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Layer describes one layer of a network. Spatial input dimensions are
-// resolved when the layer is added to a Network.
+// Layer describes one layer of a network, with its input dimensions
+// resolved by the model builder.
 type Layer struct {
 	Name string
 	Kind Kind

@@ -279,23 +279,6 @@ func (lw *Lowered) Act(f, win, step, lane int) int32 {
 	}
 }
 
-// ActRowInvariant reports whether Act is independent of the filter index:
-// true for FC layers and ungrouped convolutions, where every PE row of a
-// tile reads the same activation at a given (window, step, lane). Depthwise
-// and grouped convolutions fetch per-channel activations, so their rows
-// differ. Invariant layers let the simulator evaluate each activation's
-// serial cost once per window and share it across all resident filters.
-func (lw *Lowered) ActRowInvariant() bool {
-	switch lw.Kind {
-	case FC:
-		return true
-	case Conv:
-		return lw.layer.Groups <= 1
-	default:
-		return false
-	}
-}
-
 // ActGroups returns the number of distinct activation-fetch behaviors
 // along the filter axis: Act(f, ·) is identical for every filter in one
 // act group. Row-invariant layers (FC, ungrouped conv) are one group;
@@ -349,10 +332,6 @@ func (lw *Lowered) ActGroupRep(g int) int {
 		return 0
 	}
 }
-
-// DenseColumns returns the number of dense schedule columns a value-agnostic
-// accelerator (DaDianNao++) issues for this layer per window: Steps.
-func (lw *Lowered) DenseColumns() int { return lw.Steps }
 
 // ReferenceOutput computes filter f's dot product at window win directly
 // from the lowering — the golden value simulator runs are checked against.

@@ -49,68 +49,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// buildTinyNet makes a small conv->pool->fc network with random weights.
-func buildTinyNet(t *testing.T, seed int64) *Network {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	n := NewNetwork("tiny", fixed.W16, 3, 8, 8)
-	c1 := n.Add(&Layer{Name: "conv1", Kind: Conv, K: 6, R: 3, S: 3, Stride: 1, Pad: 1, WFrac: 10})
-	c1.Weights = tensor.New(6, 3, 3, 3)
-	c1.Weights.FillGaussian(rng, 200, 2000)
-	n.Add(&Layer{Name: "pool1", Kind: MaxPool, R: 2, S: 2, Stride: 2})
-	c2 := n.Add(&Layer{Name: "conv2", Kind: Conv, K: 4, R: 3, S: 3, Stride: 1, Pad: 0, WFrac: 10})
-	c2.Weights = tensor.New(4, 6, 3, 3)
-	c2.Weights.FillGaussian(rng, 200, 2000)
-	f := n.Add(&Layer{Name: "fc", Kind: FC, K: 5, WFrac: 10})
-	f.Weights = tensor.New(5, f.C, 1, 1)
-	f.Weights.FillGaussian(rng, 200, 2000)
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-func TestNetworkShapesChain(t *testing.T) {
-	n := buildTinyNet(t, 1)
-	// conv1: 8x8 (pad 1) -> pool: 4x4 -> conv2: 2x2 -> fc C = 4*2*2.
-	fc := n.Layers[3]
-	if fc.C != 16 {
-		t.Errorf("fc input = %d, want 16", fc.C)
-	}
-	if got := n.TotalMACs(); got != int64(6*27*64+4*54*4+5*16) {
-		t.Errorf("TotalMACs = %d", got)
-	}
-}
-
-func TestForwardRunsAndQuantizes(t *testing.T) {
-	n := buildTinyNet(t, 2)
-	in := tensor.New(1, 3, 8, 8)
-	rng := rand.New(rand.NewSource(3))
-	in.FillRandom(rng, 5000)
-	acts, err := n.Forward(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(acts) != 4 {
-		t.Fatalf("got %d act tensors", len(acts))
-	}
-	// Post-ReLU layer inputs are non-negative and within width.
-	for i := 1; i < len(acts); i++ {
-		for _, v := range acts[i].Data {
-			if v < 0 || v > 32767 {
-				t.Fatalf("layer %d input %d out of post-ReLU range", i, v)
-			}
-		}
-	}
-}
-
-func TestForwardRejectsBadInput(t *testing.T) {
-	n := buildTinyNet(t, 4)
-	if _, err := n.Forward(tensor.New(1, 3, 4, 4)); err == nil {
-		t.Error("Forward accepted wrong input shape")
-	}
-}
-
 func TestLowerConvGeometry(t *testing.T) {
 	l := &Layer{Name: "c", Kind: Conv, K: 4, C: 20, R: 3, S: 3, Stride: 1, Pad: 1, InH: 5, InW: 5}
 	l.Weights = tensor.New(4, 20, 3, 3)
@@ -301,15 +239,15 @@ func TestFilterRowMatchesWeight(t *testing.T) {
 }
 
 func TestZooModels(t *testing.T) {
+	if len(ModelNames) != 7 {
+		t.Fatalf("zoo has %d models, want 7", len(ModelNames))
+	}
 	cfg := DefaultZoo()
-	ms, err := BuildAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 7 {
-		t.Fatalf("zoo has %d models, want 7", len(ms))
-	}
-	for _, m := range ms {
+	for _, name := range ModelNames {
+		m, err := BuildModel(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if m.TotalMACs() < 1e6 {
 			t.Errorf("%s suspiciously small: %d MACs", m.Name, m.TotalMACs())
 		}
@@ -408,6 +346,11 @@ func TestModelLowered(t *testing.T) {
 	if len(lws) != len(m.Layers) {
 		t.Fatalf("lowered %d of %d layers", len(lws), len(m.Layers))
 	}
+	for i, lw := range lws {
+		if lw.Layer() != m.Layers[i] || lw.Input() != acts[i] {
+			t.Fatalf("%s: lowering does not expose its layer and input", lw.Name)
+		}
+	}
 	if _, err := m.Lowered(16, acts[:1]); err == nil {
 		t.Error("Lowered accepted mismatched act count")
 	}
@@ -482,39 +425,6 @@ func TestGroupedConvLowering(t *testing.T) {
 	}
 }
 
-func TestGroupedConvForward(t *testing.T) {
-	// The chained forward pass agrees with the lowered reference on the
-	// accumulator level: second-group filters ignore first-group channels.
-	rng := rand.New(rand.NewSource(32))
-	l := &Layer{Name: "g", Kind: Conv, K: 4, C: 8, R: 1, S: 1, Stride: 1, Pad: 0,
-		InH: 2, InW: 2, Groups: 2, WFrac: 8}
-	l.Weights = tensor.New(4, 4, 1, 1)
-	l.Weights.FillGaussian(rng, 100, 1000)
-	in := tensor.New(1, 8, 2, 2)
-	in.FillRandom(rng, 50)
-	out, _ := forwardLayer(l, in, 8, fixed.W16)
-	// Zero the unused half of the input for filter 0's group: the output of
-	// group-0 filters must not change.
-	in2 := in.Clone()
-	for c := 4; c < 8; c++ {
-		for y := 0; y < 2; y++ {
-			for x := 0; x < 2; x++ {
-				in2.Set(0, c, y, x, 0)
-			}
-		}
-	}
-	out2, _ := forwardLayer(l, in2, 8, fixed.W16)
-	for y := 0; y < 2; y++ {
-		for x := 0; x < 2; x++ {
-			for k := 0; k < 2; k++ { // group-0 filters
-				if out.At(0, k, y, x) != out2.At(0, k, y, x) {
-					t.Fatalf("group-0 filter %d depends on group-1 channels", k)
-				}
-			}
-		}
-	}
-}
-
 func TestAlexNetGroupedConvs(t *testing.T) {
 	m, err := BuildModel("AlexNet-ES", DefaultZoo())
 	if err != nil {
@@ -536,15 +446,6 @@ func TestAlexNetGroupedConvs(t *testing.T) {
 
 func TestModelMisc(t *testing.T) {
 	m, _ := BuildModel("MobileNet", DefaultZoo())
-	names := m.SortedLayerNames()
-	if len(names) != len(m.Layers) {
-		t.Error("SortedLayerNames wrong length")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatal("names not sorted")
-		}
-	}
 	q := m.Quantize8()
 	if q.Name != "MobileNet-8b" || q.Width != fixed.W8 {
 		t.Errorf("Quantize8 name/width: %s %v", q.Name, q.Width)
@@ -568,25 +469,4 @@ func TestScaleHelpers(t *testing.T) {
 	if got := scaleS(200, 31, cfg); got != 100 {
 		t.Errorf("scaleS(200) = %d", got)
 	}
-}
-
-func TestDenseColumnsAccessor(t *testing.T) {
-	lw := mustLower(t)
-	if lw.DenseColumns() != lw.Steps {
-		t.Error("DenseColumns != Steps")
-	}
-	if lw.Input() == nil || lw.Layer() == nil {
-		t.Error("accessors nil")
-	}
-}
-
-func mustLower(t *testing.T) *Lowered {
-	t.Helper()
-	l := &Layer{Name: "c", Kind: Conv, K: 1, C: 16, R: 1, S: 1, Stride: 1, InH: 2, InW: 2}
-	l.Weights = tensor.New(1, 16, 1, 1)
-	lw, err := Lower(l, tensor.New(1, 16, 2, 2), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return lw
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"bittactical/internal/fixed"
 	"bittactical/internal/sparsity"
@@ -61,7 +60,10 @@ var ModelNames = []string{
 // BuildModel instantiates a registered workload by name (case-insensitive):
 // geometry from the entry's builder, then deterministic weight synthesis,
 // pruning to the entry's target, and — for 8-bit configs — range-oblivious
-// requantization.
+// requantization. Every built layer must pass Layer.Validate: a scale small
+// enough to shrink a layer's output to nothing is an error naming the
+// layer, the model and the scales, not a model the engine divides by zero
+// on.
 func BuildModel(name string, cfg ZooConfig) (*Model, error) {
 	e, err := Lookup(name)
 	if err != nil {
@@ -77,20 +79,13 @@ func BuildModel(name string, cfg ZooConfig) (*Model, error) {
 		m = m.Quantize8()
 		m.Name = e.Name // experiments address 8b models by the plain name
 	}
-	return m, nil
-}
-
-// BuildAll instantiates the paper's seven-network zoo.
-func BuildAll(cfg ZooConfig) ([]*Model, error) {
-	out := make([]*Model, 0, len(ModelNames))
-	for _, n := range ModelNames {
-		m, err := BuildModel(n, cfg)
-		if err != nil {
-			return nil, err
+	for _, l := range m.Layers {
+		if err := l.Validate(); err != nil {
+			return nil, fmt.Errorf("%w (model %s at channel scale %g, spatial scale %g)",
+				err, e.Name, cfg.ChannelScale, cfg.SpatialScale)
 		}
-		out = append(out, m)
 	}
-	return out, nil
+	return m, nil
 }
 
 // The paper's seven networks register like any other workload. The
@@ -445,15 +440,4 @@ func assignSparsity(layers []*Layer, target float64) []float64 {
 		out[i] = math.Min(0.95, hi*mults[i])
 	}
 	return out
-}
-
-// SortedLayerNames returns the model's layer names sorted, a convenience for
-// stable CLI output.
-func (m *Model) SortedLayerNames() []string {
-	names := make([]string, len(m.Layers))
-	for i, l := range m.Layers {
-		names[i] = l.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -141,17 +141,30 @@ func (c *ResultCache) Do(ctx context.Context, key string, run func() (*Sweep, er
 		c.mu.Unlock()
 
 		c.runs.Add(1)
-		sw, err := run()
-		f.sw, f.err = sw, err
+		c.lead(key, f, run)
+		return f.sw, SourceEngine, f.err
+	}
+}
+
+// errRunPanicked is what followers of a flight whose run panicked get.
+var errRunPanicked = errors.New("serve: the simulation run panicked")
+
+// lead runs f for key and retires the flight — removed from the in-flight
+// table, retained on success, done closed — even when run panics, so the
+// panic reaches only the leader and followers get errRunPanicked instead
+// of waiting out their deadlines on a flight nobody will finish.
+func (c *ResultCache) lead(key string, f *flight, run func() (*Sweep, error)) {
+	f.err = errRunPanicked
+	defer func() {
 		c.mu.Lock()
 		delete(c.flights, key)
-		if err == nil {
-			c.insertLocked(key, sw)
+		if f.err == nil {
+			c.insertLocked(key, f.sw)
 		}
 		c.mu.Unlock()
 		close(f.done)
-		return sw, SourceEngine, err
-	}
+	}()
+	f.sw, f.err = run()
 }
 
 // insertLocked retains the sweep and evicts from the cold end until the

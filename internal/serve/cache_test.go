@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -293,5 +294,63 @@ func TestResultCacheRealErrorPropagates(t *testing.T) {
 	// The failure is not retained: the next caller leads a fresh run.
 	if src := mustDo(t, c, "k", sweepOfSize("k", 64)); src != SourceEngine {
 		t.Errorf("post-failure source = %q, want engine", src)
+	}
+}
+
+// TestResultCacheLeaderPanicReleasesFollowers: a run that panics still
+// retires its flight. The panic reaches the leader alone; a follower that
+// joined the flight gets an error at once instead of waiting out its own
+// deadline, and the next caller leads a fresh run.
+func TestResultCacheLeaderPanicReleasesFollowers(t *testing.T) {
+	c := NewResultCache(0)
+	leaderIn := make(chan struct{})
+	leaderOut := make(chan struct{})
+
+	var leaderPanic any
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { leaderPanic = recover() }()
+		_, _, _ = c.Do(context.Background(), "k", func() (*Sweep, error) {
+			close(leaderIn)
+			<-leaderOut
+			panic("engine divided by zero")
+		})
+	}()
+	<-leaderIn
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var followerErr error
+	var followerWait time.Duration
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		start := time.Now()
+		_, _, followerErr = c.Do(ctx, "k", func() (*Sweep, error) {
+			t.Error("follower re-ran after the leader's run panicked")
+			return nil, nil
+		})
+		followerWait = time.Since(start)
+	}()
+	time.Sleep(20 * time.Millisecond) // give the follower time to join the flight
+	close(leaderOut)
+	wg.Wait()
+
+	if leaderPanic == nil {
+		t.Error("the run's panic did not reach the leader")
+	}
+	if followerErr == nil || errors.Is(followerErr, context.DeadlineExceeded) || !strings.Contains(followerErr.Error(), "panicked") {
+		t.Errorf("follower error = %v, want the run's panic reported as an error", followerErr)
+	}
+	if followerWait > 2*time.Second {
+		t.Errorf("follower waited %v for a flight whose run had panicked", followerWait)
+	}
+	next, cancelNext := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancelNext()
+	_, src, err := c.Do(next, "k", func() (*Sweep, error) { return sweepOfSize("k", 64), nil })
+	if err != nil || src != SourceEngine {
+		t.Errorf("post-panic Do = %q, %v; want a fresh engine run", src, err)
 	}
 }

@@ -16,12 +16,13 @@ import (
 // resolved configuration (name, back-end, pattern, scheduler, width, and
 // the datapath geometry) in request order.
 //
-// Everything that does NOT change the result is deliberately excluded:
-// parallelism (the engine's shard merge is bit-identical at any worker
-// count), timeouts, and the streaming flag. Defaults are hashed in their
-// applied form — ModelSpec.Build and ConfigSpec.Build canonicalize first —
-// so `{"model":"alexnet-es"}` and the same request with every default
-// spelled out coalesce onto one digest, and one engine run.
+// Everything that does NOT change the result is deliberately excluded: the
+// execution knobs timeout_ms and stream, and the server's engine worker
+// count (the engine's merge is bit-identical at any worker count).
+// Defaults are hashed in their applied form — ModelSpec.Build and
+// ConfigSpec.Build canonicalize first — so `{"model":"alexnet-es"}` and the
+// same request with every default spelled out coalesce onto one digest, and
+// one engine run.
 func Fingerprint(m *nn.Model, zoo nn.ZooConfig, actSeed int64, cfgs []arch.Config) string {
 	h := sha256.New()
 	// v2 guards the grammar itself: bump when the canonical form changes so

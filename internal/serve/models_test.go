@@ -169,7 +169,10 @@ func TestFingerprintGrammar(t *testing.T) {
 // TestModelSpecBounds pins the request-size bounds: a channel or spatial
 // scale above 1 (the native topology) or a batch above maxBatch is a 400
 // naming the bound, raised before any model is built; values at the bound
-// are served, and zero or negative values keep meaning "default".
+// are served, and zero or negative values keep meaning "default". A scale
+// small enough to shrink a layer's output to nothing is a 400 naming the
+// layer: GoogLeNet's icp8 block sits behind four stride-2 pools, and below
+// spatial scale 0.2 its input map is gone.
 func TestModelSpecBounds(t *testing.T) {
 	h := testServer(t, 2).Routes()
 	for _, tc := range []struct {
@@ -184,6 +187,8 @@ func TestModelSpecBounds(t *testing.T) {
 		{"native spatial scale", ModelSpec{Model: "AlexNet-ES", ChannelScale: 0.1, SpatialScale: 1}, ""},
 		{"batch at the bound", ModelSpec{Model: "AlexNet-ES", ChannelScale: 0.1, SpatialScale: 0.25, Batch: maxBatch}, ""},
 		{"non-positive means default", ModelSpec{Model: "AlexNet-ES", ChannelScale: -1, SpatialScale: 0, Batch: -2}, ""},
+		{"GoogLeNet spatial scale 0.19", ModelSpec{Model: "GoogLeNet-ES", ChannelScale: 0.1, SpatialScale: 0.19}, "icp8/1x1"},
+		{"GoogLeNet spatial scale 0.2", ModelSpec{Model: "GoogLeNet-ES", ChannelScale: 0.1, SpatialScale: 0.2}, ""},
 	} {
 		_, _, _, err := tc.spec.Build()
 		if tc.wantErr == "" {

@@ -42,8 +42,8 @@ type Config struct {
 	// to 60s and 5m.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Parallelism is the engine worker count (0 = GOMAXPROCS); a request's
-	// parallelism field overrides it.
+	// Parallelism is the engine worker count of every request (0 =
+	// GOMAXPROCS). A request cannot change it.
 	Parallelism int
 	// CacheBudget is the finished-result LRU's byte budget: 0 means
 	// DefaultCacheBudget, negative disables retention (in-flight
@@ -315,9 +315,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return sw, nil
 		}
 		opts := sim.Options{Parallelism: s.cfg.Parallelism}
-		if req.Parallelism > 0 {
-			opts.Parallelism = req.Parallelism
-		}
 		if emit != nil {
 			opts.OnLayerResult = func(cfg, layer int, lr sim.LayerResult) {
 				emit(cfg, layer, layerPayload(lr))
@@ -410,12 +407,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
-	opts := sim.Options{Parallelism: s.cfg.Parallelism}
-	if req.Parallelism > 0 {
-		opts.Parallelism = req.Parallelism
-	}
 	acts := m.GenerateActs(actSeed)
-	grid, err := sim.SimulateGridContext(ctx, cfgs, m, acts, req.Layers, opts)
+	grid, err := sim.SimulateGridContext(ctx, cfgs, m, acts, req.Layers, sim.Options{Parallelism: s.cfg.Parallelism})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.writeEngineError(w, err)

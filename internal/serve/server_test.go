@@ -271,9 +271,10 @@ func TestSimulateBadRequests(t *testing.T) {
 	}
 }
 
-// TestSimulateHugeParallelism pins that a request's parallelism, which both
-// engine endpoints hand to the engine as given, cannot make the engine size
-// state for that many workers: the request is served.
+// TestSimulateHugeParallelism pins that a request cannot choose the
+// engine's worker count: the server's Config.Parallelism is the only
+// setting, and a body naming parallelism is an unknown field on both engine
+// endpoints.
 func TestSimulateHugeParallelism(t *testing.T) {
 	h := testServer(t, 2).Routes()
 	cfgs := `"parallelism":1000000000,"configs":[{"backend":"tcle","pattern":"T8<2,5>"}]`
@@ -281,8 +282,9 @@ func TestSimulateHugeParallelism(t *testing.T) {
 		{"/v1/simulate", smallBody(cfgs)},
 		{"/v1/shard", smallBody(cfgs + `,"layers":[0,1]`)},
 	} {
-		if rec := postJSON(t, h, tc.path, tc.body); rec.Code != http.StatusOK {
-			t.Errorf("%s at parallelism 1e9 = %d, want 200 (%s)", tc.path, rec.Code, rec.Body.String())
+		rec := postJSON(t, h, tc.path, tc.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "parallelism") {
+			t.Errorf("%s naming parallelism = %d %s, want 400 naming the field", tc.path, rec.Code, rec.Body.String())
 		}
 	}
 }
@@ -536,7 +538,7 @@ func TestSimulateResultCacheServesRepeats(t *testing.T) {
 	// Same request with defaults spelled out: seed and act_seed defaults,
 	// explicit width 16, mixed-case backend name.
 	explicit := `{"model":"AlexNet-ES","channel_scale":0.1,"spatial_scale":0.25,"seed":1,"act_seed":7,` +
-		`"configs":[{"backend":"TCLe","pattern":"T8<2,5>","width":16}],"parallelism":1}`
+		`"configs":[{"backend":"TCLe","pattern":"T8<2,5>","width":16}]}`
 	rec = postJSON(t, h, "/v1/simulate", explicit)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("repeat simulate = %d: %s", rec.Code, rec.Body.String())

@@ -40,10 +40,9 @@ import (
 // [config][i] for Layers[i].
 type ShardRequest struct {
 	ModelSpec
-	Configs     []ConfigSpec `json:"configs"`
-	Layers      []int        `json:"layers"`
-	Parallelism int          `json:"parallelism,omitempty"`
-	TimeoutMs   int64        `json:"timeout_ms,omitempty"`
+	Configs   []ConfigSpec `json:"configs"`
+	Layers    []int        `json:"layers"`
+	TimeoutMs int64        `json:"timeout_ms,omitempty"`
 }
 
 // ShardResponse is one worker's slice of the grid.
@@ -215,11 +214,10 @@ func (s *Server) dispatchShards(ctx context.Context, req SimulateRequest, m *nn.
 				continue
 			}
 			sreq := ShardRequest{
-				ModelSpec:   req.ModelSpec,
-				Configs:     specs,
-				Layers:      slice,
-				Parallelism: req.Parallelism,
-				TimeoutMs:   timeoutMs,
+				ModelSpec: req.ModelSpec,
+				Configs:   specs,
+				Layers:    slice,
+				TimeoutMs: timeoutMs,
 			}
 			wg.Add(1)
 			go func(w int, base string, slice []int) {

@@ -157,9 +157,8 @@ func (ms ModelSpec) Build() (*nn.Model, nn.ZooConfig, int64, error) {
 // SimulateRequest is the body of POST /v1/simulate.
 type SimulateRequest struct {
 	ModelSpec
-	Configs     []ConfigSpec `json:"configs,omitempty"`
-	Parallelism int          `json:"parallelism,omitempty"`
-	TimeoutMs   int64        `json:"timeout_ms,omitempty"`
+	Configs   []ConfigSpec `json:"configs,omitempty"`
+	TimeoutMs int64        `json:"timeout_ms,omitempty"`
 	// Stream switches the response to NDJSON: one header line, one line per
 	// (config, layer) result the moment it merges, one summary line. See
 	// DESIGN.md §13 for the line grammar.

@@ -50,12 +50,8 @@ func newCostTable(be backend.Backend, w fixed.Width) *costTable {
 	return ct
 }
 
-// cost returns the serial cycles the back-end spends on code v.
-func (ct *costTable) cost(v int32) int {
-	return int(ct.tab[uint32(v)&ct.width.Mask()])
-}
-
-// costU8 is cost without the int widening, for the hot loop's cost grids.
+// costU8 returns the serial cycles the back-end spends on code v, as the
+// byte the hot loop's cost grids hold.
 func (ct *costTable) costU8(v int32) uint8 {
 	return ct.tab[uint32(v)&ct.width.Mask()]
 }

@@ -33,15 +33,15 @@ func serialConfigs() []arch.Config {
 // row-invariant layers: for every filter, window, step and lane, the plane
 // of the filter's act group holds the cost of the activation that filter's
 // own row fetches — across every filter, not just the one the plane was
-// built from (the ActRowInvariant guarantee).
+// built from (the single act group's guarantee).
 func TestPlaneMatchesPerRowRecompute(t *testing.T) {
 	for _, lw := range []*nn.Lowered{
 		testConv(t, 21, 20, 24, 3, 3, 6, 0.6, 0.4),
 		testFC(t, 22, 20, 40, 18, 0.7),
 		testFC(t, 23, 33, 64, 1, 0.5),
 	} {
-		if !lw.ActRowInvariant() {
-			t.Fatalf("%s: expected row-invariant layer", lw.Name)
+		if lw.ActGroups() != 1 {
+			t.Fatalf("%s: expected row-invariant layer (one act group)", lw.Name)
 		}
 		checkPlaneMatchesAct(t, lw, serialConfigs())
 	}
@@ -101,12 +101,19 @@ func checkPlaneMatchesAct(t *testing.T, lw *nn.Lowered, cfgs []arch.Config) {
 }
 
 // TestDepthwiseNotRowInvariant pins the legality gate: the engine must
-// never build a plane for a layer whose activation fetch depends on the
-// filter row.
+// never share one plane across filter rows of a layer whose activation
+// fetch depends on the filter row, so depthwise is one act group per
+// filter.
 func TestDepthwiseNotRowInvariant(t *testing.T) {
-	if lw := testDW(t, 24, 20, 5); lw.ActRowInvariant() {
+	if lw := testDW(t, 24, 20, 5); lw.ActGroups() == 1 {
 		t.Fatal("depthwise layer reported row-invariant")
 	}
+}
+
+// get returns the plane of row-invariant layer lw under (be, w) through
+// the engine's key and fill path, building it with ct on a miss.
+func (c *PlaneCache) get(lw *nn.Lowered, be backend.Backend, w fixed.Width, ct *costTable) *costPlane {
+	return c.getKeyed(planeKeyOf(lw, be, w), lw, ct, 0)
 }
 
 // TestPlaneCacheSharing exercises the cache across the dimensions of its

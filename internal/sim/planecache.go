@@ -96,19 +96,11 @@ func planeKeyOf(lw *nn.Lowered, be backend.Backend, w fixed.Width) planeKey {
 	return planeKey{h1: h1, h2: h2, be: be.Name(), width: w, group: -1}
 }
 
-// get returns the memoized plane for (lw, be, w), building and storing it
-// on first use. ct must be the cost table of (be, w); it is consulted only
-// on a fill. This is the single-plane entry point for row-invariant
-// layers; the engine goes through getKeyed, which also takes grouped
-// layers' act-group keys.
-func (c *PlaneCache) get(lw *nn.Lowered, be backend.Backend, w fixed.Width, ct *costTable) *costPlane {
-	return c.getKeyed(planeKeyOf(lw, be, w), lw, ct, 0)
-}
-
-// getKeyed is get with the key fully formed by the caller: key.group is
-// -1 for row-invariant layers and the act group index otherwise, and
-// actGroup is the group a fill builds from. Grouped events additionally
-// tick the sim_plane_group_* counters.
+// getKeyed returns the memoized plane for key, building it from lw's act
+// group actGroup with ct on first use. key.group is -1 for row-invariant
+// layers and the act group index otherwise; ct must be the cost table of
+// the key's (back-end, width) and is consulted only on a fill. Grouped
+// events additionally tick the sim_plane_group_* counters.
 func (c *PlaneCache) getKeyed(key planeKey, lw *nn.Lowered, ct *costTable, actGroup int) *costPlane {
 	p, hit := c.planes.Get(key, func() *costPlane { return buildPlane(lw, ct, actGroup) })
 	if key.group >= 0 {

@@ -359,6 +359,9 @@ func TestSimulateModelRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// cost is costU8 widened to int, for the table checks below.
+func (ct *costTable) cost(v int32) int { return int(ct.costU8(v)) }
+
 func TestCostTableValues(t *testing.T) {
 	e := newCostTable(backend.MustLookup("TCLe"), fixed.W16)
 	if e.cost(0x008F) != 3 {

@@ -11,8 +11,8 @@ import (
 // full 16-bit datapath; 8-bit codes simply never populate the top planes.
 const BitPlanes = 16
 
-// SliceProfile extends SliceSparsity to per-bit-plane zero-fraction
-// accounting: besides the value-level zero count, it tallies, for each
+// SliceProfile is per-bit-plane zero-fraction accounting over code
+// slices: besides the value-level zero count, it tallies, for each
 // magnitude bit plane, how many codes have a zero bit there. Column-based
 // bit-serial designs (BitWave) and bit-slice schedulers (SWIS) are
 // sensitive to exactly these per-plane fractions — a plane that is zero
@@ -61,16 +61,7 @@ func (p *SliceProfile) Add(vs []int32) {
 // AddTensor accumulates a whole tensor.
 func (p *SliceProfile) AddTensor(t *tensor.T) { p.Add(t.Data) }
 
-// ProfileSlice profiles one slice, the per-bit-plane companion of
-// SliceSparsity.
-func ProfileSlice(vs []int32) SliceProfile {
-	var p SliceProfile
-	p.Add(vs)
-	return p
-}
-
-// ValueSparsity is the exact-zero code fraction — identical to
-// SliceSparsity over the same codes.
+// ValueSparsity is the exact-zero code fraction.
 func (p SliceProfile) ValueSparsity() float64 {
 	if p.Values == 0 {
 		return 0

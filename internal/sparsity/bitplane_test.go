@@ -9,11 +9,18 @@ import (
 	"bittactical/internal/metrics"
 )
 
+// profileSlice profiles one slice into a fresh SliceProfile.
+func profileSlice(vs []int32) SliceProfile {
+	var p SliceProfile
+	p.Add(vs)
+	return p
+}
+
 func TestSliceProfileKnownCodes(t *testing.T) {
 	// 0 (all planes zero), 1 (plane 0 set), -5 (0b101: planes 0 and 2 set,
 	// counted as a negative with magnitude accounting), 0x8000 is out of W16
 	// positive range so use 0x4000 (plane 14 set).
-	p := ProfileSlice([]int32{0, 1, -5, 0x4000})
+	p := profileSlice([]int32{0, 1, -5, 0x4000})
 	if p.Values != 4 || p.ZeroValues != 1 || p.NegValues != 1 {
 		t.Fatalf("counts = %+v, want 4 values, 1 zero, 1 negative", p)
 	}
@@ -58,9 +65,9 @@ func TestSliceProfileMatchesSliceSparsity(t *testing.T) {
 	for i := range vs {
 		vs[i] = m.Sample(rng, fixed.W16)
 	}
-	p := ProfileSlice(vs)
-	if got, want := p.ValueSparsity(), SliceSparsity(vs); got != want {
-		t.Errorf("ValueSparsity = %v, SliceSparsity = %v; must agree exactly", got, want)
+	p := profileSlice(vs)
+	if got, want := p.ValueSparsity(), sliceSparsity(vs); got != want {
+		t.Errorf("ValueSparsity = %v, zero fraction = %v; must agree exactly", got, want)
 	}
 	// Zero-value planes dominate: bit sparsity can never be below value
 	// sparsity (a zero code zeroes every plane).
@@ -77,7 +84,7 @@ func TestSliceProfileAccumulates(t *testing.T) {
 	var p SliceProfile
 	p.Add(a)
 	p.Add(b)
-	whole := ProfileSlice(append(append([]int32{}, a...), b...))
+	whole := profileSlice(append(append([]int32{}, a...), b...))
 	if p != whole {
 		t.Errorf("accumulated profile %+v != whole-slice profile %+v", p, whole)
 	}
@@ -85,7 +92,7 @@ func TestSliceProfileAccumulates(t *testing.T) {
 
 func TestSliceProfilePublish(t *testing.T) {
 	r := metrics.NewRegistry()
-	p := ProfileSlice([]int32{0, 1, -5, 0x4000})
+	p := profileSlice([]int32{0, 1, -5, 0x4000})
 	p.Publish(r)
 	for name, want := range map[string]int64{
 		"sparsity_slice_values_total":      4,

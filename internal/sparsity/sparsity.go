@@ -281,20 +281,6 @@ func RandomSparseFilter(rng *rand.Rand, steps, lanes int, sparsity float64) []in
 	return out
 }
 
-// SliceSparsity returns the zero fraction of a code slice.
-func SliceSparsity(vs []int32) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	z := 0
-	for _, v := range vs {
-		if v == 0 {
-			z++
-		}
-	}
-	return float64(z) / float64(len(vs))
-}
-
 // Requantize8 derives 8-bit codes from 16-bit codes by the paper's
 // range-oblivious linear quantization (Section 6.5): the tensor's value
 // range is mapped onto the 8-bit range (largest power-of-two rescale that
@@ -320,51 +306,4 @@ func Requantize8(t *tensor.T) *tensor.T {
 		out.Data[i] = fixed.RequantizeProduct(int64(v), shift, fixed.W8)
 	}
 	return out
-}
-
-// PruneStructured applies Cambricon-S-style coarse-grained pruning to a
-// (K, C, R, S) weight tensor: the same (c, r, s) positions are zeroed for
-// every filter of a 16-filter group, chosen by the group's summed
-// magnitude at each position. The resulting sparsity is "structural" —
-// aligned across the filters that share a Bit-Tactical tile — which the
-// paper notes TCL supports without requiring (Section 7): the joint
-// group schedule compacts structured zeros especially well because every
-// filter's window advances together.
-func PruneStructured(t *tensor.T, frac float64, filterGroup int) {
-	if frac <= 0 {
-		return
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	k, c, r, s := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
-	positions := c * r * s
-	for f0 := 0; f0 < k; f0 += filterGroup {
-		f1 := f0 + filterGroup
-		if f1 > k {
-			f1 = k
-		}
-		// Rank positions by group magnitude.
-		mags := make([]int64, positions)
-		for f := f0; f < f1; f++ {
-			for p := 0; p < positions; p++ {
-				v := t.Data[f*positions+p]
-				if v < 0 {
-					v = -v
-				}
-				mags[p] += int64(v)
-			}
-		}
-		idx := make([]int, positions)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return mags[idx[a]] < mags[idx[b]] })
-		kill := int(frac * float64(positions))
-		for _, p := range idx[:kill] {
-			for f := f0; f < f1; f++ {
-				t.Data[f*positions+p] = 0
-			}
-		}
-	}
 }

@@ -147,6 +147,22 @@ func TestWeightModelFillPruned(t *testing.T) {
 	}
 }
 
+// sliceSparsity returns the zero fraction of a code slice, counted
+// directly: the oracle SliceProfile.ValueSparsity and RandomSparseFilter are
+// checked against.
+func sliceSparsity(vs []int32) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	z := 0
+	for _, v := range vs {
+		if v == 0 {
+			z++
+		}
+	}
+	return float64(z) / float64(len(vs))
+}
+
 func TestRandomSparseFilterExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, sp := range []float64{0, 0.1, 0.5, 0.9, 1.0} {
@@ -154,16 +170,10 @@ func TestRandomSparseFilterExact(t *testing.T) {
 		if len(w) != 288*16 {
 			t.Fatalf("len = %d", len(w))
 		}
-		got := SliceSparsity(w)
+		got := sliceSparsity(w)
 		if math.Abs(got-sp) > 0.001 {
 			t.Errorf("sparsity %.3f, want %.1f", got, sp)
 		}
-	}
-}
-
-func TestSliceSparsityEmpty(t *testing.T) {
-	if SliceSparsity(nil) != 0 {
-		t.Error("empty slice sparsity should be 0")
 	}
 }
 
@@ -232,41 +242,5 @@ func TestCalibrationShapes(t *testing.T) {
 	}
 	if aeA < apA {
 		t.Errorf("Ae (%.1f) must exceed Ap (%.1f): oneffsets ≤ precision bits", aeA, apA)
-	}
-}
-
-func TestPruneStructuredAlignsAcrossFilters(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	w := tensor.New(32, 16, 3, 3)
-	WeightModel{Sigma: 300}.FillPruned(rng, w, fixed.W16, 0)
-	PruneStructured(w, 0.6, 16)
-	got := w.Sparsity()
-	if math.Abs(got-0.6) > 0.02 {
-		t.Fatalf("structured sparsity %.3f, want ≈0.6", got)
-	}
-	// Within each 16-filter group, zero positions must coincide exactly.
-	positions := 16 * 3 * 3
-	for f0 := 0; f0 < 32; f0 += 16 {
-		for p := 0; p < positions; p++ {
-			zero := w.Data[f0*positions+p] == 0
-			for f := f0 + 1; f < f0+16; f++ {
-				if (w.Data[f*positions+p] == 0) != zero {
-					t.Fatalf("group %d position %d not aligned", f0/16, p)
-				}
-			}
-		}
-	}
-}
-
-func TestPruneStructuredClamps(t *testing.T) {
-	w := tensor.New(4, 4, 1, 1)
-	w.Fill(9)
-	PruneStructured(w, -1, 16)
-	if w.NNZ() != 16 {
-		t.Error("negative frac should be a no-op")
-	}
-	PruneStructured(w, 2, 16)
-	if w.NNZ() != 0 {
-		t.Error("frac > 1 should zero everything")
 	}
 }
