@@ -105,8 +105,8 @@ BENCH_EMIT = $(GO) run ./cmd/tclbench$(if $(FORCE), -force) -emit
 bench-sim:
 	$(BENCH_EMIT) sim
 
-# Regenerate BENCH_sched.json: scheduler kernel vs reference ns/op and
-# allocs/op across the Table-2 pattern x algorithm sweep.
+# Regenerate BENCH_sched.json: scheduler kernel (arena) vs fresh-copy ns/op
+# and allocs/op across the Table-2 pattern x algorithm sweep.
 bench-sched:
 	$(BENCH_EMIT) sched
 

@@ -62,10 +62,12 @@ func BuildModel(name string, cfg ZooConfig) (*Model, error) { return nn.BuildMod
 type Pattern = sched.Pattern
 
 // Trident returns the sparse T<h,d> pattern of Figure 3b — the paper's
-// co-designed interconnect.
+// co-designed interconnect. Patterns are bounded at h+d = 64 offsets:
+// past that, Schedule and the simulators return a validation error.
 func Trident(h, d int) Pattern { return sched.T(h, d) }
 
-// LShape returns the contiguous L<h,d> pattern of Figure 3a.
+// LShape returns the contiguous L<h,d> pattern of Figure 3a, bounded like
+// Trident at h+d = 64 offsets.
 func LShape(h, d int) Pattern { return sched.L(h, d) }
 
 // PatternByName resolves the paper's configuration labels ("T8<2,5>", …).
@@ -73,8 +75,11 @@ func PatternByName(name string) (Pattern, error) { return sched.ByName(name) }
 
 // Schedule statically schedules one filter (a Steps×Lanes dense weight
 // matrix) under the pattern with the paper's Algorithm 1 and returns the
-// verified schedule.
+// verified schedule, or the pattern's validation error.
 func Schedule(lanes, steps int, weights []int32, p Pattern) (*sched.Schedule, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	f := sched.NewFilter(lanes, steps, weights, nil)
 	s := sched.ScheduleFilter(f, p, sched.Algorithm1)
 	if err := sched.Verify(f, p, s); err != nil {

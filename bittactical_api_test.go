@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bittactical"
+	"bittactical/internal/sched"
 )
 
 func TestPublicAPIQuickTour(t *testing.T) {
@@ -42,6 +43,16 @@ func TestPublicAPISchedule(t *testing.T) {
 	}
 	if s.Len() >= 8 || s.Len() < 1 {
 		t.Errorf("schedule %d columns for a 2/3-sparse filter", s.Len())
+	}
+	// Invalid patterns are errors, not panics.
+	for _, p := range []bittactical.Pattern{
+		{Name: "dt0", H: 1, Offsets: []sched.Offset{{Dt: 0, Dl: 1}}},
+		{Name: "dup", H: 1, Offsets: []sched.Offset{{Dt: 1}, {Dt: 1}}},
+		bittactical.LShape(70, 0),
+	} {
+		if s, err := bittactical.Schedule(16, 8, w, p); err == nil {
+			t.Errorf("%s: scheduled in %d columns, want a validation error", p.Name, s.Len())
+		}
 	}
 }
 

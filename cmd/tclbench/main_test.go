@@ -103,7 +103,7 @@ func TestGateSuiteRestriction(t *testing.T) {
 func TestGateMissingRowFails(t *testing.T) {
 	baseDir, curDir := fixture(t,
 		r(t8, 100, 0),
-		r("sched/T8<2,5>/algorithm1/reference", 100, 0)) // different ID: kernel row missing
+		r("sched/T8<2,5>/algorithm1/fresh", 100, 0)) // different ID: kernel row missing
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-compare", "-suite", "sched", "-dir", baseDir, "-current", curDir}, &out, &errOut); code != 1 {
 		t.Fatalf("missing baseline row passed the gate")

@@ -187,7 +187,7 @@ func TestShardSmoke(t *testing.T) {
 	w1, _ := startServe(t, serveBin)
 	w2, w2cmd := startServe(t, serveBin)
 	coord, _ := startServe(t, serveBin, "-workers", w1+","+w2,
-		"-shard-retries", "2", "-shard-backoff", "25ms", "-health-interval", "500ms")
+		"-shard-backoff", "25ms", "-health-interval", "500ms")
 
 	// The same sweep through both deployment shapes must agree byte for byte.
 	body := `{"model":"AlexNet-ES","channel_scale":0.1,"spatial_scale":0.25,"configs":[{"backend":"tcle","pattern":"T8<2,5>"},{"backend":"tclp","pattern":"L4<1,2>"}]}`

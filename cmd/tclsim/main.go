@@ -7,7 +7,7 @@
 //	tclsim -exp fig12 -models AlexNet-ES,ResNet50-SS
 //	tclsim -exp table1 -cscale 0.5 -sscale 0.5   # larger instantiation
 //	tclsim -exp fig8b -j 8 -cpuprofile cpu.out   # bounded parallelism + pprof
-//	tclsim -exp all -schedstats       # report schedule-cache effectiveness
+//	tclsim -exp all -metrics          # also dump cache and engine counters
 //	tclsim -backend dstripes-sm       # ad-hoc sweep of one registered back-end
 //	tclsim -backend dstripes-sm -models AlexNet-ES,GoogLeNet-ES
 //	tclsim -exp attn-fig8 -batch 4    # transformer-era zoo at batch 4
@@ -29,8 +29,6 @@ import (
 	"bittactical/internal/metrics"
 	"bittactical/internal/nn"
 	"bittactical/internal/profiling"
-	"bittactical/internal/sched"
-	"bittactical/internal/sim"
 )
 
 func main() {
@@ -46,8 +44,6 @@ func main() {
 		trials  = flag.Int("trials", 100, "filters per point for fig11")
 		par     = flag.Int("j", 0, "worker parallelism (0 = GOMAXPROCS)")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
-		sstats  = flag.Bool("schedstats", false, "print schedule-cache hit/miss stats on exit")
-		pstats  = flag.Bool("planestats", false, "print activation-plane-cache hit/miss stats on exit")
 		mstats  = flag.Bool("metrics", false, "dump the engine metrics snapshot (JSON) after the run")
 		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -123,28 +119,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	}
-	if *sstats {
-		st := sched.Shared.Stats()
-		total := st.Hits + st.Misses
-		var rate float64
-		if total > 0 {
-			rate = 100 * float64(st.Hits) / float64(total)
-		}
-		fmt.Printf("schedule cache: %d hits / %d misses (%.1f%% hit rate), %d evictions, %d resident entries\n",
-			st.Hits, st.Misses, rate, st.Evictions, st.Entries)
-	}
-	if *pstats {
-		st := sim.SharedPlanes.Stats()
-		total := st.Hits + st.Misses
-		var rate float64
-		if total > 0 {
-			rate = 100 * float64(st.Hits) / float64(total)
-		}
-		fmt.Printf("plane cache: %d hits / %d misses (%.1f%% hit rate), %d evictions, %d resident entries (%.1f MiB)\n",
-			st.Hits, st.Misses, rate, st.Evictions, st.Entries, float64(st.Bytes)/(1<<20))
-		fmt.Printf("grouped planes: %d builds / %d hits / %d evictions\n",
-			st.GroupBuilds, st.GroupHits, st.GroupEvictions)
 	}
 	if *mstats {
 		if err := metrics.Default.WriteJSON(os.Stdout); err != nil {

@@ -82,6 +82,9 @@ func TestValidateRejections(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("accepted invalid pattern")
 	}
+	if TCLe(sched.L(65, 0)).Validate() == nil {
+		t.Error("accepted a 65-offset pattern")
+	}
 }
 
 func TestValidateRejectsNilBackend(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package bench is the repo's benchmark baseline format and regression
 // gate. One schema covers the three committed baselines — BENCH_sched.json
-// (scheduling kernel vs reference), BENCH_sim.json (experiment runners
-// through the engine), BENCH_serve.json (the tclserve HTTP tier under
-// load) — and one comparison policy decides what counts as a regression:
+// (the scheduling kernel in arena and fresh-copy mode), BENCH_sim.json
+// (experiment runners through the engine), BENCH_serve.json (the tclserve
+// HTTP tier under load) — and one comparison policy decides what counts as
+// a regression:
 //
 //   - allocs/op compares everywhere: allocation counts are a property of
 //     the code, not the host, so a >threshold growth fails the gate on any

@@ -188,9 +188,8 @@ func schedGroup(seed int64) []sched.Filter {
 }
 
 // RunSched measures the scheduling kernel per (pattern, algorithm): the
-// arena-mode kernel in steady state (the zero-alloc hot path), the pooled
-// fresh-copy entry point (the cache-fill path), and the reference
-// scheduler it is differentially tested against.
+// arena-mode kernel in steady state (the zero-alloc hot path) and the
+// pooled fresh-copy entry point (four exact allocations per group).
 func RunSched(logf Logf, _ RunOpts) (*File, error) {
 	f := NewFile("16 filters x 16 lanes x 54 steps, 70% sparsity")
 	filters := schedGroup(1)
@@ -205,7 +204,6 @@ func RunSched(logf Logf, _ RunOpts) (*File, error) {
 			}{
 				{"kernel", func() { sc.ScheduleGroup(filters, p, alg) }},
 				{"fresh", func() { sched.ScheduleGroup(filters, p, alg) }},
-				{"reference", func() { sched.ScheduleGroupReference(filters, p, alg) }},
 			} {
 				rec := Measure(base+"/"+v.name, 0, func(b *testing.B) {
 					b.ReportAllocs()

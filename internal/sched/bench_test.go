@@ -75,8 +75,9 @@ func BenchmarkScheduleGroupFresh(b *testing.B) {
 }
 
 // BenchmarkScheduleGroupReference measures the pre-optimization scheduler
-// kept as the differential-fuzz specification, for the kernel-vs-reference
-// ratio recorded in BENCH_sched.json.
+// kept in reference_test.go as the differential-fuzz specification, for the
+// kernel-vs-reference ratio (BENCH_sched.json records only the kernel and
+// fresh rows).
 func BenchmarkScheduleGroupReference(b *testing.B) {
 	filters := benchGroup(1)
 	for _, c := range benchConfigs() {
@@ -88,7 +89,3 @@ func BenchmarkScheduleGroupReference(b *testing.B) {
 		})
 	}
 }
-
-// BENCH_sched.json regeneration lives in emit_test.go (package sched_test):
-// the shared internal/bench suite imports this package, so the emitter must
-// sit outside it to avoid an import cycle in the test binary.

@@ -200,10 +200,10 @@ func (c *Cache) lookup(key groupKey, filters []Filter, p Pattern, alg Algorithm)
 // mutex — concurrent fills copy in parallel.
 func (c *Cache) fill(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
 	k := schedulerPool.Get().(*Scheduler)
-	nf, lanes, steps, cols, fallback := k.runGroup(filters, p, alg)
-	if fallback != nil || nf == 0 {
+	nf, lanes, steps, cols := k.runGroup(filters, p, alg)
+	if nf == 0 {
 		schedulerPool.Put(k)
-		return fallback
+		return nil
 	}
 	c.slabMu.Lock()
 	ents, fcols, schs, ptrs := c.slab.take(nf, cols, lanes)

@@ -153,6 +153,36 @@ func TestKernelMatchesReferenceSustained(t *testing.T) {
 	}
 }
 
+// TestKernelMatchesReferenceAtOffsetBound runs the differential check on the
+// widest patterns Pattern.Validate accepts: 64 offsets, so every bit of a
+// lane's candidate set is in use, over filters deep enough to reach them.
+func TestKernelMatchesReferenceAtOffsetBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	sc := NewScheduler()
+	for _, p := range []Pattern{L(40, 24), T(32, 32)} {
+		if len(p.Offsets) != maxKernelOffsets {
+			t.Fatalf("%s has %d offsets, want %d", p.Name, len(p.Offsets), maxKernelOffsets)
+		}
+		for trial := 0; trial < 3; trial++ {
+			lanes := 4 + rng.Intn(13)
+			steps := 48 + rng.Intn(32)
+			filters := make([]Filter, 1+rng.Intn(3))
+			for fi := range filters {
+				w := make([]int32, steps*lanes)
+				for i := range w {
+					if rng.Intn(4) == 0 {
+						w[i] = int32(rng.Intn(255)) - 127
+					}
+				}
+				filters[fi] = NewFilter(lanes, steps, w, nil)
+			}
+			for _, alg := range []Algorithm{Algorithm1, GreedySimple, Matching} {
+				assertKernelMatchesReference(t, sc, filters, p, alg)
+			}
+		}
+	}
+}
+
 // FuzzGroupScheduleLockstep checks the joint-group invariants: identical
 // column counts, heads and advances across members, and per-member
 // verification.

@@ -5,10 +5,9 @@ import (
 	mathbits "math/bits"
 )
 
-// maxKernelOffsets bounds the optimized kernel's per-lane candidate bitset:
-// one uint64 bit per pattern offset. Every pattern in the paper's design
-// space has at most 15 offsets; larger hand-built patterns fall back to the
-// reference scheduler.
+// maxKernelOffsets bounds the kernel's per-lane candidate bitset: one
+// uint64 bit per pattern offset. Every pattern in the paper's design space
+// has at most 15 offsets; Pattern.Validate rejects any with more than this.
 const maxKernelOffsets = 64
 
 // Scheduler is a reusable scheduling kernel. It owns every piece of scratch
@@ -19,9 +18,9 @@ const maxKernelOffsets = 64
 // Schedules returned by (*Scheduler).ScheduleGroup live in the scheduler's
 // arena: they are valid only until the next call on the same Scheduler, and
 // must not be retained or mutated. Callers that need persistent schedules
-// (the schedule cache, anything that outlives one group) use the package
-// ScheduleGroup/ScheduleFilter functions, which copy the arena into exactly
-// sized fresh allocations.
+// use the package ScheduleGroup/ScheduleFilter functions, which copy the
+// arena into exactly sized fresh allocations, or a Cache, which copies it
+// into the cache's slab.
 //
 // A Scheduler is not safe for concurrent use; use one per goroutine (the
 // package-level entry points draw from a sync.Pool).
@@ -57,29 +56,21 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // ScheduleGroup jointly schedules the filter group into the scheduler's
 // arena. Semantics are identical to the package-level ScheduleGroup — the
-// differential fuzz suite asserts bit-identical output against the reference
-// scheduler — but the returned schedules are only valid until the next call
-// on this Scheduler. Patterns beyond the kernel's bitset width (> 64
-// offsets) take the allocating reference path; the infinite upper bound
-// runs arena-backed like the rest.
+// differential fuzz suite asserts bit-identical output against the
+// reference scheduler in the tests — but the returned schedules are only
+// valid until the next call on this Scheduler.
 func (s *Scheduler) ScheduleGroup(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
-	return s.scheduleGroup(filters, p, alg, false)
-}
-
-func (s *Scheduler) scheduleGroup(filters []Filter, p Pattern, alg Algorithm, fresh bool) []*Schedule {
-	nf, lanes, steps, cols, fallback := s.runGroup(filters, p, alg)
-	if fallback != nil || nf == 0 {
-		return fallback
+	nf, lanes, steps, cols := s.runGroup(filters, p, alg)
+	if nf == 0 {
+		return nil
 	}
-	return s.assemble(nf, lanes, steps, cols, fresh)
+	return s.assemble(nf, lanes, steps, cols)
 }
 
 // runGroup validates the group, runs it into the scheduler's arena, and
-// returns the geometry plus column count the assemblers need. Patterns
-// beyond the kernel's bitset width cannot use the arena; for those the
-// reference scheduler's freshly allocated result comes back as fallback
-// and the arena is untouched.
-func (s *Scheduler) runGroup(filters []Filter, p Pattern, alg Algorithm) (nf, lanes, steps, cols int, fallback []*Schedule) {
+// returns the geometry plus column count the assemblers need. It panics on
+// an invalid pattern: callers validate configurations first.
+func (s *Scheduler) runGroup(filters []Filter, p Pattern, alg Algorithm) (nf, lanes, steps, cols int) {
 	nf = len(filters)
 	if nf == 0 {
 		return
@@ -98,20 +89,16 @@ func (s *Scheduler) runGroup(filters []Filter, p Pattern, alg Algorithm) (nf, la
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if len(p.Offsets) > maxKernelOffsets {
-		fallback = ScheduleGroupReference(filters, p, alg)
-		return
-	}
 	cols = s.runKernel(filters, p, alg, lanes, steps)
 	return
 }
 
 // runInfinite realizes the X<inf,15> upper bound in the arena with the
 // same column layout as runKernel: entries of filter i, column c at
-// entArena[(i*steps+c)*lanes]. Semantics match scheduleInfinite (the
-// reference, still used by ScheduleGroupReference) bit for bit —
-// arbitrary promotion compacts each filter to ⌈nnz/L⌉ columns and the
-// group pads to the slowest filter.
+// entArena[(i*steps+c)*lanes]. Semantics match the reference scheduler's
+// X<inf,15> path (reference_test.go) bit for bit — arbitrary promotion
+// compacts each filter to ⌈nnz/L⌉ columns and the group pads to the
+// slowest filter.
 func (s *Scheduler) runInfinite(filters []Filter, lanes, steps int) int {
 	nf := len(filters)
 	maxCols := 0
@@ -252,17 +239,8 @@ func (s *Scheduler) runKernel(filters []Filter, p Pattern, alg Algorithm, lanes,
 	return cols
 }
 
-// assemble materializes the schedules over the column arena — in place for
-// arena mode, into exactly sized fresh allocations for the persistent mode.
-func (s *Scheduler) assemble(nf, lanes, steps, cols int, fresh bool) []*Schedule {
-	if fresh {
-		ents := make([]Entry, nf*cols*lanes)
-		fcols := make([]Column, nf*cols)
-		scheds := make([]Schedule, nf)
-		out := make([]*Schedule, nf)
-		s.assembleInto(ents, fcols, scheds, out, nf, lanes, steps, cols)
-		return out
-	}
+// assemble materializes the schedules in place over the column arena.
+func (s *Scheduler) assemble(nf, lanes, steps, cols int) []*Schedule {
 	s.schArena = growSlice(s.schArena, nf)
 	s.ptrArena = growSlice(s.ptrArena, nf)
 	for i := 0; i < nf; i++ {
@@ -275,12 +253,13 @@ func (s *Scheduler) assemble(nf, lanes, steps, cols int, fresh bool) []*Schedule
 	return s.ptrArena[:nf]
 }
 
-// assembleInto copies the arena group into caller-provided storage (a
-// fresh allocation or a cache slab carve). The arena keeps filter i's
-// entries contiguous across columns — [(i*steps)*lanes, (i*steps+cols)*lanes)
-// — so the bulk of the copy is a single memmove per filter rather than
-// one per column; at full-zoo sweep scale the per-column variant was the
-// single largest memmove source in the profile.
+// assembleInto copies the arena group into caller-provided storage (the
+// package ScheduleGroup's exact allocations or a cache slab carve). The
+// arena keeps filter i's entries contiguous across columns —
+// [(i*steps)*lanes, (i*steps+cols)*lanes) — so the bulk of the copy is a
+// single memmove per filter rather than one per column; at full-zoo sweep
+// scale the per-column variant was the single largest memmove source in
+// the profile.
 func (s *Scheduler) assembleInto(ents []Entry, fcols []Column, scheds []Schedule, out []*Schedule, nf, lanes, steps, cols int) {
 	for i := 0; i < nf; i++ {
 		copy(ents[i*cols*lanes:(i+1)*cols*lanes], s.entArena[i*steps*lanes:(i*steps+cols)*lanes])
@@ -395,10 +374,10 @@ func (s *Scheduler) consume(head, lanes, u, v int) {
 }
 
 // buildColumn is the optimized kernel for one (filter, column): identical
-// decisions to referenceBuildColumn, but candidates live in per-lane bitsets
-// maintained incrementally, and the matching algorithm runs on flat arrays
-// with an epoch-stamped visited buffer. Returns the number of weights
-// executed.
+// decisions to the reference scheduler's column builder (reference_test.go),
+// but candidates live in per-lane bitsets maintained incrementally, and the
+// matching algorithm runs on flat arrays with an epoch-stamped visited
+// buffer. Returns the number of weights executed.
 func (s *Scheduler) buildColumn(f Filter, alg Algorithm, done []bool, stepPending []int32, head int, entries []Entry) int {
 	lanes := f.Lanes
 	executed := 0

@@ -59,10 +59,16 @@ func (p Pattern) LookaheadOnly() Pattern {
 	return q
 }
 
-// Validate checks structural sanity.
+// Validate checks structural sanity, including the bound of 64 offsets
+// (maxKernelOffsets, a 65-input mux) the scheduling kernel supports; the
+// paper's designs use at most 15.
 func (p Pattern) Validate() error {
 	if p.Infinite {
 		return nil
+	}
+	if len(p.Offsets) > maxKernelOffsets {
+		return fmt.Errorf("sched: %s: %d offsets exceed the bound of %d (a %d-input mux)",
+			p.Name, len(p.Offsets), maxKernelOffsets, maxKernelOffsets+1)
 	}
 	seen := map[Offset]bool{}
 	for _, o := range p.Offsets {
@@ -84,6 +90,7 @@ func (p Pattern) Validate() error {
 // (1,0)…(h,0) plus lookaside to the d neighboring lanes one step ahead.
 // The lane direction follows the paper's Figure 2, where lane 2 steals
 // w¹₁ from lane 1: a lane reaches the d lanes below it (wrapping mod L).
+// It has h+d offsets; Validate rejects h+d > 64.
 func L(h, d int) Pattern {
 	p := Pattern{Name: fmt.Sprintf("L%d<%d,%d>", h+d+1, h, d), H: h, D: d}
 	for k := 1; k <= h; k++ {
@@ -100,7 +107,8 @@ func L(h, d int) Pattern {
 // stride, spread over the lookahead depth so neighboring lanes' search
 // windows overlap less (the property Section 3.1 credits for the Trident's
 // edge over the L shape). The exact prong geometry is shown only pictorially
-// in the paper; DESIGN.md §7 documents this reconstruction.
+// in the paper; DESIGN.md §7 documents this reconstruction. It has h+d
+// offsets; Validate rejects h+d > 64.
 func T(h, d int) Pattern {
 	p := Pattern{Name: fmt.Sprintf("T%d<%d,%d>", h+d+1, h, d), H: h, D: d}
 	for k := 1; k <= h; k++ {

@@ -22,15 +22,18 @@ func ScheduleFilter(f Filter, p Pattern, alg Algorithm) *Schedule {
 // synchronization charged as lost time in Figure 9.
 //
 // All returned schedules have identical column counts, heads, and advances.
-// The returned schedules are freshly allocated and safe to retain (the
-// schedule cache depends on this); hot paths that schedule many groups and
+// The returned schedules are freshly allocated, in four exactly sized
+// allocations, and safe to retain; hot paths that schedule many groups and
 // discard the result immediately should hold a *Scheduler instead.
 func ScheduleGroup(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
 	if len(filters) == 0 {
 		return nil
 	}
 	s := schedulerPool.Get().(*Scheduler)
-	out := s.scheduleGroup(filters, p, alg, true)
+	nf, lanes, steps, cols := s.runGroup(filters, p, alg)
+	out := make([]*Schedule, nf)
+	s.assembleInto(make([]Entry, nf*cols*lanes), make([]Column, nf*cols), make([]Schedule, nf), out,
+		nf, lanes, steps, cols)
 	schedulerPool.Put(s)
 	return out
 }

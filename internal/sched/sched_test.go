@@ -341,6 +341,14 @@ func TestPatternValidate(t *testing.T) {
 	if dup.Validate() == nil {
 		t.Error("Validate accepted duplicate offsets")
 	}
+	// The kernel's bound: 64 offsets (a 65-input mux) validate, 65 do not.
+	if err := L(40, 24).Validate(); err != nil {
+		t.Error(err)
+	}
+	wide := L(40, 25)
+	if err := wide.Validate(); err == nil || !strings.Contains(err.Error(), "65 offsets exceed the bound of 64") {
+		t.Errorf("Validate(%s) = %v, want the 64-offset bound", wide.Name, err)
+	}
 }
 
 func TestPatternMuxInputs(t *testing.T) {

@@ -22,12 +22,12 @@ import (
 // document.
 const maxBodyBytes = 1 << 20
 
-// Shard-mode resilience defaults: a Config.ShardRetries of 0 means
-// defaultShardRetries re-dispatch rounds (negative disables retry), and a
-// Config.ShardBackoff of 0 means defaultShardBackoff before the first
-// retry round (doubling per round; negative disables the pause).
+// Shard-mode resilience: a coordinator re-dispatches a failed worker's
+// layer slice over the survivors for up to shardRetries rounds after the
+// first, and a Config.ShardBackoff of 0 means defaultShardBackoff before
+// the first retry round (doubling per round; negative disables the pause).
 const (
-	defaultShardRetries = 2
+	shardRetries        = 2
 	defaultShardBackoff = 50 * time.Millisecond
 )
 
@@ -58,11 +58,6 @@ type Config struct {
 	// client with no overall timeout (the request context bounds each
 	// call).
 	Client *http.Client
-	// ShardRetries bounds the coordinator's re-dispatch rounds after the
-	// first: a failed worker's layer slice is re-partitioned over the
-	// survivors up to this many times before the request fails. 0 means
-	// defaultShardRetries; negative disables failover entirely.
-	ShardRetries int
 	// ShardBackoff is the pause before the first re-dispatch round,
 	// doubling each round. 0 means defaultShardBackoff; negative disables
 	// the pause.
@@ -295,7 +290,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// One engine invocation (or shard dispatch) per fingerprint: concurrent
 	// identical requests coalesce onto the leader's run, and finished
 	// sweeps serve follow-ups from the LRU without touching the engine.
-	run := func() (*Sweep, error) {
+	run := func() (_ *Sweep, err error) {
+		defer recoverEngine(&err)
 		var emit func(cfg, layer int, lp LayerPayload)
 		if st != nil {
 			// This request leads the run, so its stream gets the layer
@@ -407,10 +403,15 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
-	acts := m.GenerateActs(actSeed)
-	grid, err := sim.SimulateGridContext(ctx, cfgs, m, acts, req.Layers, sim.Options{Parallelism: s.cfg.Parallelism})
+	var grid [][]sim.LayerResult
+	err = func() (err error) {
+		defer recoverEngine(&err)
+		grid, err = sim.SimulateGridContext(ctx, cfgs, m, m.GenerateActs(actSeed), req.Layers, sim.Options{Parallelism: s.cfg.Parallelism})
+		return err
+	}()
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		var pe *enginePanic
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) || errors.As(err, &pe) {
 			s.writeEngineError(w, err)
 			return
 		}
@@ -510,6 +511,21 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// enginePanic is a panic recovered under an engine call: a bug, such as a
+// back-end plugin whose Cost leaves [0, 127], not a request error.
+type enginePanic struct{ value any }
+
+func (e *enginePanic) Error() string { return fmt.Sprintf("serve: engine panic: %v", e.value) }
+
+// recoverEngine, deferred around an engine call, turns a panic into an
+// *enginePanic in *err, so the client gets a 500 (or a terminal stream
+// error line) and the connection survives.
+func recoverEngine(err *error) {
+	if v := recover(); v != nil {
+		*err = &enginePanic{value: v}
+	}
+}
+
 // countEngineError books the failure class without writing a response
 // (the streaming path already committed its status).
 func (s *Server) countEngineError(err error) {
@@ -522,7 +538,8 @@ func (s *Server) countEngineError(err error) {
 
 // writeEngineError maps a failed engine run to the response the client can
 // act on: 504 for an expired deadline, 408 for a request the client itself
-// abandoned, 502 for a shard worker failure.
+// abandoned, 502 for a shard worker failure, 500 for anything else (an
+// engine panic included).
 func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 	var se *shardError
 	var fm *fleetMismatchError

@@ -115,11 +115,11 @@ func validateShardResponse(resp *ShardResponse, worker string, names []string, s
 // lock, as its worker's response lands (the shard analog of the engine's
 // OnLayerResult).
 //
-// The dispatch is a bounded round loop: each round partitions the
-// still-pending layers over the workers currently believed alive (LPT on
-// predicted cost), fires the slices concurrently, folds successful
-// responses into the grid, and carries failed workers' slices into the
-// next round — landed cells are never recomputed. A worker that fails is
+// The dispatch is a round loop of at most 1 + shardRetries rounds: each
+// round partitions the still-pending layers over the workers currently
+// believed alive (LPT on predicted cost), fires the slices concurrently,
+// folds successful responses into the grid, and carries failed workers'
+// slices into the next round — landed cells are never recomputed. A worker that fails is
 // excluded for the rest of the request and reported to the health tracker.
 // Unrecoverable conditions (config mismatch, expired request context, no
 // surviving workers) cancel every sibling RPC immediately instead of
@@ -158,7 +158,7 @@ func (s *Server) dispatchShards(ctx context.Context, req SimulateRequest, m *nn.
 		excluded = make([]bool, len(workers)) // failed during THIS request
 		pending  = allLayers(nLayers)
 	)
-	maxRounds := 1 + s.shardRetries()
+	maxRounds := 1 + shardRetries
 	for round := 0; round < maxRounds && len(pending) > 0; round++ {
 		if round > 0 {
 			s.shardRetryRounds.Inc()
@@ -301,18 +301,6 @@ func (s *Server) dispatchShards(ctx context.Context, req SimulateRequest, m *nn.
 		return nil, nil, lastErr
 	}
 	return grid, names, nil
-}
-
-// shardRetries resolves the configured re-dispatch round budget.
-func (s *Server) shardRetries() int {
-	switch {
-	case s.cfg.ShardRetries < 0:
-		return 0
-	case s.cfg.ShardRetries == 0:
-		return defaultShardRetries
-	default:
-		return s.cfg.ShardRetries
-	}
 }
 
 // shardBackoffWait pauses before re-dispatch round `round` (1-based),

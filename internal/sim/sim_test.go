@@ -508,9 +508,10 @@ func TestLayerResultSpeedupZeroCycles(t *testing.T) {
 
 // TestSimulateLayerRejectsBadGeometry pins the single-layer entry's
 // validation: a config whose lane count differs from the lowering's, one
-// with no filters per tile, and one with no partial-sum registers are
-// errors — not a construction-bug panic or an integer divide by zero inside
-// the engine.
+// with no filters per tile, one with no partial-sum registers, and one
+// whose pattern has more offsets than the scheduler supports are errors —
+// not a construction-bug panic or an integer divide by zero inside the
+// engine.
 func TestSimulateLayerRejectsBadGeometry(t *testing.T) {
 	lw := testConv(t, 40, 4, 16, 1, 1, 4, 0, 0)
 	lanes := arch.DaDianNaoPP()
@@ -526,6 +527,7 @@ func TestSimulateLayerRejectsBadGeometry(t *testing.T) {
 		{lanes, "lowered at 16"},
 		{zero, "non-positive geometry"},
 		{psum, "non-positive geometry"},
+		{arch.TCLe(sched.L(65, 0)), "exceed the bound of 64"},
 	} {
 		_, err := SimulateLayerContext(context.Background(), tc.cfg, lw, Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
