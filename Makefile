@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fmt clean
+.PHONY: all build vet test race check fmt-check lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fuzz-api fmt clean
 
 all: check
 
@@ -127,6 +127,11 @@ fuzz-sched:
 # reference.
 fuzz-kernel:
 	$(GO) test ./internal/sim -fuzz FuzzEvalWindowsMatchesScalar -fuzztime $(FUZZTIME) -run '^$$'
+
+# Fuzz of the public bittactical.Schedule facade: arbitrary sizes, weights
+# and pattern names must never panic.
+fuzz-api:
+	$(GO) test . -fuzz FuzzSchedule -fuzztime $(FUZZTIME) -run '^$$'
 
 fmt:
 	gofmt -w .

@@ -21,6 +21,8 @@ package bittactical
 
 import (
 	"context"
+	"fmt"
+	"math"
 
 	"bittactical/internal/arch"
 	"bittactical/internal/backend"
@@ -74,9 +76,19 @@ func LShape(h, d int) Pattern { return sched.L(h, d) }
 func PatternByName(name string) (Pattern, error) { return sched.ByName(name) }
 
 // Schedule statically schedules one filter (a Steps×Lanes dense weight
-// matrix) under the pattern with the paper's Algorithm 1 and returns the
-// verified schedule, or the pattern's validation error.
+// matrix, step-major) under the pattern with the paper's Algorithm 1 and
+// returns the verified schedule: per column, one (Weight, Src) slot per
+// lane, Src naming the weight's dense position step*lanes + lane and
+// Pattern.Select the mux input that reaches it. It returns an error when
+// lanes or steps is below 1, when weights does not hold exactly lanes×steps
+// values (below 2^31), or when the pattern does not validate.
 func Schedule(lanes, steps int, weights []int32, p Pattern) (*sched.Schedule, error) {
+	// Divide rather than multiply: lanes*steps can wrap to len(weights).
+	if lanes < 1 || steps < 1 || len(weights)%lanes != 0 || len(weights)/lanes != steps ||
+		len(weights) > math.MaxInt32 {
+		return nil, fmt.Errorf("bittactical: %d weights do not fill %d steps × %d lanes (both ≥ 1, < 2^31 slots)",
+			len(weights), steps, lanes)
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bittactical_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -54,6 +55,60 @@ func TestPublicAPISchedule(t *testing.T) {
 			t.Errorf("%s: scheduled in %d columns, want a validation error", p.Name, s.Len())
 		}
 	}
+	// Bad sizes are errors too, even when lanes×steps wraps to len(weights).
+	wrap := math.MaxInt/2 + 1
+	for _, tc := range []struct {
+		name         string
+		lanes, steps int
+		weights      []int32
+	}{
+		{"5 weights for 8×16", 16, 8, make([]int32, 5)},
+		{"negative sizes", -4, -2, make([]int32, 8)},
+		{"0 lanes", 0, 8, nil},
+		{"lanes×steps wraps to 0", wrap, wrap, nil},
+	} {
+		if s, err := bittactical.Schedule(tc.lanes, tc.steps, tc.weights, bittactical.Trident(2, 5)); err == nil {
+			t.Errorf("%s: scheduled %d lanes in %d columns, want a size error", tc.name, s.Lanes, s.Len())
+		}
+	}
+}
+
+// FuzzSchedule drives the facade with arbitrary sizes, weights and pattern
+// names: it must never panic, and a nil error must come with a schedule of
+// the asked lanes and at most steps columns. Weights are capped at 64 Ki,
+// so no input schedules more than a few MiB.
+func FuzzSchedule(f *testing.F) {
+	dense := make([]byte, 16*8)
+	for i := range dense {
+		dense[i] = byte(i * 37)
+	}
+	for _, name := range sched.KnownPatternNames() {
+		f.Add(16, 8, dense, name)
+	}
+	f.Add(16, 8, dense[:5], "T8<2,5>")
+	f.Add(-4, -2, dense[:8], "T8<2,5>")
+	f.Add(0, 8, []byte(nil), "T8<2,5>")
+	f.Add(3, 1, []byte{1, 0, 2}, "L4<1,2>")
+	f.Fuzz(func(t *testing.T, lanes, steps int, raw []byte, name string) {
+		p, err := bittactical.PatternByName(name)
+		if err != nil {
+			return
+		}
+		if len(raw) > 1<<16 {
+			raw = raw[:1<<16]
+		}
+		w := make([]int32, len(raw))
+		for i, b := range raw {
+			w[i] = int32(int8(b)) // signed: zero, negative and positive weights
+		}
+		s, err := bittactical.Schedule(lanes, steps, w, p)
+		if err != nil {
+			return
+		}
+		if s == nil || s.Lanes != lanes || s.Len() > steps {
+			t.Fatalf("Schedule(%d, %d, %d weights, %s) = %+v with a nil error", lanes, steps, len(w), name, s)
+		}
+	})
 }
 
 func TestPublicAPIPatterns(t *testing.T) {

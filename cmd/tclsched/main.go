@@ -93,14 +93,17 @@ func main() {
 	if *dump {
 		for ci, col := range s.Columns {
 			fmt.Printf("col %3d head %3d adv %d |", ci, col.Head, col.Advance)
-			for _, e := range col.Entries {
+			for ln, e := range col.Entries {
+				sel, ok := p.Select(col.Head, ln, f.Lanes, e.Src)
 				switch {
 				case e.Weight == 0:
 					fmt.Print("  .   ")
-				case e.Dt == 0 && e.Dl == 0:
+				case ok && sel == 0:
 					fmt.Print("  =   ")
-				default:
-					fmt.Printf(" %+d%+d  ", e.Dt, e.Dl)
+				case ok:
+					fmt.Printf(" %+d%+d  ", p.Offsets[sel-1].Dt, p.Offsets[sel-1].Dl)
+				default: // X<inf,15> has no mux: print the raw displacement
+					fmt.Printf(" %+d%+d  ", int(e.Src)/f.Lanes-col.Head, int(e.Src)%f.Lanes-ln)
 				}
 			}
 			fmt.Println()

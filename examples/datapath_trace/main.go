@@ -45,14 +45,17 @@ func main() {
 	for ci, col := range schedule.Columns {
 		var promos []string
 		peMax := 1
-		for _, e := range col.Entries {
+		for ln, e := range col.Entries {
 			if e.Weight == 0 {
 				continue
 			}
-			if e.Dt != 0 || e.Dl != 0 {
-				promos = append(promos, fmt.Sprintf("(%d,%+d)", e.Dt, e.Dl))
+			// The mux input names the promotion offset (the schedule
+			// verified above, so every entry has one).
+			if sel, _ := pattern.Select(col.Head, ln, lanes, e.Src); sel != 0 {
+				o := pattern.Offsets[sel-1]
+				promos = append(promos, fmt.Sprintf("(%d,%+d)", o.Dt, o.Dl))
 			}
-			if c := bits.OneffsetCount(src(0, e.SrcStep, e.SrcLane), fixed.W16); c > peMax {
+			if c := bits.OneffsetCount(acts[e.Src], fixed.W16); c > peMax {
 				peMax = c
 			}
 		}

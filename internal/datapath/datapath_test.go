@@ -61,7 +61,7 @@ func denseSchedule(f sched.Filter) *sched.Schedule {
 		col := sched.Column{Head: st, Advance: 1, Entries: make([]sched.Entry, f.Lanes)}
 		for ln := 0; ln < f.Lanes; ln++ {
 			if w := f.At(st, ln); w != 0 {
-				col.Entries[ln] = sched.Entry{Weight: w, SrcStep: st, SrcLane: ln}
+				col.Entries[ln] = sched.Entry{Weight: w, Src: int32(st*f.Lanes + ln)}
 			}
 		}
 		s.Columns = append(s.Columns, col)
@@ -108,7 +108,7 @@ func TestStructuralCyclesMatchSimCostModel(t *testing.T) {
 				if e.Weight == 0 {
 					continue
 				}
-				a := lw.Act(0, win, e.SrcStep, e.SrcLane)
+				a := lw.Act(0, win, int(e.Src)/lw.Lanes, int(e.Src)%lw.Lanes)
 				var c int
 				if name == "TCLe" {
 					c = bits.OneffsetCount(a, fixed.W16)

@@ -49,7 +49,7 @@ func SSCoverage(o Options) (*Table, error) {
 				}
 				for _, s := range sched.ScheduleGroup(filters, cfg.Pattern, cfg.Scheduler) {
 					r.cols += int64(s.Len())
-					r.covered += memory.SSCoveredColumns(s)
+					r.covered += memory.SSCoveredColumns(s, cfg.Pattern)
 					r.raw += memory.MetadataBits(s, cfg.Pattern)
 					r.ss += memory.SSMetadataBits(s, cfg.Pattern)
 				}

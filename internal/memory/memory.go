@@ -124,7 +124,7 @@ func SSMetadataBits(s *sched.Schedule, p sched.Pattern) int64 {
 	if alcBits < 1 {
 		alcBits = 1
 	}
-	covered := int(SSCoveredColumns(s))
+	covered := int(SSCoveredColumns(s, p))
 	ssBits := int64(covered) * int64(4+alcBits)
 	rawBits := int64(len(s.Columns)-covered) * int64(s.Lanes*selBits+alcBits+4)
 	return ssBits + rawBits
@@ -135,13 +135,13 @@ func SSTableBits(p sched.Pattern, lanes int) int64 {
 	return int64(16 * lanes * ceilLog2(p.MuxInputs()))
 }
 
-// SSCoveredColumns counts the schedule columns whose mux-select vector is
-// one of the 16 most frequent — the columns a 4-bit schedule-select field
-// can encode (Section 5.4).
-func SSCoveredColumns(s *sched.Schedule) int64 {
+// SSCoveredColumns counts the schedule columns whose mux-select vector
+// under the pattern is one of the 16 most frequent — the columns a 4-bit
+// schedule-select field can encode (Section 5.4).
+func SSCoveredColumns(s *sched.Schedule, p sched.Pattern) int64 {
 	counts := map[string]int{}
 	for _, col := range s.Columns {
-		counts[wsKey(col)]++
+		counts[wsKey(col, p, s.Lanes)]++
 	}
 	if len(counts) <= 16 {
 		return int64(len(s.Columns))
@@ -158,14 +158,16 @@ func SSCoveredColumns(s *sched.Schedule) int64 {
 	return int64(covered)
 }
 
-// wsKey canonicalizes a column's mux-select vector.
-func wsKey(col sched.Column) string {
-	b := make([]byte, 0, len(col.Entries)*2)
-	for _, e := range col.Entries {
-		if e.Weight == 0 {
-			b = append(b, 0xFF, 0xFF)
-		} else {
-			b = append(b, byte(e.Dt), byte(int8(e.Dl)))
+// wsKey canonicalizes a column's mux-select vector, the §5.4 ws-vector: one
+// byte per lane, its select (at most 65 inputs) or 0xFF for an idle lane.
+// Scheduler output gives every effectual lane an input, so ok is not read.
+func wsKey(col sched.Column, p sched.Pattern, lanes int) string {
+	b := make([]byte, len(col.Entries))
+	for ln, e := range col.Entries {
+		b[ln] = 0xFF
+		if e.Weight != 0 {
+			sel, _ := p.Select(col.Head, ln, lanes, e.Src)
+			b[ln] = byte(sel)
 		}
 	}
 	return string(b)

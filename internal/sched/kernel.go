@@ -127,9 +127,7 @@ func (s *Scheduler) runInfinite(filters []Filter, lanes, steps int) int {
 				if w == 0 {
 					continue
 				}
-				c, dl := k/lanes, k%lanes
-				head := min(c, steps-1)
-				ents[c*lanes+dl] = Entry{Weight: w, SrcStep: st, SrcLane: ln, Dt: st - head, Dl: ln - dl}
+				ents[k] = Entry{Weight: w, Src: int32(st*lanes + ln)}
 				k++
 			}
 		}
@@ -381,13 +379,13 @@ func (s *Scheduler) consume(head, lanes, u, v int) {
 func (s *Scheduler) buildColumn(f Filter, alg Algorithm, done []bool, stepPending []int32, head int, entries []Entry) int {
 	lanes := f.Lanes
 	executed := 0
-	take := func(lane, srcStep, srcLane, dt, dl int) {
-		pos := srcStep*lanes + srcLane
-		entries[lane] = Entry{Weight: f.W[pos], SrcStep: srcStep, SrcLane: srcLane, Dt: dt, Dl: dl}
+	take := func(lane, pos int) {
+		entries[lane] = Entry{Weight: f.W[pos], Src: int32(pos)}
 		done[pos] = true
-		stepPending[srcStep]--
+		u := pos / lanes
+		stepPending[u]--
 		executed++
-		s.consume(head, lanes, srcStep, srcLane)
+		s.consume(head, lanes, u, pos-u*lanes)
 	}
 	assigned := s.assigned[:lanes]
 	// Pass 1: effectual weights at the head execute in place. Head positions
@@ -397,7 +395,7 @@ func (s *Scheduler) buildColumn(f Filter, alg Algorithm, done []bool, stepPendin
 		pos := head*lanes + ln
 		assigned[ln] = f.W[pos] != 0 && !done[pos]
 		if assigned[ln] {
-			take(ln, head, ln, 0, 0)
+			take(ln, pos)
 		}
 	}
 	s.rebuildCands(f, done, head)
@@ -412,10 +410,8 @@ func (s *Scheduler) buildColumn(f Filter, alg Algorithm, done []bool, stepPendin
 			if assigned[ln] || s.cand[ln] == 0 {
 				continue
 			}
-			i := mathbits.TrailingZeros64(s.cand[ln])
-			o := s.offs[i]
-			u, v := head+o.Dt, wrapLane(ln+o.Dl, lanes)
-			take(ln, u, v, o.Dt, o.Dl)
+			o := s.offs[mathbits.TrailingZeros64(s.cand[ln])]
+			take(ln, (head+o.Dt)*lanes+wrapLane(ln+o.Dl, lanes))
 			assigned[ln] = true
 		}
 	default: // Algorithm1
@@ -438,8 +434,7 @@ func (s *Scheduler) buildColumn(f Filter, alg Algorithm, done []bool, stepPendin
 				break
 			}
 			o := s.offs[bestOff]
-			u, v := head+o.Dt, wrapLane(bestLane+o.Dl, lanes)
-			take(bestLane, u, v, o.Dt, o.Dl)
+			take(bestLane, (head+o.Dt)*lanes+wrapLane(bestLane+o.Dl, lanes))
 			assigned[bestLane] = true
 		}
 	}
@@ -463,7 +458,7 @@ func (s *Scheduler) firstCandidate(ln int) int {
 // augmenting paths) between free lanes and reachable weights. Weight
 // positions index a compact (dt, lane) window space; owner[] is reset per
 // column, visited[] is epoch-stamped per augmentation root.
-func (s *Scheduler) matchColumn(head, lanes int, take func(lane, srcStep, srcLane, dt, dl int)) {
+func (s *Scheduler) matchColumn(head, lanes int, take func(lane, pos int)) {
 	assigned := s.assigned[:lanes]
 	nw := s.dtCap * lanes
 	owner := s.owner[:nw]
@@ -486,11 +481,11 @@ func (s *Scheduler) matchColumn(head, lanes int, take func(lane, srcStep, srcLan
 			continue
 		}
 		o := s.offs[ci]
-		u, v := head+o.Dt, wrapLane(ln+o.Dl, lanes)
+		v := wrapLane(ln+o.Dl, lanes)
 		if owner[o.Dt*lanes+v] != int32(ln) {
 			continue // displaced by an augmenting path
 		}
-		take(ln, u, v, o.Dt, o.Dl)
+		take(ln, (head+o.Dt)*lanes+v)
 		assigned[ln] = true
 	}
 }

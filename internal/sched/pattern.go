@@ -47,6 +47,27 @@ type Pattern struct {
 // needs: one input per offset plus the dense "stay" input.
 func (p Pattern) MuxInputs() int { return len(p.Offsets) + 1 }
 
+// Select is the one mapping from a schedule entry's source to the mux input
+// that feeds it, the ws select of the paper's WS column (Section 5.1). For a
+// lane of a lanes-wide column at window head head, source position src
+// (Entry.Src, step*lanes + lane) is input 0, the dense "stay" input, when it
+// is the lane's own slot at the head, and input i+1 when Offsets[i] reaches
+// it; offsets that coincide mod lanes resolve to the first. ok is false when
+// no input reaches src, as for every promotion under X<inf,15>, which has no
+// mux.
+func (p Pattern) Select(head, lane, lanes int, src int32) (sel int, ok bool) {
+	pos := int(src)
+	if pos == head*lanes+lane {
+		return 0, true
+	}
+	for i, o := range p.Offsets {
+		if pos == (head+o.Dt)*lanes+wrapLane(lane+o.Dl, lanes) {
+			return i + 1, true
+		}
+	}
+	return 0, false
+}
+
 // LookaheadOnly returns a copy of the pattern with all lookaside edges
 // removed (the bottom segments of Figure 8a).
 func (p Pattern) LookaheadOnly() Pattern {

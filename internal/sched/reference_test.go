@@ -120,9 +120,9 @@ type cand struct {
 // kernel reproduces.
 func referenceBuildColumn(f Filter, p Pattern, alg Algorithm, done []bool, stepPending []int, head int, entries []Entry) int {
 	lanes, steps := f.Lanes, f.Steps
-	take := func(lane, srcStep, srcLane, dt, dl int) {
+	take := func(lane, srcStep, srcLane int) {
 		pos := srcStep*lanes + srcLane
-		entries[lane] = Entry{Weight: f.W[pos], SrcStep: srcStep, SrcLane: srcLane, Dt: dt, Dl: dl}
+		entries[lane] = Entry{Weight: f.W[pos], Src: int32(pos)}
 		done[pos] = true
 		stepPending[srcStep]--
 	}
@@ -132,7 +132,7 @@ func referenceBuildColumn(f Filter, p Pattern, alg Algorithm, done []bool, stepP
 	for ln := 0; ln < lanes; ln++ {
 		pos := head*lanes + ln
 		if f.W[pos] != 0 && !done[pos] {
-			take(ln, head, ln, 0, 0)
+			take(ln, head, ln)
 			assigned[ln] = true
 		}
 	}
@@ -199,7 +199,7 @@ func referenceBuildColumn(f Filter, p Pattern, alg Algorithm, done []bool, stepP
 			if c == nil || posOwner[c.srcStep*lanes+c.srcLane] != ln {
 				continue // unmatched, or displaced by an augmenting path
 			}
-			take(ln, c.srcStep, c.srcLane, c.off.Dt, c.off.Dl)
+			take(ln, c.srcStep, c.srcLane)
 			assigned[ln] = true
 		}
 		for ln := 0; ln < lanes; ln++ {
@@ -218,7 +218,7 @@ func referenceBuildColumn(f Filter, p Pattern, alg Algorithm, done []bool, stepP
 				continue
 			}
 			c := cs[0]
-			take(ln, c.srcStep, c.srcLane, c.off.Dt, c.off.Dl)
+			take(ln, c.srcStep, c.srcLane)
 			assigned[ln] = true
 		}
 	default: // Algorithm1
@@ -257,7 +257,7 @@ func referenceBuildColumn(f Filter, p Pattern, alg Algorithm, done []bool, stepP
 					slot = o
 				}
 			}
-			take(slot.lane, slot.best.srcStep, slot.best.srcLane, slot.best.off.Dt, slot.best.off.Dl)
+			take(slot.lane, slot.best.srcStep, slot.best.srcLane)
 			assigned[slot.lane] = true
 		}
 		for ln := 0; ln < lanes; ln++ {
@@ -291,7 +291,7 @@ func scheduleInfinite(filters []Filter) []*Schedule {
 		for st := 0; st < steps; st++ {
 			for ln := 0; ln < lanes; ln++ {
 				if w := f.W[st*lanes+ln]; w != 0 {
-					es = append(es, Entry{Weight: w, SrcStep: st, SrcLane: ln})
+					es = append(es, Entry{Weight: w, Src: int32(st*lanes + ln)})
 				}
 			}
 		}
@@ -308,10 +308,7 @@ func scheduleInfinite(filters []Filter) []*Schedule {
 			for ln := 0; ln < lanes; ln++ {
 				k := c*lanes + ln
 				if k < len(es) {
-					e := es[k]
-					e.Dt = e.SrcStep - col.Head
-					e.Dl = e.SrcLane - ln
-					col.Entries[ln] = e
+					col.Entries[ln] = es[k]
 				}
 			}
 			s.Columns = append(s.Columns, col)

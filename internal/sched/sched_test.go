@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bittactical/internal/sparsity"
 )
@@ -34,7 +35,7 @@ func TestFigure1LookaheadOnly(t *testing.T) {
 	// Cycle 1 must promote w²₂ into lane 2 and then advance two steps.
 	col := s.Columns[1]
 	e := col.Entries[2]
-	if e.SrcStep != 2 || e.SrcLane != 2 || e.Dt != 1 {
+	if sel, ok := p.Select(col.Head, 2, 4, e.Src); e.Src != 2*4+2 || !ok || sel == 0 || p.Offsets[sel-1].Dt != 1 {
 		t.Errorf("cycle 1 lane 2 = %+v, want promotion of (2,2)", e)
 	}
 	if col.Advance != 2 {
@@ -55,7 +56,7 @@ func TestFigure2Lookahead1Lookaside1(t *testing.T) {
 		t.Fatalf("schedule = %d columns, paper shows the minimum 2", s.Len())
 	}
 	e := s.Columns[0].Entries[2]
-	if e.SrcStep != 1 || e.SrcLane != 1 {
+	if e.Src != 1*4+1 {
 		t.Errorf("cycle 0 lane 2 = %+v, want steal of (1,1)", e)
 	}
 	if s.Columns[0].Advance != 2 {
@@ -295,7 +296,7 @@ func TestSchedulerFillsPadding(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("schedule = %d columns, want 1 (promotion into padding)", s.Len())
 	}
-	if e := s.Columns[0].Entries[3]; e.SrcStep != 1 || e.SrcLane != 3 {
+	if e := s.Columns[0].Entries[3]; e.Src != 1*4+3 {
 		t.Errorf("lane 3 entry = %+v, want promotion of (1,3)", e)
 	}
 }
@@ -309,6 +310,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 	// Drop a scheduled weight.
 	bad := ScheduleFilter(f, p, Algorithm1)
+dropped:
 	for ci := range bad.Columns {
 		for li := range bad.Columns[ci].Entries {
 			if bad.Columns[ci].Entries[li].Weight != 0 {
@@ -316,9 +318,68 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 				if Verify(f, p, bad) == nil {
 					t.Fatal("Verify accepted a schedule with a dropped weight")
 				}
-				return
+				break dropped
 			}
 		}
+	}
+	// Corrupt one source. The schedule is Figure 2's: column 0 (head 0)
+	// runs (0,0), (0,1), (1,1) and (0,3) on lanes 0–3; column 1 (head 2)
+	// runs (2,2) and (3,3) on lanes 2 and 3.
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *Schedule)
+		want    string
+	}{
+		{"source past the filter", func(s *Schedule) { s.Columns[0].Entries[0].Src = int32(f.Steps * f.Lanes) }, "outside"},
+		{"negative source", func(s *Schedule) { s.Columns[0].Entries[0].Src = -1 }, "outside"},
+		{"source holds another weight", func(s *Schedule) { s.Columns[0].Entries[0].Src = 0*4 + 1 }, "claims weight"},
+		{"source no edge reaches", func(s *Schedule) {
+			// (3,3) moved from lane 3 to the idle lane 1, which reaches
+			// (2,1), (3,1) and (3,0) at head 2.
+			c := s.Columns[1].Entries
+			c[1], c[3] = c[3], Entry{}
+		}, "no edge"},
+	} {
+		s := ScheduleFilter(f, p, Algorithm1)
+		tc.corrupt(s)
+		if err := Verify(f, p, s); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestEntryIsEightBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 8 {
+		t.Errorf("sched.Entry is %d bytes, want 8 (weight and source, int32 each)", n)
+	}
+}
+
+func TestPatternSelect(t *testing.T) {
+	const lanes, head, lane = 16, 3, 0
+	p := T(2, 5)
+	if sel, ok := p.Select(head, lane, lanes, head*lanes+lane); sel != 0 || !ok {
+		t.Errorf("stay input = (%d, %v), want (0, true)", sel, ok)
+	}
+	for i, o := range p.Offsets {
+		src := int32((head+o.Dt)*lanes + ((lane+o.Dl)%lanes+lanes)%lanes)
+		if sel, ok := p.Select(head, lane, lanes, src); sel != i+1 || !ok {
+			t.Errorf("offset %+v = (%d, %v), want (%d, true)", o, sel, ok, i+1)
+		}
+	}
+	// Past the window, and the stay input of another head: no input.
+	for _, src := range []int32{(head+3)*lanes + lane, (head-1)*lanes + lane} {
+		if sel, ok := p.Select(head, lane, lanes, src); ok {
+			t.Errorf("source %d selected input %d, want none", src, sel)
+		}
+	}
+	// X<inf,15> has no mux: only the stay input selects.
+	if _, ok := X().Select(head, lane, lanes, (head+1)*lanes+lane); ok {
+		t.Error("X<inf,15> selected a promotion")
+	}
+	// Offsets that coincide mod lanes resolve to the first declared.
+	alias := Pattern{Name: "alias", H: 1, Offsets: []Offset{{Dt: 1, Dl: -3}, {Dt: 1, Dl: 5}}}
+	if sel, ok := alias.Select(0, 0, 8, 1*8+5); sel != 1 || !ok {
+		t.Errorf("aliased offsets = (%d, %v), want (1, true)", sel, ok)
 	}
 }
 

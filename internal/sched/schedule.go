@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 )
 
 // Filter is a single filter's dense schedule: Steps×Lanes weight codes in
@@ -14,11 +15,12 @@ type Filter struct {
 	Pad          []bool
 }
 
-// NewFilter wraps a weight matrix; it panics if the slice sizes disagree
+// NewFilter wraps a weight matrix; it panics if the slice sizes disagree or
+// the filter holds 2^31 or more slots, past what Entry.Src can name
 // (construction bug, not a runtime condition).
 func NewFilter(lanes, steps int, w []int32, pad []bool) Filter {
-	if len(w) != lanes*steps {
-		panic(fmt.Sprintf("sched: filter weights %d != %d steps × %d lanes", len(w), steps, lanes))
+	if len(w) != lanes*steps || len(w) > math.MaxInt32 {
+		panic(fmt.Sprintf("sched: filter weights %d != %d steps × %d lanes (< 2^31)", len(w), steps, lanes))
 	}
 	if pad != nil && len(pad) != lanes*steps {
 		panic("sched: pad mask size mismatch")
@@ -45,16 +47,16 @@ func (f Filter) NNZ() int {
 	return n
 }
 
-// Entry is one lane's work in one schedule column. A zero Weight means the
-// lane idles that column.
+// Entry is one lane's work in one schedule column, 8 bytes: a lane's slot of
+// the paper's weight-scratchpad column (Section 5.1), holding the weight and,
+// in place of its ws select, the source the select names. A zero Weight means
+// the lane idles that column.
 type Entry struct {
 	Weight int32
-	// SrcStep, SrcLane locate the weight in the dense schedule; the paired
-	// activation at runtime is the one for that dense position.
-	SrcStep, SrcLane int
-	// Dt, Dl record the promotion offset used ((0,0) for in-place
-	// execution); they index the lane's activation multiplexer.
-	Dt, Dl int
+	// Src is the weight's dense-schedule position, step*Lanes + lane: the
+	// activation the lane's mux must select. The source step is Src/Lanes
+	// and the source lane Src%Lanes; Pattern.Select names the mux input.
+	Src int32
 }
 
 // Column is one schedule step emitted by the scheduler: what each lane
@@ -123,21 +125,24 @@ type Stats struct {
 	DenseSteps int
 }
 
-// Stats classifies every slot of the schedule against the filter.
+// Stats classifies every slot of the schedule against the filter: an
+// effectual weight at its own dense position is unpromoted, one from a later
+// step of its own lane lookahead, and one from another lane lookaside.
 func (s *Schedule) Stats(f Filter) Stats {
 	st := Stats{Columns: s.Len(), DenseSteps: s.DenseSteps}
 	for _, col := range s.Columns {
+		stay := col.Head * s.Lanes
 		for lane, e := range col.Entries {
-			switch {
+			switch src := int(e.Src); {
 			case e.Weight == 0:
 				if f.IsPad(col.Head, lane) {
 					st.Slots[SlotPad]++
 				} else {
 					st.Slots[SlotZero]++
 				}
-			case e.Dt == 0 && e.Dl == 0:
+			case src == stay+lane:
 				st.Slots[SlotUnpromoted]++
-			case e.Dl == 0:
+			case src%s.Lanes == lane:
 				st.Slots[SlotLookahead]++
 			default:
 				st.Slots[SlotLookaside]++
@@ -147,21 +152,19 @@ func (s *Schedule) Stats(f Filter) Stats {
 	return st
 }
 
-// Verify checks every invariant the hardware depends on (DESIGN.md §5):
-// each effectual weight scheduled exactly once; every promotion is an edge
-// of the pattern; promoted weights stay inside the lookahead window; lanes
-// hold at most one weight per column; the ALC advances monotonically and
-// never abandons unexecuted weights; column count never exceeds dense steps.
+// Verify checks every invariant the hardware depends on (DESIGN.md §5): each
+// entry's source lies inside the filter and holds the entry's weight; each
+// effectual weight is scheduled exactly once; every source is the lane's stay
+// input or an edge of the pattern (Pattern.Select), so promoted weights stay
+// inside the lookahead window; lanes hold at most one weight per column; the
+// ALC advances monotonically and never abandons unexecuted weights; column
+// count never exceeds dense steps.
 func Verify(f Filter, p Pattern, s *Schedule) error {
 	if s.Lanes != f.Lanes || s.DenseSteps != f.Steps {
 		return fmt.Errorf("sched: verify: geometry mismatch")
 	}
 	if s.Len() > f.Steps && f.Steps > 0 {
 		return fmt.Errorf("sched: verify: %d columns exceed %d dense steps", s.Len(), f.Steps)
-	}
-	edge := map[Offset]bool{}
-	for _, o := range p.Offsets {
-		edge[o] = true
 	}
 	seen := make(map[int]bool, f.NNZ())
 	head := 0
@@ -180,38 +183,26 @@ func Verify(f Filter, p Pattern, s *Schedule) error {
 			if e.Weight == 0 {
 				continue
 			}
-			pos := e.SrcStep*f.Lanes + e.SrcLane
+			pos := int(e.Src)
+			if pos < 0 || pos >= len(f.W) {
+				return fmt.Errorf("sched: verify: column %d lane %d source %d outside the %d×%d filter",
+					ci, lane, pos, f.Steps, f.Lanes)
+			}
+			step, srcLane := pos/f.Lanes, pos%f.Lanes
 			if f.W[pos] != e.Weight {
 				return fmt.Errorf("sched: verify: column %d lane %d claims weight %d at (%d,%d) but dense holds %d",
-					ci, lane, e.Weight, e.SrcStep, e.SrcLane, f.W[pos])
+					ci, lane, e.Weight, step, srcLane, f.W[pos])
 			}
 			if seen[pos] {
-				return fmt.Errorf("sched: verify: weight at (%d,%d) scheduled twice", e.SrcStep, e.SrcLane)
+				return fmt.Errorf("sched: verify: weight at (%d,%d) scheduled twice", step, srcLane)
 			}
 			seen[pos] = true
 			if p.Infinite {
 				continue
 			}
-			if e.Dt == 0 && e.Dl == 0 {
-				if e.SrcStep != col.Head || e.SrcLane != lane {
-					return fmt.Errorf("sched: verify: stay entry at column %d lane %d references (%d,%d)",
-						ci, lane, e.SrcStep, e.SrcLane)
-				}
-				continue
-			}
-			if !edge[Offset{Dt: e.Dt, Dl: e.Dl}] {
-				return fmt.Errorf("sched: verify: promotion (%d,%d) not in pattern %s", e.Dt, e.Dl, p.Name)
-			}
-			if e.SrcStep != col.Head+e.Dt {
-				return fmt.Errorf("sched: verify: entry dt %d inconsistent with src step %d at head %d",
-					e.Dt, e.SrcStep, col.Head)
-			}
-			if want := ((lane+e.Dl)%f.Lanes + f.Lanes) % f.Lanes; e.SrcLane != want {
-				return fmt.Errorf("sched: verify: entry dl %d inconsistent with src lane %d (lane %d)",
-					e.Dl, e.SrcLane, lane)
-			}
-			if e.Dt > p.H {
-				return fmt.Errorf("sched: verify: promotion depth %d exceeds window %d", e.Dt, p.H)
+			if _, ok := p.Select(col.Head, lane, f.Lanes, e.Src); !ok {
+				return fmt.Errorf("sched: verify: column %d lane %d at head %d reaches (%d,%d) through no edge of %s",
+					ci, lane, col.Head, step, srcLane, p.Name)
 			}
 		}
 	}

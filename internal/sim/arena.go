@@ -146,7 +146,7 @@ func denseSchedules(sc *groupScratch, filters []sched.Filter) []*sched.Schedule 
 			ents := sc.entries[(i*steps+st)*lanes : (i*steps+st+1)*lanes]
 			for ln := 0; ln < lanes; ln++ {
 				if w := f.At(st, ln); w != 0 {
-					ents[ln] = sched.Entry{Weight: w, SrcStep: st, SrcLane: ln}
+					ents[ln] = sched.Entry{Weight: w, Src: int32(st*lanes + ln)}
 				} else {
 					ents[ln] = sched.Entry{}
 				}

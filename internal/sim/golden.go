@@ -55,10 +55,10 @@ func ExecuteGolden(cfg arch.Config, lw *nn.Lowered) error {
 }
 
 // executePsum accumulates one output through the modeled datapath: the WSU
-// selects each entry's activation by its (SrcStep, SrcLane) mux setting;
-// the back-end forms the product through its own arithmetic — bit-parallel
-// multiply, bit-serial AND-adds (TCLp), Booth shift-adds (TCLe), or
-// whatever the registered Backend's MAC models.
+// selects each entry's activation at its source, the dense (step, lane) its
+// mux input names; the back-end forms the product through its own
+// arithmetic — bit-parallel multiply, bit-serial AND-adds (TCLp), Booth
+// shift-adds (TCLe), or whatever the registered Backend's MAC models.
 func executePsum(cfg arch.Config, lw *nn.Lowered, s *sched.Schedule, f, win int) int64 {
 	var psum int64
 	for _, col := range s.Columns {
@@ -66,7 +66,7 @@ func executePsum(cfg arch.Config, lw *nn.Lowered, s *sched.Schedule, f, win int)
 			if e.Weight == 0 {
 				continue
 			}
-			a := lw.Act(f, win, e.SrcStep, e.SrcLane)
+			a := lw.Act(f, win, int(e.Src)/s.Lanes, int(e.Src)%s.Lanes)
 			psum += cfg.Backend.MAC(e.Weight, a, cfg.Width)
 		}
 	}

@@ -383,7 +383,9 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, pad []b
 	}
 	ctx.cols = cols
 
-	// Front-end census.
+	// Front-end census. It puts every effectual entry in exactly one of
+	// unpromoted, lookahead and lookaside, so their sum also prices the mux
+	// selects and bit-parallel MACs below without another walk.
 	for i, s := range schedules {
 		st := s.Stats(filters[i])
 		r.frontEnd.Columns += st.Columns
@@ -392,27 +394,22 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, pad []b
 			r.frontEnd.Slots[k] += st.Slots[k]
 		}
 	}
+	effectual := r.frontEnd.Slots[sched.SlotUnpromoted] + r.frontEnd.Slots[sched.SlotLookahead] +
+		r.frontEnd.Slots[sched.SlotLookaside]
 	// Filter-count padding: PE rows beyond the layer's filters idle.
 	r.frontEnd.Slots[sched.SlotPad] += int64(rows-nrows) * int64(cols) * int64(lanes)
 
 	numWGroups := (W + wg - 1) / wg
 	r.activity.WSColumnReads += int64(cols) * ceilDiv64(int64(numWGroups), int64(cfg.PsumRegsPerPE))
-	r.activity.MuxSelects += muxSelects(cfg, schedules, W)
+	if cfg.HasFrontEnd() {
+		// One activation-mux switch per effectual entry per window.
+		r.activity.MuxSelects += effectual * int64(W)
+	}
 	r.activity.PsumAccesses += int64(nrows) * int64(cols) * int64(W)
 
 	if !cfg.Serial() {
-		var macs int64
-		if cfg.HasFrontEnd() {
-			for _, s := range schedules {
-				for _, col := range s.Columns {
-					for _, e := range col.Entries {
-						if e.Weight != 0 {
-							macs++
-						}
-					}
-				}
-			}
-		} else {
+		macs := effectual
+		if !cfg.HasFrontEnd() {
 			// The dense baseline multiplies every lane every cycle.
 			macs = int64(nrows) * int64(lanes) * int64(cols)
 		}
@@ -449,7 +446,7 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, pad []b
 			mask := ctx.masks[(ci*nrows+ri)*mw : (ci*nrows+ri+1)*mw]
 			for ln, e := range col.Entries {
 				if e.Weight != 0 {
-					refs[ln] = int32(e.SrcStep*lanes + e.SrcLane)
+					refs[ln] = e.Src
 					mask[ln>>3] |= 0xff << (8 * uint(ln&7))
 				} else {
 					refs[ln] = int32(col.Head*lanes + ln)
@@ -670,23 +667,4 @@ func ceilDiv64(a, b int64) int64 {
 		q++
 	}
 	return q
-}
-
-// muxSelects counts activation-mux switch events: one per effectual entry
-// per window for front-end configs.
-func muxSelects(cfg arch.Config, schedules []*sched.Schedule, W int) int64 {
-	if !cfg.HasFrontEnd() {
-		return 0
-	}
-	var n int64
-	for _, s := range schedules {
-		for _, col := range s.Columns {
-			for _, e := range col.Entries {
-				if e.Weight != 0 {
-					n++
-				}
-			}
-		}
-	}
-	return n * int64(W)
 }

@@ -10,17 +10,20 @@
 //	columns: per column: [alcBits ALC] then per lane:
 //	         [width-bit weight][selBits ws mux select]
 //
-// The ws select is the multiplexer input index: 0 = the dense "stay" input,
-// 1..len(offsets) = the pattern's promotion edges in declaration order. The
-// decoder reconstructs a sched.Schedule given the same pattern, and a
-// verification pass proves the round trip preserves every entry — the
-// contract between the software scheduler and the silicon.
+// The ws select is the multiplexer input index sched.Pattern.Select names
+// for the entry's source: 0 = the dense "stay" input, 1..len(offsets) = the
+// pattern's promotion edges in declaration order. The decoder reconstructs
+// a sched.Schedule given the same pattern, and a verification pass proves
+// the round trip preserves every entry — the contract between the software
+// scheduler and the silicon. The header stores lanes, the lookahead depth and
+// the mux width in one byte each, so Encode rejects any above 255.
 package wsformat
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"bittactical/internal/compress"
 	"bittactical/internal/fixed"
@@ -40,19 +43,6 @@ type Image struct {
 	Width      fixed.Width
 	Pattern    sched.Pattern
 	Schedule   *sched.Schedule
-}
-
-// selIndex maps a schedule entry to its mux input index under the pattern.
-func selIndex(p sched.Pattern, e sched.Entry, head, lane, lanes int) (int, error) {
-	if e.Dt == 0 && e.Dl == 0 {
-		return 0, nil
-	}
-	for i, o := range p.Offsets {
-		if o.Dt == e.Dt && o.Dl == e.Dl {
-			return i + 1, nil
-		}
-	}
-	return 0, fmt.Errorf("wsformat: promotion (%d,%d) not in pattern %s", e.Dt, e.Dl, p.Name)
 }
 
 func selBits(p sched.Pattern) int {
@@ -83,6 +73,10 @@ func Encode(p sched.Pattern, s *sched.Schedule, w fixed.Width) ([]byte, error) {
 	if p.Infinite {
 		return nil, errors.New("wsformat: X<inf,15> has no WS image")
 	}
+	if s.Lanes > 255 || p.H > 255 || p.MuxInputs() > 255 {
+		return nil, fmt.Errorf("wsformat: %d lanes, lookahead %d or %d mux inputs overflow the header's bytes",
+			s.Lanes, p.H, p.MuxInputs())
+	}
 	head := make([]byte, 0, 24)
 	head = append(head, Magic...)
 	head = append(head, byte(Version), byte(s.Lanes), byte(int(w)), byte(p.H))
@@ -102,7 +96,7 @@ func Encode(p sched.Pattern, s *sched.Schedule, w fixed.Width) ([]byte, error) {
 	bw := &compress.BitWriter{}
 	sb, ab := selBits(p), alcBits(p)
 	maxALC := (1 << uint(ab)) - 1
-	for _, col := range s.Columns {
+	for ci, col := range s.Columns {
 		// Long all-ineffectual skips overflow the compact ALC field; the
 		// saturated value escapes to a 16-bit extension (rare: only the
 		// final column of a mostly-empty schedule region).
@@ -116,10 +110,10 @@ func Encode(p sched.Pattern, s *sched.Schedule, w fixed.Width) ([]byte, error) {
 			bw.WriteBits(uint32(e.Weight)&w.Mask(), int(w))
 			sel := 0
 			if e.Weight != 0 {
-				var err error
-				sel, err = selIndex(p, e, col.Head, ln, s.Lanes)
-				if err != nil {
-					return nil, err
+				var ok bool
+				if sel, ok = p.Select(col.Head, ln, s.Lanes, e.Src); !ok {
+					return nil, fmt.Errorf("wsformat: column %d lane %d source %d is no input of pattern %s",
+						ci, ln, e.Src, p.Name)
 				}
 			}
 			bw.WriteBits(uint32(sel), sb)
@@ -141,6 +135,9 @@ func Decode(buf []byte, p sched.Pattern) (*Image, error) {
 		return nil, fmt.Errorf("wsformat: version %d unsupported", buf[4])
 	}
 	lanes := int(buf[5])
+	if lanes == 0 {
+		return nil, errors.New("wsformat: image has 0 lanes")
+	}
 	w := fixed.Width(buf[6])
 	if !w.Valid() {
 		return nil, fmt.Errorf("wsformat: invalid width %d", buf[6])
@@ -150,6 +147,9 @@ func Decode(buf []byte, p sched.Pattern) (*Image, error) {
 		return nil, fmt.Errorf("wsformat: image lookahead %d != pattern %s", h, p.Name)
 	}
 	steps := int(binary.LittleEndian.Uint32(buf[8:12]))
+	if steps > math.MaxInt32/lanes {
+		return nil, fmt.Errorf("wsformat: %d steps × %d lanes exceed a schedule's 2^31 positions", steps, lanes)
+	}
 	cols := int(binary.LittleEndian.Uint32(buf[12:16]))
 	if int(buf[16]) != p.MuxInputs() {
 		return nil, fmt.Errorf("wsformat: image mux width %d != pattern %s", buf[16], p.Name)
@@ -182,22 +182,21 @@ func Decode(buf []byte, p sched.Pattern) (*Image, error) {
 			}
 			weight := signExtend(raw, w)
 			if weight == 0 {
-				col.Entries[ln] = sched.Entry{}
 				continue
 			}
-			e := sched.Entry{Weight: weight}
-			if sel == 0 {
-				e.SrcStep, e.SrcLane = head, ln
-			} else {
+			step, srcLane := head, ln
+			if sel != 0 {
 				if int(sel) > len(p.Offsets) {
 					return nil, fmt.Errorf("wsformat: select %d out of range", sel)
 				}
 				o := p.Offsets[sel-1]
-				e.Dt, e.Dl = o.Dt, o.Dl
-				e.SrcStep = head + o.Dt
-				e.SrcLane = ((ln+o.Dl)%lanes + lanes) % lanes
+				step, srcLane = head+o.Dt, ((ln+o.Dl)%lanes+lanes)%lanes
 			}
-			col.Entries[ln] = e
+			if step < 0 || step >= steps {
+				return nil, fmt.Errorf("wsformat: column %d lane %d source step %d outside the %d dense steps",
+					ci, ln, step, steps)
+			}
+			col.Entries[ln] = sched.Entry{Weight: weight, Src: int32(step*lanes + srcLane)}
 		}
 		s.Columns = append(s.Columns, col)
 		head += col.Advance
@@ -233,8 +232,7 @@ func RoundTrip(p sched.Pattern, s *sched.Schedule, w fixed.Width) error {
 		}
 		for ln := range a.Entries {
 			ea, eb := a.Entries[ln], b.Entries[ln]
-			if ea.Weight != eb.Weight || (ea.Weight != 0 &&
-				(ea.SrcStep != eb.SrcStep || ea.SrcLane != eb.SrcLane)) {
+			if ea.Weight != eb.Weight || (ea.Weight != 0 && ea.Src != eb.Src) {
 				return fmt.Errorf("wsformat: column %d lane %d entry mismatch: %+v != %+v", ci, ln, eb, ea)
 			}
 		}

@@ -1,7 +1,9 @@
 package wsformat
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +132,54 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	short := append([]byte{}, buf[:len(buf)-2]...)
 	if _, err := Decode(short, p); err == nil {
 		t.Error("truncated body accepted")
+	}
+}
+
+func TestHeaderBounds(t *testing.T) {
+	p := sched.T(2, 5)
+	wide := make([]int32, 256*4)
+	for i := range wide {
+		wide[i] = int32(i%7 - 3)
+	}
+	wideSched := sched.ScheduleFilter(sched.NewFilter(256, 4, wide, nil), p, sched.Algorithm1)
+	deep := sched.Pattern{Name: "deep", H: 300, Offsets: []sched.Offset{{Dt: 1}}}
+	_, deepSched := mkSchedule(t, 7, 8, 0.5, deep)
+	// T8<2,5>'s offsets first, then unused ones up to a 256-input mux.
+	wideMux := sched.T(2, 5)
+	for len(wideMux.Offsets) < 255 {
+		wideMux.Offsets = append(wideMux.Offsets, sched.Offset{Dt: 1, Dl: len(wideMux.Offsets)})
+	}
+	_, tSched := mkSchedule(t, 7, 8, 0.5, p)
+	for _, tc := range []struct {
+		name string
+		p    sched.Pattern
+		s    *sched.Schedule
+	}{{"256 lanes", p, wideSched}, {"lookahead 300", deep, deepSched}, {"256 mux inputs", wideMux, tSched}} {
+		if _, err := Encode(tc.p, tc.s, fixed.W16); err == nil || !strings.Contains(err.Error(), "header") {
+			t.Errorf("%s: Encode = %v, want the header-byte error", tc.name, err)
+		}
+	}
+
+	_, s := mkSchedule(t, 8, 12, 0.6, p)
+	buf, err := Encode(p, s, fixed.W16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		patch func(b []byte)
+		want  string
+	}{
+		{"0 lanes", func(b []byte) { b[5] = 0 }, "0 lanes"},
+		{"steps × lanes past 2^31", func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 1<<28) }, "2^31"},
+		{"initial head past the dense steps", func(b []byte) { binary.LittleEndian.PutUint32(b[17:21], 12) }, "outside"},
+		{"dense steps below the schedule", func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 1) }, "outside"},
+	} {
+		bad := append([]byte{}, buf...)
+		tc.patch(bad)
+		if _, err := Decode(bad, p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Decode = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
