@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fuzz-api fmt clean
+.PHONY: all build vet test race check fmt-check lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fuzz-api fuzz-codec fmt clean
 
 all: check
 
@@ -132,6 +132,13 @@ fuzz-kernel:
 # and pattern names must never panic.
 fuzz-api:
 	$(GO) test . -fuzz FuzzSchedule -fuzztime $(FUZZTIME) -run '^$$'
+
+# Fuzz of the decoders: the WS image decoder and the off-chip codec must
+# reject arbitrary bytes without panicking, and the codec must round-trip.
+fuzz-codec:
+	$(GO) test ./internal/wsformat -fuzz FuzzDecodeRobust -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/compress -fuzz FuzzDecoderRobust -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/compress -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) -run '^$$'
 
 fmt:
 	gofmt -w .

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	tclpack -model AlexNet-ES -pattern 'T8<2,5>' -o /tmp/alexnet.tclw
-//	tclpack -model MobileNet -stats
+//	tclpack -model MobileNet -pattern 'L8<1,6>'
 //	tclpack -model ResNet50-SS -j 8      # parallel scheduling + packing
 package main
 

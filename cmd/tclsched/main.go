@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -56,13 +57,10 @@ func main() {
 		return
 	}
 
-	p, err := sched.ByName(*patName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tclsched:", err)
-		os.Exit(2)
-	}
-	a, err := sched.AlgorithmByName(*alg)
-	if err != nil {
+	// Every bad flag is a usage error, reported before any filter is built.
+	p, perr := sched.ByName(*patName)
+	a, aerr := sched.AlgorithmByName(*alg)
+	if err := errors.Join(perr, aerr, validateSize(*lanes, *steps, *sp)); err != nil {
 		fmt.Fprintln(os.Stderr, "tclsched:", err)
 		os.Exit(2)
 	}
@@ -109,4 +107,21 @@ func main() {
 			fmt.Println()
 		}
 	}
+}
+
+// maxSlots bounds the filter's lanes × steps. fig11's filter has 4,608
+// slots; past 2^24 the filter and its schedule outgrow a workbench.
+const maxSlots = 1 << 24
+
+// validateSize rejects the size flags no filter can be built from: lanes
+// or steps below 1, more than maxSlots slots (checked by division, so the
+// product cannot overflow), or a sparsity outside [0, 1] (or NaN).
+func validateSize(lanes, steps int, sparsity float64) error {
+	if lanes < 1 || steps < 1 || lanes > maxSlots/steps {
+		return fmt.Errorf("-lanes %d and -steps %d must each be at least 1, with at most %d slots", lanes, steps, maxSlots)
+	}
+	if !(sparsity >= 0 && sparsity <= 1) {
+		return fmt.Errorf("-sparsity %g outside [0, 1]", sparsity)
+	}
+	return nil
 }

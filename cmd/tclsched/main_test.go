@@ -1,6 +1,14 @@
 package main
 
-import "os"
+import (
+	"bytes"
+	"errors"
+	"math"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
 
 // Example runs the workbench with the column-optimal matching scheduler at
 // its other defaults; main exits nonzero unless the schedule verifies, so
@@ -14,4 +22,54 @@ func Example() {
 	// filter: 18 steps x 16 lanes, 86 effectual weights (70% sparse)
 	// schedule: 8 columns (dense 18) -> speedup 2.25x; lower bound 6 columns
 	// slots: unpromoted 30, lookahead 16, lookaside 40, zero 42, pad 0
+}
+
+func TestValidateSize(t *testing.T) {
+	for _, tc := range []struct {
+		lanes, steps int
+		sparsity     float64
+		ok           bool
+	}{
+		{16, 18, 0.7, true},
+		{16, 288, 0.9, true}, // fig11's 4,608-slot filter
+		{1, 1, 0, true},
+		{1, 1, 1, true},
+		{1 << 12, 1 << 12, 0.5, true}, // exactly maxSlots
+		{0, 18, 0.7, false},
+		{-3, 18, 0.7, false},
+		{16, 0, 0.7, false},
+		{16, -1, 0.7, false},
+		{16, 18, -0.5, false},
+		{16, 18, 2, false},
+		{16, 18, math.NaN(), false},
+		{1<<12 + 1, 1 << 12, 0.5, false},
+		{100000, 100000, 0.7, false},
+		{math.MaxInt, math.MaxInt, 0.7, false}, // the product would overflow
+	} {
+		if err := validateSize(tc.lanes, tc.steps, tc.sparsity); (err == nil) != tc.ok {
+			t.Errorf("validateSize(%d, %d, %g) = %v, want ok %v", tc.lanes, tc.steps, tc.sparsity, err, tc.ok)
+		}
+	}
+}
+
+// TestLanesZeroExits2 runs the test binary as tclsched -lanes 0: it must
+// exit 2 with a tclsched message, not panic.
+func TestLanesZeroExits2(t *testing.T) {
+	if os.Getenv("TCLSCHED_TEST_MAIN") == "1" {
+		os.Args = []string{"tclsched", "-lanes", "0"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestLanesZeroExits2$")
+	cmd.Env = append(os.Environ(), "TCLSCHED_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("tclsched -lanes 0: %v, want exit status 2; stderr:\n%s", err, stderr.String())
+	}
+	if msg := stderr.String(); strings.Contains(msg, "panic") || !strings.HasPrefix(msg, "tclsched: ") {
+		t.Errorf("tclsched -lanes 0 stderr = %q, want one tclsched: message and no panic", msg)
+	}
 }

@@ -22,10 +22,10 @@
 // worker tclserves — layers packed by predicted cost (LPT bin packing) —
 // and merged deterministically (bit-identical to a single-process run at
 // any worker count). A failed worker's slice is re-dispatched to survivors
-// for up to two retry rounds (-shard-backoff paces them), and background
-// /healthz probes (-health-interval) keep known-dead workers out of new
-// partitions, so a worker killed mid-sweep degrades capacity instead of
-// failing requests.
+// for up to two retry rounds (after a 50 ms pause, then 100 ms), and
+// background /healthz probes (-health-interval) keep known-dead workers out
+// of new partitions, so a worker killed mid-sweep degrades capacity instead
+// of failing requests.
 //
 // Requests honor a per-request deadline (timeout_ms, clamped to
 // -max-timeout): the engine's workers stop claiming work when it expires
@@ -64,8 +64,6 @@ func main() {
 			"finished-result cache budget in bytes (0 = default, negative disables retention)")
 		workers = flag.String("workers", "",
 			"comma-separated worker base URLs; non-empty runs this process as a shard coordinator")
-		shardBackoff = flag.Duration("shard-backoff", 0,
-			"pause before the first re-dispatch round, doubling per round (0 = default of 50ms, negative disables)")
 		healthInterval = flag.Duration("health-interval", 5*time.Second,
 			"period of the coordinator's background worker /healthz probes (<= 0 disables probing)")
 	)
@@ -77,7 +75,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		Parallelism:    *par,
 		CacheBudget:    *cacheBudget,
-		ShardBackoff:   *shardBackoff,
 		HealthInterval: *healthInterval,
 	}
 	if *workers != "" {

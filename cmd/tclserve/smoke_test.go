@@ -186,8 +186,7 @@ func TestShardSmoke(t *testing.T) {
 	solo, _ := startServe(t, serveBin)
 	w1, _ := startServe(t, serveBin)
 	w2, w2cmd := startServe(t, serveBin)
-	coord, _ := startServe(t, serveBin, "-workers", w1+","+w2,
-		"-shard-backoff", "25ms", "-health-interval", "500ms")
+	coord, _ := startServe(t, serveBin, "-workers", w1+","+w2, "-health-interval", "500ms")
 
 	// The same sweep through both deployment shapes must agree byte for byte.
 	body := `{"model":"AlexNet-ES","channel_scale":0.1,"spatial_scale":0.25,"configs":[{"backend":"tcle","pattern":"T8<2,5>"},{"backend":"tclp","pattern":"L4<1,2>"}]}`

@@ -271,12 +271,21 @@ func buildWorkloads(o Options, width fixed.Width) ([]*workload, error) {
 	parallelDo(o, len(names), func(i int) {
 		out[i], errs[i] = buildWorkload(workloadKey{zoo: z, name: names[i], seed: o.seed()})
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// firstError returns the first non-nil error of a parallelDo fan-out's
+// per-job errors, in job order.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cachedWorkloads fills out from the cache alone, reporting whether every

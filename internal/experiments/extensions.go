@@ -9,6 +9,7 @@ import (
 	"bittactical/internal/memory"
 	"bittactical/internal/nn"
 	"bittactical/internal/sched"
+	"bittactical/internal/sim"
 	"bittactical/internal/sparsity"
 )
 
@@ -33,31 +34,30 @@ func SSCoverage(o Options) (*Table, error) {
 		raw, ss       int64
 	}
 	rs := make([]res, len(wls))
+	errs := make([]error, len(wls))
 	parallelDo(o, len(wls), func(wi int) {
 		wl := wls[wi]
 		var r res
 		for _, lw := range wl.Low {
-			pad := lw.PadMask()
-			for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
-				f1 := f0 + cfg.FiltersPerTile
-				if f1 > lw.Filters {
-					f1 = lw.Filters
-				}
-				filters := make([]sched.Filter, f1-f0)
-				for i := range filters {
-					filters[i] = sched.NewFilter(lw.Lanes, lw.Steps, lw.FilterRow(f0+i), pad)
-				}
-				for _, s := range sched.ScheduleGroup(filters, cfg.Pattern, cfg.Scheduler) {
+			errs[wi] = sim.LayerSchedules(cfg, lw, func(_ int, _ []sched.Filter, schedules []*sched.Schedule) error {
+				for _, s := range schedules {
 					r.cols += int64(s.Len())
 					r.covered += memory.SSCoveredColumns(s, cfg.Pattern)
 					r.raw += memory.MetadataBits(s, cfg.Pattern)
 					r.ss += memory.SSMetadataBits(s, cfg.Pattern)
 				}
+				return nil
+			})
+			if errs[wi] != nil {
+				return
 			}
 			r.ss += memory.SSTableBits(cfg.Pattern, lw.Lanes)
 		}
 		rs[wi] = r
 	})
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
 	for wi, wl := range wls {
 		r := rs[wi]
 		cov := 0.0
@@ -88,7 +88,7 @@ func AblationSync(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := sched.T(2, 5)
+	tcle := arch.TCLe(sched.T(2, 5))
 	t := &Table{
 		ID:    "ablation-sync",
 		Title: "Synchronization ablation (T8<2,5>)",
@@ -97,39 +97,35 @@ func AblationSync(o Options) (*Table, error) {
 	}
 	// Realized TCLe, and the Pragmatic back-end alone for the ideal-free
 	// product.
-	cells, err := simulateCells(o, []arch.Config{arch.TCLe(p), arch.TCLe(sched.Pattern{})}, wls, nil)
+	cells, err := simulateCells(o, []arch.Config{tcle, arch.TCLe(sched.Pattern{})}, wls, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The scheduling census is the work outside the engine.
+	// The scheduling census is the work outside the engine: the joint
+	// schedules are the ones the engine just ran.
 	type res struct{ feJoint, feSolo, tcle, ideal float64 }
 	rs := make([]res, len(wls))
+	errs := make([]error, len(wls))
 	parallelDo(o, len(wls), func(wi int) {
 		var jointCols, soloCols, dense int64
 		for _, lw := range wls[wi].Low {
-			pad := lw.PadMask()
 			w := int64(lw.WindowCount)
-			for f0 := 0; f0 < lw.Filters; f0 += 16 {
-				f1 := f0 + 16
-				if f1 > lw.Filters {
-					f1 = lw.Filters
-				}
-				filters := make([]sched.Filter, f1-f0)
-				for i := range filters {
-					filters[i] = sched.NewFilter(lw.Lanes, lw.Steps, lw.FilterRow(f0+i), pad)
-				}
-				joint := sched.ScheduleGroup(filters, p, sched.Algorithm1)
+			errs[wi] = sim.LayerSchedules(tcle, lw, func(_ int, filters []sched.Filter, joint []*sched.Schedule) error {
 				jointCols += int64(joint[0].Len()) * w
 				// Idealized: every filter compacts independently; the group
 				// would finish with the slowest filter.
 				worst := 0
 				for _, f := range filters {
-					if c := sched.ScheduleFilter(f, p, sched.Algorithm1).Len(); c > worst {
+					if c := sched.ScheduleFilter(f, tcle.Pattern, tcle.Scheduler).Len(); c > worst {
 						worst = c
 					}
 				}
 				soloCols += int64(worst) * w
 				dense += int64(lw.Steps) * w
+				return nil
+			})
+			if errs[wi] != nil {
+				return
 			}
 		}
 		feJoint := float64(dense) / float64(max(1, jointCols))
@@ -141,6 +137,9 @@ func AblationSync(o Options) (*Table, error) {
 			ideal: feJoint * speedupOf(cells[1][wi]),
 		}
 	})
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
 	for wi, wl := range wls {
 		r := rs[wi]
 		t.Rows = append(t.Rows, []string{

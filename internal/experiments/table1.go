@@ -34,10 +34,8 @@ func table1At(o Options, w fixed.Width, id, title string) (*Table, error) {
 		}
 		per[i] = tal.Potentials()
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	gm := map[string][]float64{}
 	for i, wl := range wls {

@@ -14,6 +14,7 @@ import (
 	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
 	"bittactical/internal/sched"
+	"bittactical/internal/sim"
 )
 
 // Tech is one off-chip memory configuration.
@@ -207,8 +208,13 @@ func (t *Traffic) Add(o Traffic) {
 // activation is read from DRAM at most once per layer (Section 5.3, after
 // Siu et al.); output activations are written once at the input stream's
 // measured compression rate. TCL configurations additionally stream the
-// schedule metadata in the Section 5.4 schedule-select encoding; the dense
-// baseline streams raw (still compressed) weights.
+// schedule metadata in the Section 5.4 schedule-select encoding, priced
+// from the schedules the engine runs (sim.LayerSchedules, through the
+// shared schedule cache); the dense baseline streams raw (still
+// compressed) weights.
+//
+// Like the engine, it requires a config that validates; it panics
+// otherwise.
 func LayerTraffic(cfg arch.Config, lw *nn.Lowered) Traffic {
 	var t Traffic
 	l := lw.Layer()
@@ -220,19 +226,14 @@ func LayerTraffic(cfg arch.Config, lw *nn.Lowered) Traffic {
 	// Schedule metadata for front-end configs: one schedule per filter.
 	if cfg.HasFrontEnd() && !cfg.Pattern.Infinite {
 		var bitsTotal int64
-		pad := lw.PadMask()
-		for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
-			f1 := f0 + cfg.FiltersPerTile
-			if f1 > lw.Filters {
-				f1 = lw.Filters
-			}
-			filters := make([]sched.Filter, f1-f0)
-			for i := range filters {
-				filters[i] = sched.NewFilter(lw.Lanes, lw.Steps, lw.FilterRow(f0+i), pad)
-			}
-			for _, s := range sched.ScheduleGroup(filters, cfg.Pattern, cfg.Scheduler) {
+		err := sim.LayerSchedules(cfg, lw, func(_ int, _ []sched.Filter, schedules []*sched.Schedule) error {
+			for _, s := range schedules {
 				bitsTotal += SSMetadataBits(s, cfg.Pattern)
 			}
+			return nil
+		})
+		if err != nil {
+			panic("memory: " + err.Error())
 		}
 		bitsTotal += SSTableBits(cfg.Pattern, lw.Lanes)
 		t.MetadataBytes = (bitsTotal + 7) / 8

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,7 @@ import (
 	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
 	"bittactical/internal/sched"
+	"bittactical/internal/sim"
 	"bittactical/internal/sparsity"
 	"bittactical/internal/tensor"
 )
@@ -167,6 +169,36 @@ func TestLayerTraffic(t *testing.T) {
 	if base.WeightBytes >= raw {
 		t.Errorf("compressed weights %dB >= raw %dB", base.WeightBytes, raw)
 	}
+}
+
+// TestMetadataReadsEngineSchedules pins that pricing a layer's schedule
+// metadata, like any walk of its filter groups, reads the schedules the
+// engine cached: after a default-options simulation of a (config, layer),
+// LayerTraffic and sim.LayerSchedules on the same pair hit sched.Shared
+// once per filter group and never miss.
+func TestMetadataReadsEngineSchedules(t *testing.T) {
+	lw := mkLayer(t)
+	cfg := arch.TCLe(sched.T(2, 5))
+	if _, err := sim.SimulateLayerContext(context.Background(), cfg, lw, sim.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	groups := int64((lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile)
+	check := func(what string, walk func()) {
+		t.Helper()
+		before := sched.Shared.Stats()
+		walk()
+		after := sched.Shared.Stats()
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != groups || misses != 0 {
+			t.Errorf("%s after the engine: %d hits, %d misses; want %d hits, 0 misses", what, hits, misses, groups)
+		}
+	}
+	check("LayerTraffic", func() { LayerTraffic(cfg, lw) })
+	check("LayerSchedules", func() {
+		err := sim.LayerSchedules(cfg, lw, func(int, []sched.Filter, []*sched.Schedule) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestMemCyclesAndBound(t *testing.T) {

@@ -131,10 +131,11 @@ func patternKey(p Pattern) string {
 
 // HashFilters computes the filter-content half of a group key: two
 // independent hash streams over the group's geometry and weight values.
-// Callers that look the same group up repeatedly (the sweep engine's
-// filter bank re-keys one group under every config) compute this once and
-// pass it to Keyer.ScheduleGroup instead of re-hashing the weights on
-// every lookup.
+// Keyer.ScheduleGroup takes the result, so a caller that looks one group
+// up under several (pattern, algorithm) keys can hash it once. The engine
+// does not yet: internal/sim's groupSchedules hashes once per (config,
+// group), every pass. Memoizing the key on the lowering is the ROADMAP.md
+// item "Warm passes that re-derive nothing".
 func HashFilters(filters []Filter) (h1, h2 uint64) {
 	h1, h2 = uint64(fnvOffset), uint64(5381)
 	mix := func(v int64) {

@@ -24,11 +24,11 @@ const maxBodyBytes = 1 << 20
 
 // Shard-mode resilience: a coordinator re-dispatches a failed worker's
 // layer slice over the survivors for up to shardRetries rounds after the
-// first, and a Config.ShardBackoff of 0 means defaultShardBackoff before
-// the first retry round (doubling per round; negative disables the pause).
+// first, pausing shardBackoff before the first retry round and doubling
+// the pause each round.
 const (
-	shardRetries        = 2
-	defaultShardBackoff = 50 * time.Millisecond
+	shardRetries = 2
+	shardBackoff = 50 * time.Millisecond
 )
 
 // Config tunes one Server.
@@ -58,10 +58,6 @@ type Config struct {
 	// client with no overall timeout (the request context bounds each
 	// call).
 	Client *http.Client
-	// ShardBackoff is the pause before the first re-dispatch round,
-	// doubling each round. 0 means defaultShardBackoff; negative disables
-	// the pause.
-	ShardBackoff time.Duration
 	// HealthInterval is the period of the coordinator's background
 	// /healthz probes of the worker fleet; 0 or negative disables the
 	// probe loop (dispatch outcomes still feed the liveness state).
@@ -469,7 +465,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
-	lws, err := m.Lowered(16, m.GenerateActs(actSeed))
+	// Group and schedule as /v1/simulate's front-end-only design does, so
+	// a reply counts the schedules that design runs.
+	cfg := arch.FrontEndOnly(p)
+	cfg.Scheduler = alg
+	lws, err := m.Lowered(cfg.Lanes, m.GenerateActs(actSeed))
 	if err != nil {
 		s.failures.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -478,24 +478,19 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp := ScheduleResponse{Model: m.Name, Pattern: p.Name, Algorithm: alg.String()}
 	for _, lw := range lws {
-		pad := lw.PadMask()
 		lr := ScheduleLayerPayload{Name: lw.Name, Filters: lw.Filters}
-		for f0 := 0; f0 < lw.Filters; f0 += 16 {
-			// Scheduling one group is milliseconds; the claim-grain check
-			// keeps a large model's sweep cancellable between groups.
-			if err := ctx.Err(); err != nil {
-				s.writeEngineError(w, err)
-				return
-			}
-			f1 := min(f0+16, lw.Filters)
-			group := make([]sched.Filter, f1-f0)
-			for i := range group {
-				group[i] = sched.NewFilter(lw.Lanes, lw.Steps, lw.FilterRow(f0+i), pad)
-			}
-			for _, sc := range sched.Shared.ScheduleGroup(group, p, alg) {
+		err := sim.LayerSchedules(cfg, lw, func(_ int, _ []sched.Filter, schedules []*sched.Schedule) error {
+			for _, sc := range schedules {
 				lr.Columns += sc.Len()
 				lr.DenseCols += lw.Steps
 			}
+			// Scheduling one group is milliseconds; checking between
+			// groups keeps a large model's sweep cancellable.
+			return ctx.Err()
+		})
+		if err != nil {
+			s.writeEngineError(w, err)
+			return
 		}
 		if lr.Columns > 0 {
 			lr.Compaction = float64(lr.DenseCols) / float64(lr.Columns)

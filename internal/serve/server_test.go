@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"bittactical/internal/arch"
 	"bittactical/internal/backend"
 	"bittactical/internal/backend/dstripes"
 	"bittactical/internal/metrics"
 	"bittactical/internal/nn"
+	"bittactical/internal/sched"
 	"bittactical/internal/sim"
 )
 
@@ -427,6 +430,53 @@ func TestScheduleEndpoint(t *testing.T) {
 	}
 	if rec := postJSON(t, h, "/v1/schedule", smallBody(`"pattern":"T8<2,5>","algorithm":"psychic"`)); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad algorithm: status = %d, want 400", rec.Code)
+	}
+}
+
+// TestScheduleMatchesEngine pins that /v1/schedule groups filters exactly
+// as the engine does: per layer, its columns and dense columns equal the
+// front-end census of a FrontEndOnly simulation under the same pattern
+// and scheduler.
+func TestScheduleMatchesEngine(t *testing.T) {
+	h := testServer(t, 2).Routes()
+	spec := ModelSpec{Model: "AlexNet-ES", ChannelScale: 0.1, SpatialScale: 0.25}
+	m, _, actSeed, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acts := m.GenerateActs(actSeed)
+	for _, tc := range []struct{ pattern, alg string }{{"T8<2,5>", "algorithm1"}, {"L8<1,6>", "greedy"}} {
+		p, err := sched.ByName(tc.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := arch.FrontEndOnly(p)
+		if cfg.Scheduler, err = sched.AlgorithmByName(tc.alg); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := sim.SimulateSweepContext(context.Background(), []arch.Config{cfg}, m, acts, sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := postJSON(t, h, "/v1/schedule", smallBody(`"pattern":"`+tc.pattern+`","algorithm":"`+tc.alg+`"`))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s/%s: /v1/schedule = %d: %s", tc.pattern, tc.alg, rec.Code, rec.Body.String())
+		}
+		var resp ScheduleResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		layers := rs[0].Layers
+		if len(resp.Layers) != len(layers) {
+			t.Fatalf("%s/%s: %d layers in the reply, %d in the engine", tc.pattern, tc.alg, len(resp.Layers), len(layers))
+		}
+		for i, lr := range resp.Layers {
+			fe := layers[i].FrontEnd
+			if lr.Columns != fe.Columns || lr.DenseCols != fe.DenseSteps {
+				t.Errorf("%s/%s %s: reply columns %d, dense %d; engine %d, %d",
+					tc.pattern, tc.alg, lr.Name, lr.Columns, lr.DenseCols, fe.Columns, fe.DenseSteps)
+			}
+		}
 	}
 }
 

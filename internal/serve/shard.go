@@ -304,17 +304,9 @@ func (s *Server) dispatchShards(ctx context.Context, req SimulateRequest, m *nn.
 }
 
 // shardBackoffWait pauses before re-dispatch round `round` (1-based),
-// doubling the configured base per round, honoring ctx.
+// doubling shardBackoff per round, honoring ctx.
 func (s *Server) shardBackoffWait(ctx context.Context, round int) error {
-	d := s.cfg.ShardBackoff
-	if d == 0 {
-		d = defaultShardBackoff
-	}
-	if d < 0 {
-		return ctx.Err()
-	}
-	d <<= uint(round - 1)
-	t := time.NewTimer(d)
+	t := time.NewTimer(shardBackoff << uint(round-1))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

@@ -33,7 +33,6 @@ func newCoordinator(t *testing.T, urls []string) *Server {
 		DefaultTimeout: 30 * time.Second,
 		MaxTimeout:     time.Minute,
 		Workers:        urls,
-		ShardBackoff:   time.Millisecond,
 	})
 	t.Cleanup(coord.Close)
 	return coord

@@ -128,9 +128,8 @@ func costTableFor(be backend.Backend, w fixed.Width) *costTable {
 }
 
 // denseSchedules builds the value-agnostic dense schedule — one column per
-// step, every weight in place, nothing skipped — in the scratch arena.
-// The schedules are consumed (census, activity, lane refs) before
-// prepareGroupInto returns, so arena backing is safe.
+// step, every weight in place, nothing skipped — in the scratch arena,
+// where it stays valid until the arena's next group (groupSchedules).
 func denseSchedules(sc *groupScratch, filters []sched.Filter) []*sched.Schedule {
 	nf := len(filters)
 	if nf == 0 {

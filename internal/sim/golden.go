@@ -11,36 +11,22 @@ import (
 // ExecuteGolden runs a layer value-exactly through the modeled datapath —
 // front-end weight/activation pairing plus the selected back-end's
 // arithmetic — and checks every output against the lowering's reference dot
-// product. It returns the first mismatch as an error.
+// product. It walks the schedules the engine runs (LayerSchedules),
+// verifies each front-end schedule, and returns the first violation or
+// mismatch as an error.
 //
 // This is the semantic-preservation invariant of DESIGN.md §5: a schedule
 // may reorder work arbitrarily within its constraints, but each filter's
 // psum must come out bit-exact.
 func ExecuteGolden(cfg arch.Config, lw *nn.Lowered) error {
-	pad := lw.PadMask()
-	rows := cfg.FiltersPerTile
-	for f0 := 0; f0 < lw.Filters; f0 += rows {
-		f1 := f0 + rows
-		if f1 > lw.Filters {
-			f1 = lw.Filters
-		}
-		filters := make([]sched.Filter, f1-f0)
-		for i := range filters {
-			filters[i] = sched.NewFilter(lw.Lanes, lw.Steps, lw.FilterRow(f0+i), pad)
-		}
-		var schedules []*sched.Schedule
-		if cfg.HasFrontEnd() {
-			schedules = sched.ScheduleGroup(filters, cfg.Pattern, cfg.Scheduler)
-			for i, s := range schedules {
-				if err := sched.Verify(filters[i], cfg.Pattern, s); err != nil {
-					return fmt.Errorf("sim: filter %d: %w", f0+i, err)
-				}
-			}
-		} else {
-			schedules = denseSchedules(&groupScratch{}, filters)
-		}
+	return LayerSchedules(cfg, lw, func(f0 int, filters []sched.Filter, schedules []*sched.Schedule) error {
 		for i, s := range schedules {
 			f := f0 + i
+			if cfg.HasFrontEnd() {
+				if err := sched.Verify(filters[i], cfg.Pattern, s); err != nil {
+					return fmt.Errorf("sim: filter %d: %w", f, err)
+				}
+			}
 			for win := 0; win < lw.WindowCount; win++ {
 				got := executePsum(cfg, lw, s, f, win)
 				want := lw.ReferenceOutput(f, win)
@@ -50,8 +36,8 @@ func ExecuteGolden(cfg arch.Config, lw *nn.Lowered) error {
 				}
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // executePsum accumulates one output through the modeled datapath: the WSU

@@ -341,42 +341,52 @@ type windowPartial struct {
 	serial  int64
 }
 
+// groupSchedules is the one place a lowered layer becomes scheduler
+// input, shared by the engine's prepare step and LayerSchedules. It
+// materializes filters f0..f1-1 of lw (at lw's lanes and steps, under the
+// layer's pad mask) into sc's arena and returns them with their
+// schedules: looked up through keyer, which front-end configs must carry,
+// or built dense in the arena otherwise. The filters and dense schedules
+// stay valid until sc's next group; front-end schedules belong to the
+// cache. The arena can hold the rows because schedules never retain their
+// filters (sched.NewFilter wraps the row slice, and both the cache and the
+// kernel copy entry data, not weights).
+func groupSchedules(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, pad []bool, f0, f1 int, keyer *sched.Keyer) ([]sched.Filter, []*sched.Schedule) {
+	lanes, steps, nrows := lw.Lanes, lw.Steps, f1-f0
+	sc.weights = grow(sc.weights, nrows*steps*lanes)
+	sc.filters = grow(sc.filters, nrows)
+	filters := sc.filters
+	for i := range filters {
+		row := sc.weights[i*steps*lanes : (i+1)*steps*lanes]
+		lw.FilterRowInto(f0+i, row)
+		filters[i] = sched.NewFilter(lanes, steps, row, pad)
+	}
+	if !cfg.HasFrontEnd() {
+		return filters, denseSchedules(sc, filters)
+	}
+	h1, h2 := sched.HashFilters(filters)
+	return filters, keyer.ScheduleGroup(h1, h2, filters)
+}
+
 // prepareGroupInto builds one resident filter group's context:
-// filters, schedules (through keyer, which front-end configs must carry),
-// the front-end census, datapath activity that depends only on column
-// structure, and the per-column lane references the window walk consumes.
-// For the bit-parallel back-end the group's full result is computed here
-// (its cost model is window-independent).
+// filters and schedules (groupSchedules), the front-end census, datapath
+// activity that depends only on column structure, and the per-column lane
+// references the window walk consumes. For the bit-parallel back-end the
+// group's full result is computed here (its cost model is
+// window-independent).
 //
 // Everything lives in the worker's scratch arena sc, and the returned
-// context is sc's own: filter rows are materialized there — safe because
-// schedules never retain their filters (sched.NewFilter wraps the row
-// slice, and both the cache and the kernel copy entry data, not weights) —
-// and the context's grids carve from it. Both stay valid until the worker
-// prepares its next group.
+// context is sc's own: the filter rows and the context's grids carve from
+// it, and both stay valid until the worker prepares its next group.
 func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, pad []bool, f0, f1 int, keyer *sched.Keyer) *groupCtx {
 	lanes, rows, wg := cfg.Lanes, cfg.FiltersPerTile, cfg.WindowsPerTile
-	steps, W := lw.Steps, lw.WindowCount
+	W := lw.WindowCount
 	nrows := f1 - f0
 	ctx := &sc.ctx
 	*ctx = groupCtx{nrows: nrows, windows: W}
 	r := &ctx.base
 
-	sc.weights = grow(sc.weights, nrows*steps*lanes)
-	sc.filters = grow(sc.filters, nrows)
-	filters := sc.filters[:nrows]
-	for i := 0; i < nrows; i++ {
-		row := sc.weights[i*steps*lanes : (i+1)*steps*lanes]
-		lw.FilterRowInto(f0+i, row)
-		filters[i] = sched.NewFilter(lanes, steps, row, pad)
-	}
-	var schedules []*sched.Schedule
-	if cfg.HasFrontEnd() {
-		h1, h2 := sched.HashFilters(filters)
-		schedules = keyer.ScheduleGroup(h1, h2, filters)
-	} else {
-		schedules = denseSchedules(sc, filters)
-	}
+	filters, schedules := groupSchedules(sc, cfg, lw, pad, f0, f1, keyer)
 	cols := 0
 	if nrows > 0 {
 		cols = schedules[0].Len()

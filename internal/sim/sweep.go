@@ -6,6 +6,7 @@ import (
 
 	"bittactical/internal/arch"
 	"bittactical/internal/nn"
+	"bittactical/internal/sched"
 	"bittactical/internal/tensor"
 )
 
@@ -86,6 +87,35 @@ func SimulateLoweredSweepContext(ctx context.Context, cfgs []arch.Config, lwss [
 		}
 	}
 	return simulateSweep(ctx, cfgs, lwss, opts)
+}
+
+// LayerSchedules walks lw's filter groups in order under cfg, grouped
+// exactly as the engine groups them (FiltersPerTile filters each, the last
+// one short), and calls fn with each group's first filter index, its
+// filters and their schedules. Front-end schedules come from sched.Shared,
+// the cache the engine uses by default, so a walk after a simulation of
+// the same (config, layer) schedules nothing; configs without a front end
+// get the dense schedule. fn may keep a front-end schedule, which the
+// cache owns; the filters and dense schedules are valid only until fn
+// returns.
+//
+// The walk is serial: it spawns nothing and never enters the engine's
+// pool. Filters take lw's own lane count, which the engine requires to be
+// cfg's. It returns cfg's validation error or the first error fn returns.
+func LayerSchedules(cfg arch.Config, lw *nn.Lowered, fn func(f0 int, filters []sched.Filter, schedules []*sched.Schedule) error) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	keyer := sched.Shared.Keyer(cfg.Pattern, cfg.Scheduler)
+	var sc groupScratch
+	pad := lw.PadMask()
+	for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
+		filters, schedules := groupSchedules(&sc, cfg, lw, pad, f0, min(f0+cfg.FiltersPerTile, lw.Filters), &keyer)
+		if err := fn(f0, filters, schedules); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SimulateGridContext runs an arbitrary rectangle of the (config, layer)
