@@ -57,11 +57,13 @@ bench-contention:
 
 # Hammer the shared caches: internal/cache's own tests, then the schedule
 # and plane cache stress tests built on it, under the race detector three
-# times over, with the exact eviction accounting checked.
+# times over, with the exact eviction accounting checked; and the memo
+# each lowering keeps of its groups' keys and censuses, swept under configs
+# that share or split its tables and by concurrent sweeps racing to fill it.
 cache-stress:
 	$(GO) test -race -count=3 ./internal/cache
 	$(GO) test -race -count=3 ./internal/sched -run 'TestCache|TestKeyer'
-	$(GO) test -race -count=3 ./internal/sim -run 'TestPlaneCache'
+	$(GO) test -race -count=3 ./internal/sim -run 'TestPlaneCache|TestMemoSharedAcrossConfigs|TestMemoConcurrentColdSweeps'
 
 # Guard the workload seam: model resolution lives behind the internal/nn
 # registry (nn.Register / nn.Lookup). A switch or if-chain arm on a model

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"bittactical/internal/experiments"
@@ -85,6 +89,34 @@ func TestCSVMatchesTable(t *testing.T) {
 	for i, row := range want.Rows {
 		if !slices.Equal(got[i+1], row) {
 			t.Errorf("row %d = %q, want %q", i, got[i+1], row)
+		}
+	}
+}
+
+// TestBadScaleFails runs the test binary as tclsim with a zoo scale
+// outside (0, 1]: each must exit nonzero with a tclsim message and print no
+// table, rather than simulate the model the scaling rules clamp it to.
+func TestBadScaleFails(t *testing.T) {
+	if args := os.Getenv("TCLSIM_TEST_ARGS"); args != "" {
+		runMain(strings.Fields(args)...)
+		return
+	}
+	for _, scale := range []string{"-cscale -1", "-cscale NaN", "-sscale -2"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadScaleFails$")
+		cmd.Env = append(os.Environ(), "TCLSIM_TEST_ARGS=-exp fig8a -models AlexNet-ES "+scale)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Errorf("tclsim %s: %v, want a nonzero exit; stdout:\n%s", scale, err, stdout.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("tclsim %s printed to stdout:\n%s", scale, stdout.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "tclsim: fig8a: ") || !strings.Contains(msg, "(0, 1]") {
+			t.Errorf("tclsim %s stderr = %q, want a tclsim message naming the (0, 1] bound", scale, msg)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"bittactical/internal/sched"
 	"bittactical/internal/tensor"
 )
 
@@ -28,6 +29,9 @@ import (
 //	lane = (r*S+s) % L,  step = (r*S+s) / L
 //
 // and the activation fetch depends on the filter (channel) index.
+//
+// A lowering memoizes what it derives from its tensors, ContentHash from
+// the input and Memo from the weights, so neither may change after Lower.
 type Lowered struct {
 	Name    string
 	Kind    Kind
@@ -53,6 +57,8 @@ type Lowered struct {
 
 	hashOnce sync.Once
 	h1, h2   uint64
+
+	memo sched.Memo
 }
 
 // Lower produces the lowered view of layer l with its input activations.
@@ -178,6 +184,12 @@ func (lw *Lowered) ContentHash() (h1, h2 uint64) {
 	lw.hashOnce.Do(func() { lw.h1, lw.h2 = contentHash(lw) })
 	return lw.h1, lw.h2
 }
+
+// Memo returns the lowering's per-filter-group scheduling metadata: each
+// group's schedule-cache key and front-end census, filled on the group's
+// first touch by the simulator and read by every later pass, under any
+// config that groups and schedules the filters the same way.
+func (lw *Lowered) Memo() *sched.Memo { return &lw.memo }
 
 const (
 	fnvOffset = 14695981039346656037

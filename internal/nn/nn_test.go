@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -280,6 +282,39 @@ func TestZooDeterministic(t *testing.T) {
 func TestZooUnknownModel(t *testing.T) {
 	if _, err := BuildModel("VGG-19", DefaultZoo()); err == nil {
 		t.Error("BuildModel accepted unknown name")
+	}
+}
+
+// TestBuildModelScaleBounds pins the (0, 1] domain of both zoo scales:
+// the scaling rules clamp anything else to their floors, so an
+// out-of-range scale must be an error, not the smallest model.
+func TestBuildModelScaleBounds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		cscale, sscale float64
+		ok             bool
+	}{
+		{0.03, 0.2, true},
+		{0.03, 1, true},
+		{-1, 0.5, false},
+		{0, 0.5, false},
+		{nan, 0.5, false},
+		{1.5, 0.5, false},
+		{inf, 0.5, false},
+		{0.25, -2, false},
+		{0.25, 0, false},
+		{0.25, nan, false},
+		{0.25, 1.0001, false},
+	} {
+		cfg := DefaultZoo()
+		cfg.ChannelScale, cfg.SpatialScale = tc.cscale, tc.sscale
+		_, err := BuildModel("AlexNet-ES", cfg)
+		if tc.ok && err != nil {
+			t.Errorf("scales (%g, %g): %v", tc.cscale, tc.sscale, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "(0, 1]")) {
+			t.Errorf("scales (%g, %g): error %v, want one naming the (0, 1] bound", tc.cscale, tc.sscale, err)
+		}
 	}
 }
 

@@ -60,7 +60,9 @@ var ModelNames = []string{
 // BuildModel instantiates a registered workload by name (case-insensitive):
 // geometry from the entry's builder, then deterministic weight synthesis,
 // pruning to the entry's target, and — for 8-bit configs — range-oblivious
-// requantization. Every built layer must pass Layer.Validate: a scale small
+// requantization. Both scales must lie in (0, 1]: the scaling rules clamp
+// any other value to their floors, which would quietly build a model no
+// one asked for. Every built layer must pass Layer.Validate: a scale small
 // enough to shrink a layer's output to nothing is an error naming the
 // layer, the model and the scales, not a model the engine divides by zero
 // on.
@@ -68,6 +70,10 @@ func BuildModel(name string, cfg ZooConfig) (*Model, error) {
 	e, err := Lookup(name)
 	if err != nil {
 		return nil, err
+	}
+	if !(cfg.ChannelScale > 0 && cfg.ChannelScale <= 1 && cfg.SpatialScale > 0 && cfg.SpatialScale <= 1) {
+		return nil, fmt.Errorf("nn: %s: channel scale %g and spatial scale %g must both lie in (0, 1]",
+			e.Name, cfg.ChannelScale, cfg.SpatialScale)
 	}
 	m := e.Build(cfg)
 	m.Name = e.Name

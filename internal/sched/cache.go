@@ -133,9 +133,9 @@ func patternKey(p Pattern) string {
 // independent hash streams over the group's geometry and weight values.
 // Keyer.ScheduleGroup takes the result, so a caller that looks one group
 // up under several (pattern, algorithm) keys can hash it once. The engine
-// does not yet: internal/sim's groupSchedules hashes once per (config,
-// group), every pass. Memoizing the key on the lowering is the ROADMAP.md
-// item "Warm passes that re-derive nothing".
+// hashes each group once per lowering: internal/sim keeps the result in
+// the lowering's Memo, and every later lookup of the group, under any
+// config, reads it there.
 func HashFilters(filters []Filter) (h1, h2 uint64) {
 	h1, h2 = uint64(fnvOffset), uint64(5381)
 	mix := func(v int64) {
@@ -172,8 +172,10 @@ func (c *Cache) Keyer(p Pattern, alg Algorithm) Keyer {
 
 // ScheduleGroup is Cache.ScheduleGroup with both key halves precomputed:
 // the pattern half in the Keyer, the filter-content hash (HashFilters
-// over the same filters) by the caller.
-func (k Keyer) ScheduleGroup(h1, h2 uint64, filters []Filter) []*Schedule {
+// over the group's filters) by the caller. filters is called only on a
+// miss, to hand the fill its input, so a caller that memoized the hash
+// reads no weights when the group is cached.
+func (k Keyer) ScheduleGroup(h1, h2 uint64, filters func() []Filter) []*Schedule {
 	key := groupKey{h1: h1, h2: fnvString(h2, k.pat), pattern: k.pat, alg: k.alg}
 	return k.c.lookup(key, filters, k.p, k.alg)
 }
@@ -184,13 +186,11 @@ func (k Keyer) ScheduleGroup(h1, h2 uint64, filters []Filter) []*Schedule {
 // result, so no caller ever observes a partial entry.
 func (c *Cache) ScheduleGroup(filters []Filter, p Pattern, alg Algorithm) []*Schedule {
 	h1, h2 := HashFilters(filters)
-	pat := patternKey(p)
-	key := groupKey{h1: h1, h2: fnvString(h2, pat), pattern: pat, alg: alg}
-	return c.lookup(key, filters, p, alg)
+	return c.Keyer(p, alg).ScheduleGroup(h1, h2, func() []Filter { return filters })
 }
 
-func (c *Cache) lookup(key groupKey, filters []Filter, p Pattern, alg Algorithm) []*Schedule {
-	ss, _ := c.entries.Get(key, func() []*Schedule { return c.fill(filters, p, alg) })
+func (c *Cache) lookup(key groupKey, filters func() []Filter, p Pattern, alg Algorithm) []*Schedule {
+	ss, _ := c.entries.Get(key, func() []*Schedule { return c.fill(filters(), p, alg) })
 	return ss
 }
 

@@ -98,7 +98,7 @@ func TestKeyerMatchesScheduleGroup(t *testing.T) {
 	direct := c.ScheduleGroup(group, p, alg)
 	k := c.Keyer(p, alg)
 	h1, h2 := HashFilters(group)
-	viaKeyer := k.ScheduleGroup(h1, h2, group)
+	viaKeyer := k.ScheduleGroup(h1, h2, func() []Filter { return group })
 	for i := range direct {
 		if direct[i] != viaKeyer[i] {
 			t.Fatalf("filter %d: Keyer lookup missed the entry ScheduleGroup stored", i)

@@ -45,7 +45,7 @@ type configWork struct {
 // layerWork is one layer's slice of a config's run state, kept in a single
 // per-config array so engine entry costs one allocation for all of it.
 type layerWork struct {
-	pad    []bool
+	memo   groupMemo     // the config's tables in the lowering's memo
 	planes []planeSlot   // one per act group (one for row-invariant layers)
 	groups []groupResult // one per filter group, written by the worker that ran it
 	// result is the layer's merged outcome, written by the worker that
@@ -137,13 +137,14 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 		layerOff += len(lws)
 		if cfg.HasFrontEnd() {
 			// Key the cache once per (config): the pattern key and algorithm
-			// tag are shared by every group lookup below, so per-group calls
-			// hash only filter contents.
+			// tag are shared by every group lookup below, so a lookup needs
+			// only the group's content hash, which the lowering's memo
+			// holds after the group's first touch.
 			cw.keyer = cache.Keyer(cfg.Pattern, cfg.Scheduler)
 		}
 		for li, lw := range lws {
 			lwk := &cw.layers[li]
-			lwk.pad = lw.PadMask()
+			lwk.memo = memoFor(cfg, lw, &cw.keyer)
 			if cfg.Serial() {
 				lwk.planes = st.slots[slotOff : slotOff+lw.ActGroups()]
 				slotOff += lw.ActGroups()
@@ -176,14 +177,13 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 		if lwk.start.Load() == 0 {
 			lwk.start.CompareAndSwap(0, time.Now().UnixNano())
 		}
-		f0 := it.group * cw.cfg.FiltersPerTile
-		f1 := min(f0+cw.cfg.FiltersPerTile, lw.Filters)
-		gc := prepareGroupInto(&scratch[w], cw.cfg, lw, lwk.pad, f0, f1, &cw.keyer)
+		gc := prepareGroupInto(&scratch[w], cw.cfg, lw, it.group, &cw.keyer, lwk.memo)
 		r := gc.base
 		if gc.needsWindows {
 			// Resolve each PE row's act-group plane; a resident group of a
 			// grouped/depthwise layer can straddle an act-group boundary, so
 			// rows index their own plane.
+			f0 := it.group * cw.cfg.FiltersPerTile
 			for ri := range gc.rowPlanes {
 				gc.rowPlanes[ri] = cw.planeFor(it.layer, lw.ActGroupOf(f0+ri), planeCache)
 			}
@@ -341,69 +341,137 @@ type windowPartial struct {
 	serial  int64
 }
 
-// groupSchedules is the one place a lowered layer becomes scheduler
-// input, shared by the engine's prepare step and LayerSchedules. It
-// materializes filters f0..f1-1 of lw (at lw's lanes and steps, under the
-// layer's pad mask) into sc's arena and returns them with their
-// schedules: looked up through keyer, which front-end configs must carry,
-// or built dense in the arena otherwise. The filters and dense schedules
-// stay valid until sc's next group; front-end schedules belong to the
-// cache. The arena can hold the rows because schedules never retain their
-// filters (sched.NewFilter wraps the row slice, and both the cache and the
-// kernel copy entry data, not weights).
-func groupSchedules(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, pad []bool, f0, f1 int, keyer *sched.Keyer) ([]sched.Filter, []*sched.Schedule) {
-	lanes, steps, nrows := lw.Lanes, lw.Steps, f1-f0
-	sc.weights = grow(sc.weights, nrows*steps*lanes)
-	sc.filters = grow(sc.filters, nrows)
-	filters := sc.filters
-	for i := range filters {
-		row := sc.weights[i*steps*lanes : (i+1)*steps*lanes]
-		lw.FilterRowInto(f0+i, row)
-		filters[i] = sched.NewFilter(lanes, steps, row, pad)
-	}
-	if !cfg.HasFrontEnd() {
-		return filters, denseSchedules(sc, filters)
-	}
-	h1, h2 := sched.HashFilters(filters)
-	return filters, keyer.ScheduleGroup(h1, h2, filters)
+// groupMemo is one (config, layer)'s tables in the lowering's memo
+// (nn.Lowered.Memo): its groups' schedule-cache keys, for front-end
+// configs, and their front-end censuses.
+type groupMemo struct {
+	keys   *sched.MemoTable[sched.GroupKey]
+	census *sched.MemoTable[sched.GroupCensus]
 }
 
-// prepareGroupInto builds one resident filter group's context:
-// filters and schedules (groupSchedules), the front-end census, datapath
-// activity that depends only on column structure, and the per-column lane
-// references the window walk consumes. For the bit-parallel back-end the
-// group's full result is computed here (its cost model is
-// window-independent).
+// memoFor finds cfg's tables in lw's memo; keyer is cfg's and is read
+// only when cfg has a front end. Configs that group and schedule alike
+// share tables, so TCLp and TCLe at one pattern key and census each group
+// once between them.
+func memoFor(cfg arch.Config, lw *nn.Lowered, keyer *sched.Keyer) groupMemo {
+	m := lw.Memo()
+	groups := (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
+	if !cfg.HasFrontEnd() {
+		return groupMemo{census: m.Census(cfg.FiltersPerTile, groups, nil)}
+	}
+	return groupMemo{
+		keys:   m.Keys(cfg.FiltersPerTile, groups),
+		census: m.Census(cfg.FiltersPerTile, groups, keyer),
+	}
+}
+
+// groupRows is one filter group's rows, filters f0..f1-1 of lw (at lw's
+// lanes and steps, under the layer's pad mask), read into sc's arena on
+// first demand. The rows stay valid until sc's next group. The arena can
+// hold them because schedules never retain their filters (sched.NewFilter
+// wraps the row slice, and both the cache and the kernel copy entry data,
+// not weights).
+type groupRows struct {
+	sc     *groupScratch
+	lw     *nn.Lowered
+	f0, f1 int
+	read   bool
+}
+
+// filters returns the group's filters, reading lw on the first call only.
+func (gr *groupRows) filters() []sched.Filter {
+	if gr.read {
+		return gr.sc.filters
+	}
+	gr.read = true
+	sc, lw := gr.sc, gr.lw
+	lanes, steps, pad := lw.Lanes, lw.Steps, lw.PadMask()
+	sc.weights = grow(sc.weights, (gr.f1-gr.f0)*steps*lanes)
+	sc.filters = grow(sc.filters, gr.f1-gr.f0)
+	for i := range sc.filters {
+		row := sc.weights[i*steps*lanes : (i+1)*steps*lanes]
+		lw.FilterRowInto(gr.f0+i, row)
+		sc.filters[i] = sched.NewFilter(lanes, steps, row, pad)
+	}
+	return sc.filters
+}
+
+// groupSchedules is the one place a lowered layer's filter group, group g
+// of cfg's grouping, gets its schedules; the engine's prepare step and
+// LayerSchedules share it. Front-end configs look the group up through
+// keyer under its key from keys, which the group's first touch hashes
+// from the rows and stores; configs without a front end get the dense
+// schedule, built in the arena. So rows are read only to hash, to fill a
+// cache miss, or to build dense schedules. Dense schedules stay valid
+// until the arena's next group; front-end ones belong to the cache.
+func groupSchedules(rows *groupRows, cfg arch.Config, g int, keyer *sched.Keyer, keys *sched.MemoTable[sched.GroupKey]) []*sched.Schedule {
+	if !cfg.HasFrontEnd() {
+		return denseSchedules(rows.sc, rows.filters())
+	}
+	key, ok := keys.Load(g)
+	if !ok {
+		key.H1, key.H2 = sched.HashFilters(rows.filters())
+		keys.Store(g, key)
+	}
+	return keyer.ScheduleGroup(key.H1, key.H2, rows.filters)
+}
+
+// groupCensus sums the front-end census of a group's schedules against
+// their filters.
+func groupCensus(schedules []*sched.Schedule, filters []sched.Filter) sched.GroupCensus {
+	var c sched.GroupCensus
+	if len(schedules) > 0 {
+		c.Cols = schedules[0].Len()
+	}
+	for i, s := range schedules {
+		st := s.Stats(filters[i])
+		c.Stats.Columns += st.Columns
+		c.Stats.DenseSteps += st.DenseSteps
+		for k := range st.Slots {
+			c.Stats.Slots[k] += st.Slots[k]
+		}
+	}
+	return c
+}
+
+// prepareGroupInto builds the context of lw's filter group g under cfg:
+// the front-end census, datapath activity that depends only on column
+// structure, and the per-column lane references the window walk consumes.
+// The census comes from the lowering's memo, which the group's first
+// preparation fills from its schedules (groupSchedules); after that only
+// serial back-ends, whose window walk reads the columns, look schedules
+// up. For the bit-parallel back-end the group's full result is computed
+// here (its cost model is window-independent).
 //
 // Everything lives in the worker's scratch arena sc, and the returned
 // context is sc's own: the filter rows and the context's grids carve from
 // it, and both stay valid until the worker prepares its next group.
-func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, pad []bool, f0, f1 int, keyer *sched.Keyer) *groupCtx {
+func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, keyer *sched.Keyer, memo groupMemo) *groupCtx {
 	lanes, rows, wg := cfg.Lanes, cfg.FiltersPerTile, cfg.WindowsPerTile
 	W := lw.WindowCount
-	nrows := f1 - f0
+	f0 := g * rows
+	nrows := min(rows, lw.Filters-f0)
 	ctx := &sc.ctx
 	*ctx = groupCtx{nrows: nrows, windows: W}
 	r := &ctx.base
 
-	filters, schedules := groupSchedules(sc, cfg, lw, pad, f0, f1, keyer)
-	cols := 0
-	if nrows > 0 {
-		cols = schedules[0].Len()
+	gr := groupRows{sc: sc, lw: lw, f0: f0, f1: f0 + nrows}
+	census, known := memo.census.Load(g)
+	var schedules []*sched.Schedule
+	if !known || cfg.Serial() {
+		schedules = groupSchedules(&gr, cfg, g, keyer, memo.keys)
 	}
+	if !known {
+		census = groupCensus(schedules, gr.filters())
+		memo.census.Store(g, census)
+	}
+	cols := census.Cols
 	ctx.cols = cols
 
-	// Front-end census. It puts every effectual entry in exactly one of
+	// The front-end census puts every effectual entry in exactly one of
 	// unpromoted, lookahead and lookaside, so their sum also prices the mux
 	// selects and bit-parallel MACs below without another walk.
-	for i, s := range schedules {
-		st := s.Stats(filters[i])
-		r.frontEnd.Columns += st.Columns
-		r.frontEnd.DenseSteps += st.DenseSteps
-		for k := range st.Slots {
-			r.frontEnd.Slots[k] += st.Slots[k]
-		}
-	}
+	r.frontEnd = census.Stats
 	effectual := r.frontEnd.Slots[sched.SlotUnpromoted] + r.frontEnd.Slots[sched.SlotLookahead] +
 		r.frontEnd.Slots[sched.SlotLookaside]
 	// Filter-count padding: PE rows beyond the layer's filters idle.

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"bittactical/internal/arch"
 	"bittactical/internal/nn"
@@ -93,11 +94,11 @@ func SimulateLoweredSweepContext(ctx context.Context, cfgs []arch.Config, lwss [
 // exactly as the engine groups them (FiltersPerTile filters each, the last
 // one short), and calls fn with each group's first filter index, its
 // filters and their schedules. Front-end schedules come from sched.Shared,
-// the cache the engine uses by default, so a walk after a simulation of
-// the same (config, layer) schedules nothing; configs without a front end
-// get the dense schedule. fn may keep a front-end schedule, which the
-// cache owns; the filters and dense schedules are valid only until fn
-// returns.
+// the cache the engine uses by default, under the group keys in lw's memo,
+// so a walk after a simulation of the same (config, layer) schedules and
+// hashes nothing; configs without a front end get the dense schedule. fn
+// may keep a front-end schedule, which the cache owns; the filters and
+// dense schedules are valid only until fn returns.
 //
 // The walk is serial: it spawns nothing and never enters the engine's
 // pool. Filters take lw's own lane count, which the engine requires to be
@@ -107,16 +108,28 @@ func LayerSchedules(cfg arch.Config, lw *nn.Lowered, fn func(f0 int, filters []s
 		return err
 	}
 	keyer := sched.Shared.Keyer(cfg.Pattern, cfg.Scheduler)
-	var sc groupScratch
-	pad := lw.PadMask()
-	for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
-		filters, schedules := groupSchedules(&sc, cfg, lw, pad, f0, min(f0+cfg.FiltersPerTile, lw.Filters), &keyer)
-		if err := fn(f0, filters, schedules); err != nil {
+	groups := (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
+	var keys *sched.MemoTable[sched.GroupKey]
+	if cfg.HasFrontEnd() {
+		keys = lw.Memo().Keys(cfg.FiltersPerTile, groups)
+	}
+	sc := walkScratch.Get().(*groupScratch)
+	defer walkScratch.Put(sc)
+	for g := 0; g < groups; g++ {
+		f0 := g * cfg.FiltersPerTile
+		rows := groupRows{sc: sc, lw: lw, f0: f0, f1: min(f0+cfg.FiltersPerTile, lw.Filters)}
+		schedules := groupSchedules(&rows, cfg, g, &keyer, keys)
+		if err := fn(f0, rows.filters(), schedules); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// walkScratch recycles LayerSchedules' arenas across walks. A walk's arena
+// cannot live on its stack: the row source it hands the schedule cache,
+// which calls it on a miss, keeps the arena reachable.
+var walkScratch = sync.Pool{New: func() any { return new(groupScratch) }}
 
 // SimulateGridContext runs an arbitrary rectangle of the (config, layer)
 // design-space grid: every config in cfgs against exactly the model layers

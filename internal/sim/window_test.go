@@ -137,8 +137,9 @@ func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, sli
 	wg := cfg.WindowsPerTile
 	windowGroups := (lw.WindowCount + wg - 1) / wg
 	slices = min(slices, windowGroups)
+	memo := memoFor(cfg, lw, &keyer)
 	for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
-		ctx := prepareGroupInto(sc, cfg, lw, lw.PadMask(), f0, min(f0+cfg.FiltersPerTile, lw.Filters), &keyer)
+		ctx := prepareGroupInto(sc, cfg, lw, f0/cfg.FiltersPerTile, &keyer, memo)
 		for ri := range ctx.rowPlanes {
 			ctx.rowPlanes[ri] = planes[lw.ActGroupOf(f0+ri)]
 		}
