@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check lint-workload bench-module serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fuzz-api fuzz-codec fmt clean
+.PHONY: all build vet test race check fmt-check lint-workload bench-module bench-kernel serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fuzz-api fuzz-codec fmt clean
 
 all: check
 
@@ -19,10 +19,10 @@ race:
 # The pre-commit gate: check formatting as CI does, compile everything, vet,
 # lint the workload seam, run the full suite under the race detector (the
 # parallel engine is on by default, so every test doubles as a race test,
-# and the examples run as Example tests), compile and test the end-to-end
-# benchmark module against this tree's APIs, and hold the committed
-# benchmark baselines.
-check: fmt-check build vet lint-workload race bench-module bench-gate
+# and the examples run as Example tests), run the window-walk benchmark
+# once, compile and test the end-to-end benchmark module against this
+# tree's APIs, and hold the committed benchmark baselines.
+check: fmt-check build vet lint-workload race bench-kernel bench-module bench-gate
 
 # Fail on any file gofmt would rewrite (the first check of make check).
 fmt-check:
@@ -30,6 +30,13 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# The window walk's kernel-level number: BenchmarkEvalWindows times
+# evalWindows alone on fixed FC groups and reports ns per lane-word (one
+# lane's costs for 8 windows). One iteration keeps it compiling and
+# running; time it with -benchtime 1s -count 5 -cpu 1.
+bench-kernel:
+	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkEvalWindows -benchtime 1x
 
 # The end-to-end benchmark (benchmark/, run by BENCHMARK.json) is a Go
 # module of its own, so ./... above never compiles it. Vet and test it

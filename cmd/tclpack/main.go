@@ -37,6 +37,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *par < 0 {
+		fmt.Fprintf(os.Stderr, "tclpack: -j %d must be at least 0 (0 = GOMAXPROCS)\n", *par)
+		os.Exit(2)
+	}
 	p, err := sched.ByName(*patName)
 	if err != nil {
 		fatal(err)

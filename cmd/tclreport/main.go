@@ -36,6 +36,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *par < 0 {
+		fmt.Fprintf(os.Stderr, "tclreport: -j %d must be at least 0 (0 = GOMAXPROCS)\n", *par)
+		os.Exit(2)
+	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tclreport:", err)

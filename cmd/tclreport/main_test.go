@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -75,6 +78,41 @@ func TestReportIncludesTables(t *testing.T) {
 	for _, tab := range []*experiments.Table{experiments.Table2(), experiments.Table3()} {
 		if want := markdownSection(tab); !strings.Contains(string(report), want) {
 			t.Errorf("report has no %s section equal to\n%s\nreport:\n%s", tab.ID, want, report)
+		}
+	}
+}
+
+// TestBadCountsExit2 runs the test binary as tclreport with a negative -j:
+// it must exit 2 with a tclreport message and write no report, rather than
+// run at GOMAXPROCS.
+func TestBadCountsExit2(t *testing.T) {
+	if args := os.Getenv("TCLREPORT_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"tclreport"}, strings.Fields(args)...)
+		flag.CommandLine = flag.NewFlagSet("tclreport", flag.ExitOnError)
+		main()
+		return
+	}
+	for _, j := range []string{"-2", "-1"} {
+		out := filepath.Join(t.TempDir(), "report.md")
+		args := "-quick -include table2 -j " + j + " -o " + out
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadCountsExit2$")
+		cmd.Env = append(os.Environ(), "TCLREPORT_TEST_ARGS="+args)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("tclreport %s: %v, want exit status 2; stdout:\n%s", args, err, stdout.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("tclreport %s printed to stdout:\n%s", args, stdout.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "tclreport: -j ") {
+			t.Errorf("tclreport %s stderr = %q, want one tclreport message naming -j", args, msg)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("tclreport %s wrote %s (stat: %v)", args, out, err)
 		}
 	}
 }

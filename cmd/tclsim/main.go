@@ -51,6 +51,13 @@ func main() {
 	)
 	flag.Parse()
 
+	// A count out of range is a usage error, reported before anything runs:
+	// the library reads 0 as its default, which no command line means.
+	if err := validateCounts(*trials, *batch, *par); err != nil {
+		fmt.Fprintln(os.Stderr, "tclsim:", err)
+		os.Exit(2)
+	}
+
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
@@ -126,6 +133,19 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// validateCounts rejects -trials and -batch below 1 and -j below 0.
+func validateCounts(trials, batch, par int) error {
+	switch {
+	case trials < 1:
+		return fmt.Errorf("-trials %d must be at least 1", trials)
+	case batch < 1:
+		return fmt.Errorf("-batch %d must be at least 1", batch)
+	case par < 0:
+		return fmt.Errorf("-j %d must be at least 0 (0 = GOMAXPROCS)", par)
+	}
+	return nil
 }
 
 // writeCSV stores the table as <dir>/<id>.csv for plotting. Flush and Close

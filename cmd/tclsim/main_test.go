@@ -120,3 +120,36 @@ func TestBadScaleFails(t *testing.T) {
 		}
 	}
 }
+
+// TestBadCountsExit2 runs the test binary as tclsim with each count below
+// its bound: each must exit 2 with a tclsim message naming the flag and
+// print no table, rather than run the library default in its place.
+func TestBadCountsExit2(t *testing.T) {
+	if args := os.Getenv("TCLSIM_TEST_ARGS"); args != "" {
+		runMain(strings.Fields(args)...)
+		return
+	}
+	for _, tc := range []struct{ args, flag string }{
+		{"-exp fig11b -trials 0", "-trials"},
+		{"-exp fig11b -trials -3", "-trials"},
+		{"-exp fig8a -models AlexNet-ES -batch -2", "-batch"},
+		{"-exp table2 -j -4", "-j"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadCountsExit2$")
+		cmd.Env = append(os.Environ(), "TCLSIM_TEST_ARGS="+tc.args)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("tclsim %s: %v, want exit status 2; stdout:\n%s", tc.args, err, stdout.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("tclsim %s printed to stdout:\n%s", tc.args, stdout.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "tclsim: "+tc.flag+" ") {
+			t.Errorf("tclsim %s stderr = %q, want one tclsim message naming %s", tc.args, msg, tc.flag)
+		}
+	}
+}

@@ -45,6 +45,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// The library reads a batch of 0 (or less) as its default, which no
+	// command line means.
+	if *batch < 1 {
+		fmt.Fprintf(os.Stderr, "tclzoo: -batch %d must be at least 1\n", *batch)
+		os.Exit(2)
+	}
+	if *par < 0 {
+		fmt.Fprintf(os.Stderr, "tclzoo: -j %d must be at least 0 (0 = GOMAXPROCS)\n", *par)
+		os.Exit(2)
+	}
+
 	if *list {
 		for _, n := range nn.Names() {
 			fmt.Println(n)

@@ -1,6 +1,13 @@
 package main
 
-import "os"
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
 
 // Example prints one transformer workload from the attention zoo with its
 // per-layer geometry at batch 2, which doubles every FC layer's token
@@ -27,4 +34,38 @@ func Example() {
 	//   blk2/out_proj  fc      K=128   C=128   1x1 s0 in 1x1 out 1x1  MACs=    2.10M  wsp=0.60
 	//   blk2/ffn1      fc      K=512   C=128   1x1 s0 in 1x1 out 1x1  MACs=    8.39M  wsp=0.60
 	//   blk2/ffn2      fc      K=128   C=512   1x1 s0 in 1x1 out 1x1  MACs=    8.39M  wsp=0.60
+}
+
+// TestBadCountsExit2 runs the test binary as tclzoo with a -batch below 1
+// or a negative -j: each must exit 2 with a tclzoo message and print no
+// model, rather than build at the library default.
+func TestBadCountsExit2(t *testing.T) {
+	if args := os.Getenv("TCLZOO_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"tclzoo"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, tc := range []struct{ args, flag string }{
+		{"-model BERT-Attn -batch -2", "-batch"},
+		{"-batch 0", "-batch"},
+		{"-model MobileNet -j -4", "-j"},
+	} {
+		args := tc.args
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadCountsExit2$")
+		cmd.Env = append(os.Environ(), "TCLZOO_TEST_ARGS="+args)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("tclzoo %s: %v, want exit status 2; stdout:\n%s", args, err, stdout.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("tclzoo %s printed to stdout:\n%s", args, stdout.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "tclzoo: "+tc.flag+" ") {
+			t.Errorf("tclzoo %s stderr = %q, want one tclzoo message naming %s", args, msg, tc.flag)
+		}
+	}
 }

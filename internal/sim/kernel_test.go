@@ -1,37 +1,37 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestColumnMaxEdgeCases(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		set  func(cost []uint8, mask []uint64)
+		set  func(cost []uint8) (nSync int)
 		want int
 	}{
-		{"empty mask floors at 1", func(cost []uint8, mask []uint64) {
+		{"empty mask floors at 1", func(cost []uint8) int {
 			for i := range cost {
 				cost[i] = maxLaneCost
 			}
+			return 0
 		}, 1},
-		{"all zero costs floor at 1", func(cost []uint8, mask []uint64) {
-			copy(mask, fullLaneMask(16))
-		}, 1},
-		{"max cost survives", func(cost []uint8, mask []uint64) {
-			copy(mask, fullLaneMask(16))
+		{"all zero costs floor at 1", func(cost []uint8) int { return 16 }, 1},
+		{"max cost survives", func(cost []uint8) int {
 			cost[15] = maxLaneCost
+			return 16
 		}, maxLaneCost},
-		{"masked-out max is ignored", func(cost []uint8, mask []uint64) {
-			copy(mask, fullLaneMask(16))
-			cost[3] = maxLaneCost
-			mask[0] &^= 0xff << (8 * 3)
+		{"masked-out max is ignored", func(cost []uint8) int {
+			cost[12] = maxLaneCost
 			cost[9] = 5
+			return 12
 		}, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cost := make([]uint8, 16)
-			mask := make([]uint64, laneWords(16))
-			tc.set(cost, mask)
-			if got := columnMaxScalar(cost, mask); got != tc.want {
+			nSync := tc.set(cost)
+			if got := columnMaxScalar(cost, nSync); got != tc.want {
 				t.Fatalf("columnMaxScalar=%d, want %d", got, tc.want)
 			}
 		})
@@ -63,32 +63,52 @@ func TestByteMax(t *testing.T) {
 	}
 }
 
-// fullLaneMask returns the participation mask with the first `lanes` lanes
-// set — the mask every PE row shares when the config has no front-end
-// (nothing gates ineffectual lanes out of the column sync).
-func fullLaneMask(lanes int) []uint64 {
-	mask := make([]uint64, laneWords(lanes))
-	for ln := 0; ln < lanes; ln++ {
-		mask[ln>>3] |= 0xff << (8 * uint(ln&7))
-	}
-	return mask
-}
-
-func TestFullLaneMask(t *testing.T) {
-	for _, lanes := range []int{1, 7, 8, 9, 16, 20} {
-		mask := fullLaneMask(lanes)
-		if len(mask) != laneWords(lanes) {
-			t.Fatalf("lanes=%d: %d words, want %d", lanes, len(mask), laneWords(lanes))
+// TestCensusKernels checks the census tail's SWAR helpers against scalar
+// loops at and below their bounds: bytes up to maxLaneCost, counts up to
+// laneChunk, and 16-bit fields up to a full chunk's cost sums.
+func TestCensusKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	word := func(max int) (w uint64, b [8]int) {
+		for j := range b {
+			b[j] = rng.Intn(max + 1)
+			if rng.Intn(4) == 0 {
+				b[j] = max
+			}
+			w |= uint64(b[j]) << (8 * j)
 		}
-		for ln := 0; ln < 8*len(mask); ln++ {
-			b := mask[ln>>3] >> (8 * uint(ln&7)) & 0xff
-			want := uint64(0)
-			if ln < lanes {
-				want = 0xff
+		return w, b
+	}
+	for i := 0; i < 10000; i++ {
+		p, pb := word(maxLaneCost)
+		n, nb := word(laneChunk)
+		var wantDot, wantSum int64
+		var wantAtLeast uint64
+		for j := range pb {
+			wantDot += int64(pb[j] * nb[j])
+			wantSum += int64(pb[j])
+			wantAtLeast |= uint64(max(pb[j], 1)) << (8 * j)
+		}
+		if got := dot(p, n); got != wantDot {
+			t.Fatalf("dot(%#x, %#x) = %d, want %d", p, n, got, wantDot)
+		}
+		if got := byteSum(p); got != wantSum {
+			t.Fatalf("byteSum(%#x) = %d, want %d", p, got, wantSum)
+		}
+		if got := atLeastOne(p); got != wantAtLeast {
+			t.Fatalf("atLeastOne(%#x) = %#x, want %#x", p, got, wantAtLeast)
+		}
+		var s uint64
+		var wantFields int64
+		for f := 0; f < 4; f++ {
+			v := rng.Intn(2*maxLaneCost*laneChunk + 1)
+			if rng.Intn(4) == 0 {
+				v = 2 * maxLaneCost * laneChunk
 			}
-			if b != want {
-				t.Fatalf("lanes=%d lane=%d: byte %#x, want %#x", lanes, ln, b, want)
-			}
+			s |= uint64(v) << (16 * f)
+			wantFields += int64(v)
+		}
+		if got := fieldSum(s); got != wantFields {
+			t.Fatalf("fieldSum(%#x) = %d, want %d", s, got, wantFields)
 		}
 	}
 }

@@ -27,12 +27,12 @@ import (
 // act group) at one (back-end, width), window-minor: a packed
 // [Steps*Lanes][WindowCount]uint8 with one row of WindowCount cost bytes
 // per dense-schedule (step, lane) slot, followed by one spare zero word.
-// A lane reference (slot = step*Lanes + lane) therefore sees its costs
-// for consecutive windows as consecutive bytes, so the window walk loads
-// one lane's costs for 8 windows with one little-endian uint64.
-// The spare word keeps a load that starts at any window of the last slot
-// in bounds; bytes a load reads past its slot's last window belong to the
-// next slot (or the spare word) and the caller masks them out.
+// Slot s = step*Lanes + lane starts at byte s*WindowCount of data and
+// holds its costs for consecutive windows as consecutive bytes, so the
+// window walk loads one lane's costs for 8 windows with one little-endian
+// uint64. The spare word keeps a load that starts at any window of the
+// last slot in bounds; bytes a load reads past its slot's last window
+// belong to the next slot (or the spare word) and the walk masks them out.
 //
 // Planes are immutable after build and shared read-only across
 // goroutines, groups, and configs.
@@ -63,12 +63,6 @@ func buildPlane(lw *nn.Lowered, ct *costTable, actGroup int) *costPlane {
 	}
 	return p
 }
-
-// slot returns slot s's cost row from window 0 on. Its first WindowCount
-// bytes are the slot's costs; the bytes after them belong to the next slot
-// or the spare word, so an 8-byte load starting at any of the slot's
-// windows stays in bounds.
-func (p *costPlane) slot(s int) []uint8 { return p.data[s*p.windows:] }
 
 // sizeBytes is the plane's resident size, the unit the PlaneCache budget is
 // accounted in.

@@ -62,7 +62,7 @@ func TestPlaneWindowMinorLayout(t *testing.T) {
 		if got, want := p.sizeBytes(), int64(windows*slots+8); got != want {
 			t.Fatalf("%d windows: plane holds %d bytes, want %d", windows, got, want)
 		}
-		last := p.slot(slots - 1)
+		last := p.data[(slots-1)*windows:]
 		for w := 0; w < windows; w++ {
 			word := binary.LittleEndian.Uint64(last[w:])
 			if n := windows - w; n < 8 && word>>(8*n) != 0 {
@@ -88,7 +88,7 @@ func checkPlaneMatchesAct(t *testing.T, lw *nn.Lowered, cfgs []arch.Config) {
 			for w := 0; w < lw.WindowCount; w++ {
 				for st := 0; st < lw.Steps; st++ {
 					for ln := 0; ln < lw.Lanes; ln++ {
-						got, want := p.slot(st*lw.Lanes + ln)[w], ct.costU8(lw.Act(f, w, st, ln))
+						got, want := p.data[(st*lw.Lanes+ln)*lw.WindowCount+w], ct.costU8(lw.Act(f, w, st, ln))
 						if got != want {
 							t.Fatalf("%s/%s filter %d window %d step %d lane %d: plane cost %d, per-row cost %d",
 								lw.Name, cfg.Name, f, w, st, ln, got, want)

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -307,21 +305,20 @@ type groupResult struct {
 
 // groupCtx is the window-independent state of one filter group, built by
 // prepareGroupInto and read by evalWindows and finishGroup on the same
-// worker. Its grids view the worker's groupScratch, flattened:
-// refs[(ci*nrows+ri)*lanes+ln] is lane ln's activation source in column ci
-// of row ri's schedule, as the plane slot step*lanes+lane — the promoted
-// weight's dense position for effectual lanes, the column head's for idle
-// ones.
+// worker. Its grids view the worker's groupScratch, flattened by (column,
+// row): cr = ci*nrows + ri.
 type groupCtx struct {
 	nrows, cols  int
 	windows      int  // the layer's window count; evalWindows walks them all
 	needsWindows bool // serial back-ends walk windows; bit-parallel is done at prepare
-	refs         []int32
-	// masks holds one laneWords-word effectual-lane mask per (column, row)
-	// at (ci*nrows+ri)*laneWords(lanes): 0xFF bytes for lanes carrying a
-	// nonzero weight, 0x00 elsewhere. Gated configs sync the column on
-	// these lanes alone; ungated ones sync every lane.
-	masks []uint64
+	// laneOffs[cr*lanes : (cr+1)*lanes] is (column, row) cr's lane list:
+	// each lane's cost row as a byte offset into its row's plane, slot ×
+	// windows, where the slot (step*lanes + lane) is the promoted weight's
+	// dense position for an effectual lane and the column head's for an
+	// idle one. The effectual lanes come first, nEff[cr] of them. Gated
+	// configs sync the column on those alone; ungated ones sync every lane.
+	laneOffs []int
+	nEff     []int32
 	// rowPlanes[ri] is PE row ri's activation cost plane (rows of one act
 	// group share a plane; row-invariant layers share one across all
 	// rows). Resolved by the engine between prepare and the window walk.
@@ -501,16 +498,14 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 	}
 
 	// Serial back-ends: column structure is window-independent; precompute
-	// per-column, per-row lane references and effectual-lane masks once
-	// for the window walk. refs and rowPlanes are rebuilt wholesale (reused
-	// dirty); the |=-built masks and +=-summed PE totals are zeroed here.
+	// each (column, row)'s lane list once for the window walk. The lists,
+	// their effectual counts and rowPlanes are rebuilt wholesale (reused
+	// dirty); the +=-summed PE totals are zeroed here.
 	ctx.gate = cfg.HasFrontEnd()
-	sc.refs = grow(sc.refs, cols*nrows*lanes)
-	ctx.refs = sc.refs
-	mw := laneWords(lanes)
-	sc.masks = grow(sc.masks, cols*nrows*mw)
-	ctx.masks = sc.masks
-	clear(ctx.masks)
+	sc.laneOffs = grow(sc.laneOffs, cols*nrows*lanes)
+	ctx.laneOffs = sc.laneOffs
+	sc.nEff = grow(sc.nEff, cols*nrows)
+	ctx.nEff = sc.nEff
 	sc.planes = grow(sc.planes, nrows)
 	ctx.rowPlanes = sc.planes
 	clear(ctx.rowPlanes)
@@ -520,36 +515,25 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 	for ci := 0; ci < cols; ci++ {
 		for ri := 0; ri < nrows; ri++ {
 			col := schedules[ri].Columns[ci]
-			refs := ctx.refs[(ci*nrows+ri)*lanes : (ci*nrows+ri+1)*lanes]
-			mask := ctx.masks[(ci*nrows+ri)*mw : (ci*nrows+ri+1)*mw]
+			cr := ci*nrows + ri
+			offs := ctx.laneOffs[cr*lanes : (cr+1)*lanes]
+			// Effectual lanes fill the list from the front, idle ones from
+			// the back.
+			eff, idle := 0, lanes
 			for ln, e := range col.Entries {
 				if e.Weight != 0 {
-					refs[ln] = e.Src
-					mask[ln>>3] |= 0xff << (8 * uint(ln&7))
+					offs[eff] = int(e.Src) * W
+					eff++
 				} else {
-					refs[ln] = int32(col.Head*lanes + ln)
+					idle--
+					offs[idle] = (col.Head*lanes + ln) * W
 				}
 			}
+			ctx.nEff[cr] = int32(eff)
 		}
 	}
 	return ctx
 }
-
-// windowBlock is the widest window span one pass over a (column, row)'s
-// lanes covers: eight 8-window words per census accumulator, all on the
-// stack.
-const windowBlock = 64
-
-// countLanes is how many lanes a byte of a nonzero-count word can count
-// before it wraps. Wider PEs spill the byte counts every countLanes lanes.
-const countLanes = 255
-
-// SWAR constants of the census: each byte of a cost word is one window's
-// cost, at most maxLaneCost.
-const (
-	swarLow7 = 0x7f7f7f7f7f7f7f7f // + cost sets bit 7 of a byte iff cost > 0
-	swarEven = 0x00ff00ff00ff00ff // even bytes, widened to 16-bit sums
-)
 
 // evalWindows walks the serial back-end over all of the group's windows
 // and returns the lane census and serial cycles, its PE totals summed into
@@ -567,18 +551,22 @@ const (
 // windows congruent to its position.
 //
 // The walk is word-parallel over windows. Planes are window-minor, so one
-// uint64 load fetches one lane's costs for 8 consecutive windows, and a
-// pass over a (column, row)'s lanes covers a block of up to windowBlock
-// windows. Per window it folds, one byte per window:
+// uint64 load fetches a lane-word: one lane's costs for 8 consecutive
+// windows. For each (column, row) the walk takes the windows a word at a
+// time, words outside and lanes inside: it folds the word across the
+// (column, row)'s lane list (foldSync, foldCount) into, one byte per
+// window,
 //
-//   - peMax, the column max over the syncing lanes (byteMax);
-//   - nzE and nz, the number of nonzero costs over the effectual lanes
-//     and over all lanes: (c + 0x7f) has bit 7 set iff c > 0, with no
-//     carry into the next byte because c <= maxLaneCost;
+//   - peMax, the column max over the syncing lanes, raised to at least 1;
+//   - nzE and nzI, the number of nonzero costs over the effectual and the
+//     idle lanes;
 //
-// and per lane the cost sum over the block's windows. The Figure-9 lane
-// census then follows from sums alone (E: effectual lanes, I: idle lanes,
-// nEff and nIdle their counts, Σ over every (column, row, window)):
+// and the word's cost sums over the effectual lanes (and the idle ones
+// when no front end gates them). The word's census tail is SWAR as well:
+// byteSum gives its Σ peMax and dot its Σ peMax·nzE and Σ peMax·nzI; only
+// the PE totals take its windows one at a time. The Figure-9 lane census
+// then follows from sums alone (E: effectual lanes, I: idle lanes, nEff
+// and nIdle their counts, Σ over every (column, row, window)):
 //
 //	Useful     = Σ_E c
 //	ColumnSync = Σ peMax·nzE − Σ_E c
@@ -586,116 +574,91 @@ const (
 //	WZero      = Σ peMax·nzI
 //	BothZero   = Σ nIdle·peMax − Σ peMax·nzI
 //
-// with nzI = nz − nzE, and the lane cycles add Σ_I c only when the config
-// has no front-end to gate idle lanes. Every term is an exact integer
-// sum, so the result is bit-identical to a per-lane walk that classifies
-// each (lane, window) into one census bucket. Costs are loaded from PE
-// row ri's cost plane, rowPlanes[ri], by precomputed slot offset; rows of
-// one act group share a plane, so row-invariant, grouped, and depthwise
-// layers all take this path.
+// and the lane cycles add Σ_I c only when the config has no front-end to
+// gate idle lanes. Every term is an exact integer sum, so the result is
+// bit-identical to a per-lane walk that classifies each (lane, window)
+// into one census bucket. A fold's counts and sums are exact for
+// laneChunk lanes, so a wider PE folds its lane list a chunk at a time and
+// adds up the chunks' sums and dot products; since every dot product
+// needs the column max, it first takes that max in one foldSync over all
+// of its syncing lanes. Costs are loaded from PE row ri's cost plane,
+// rowPlanes[ri], at the lane list's offsets; rows of one act group share
+// a plane, so row-invariant, grouped, and depthwise layers all take this
+// path.
 func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
-	nrows, cols := ctx.nrows, ctx.cols
-	mw := laneWords(lanes)
-	var ungated uint64 // ORed into every lane's sync mask without a front-end
-	if !ctx.gate {
-		ungated = ^uint64(0)
-	}
+	span := 8 * ((ctx.windows + 7) / 8) // bytes of a cost row the words cover
+	last := span - 8
+	tail := ^uint64(0) >> (8 * uint(span-ctx.windows)) // the last word's windows
 	var (
-		costEff, costAll int64 // Σ_E c, Σ c
-		maxSum, maxEff   int64 // Σ peMax, Σ nEff·peMax
-		maxNzEff, maxNz  int64 // Σ peMax·nzE, Σ peMax·nz
+		costEff, costIdle int64 // Σ_E c, and Σ_I c without a front end
+		maxSum, maxEff    int64 // Σ peMax, Σ nEff·peMax
+		dotEff, dotIdle   int64 // Σ peMax·nzE, Σ peMax·nzI
 	)
-	wide := lanes > countLanes
-	var spillE, spillA [windowBlock]int64 // per-window counts past countLanes lanes
-	for b0 := 0; b0 < ctx.windows; b0 += windowBlock {
-		nw := min(windowBlock, ctx.windows-b0)
-		nWords := (nw + 7) / 8
-		var valid [windowBlock / 8]uint64 // 0xFF for the block's windows
-		for k := 0; k < nWords; k++ {
-			valid[k] = ^uint64(0)
-		}
-		valid[nWords-1] >>= 8 * uint(8*nWords-nw)
-		col0 := b0 % wg
-		for ci := 0; ci < cols; ci++ {
-			for ri := 0; ri < nrows; ri++ {
-				cr := ci*nrows + ri
-				refs := ctx.refs[cr*lanes : (cr+1)*lanes]
-				eff := ctx.masks[cr*mw : (cr+1)*mw]
-				plane := ctx.rowPlanes[ri]
-				var mx, nzE, nzA [windowBlock / 8]uint64
-				if wide {
-					clear(spillE[:nw])
-					clear(spillA[:nw])
+	for ci := 0; ci < ctx.cols; ci++ {
+		for ri := 0; ri < ctx.nrows; ri++ {
+			cr := ci*ctx.nrows + ri
+			list := ctx.laneOffs[cr*lanes : (cr+1)*lanes]
+			nEff := int(ctx.nEff[cr])
+			sync := list
+			if ctx.gate {
+				sync = list[:nEff]
+			}
+			plane := ctx.rowPlanes[ri].data
+			pe := ctx.peTotals[ri*wg : (ri+1)*wg]
+			pc := 0
+			var rowMax int64 // Σ peMax over this (column, row)
+			for at := 0; at < span; at += 8 {
+				valid := ^uint64(0)
+				if at == last {
+					valid = tail
 				}
-				for l0 := 0; l0 < lanes; l0 += countLanes {
-					if l0 > 0 {
-						for j := 0; j < nw; j++ {
-							sh := 8 * uint(j&7)
-							spillE[j] += int64(nzE[j>>3] >> sh & 0xff)
-							spillA[j] += int64(nzA[j>>3] >> sh & 0xff)
-						}
-						nzE, nzA = [windowBlock / 8]uint64{}, [windowBlock / 8]uint64{}
-					}
-					for ln := l0; ln < min(lanes, l0+countLanes); ln++ {
-						e := -(eff[ln>>3] >> (8 * uint(ln&7)) & 1) // all ones iff effectual
-						sync := e | ungated
-						row := plane.slot(int(refs[ln]))[b0:]
-						// sum holds 16-bit partial sums of byte pairs, each
-						// at most 8 words × 2 × 127, so the multiply's top 16
-						// bits are the lane's exact total (<= 64 × 127).
-						var sum uint64
-						for k := 0; k < nWords; k++ {
-							x := binary.LittleEndian.Uint64(row[8*k:]) & valid[k]
-							mx[k] = byteMax(mx[k], x&sync)
-							nz := (x + swarLow7) & swarHigh >> 7
-							nzA[k] += nz
-							nzE[k] += nz & e
-							sum += x&swarEven + x>>8&swarEven
-						}
-						c := int64(sum * 0x0001000100010001 >> 48)
-						costAll += c
-						costEff += c & int64(e)
-					}
+				word := plane[at:]
+				var mx, peMax uint64
+				if lanes > laneChunk {
+					mx, _, _ = foldSync(word, sync, valid)
 				}
-				nEff := 0
-				for _, w := range eff {
-					nEff += bits.OnesCount64(w)
-				}
-				nEff /= 8
-				pe := ctx.peTotals[ri*wg : (ri+1)*wg]
-				pc := col0
-				var blockMax int64
-				for j := 0; j < nw; j++ {
-					sh := 8 * uint(j&7)
-					peMax := max(int64(mx[j>>3]>>sh&0xff), 1)
-					ne := int64(nzE[j>>3] >> sh & 0xff)
-					na := int64(nzA[j>>3] >> sh & 0xff)
-					if wide {
-						ne += spillE[j]
-						na += spillA[j]
+				for c0 := 0; c0 < lanes; c0 += laneChunk {
+					c1 := min(c0+laneChunk, lanes)
+					e := min(max(nEff, c0), c1) // the chunk's effectual lanes are [c0, e)
+					m, nzE, sumE := foldSync(word, list[c0:e], valid)
+					var nzI uint64
+					if ctx.gate {
+						nzI = foldCount(word, list[e:c1], valid)
+					} else {
+						var mI, sumI uint64
+						mI, nzI, sumI = foldSync(word, list[e:c1], valid)
+						m = byteMax(m, mI)
+						costIdle += fieldSum(sumI)
 					}
-					pe[pc] += peMax
+					mx = byteMax(mx, m)
+					peMax = atLeastOne(mx) & valid
+					costEff += fieldSum(sumE)
+					dotEff += dot(peMax, nzE)
+					dotIdle += dot(peMax, nzI)
+				}
+				rowMax += byteSum(peMax)
+				// Valid windows have peMax >= 1 and the masked ones are the
+				// word's top bytes, so this visits exactly the valid ones.
+				for ; peMax != 0; peMax >>= 8 {
+					pe[pc] += int64(peMax & 0xff)
 					if pc++; pc == wg {
 						pc = 0
 					}
-					blockMax += peMax
-					maxNzEff += peMax * ne
-					maxNz += peMax * na
 				}
-				maxSum += blockMax
-				maxEff += int64(nEff) * blockMax
 			}
+			maxSum += rowMax
+			maxEff += int64(nEff) * rowMax
 		}
 	}
 	wp := windowPartial{serial: costEff}
 	wp.backEnd.Useful = costEff
-	wp.backEnd.ColumnSync = maxNzEff - costEff
-	wp.backEnd.AZero = maxEff - maxNzEff
-	wp.backEnd.WZero = maxNz - maxNzEff
-	wp.backEnd.BothZero = int64(lanes)*maxSum - maxEff - wp.backEnd.WZero
+	wp.backEnd.ColumnSync = dotEff - costEff
+	wp.backEnd.AZero = maxEff - dotEff
+	wp.backEnd.WZero = dotIdle
+	wp.backEnd.BothZero = int64(lanes)*maxSum - maxEff - dotIdle
 	if !ctx.gate {
-		wp.serial = costAll
+		wp.serial += costIdle
 	}
 	return wp
 }

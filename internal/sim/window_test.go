@@ -15,38 +15,41 @@ import (
 
 // evalWindowsScalar is the per-lane window walk the engine ran before the
 // word-parallel one, kept as its executable specification. It visits one
-// (column, row, window) at a time, fetches every lane's cost straight
-// through Act and the cost table (so it does not depend on the plane
-// layout), takes the column max with columnMaxScalar, and classifies each
-// lane into one census bucket with a four-way switch. It walks the window
-// range [wLo, wHi) — whole window groups — and returns the census and
-// serial cycles over it with the per-(row, PE column) cycle totals.
+// (column, row, window) at a time. From the prepared lane lists it reads
+// only which activation each lane sees and whether the lane is effectual:
+// a lane's slot is its plane offset divided by the window count, and the
+// lane is effectual when its position in the list is below the (column,
+// row)'s effectual count. It fetches every lane's cost straight through
+// Act and the cost table (so it does not depend on the plane layout),
+// takes the column max with columnMaxScalar, and classifies each lane into
+// one census bucket with a four-way switch. It walks the window range
+// [wLo, wHi) — whole window groups — and returns the census and serial
+// cycles over it with the per-(row, PE column) cycle totals.
 func evalWindowsScalar(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTable, f0, wLo, wHi int) (wp windowPartial, peTotals []int64) {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
-	mw := laneWords(lanes)
 	peTotals = make([]int64, ctx.nrows*wg)
 	laneCost := make([]uint8, lanes)
-	all := fullLaneMask(lanes)
 	for w0 := wLo; w0 < wHi; w0 += wg {
 		w1 := min(w0+wg, wHi)
 		for ci := 0; ci < ctx.cols; ci++ {
 			for ri := 0; ri < ctx.nrows; ri++ {
 				cr := ci*ctx.nrows + ri
-				refs := ctx.refs[cr*lanes : (cr+1)*lanes]
-				eff := ctx.masks[cr*mw : (cr+1)*mw]
-				sync := eff
-				if !ctx.gate {
-					sync = all
+				offs := ctx.laneOffs[cr*lanes : (cr+1)*lanes]
+				nEff := int(ctx.nEff[cr])
+				nSync := lanes
+				if ctx.gate {
+					nSync = nEff
 				}
 				for win := w0; win < w1; win++ {
-					for ln, ref := range refs {
-						laneCost[ln] = ct.costU8(lw.Act(f0+ri, win, int(ref)/lanes, int(ref)%lanes))
+					for i, off := range offs {
+						slot := off / ctx.windows
+						laneCost[i] = ct.costU8(lw.Act(f0+ri, win, slot/lanes, slot%lanes))
 					}
-					peMax := columnMaxScalar(laneCost, sync)
+					peMax := columnMaxScalar(laneCost, nSync)
 					peTotals[ri*wg+win-w0] += int64(peMax)
-					for ln := range refs {
-						effectual := eff[ln>>3]>>(8*uint(ln&7))&0xff != 0
-						c := int(laneCost[ln])
+					for i := range offs {
+						effectual := i < nEff
+						c := int(laneCost[i])
 						switch {
 						case effectual && c > 0:
 							wp.backEnd.Useful += int64(c)
@@ -71,15 +74,13 @@ func evalWindowsScalar(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costT
 }
 
 // columnMaxScalar is the reference column max, max(1, max cost over
-// participating lanes): the cycles a PE spends on one schedule column. mask
-// holds 0xFF bytes for participating lanes and 0x00 elsewhere. The floor of
-// 1 models the column issue slot.
-func columnMaxScalar(cost []uint8, mask []uint64) int {
+// participating lanes): the cycles a PE spends on one schedule column. The
+// first nSync costs are the participating lanes'. The floor of 1 models
+// the column issue slot.
+func columnMaxScalar(cost []uint8, nSync int) int {
 	peMax := 1
-	for ln := 0; ln < len(cost); ln++ {
-		if mask[ln>>3]>>(8*uint(ln&7))&0xff != 0 && int(cost[ln]) > peMax {
-			peMax = int(cost[ln])
-		}
+	for _, c := range cost[:nSync] {
+		peMax = max(peMax, int(c))
 	}
 	return peMax
 }
@@ -118,13 +119,32 @@ func windowLayer(tb testing.TB, kind nn.Kind, seed int64, lanes, in int, aZero f
 	return lw
 }
 
+// denseFCLayer is an FC layer of 20 filters over one step of `lanes`
+// inputs with no zero weight and no zero activation, lowered at `lanes`
+// lanes.
+func denseFCLayer(tb testing.TB, lanes, windows int) *nn.Lowered {
+	tb.Helper()
+	l := &nn.Layer{Name: "dense-fc", Kind: nn.FC, K: 20, C: lanes, R: 1, S: 1, Timesteps: windows}
+	l.Weights = tensor.New(20, lanes, 1, 1)
+	for i := range l.Weights.Data {
+		l.Weights.Data[i] = int32(1 + i%251)
+	}
+	act := tensor.New(1, lanes, 1, windows)
+	sparsity.ActModel{MeanLog2: 6, SigmaLog2: 3, NegFrac: 0.2}.FillTensor(rand.New(rand.NewSource(1)), act, fixed.W16)
+	lw, err := nn.Lower(l, act, lanes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lw
+}
+
 // checkWindowsMatchScalar prepares every filter group of lw under cfg and
 // requires evalWindows to reproduce evalWindowsScalar: PE totals, every
 // census field and the serial lane cycles. The reference walks the group's
 // window groups in `slices` contiguous runs and sums them, so the single
 // word-parallel pass is also held to run boundaries that need not fall on
-// its 64-window blocks. One scratch arena serves every group, as on a
-// pool worker.
+// its 8-window words. One scratch arena serves every group, as on a pool
+// worker.
 func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, slices int) {
 	tb.Helper()
 	ct := newCostTable(cfg.Backend, cfg.Width)
@@ -189,10 +209,10 @@ func windowConfig(gated, tclp, w8 bool, lanes, wg int) arch.Config {
 
 // TestEvalWindowsMatchesScalar pins the word-parallel walk to the scalar
 // reference across lane counts (including ones not divisible by 8),
-// window-group widths below, at and above one 64-window block, window
-// counts that are a multiple of neither 8 nor the group width, gated and
-// ungated configs, both serial back-ends and both widths. The subtests'
-// chunks label is how many runs the reference sums (1-4).
+// window-group widths below, at and above one 8-window word, window counts
+// that are a multiple of neither 8 nor the group width, gated and ungated
+// configs, both serial back-ends and both widths. The subtests' chunks
+// label is how many runs the reference sums (1-4).
 func TestEvalWindowsMatchesScalar(t *testing.T) {
 	layers := []struct {
 		kind nn.Kind
@@ -216,28 +236,38 @@ func TestEvalWindowsMatchesScalar(t *testing.T) {
 			}
 		}
 	}
-	// Past 64 windows a group spans several blocks; past 255 nonzero lanes
-	// a window's count spills out of its byte.
+	// Long rows of words; and past laneChunk (128) lanes a PE folds its
+	// lanes in chunks, two at 129 lanes and three at 260 and 300. In the
+	// dense layer every lane is effectual with a nonzero cost, so a
+	// window's count reaches the lane count and a byte would wrap at 256.
 	for _, gated := range []bool{true, false} {
 		lw := windowLayer(t, nn.FC, 7, 16, 150, 0.4)
 		checkWindowsMatchScalar(t, windowConfig(gated, false, false, 16, 72), lw, 2)
 		checkWindowsMatchScalar(t, windowConfig(gated, true, true, 16, 8), lw, 3)
+		chunked := windowLayer(t, nn.FC, 9, 129, 21, 0.4)
+		checkWindowsMatchScalar(t, windowConfig(gated, true, false, 129, 16), chunked, 2)
 		wide := windowLayer(t, nn.FC, 8, 260, 21, 0)
 		checkWindowsMatchScalar(t, windowConfig(gated, false, false, 260, 16), wide, 1)
+		dense := denseFCLayer(t, 300, 21)
+		checkWindowsMatchScalar(t, windowConfig(gated, false, false, 300, 16), dense, 1)
 	}
 }
 
 // FuzzEvalWindowsMatchesScalar drives the differential check over random
-// FC layers: lane count, window count, window-group width, gating,
-// back-end and width all come from the fuzzer.
+// FC layers: lane count (1-300, so folds cross the 128-lane chunk
+// boundary), window count (1-300), window-group width, gating, back-end
+// and width all come from the fuzzer.
 func FuzzEvalWindowsMatchesScalar(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(16), uint8(13), true, false, false)
-	f.Add(int64(2), uint8(12), uint8(72), uint8(90), false, true, false)
-	f.Add(int64(3), uint8(8), uint8(4), uint8(29), true, true, true)
-	f.Fuzz(func(t *testing.T, seed int64, lanes, wg, windows uint8, gated, tclp, w8 bool) {
-		nLanes := int(lanes)%40 + 1
+	f.Add(int64(1), uint16(16), uint8(16), uint16(13), true, false, false)
+	f.Add(int64(2), uint16(12), uint8(72), uint16(90), false, true, false)
+	f.Add(int64(3), uint16(8), uint8(4), uint16(29), true, true, true)
+	f.Add(int64(4), uint16(127), uint8(16), uint16(40), true, false, false)
+	f.Add(int64(5), uint16(128), uint8(8), uint16(17), false, true, false)
+	f.Add(int64(6), uint16(256), uint8(12), uint16(9), true, true, true)
+	f.Fuzz(func(t *testing.T, seed int64, lanes uint16, wg uint8, windows uint16, gated, tclp, w8 bool) {
+		nLanes := int(lanes)%300 + 1
 		cfg := windowConfig(gated, tclp, w8, nLanes, int(wg)%80+1)
-		lw := windowLayer(t, nn.FC, seed, nLanes, int(windows)%130+1, 0.4)
+		lw := windowLayer(t, nn.FC, seed, nLanes, int(windows)%300+1, 0.4)
 		checkWindowsMatchScalar(t, cfg, lw, 1)
 	})
 }
