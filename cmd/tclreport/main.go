@@ -40,16 +40,40 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tclreport: -j %d must be at least 0 (0 = GOMAXPROCS)\n", *par)
 		os.Exit(2)
 	}
+	// Every experiment name resolves before any profile is created or
+	// anything runs.
+	ids := experiments.IDs()
+	if *include != "" {
+		ids = strings.Split(*include, ",")
+	}
+	runs := make([]func(experiments.Options) (*experiments.Table, error), len(ids))
+	for i, id := range ids {
+		run, ok := experiments.Registry[id]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "tclreport: unknown experiment %q\n", id)
+			os.Exit(2)
+		}
+		runs[i] = run
+	}
+
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tclreport:", err)
 		os.Exit(1)
 	}
-	defer func() {
+	// os.Exit skips deferred calls, so a failing exit stops the profiles
+	// itself.
+	stop := func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, "tclreport:", err)
 		}
-	}()
+	}
+	defer stop()
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "tclreport: "+format+"\n", args...)
+		stop()
+		os.Exit(1)
+	}
 
 	opts := experiments.Options{}
 	zoo := nn.DefaultZoo()
@@ -60,26 +84,15 @@ func main() {
 	}
 	opts.Parallelism = *par
 
-	ids := experiments.IDs()
-	if *include != "" {
-		ids = strings.Split(*include, ",")
-	}
-
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Bit-Tactical reproduction report\n\n")
 	fmt.Fprintf(&b, "Generated %s; zoo channel scale %.3g, spatial scale %.3g.\n\n",
 		time.Now().Format(time.RFC3339), opts.Zoo.ChannelScale, opts.Zoo.SpatialScale)
-	for _, id := range ids {
-		run, ok := experiments.Registry[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tclreport: unknown experiment %q\n", id)
-			os.Exit(2)
-		}
+	for i, id := range ids {
 		start := time.Now()
-		tab, err := run(opts)
+		tab, err := runs[i](opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tclreport: %s: %v\n", id, err)
-			os.Exit(1)
+			fail("%s: %v", id, err)
 		}
 		fmt.Fprintf(&b, "## %s — %s\n\n", tab.ID, tab.Title)
 		writeMarkdownTable(&b, tab)
@@ -87,14 +100,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tclreport: %s done (%.1fs)\n", id, time.Since(start).Seconds())
 	}
 	if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "tclreport:", err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	fmt.Println("wrote", *out)
 	if *mstats {
 		if err := metrics.Default.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "tclreport:", err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 	}
 }

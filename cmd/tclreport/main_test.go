@@ -116,3 +116,43 @@ func TestBadCountsExit2(t *testing.T) {
 		}
 	}
 }
+
+// TestBadNamesExit2 runs the test binary as tclreport with an -include list
+// naming an unknown experiment, alone or after a known one, and a CPU
+// profile requested: each must exit 2 with one tclreport line before
+// running anything, and create neither the report nor the profile.
+func TestBadNamesExit2(t *testing.T) {
+	if args := os.Getenv("TCLREPORT_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"tclreport"}, strings.Fields(args)...)
+		flag.CommandLine = flag.NewFlagSet("tclreport", flag.ExitOnError)
+		main()
+		return
+	}
+	for _, include := range []string{"bogus", "table2,bogus"} {
+		dir := t.TempDir()
+		out, prof := filepath.Join(dir, "report.md"), filepath.Join(dir, "p.out")
+		args := "-quick -include " + include + " -o " + out + " -cpuprofile " + prof
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadNamesExit2$")
+		cmd.Env = append(os.Environ(), "TCLREPORT_TEST_ARGS="+args)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("tclreport %s: %v, want exit status 2; stdout:\n%s", args, err, stdout.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("tclreport %s printed to stdout:\n%s", args, stdout.String())
+		}
+		const msg = "tclreport: unknown experiment \"bogus\""
+		if got := stderr.String(); !strings.HasPrefix(got, msg) || strings.Count(got, "\n") != 1 {
+			t.Errorf("tclreport %s stderr = %q, want one line starting %q", args, got, msg)
+		}
+		for _, path := range []string{out, prof} {
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("tclreport %s created %s (stat: %v)", args, path, err)
+			}
+		}
+	}
+}

@@ -31,24 +31,13 @@ func main() {
 		steps    = flag.Int("steps", 18, "dense schedule steps (3x3x512/16 = 288 in fig11)")
 		lanes    = flag.Int("lanes", 16, "weight lanes")
 		seed     = flag.Int64("seed", 1, "filter seed")
-		repeat   = flag.Int("repeat", 1, "schedule the filter this many times (profiling workloads)")
+		repeat   = flag.Int("repeat", 1, "schedule the filter this many times, at least 1 (profiling workloads)")
 		dump     = flag.Bool("dump", false, "print every schedule column")
 		patterns = flag.Bool("patterns", false, "list known patterns and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tclsched:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "tclsched:", err)
-		}
-	}()
 
 	if *patterns {
 		for _, n := range sched.KnownPatternNames() {
@@ -57,13 +46,32 @@ func main() {
 		return
 	}
 
-	// Every bad flag is a usage error, reported before any filter is built.
+	// Every bad flag is a usage error, reported before any file is created
+	// or any filter built.
 	p, perr := sched.ByName(*patName)
 	a, aerr := sched.AlgorithmByName(*alg)
-	if err := errors.Join(perr, aerr, validateSize(*lanes, *steps, *sp)); err != nil {
+	var rerr error
+	if *repeat < 1 {
+		rerr = fmt.Errorf("-repeat %d must be at least 1", *repeat)
+	}
+	if err := errors.Join(perr, aerr, validateSize(*lanes, *steps, *sp), rerr); err != nil {
 		fmt.Fprintln(os.Stderr, "tclsched:", err)
 		os.Exit(2)
 	}
+
+	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tclsched:", err)
+		os.Exit(1)
+	}
+	// os.Exit skips deferred calls, so a failing exit stops the profiles
+	// itself.
+	stop := func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(os.Stderr, "tclsched:", err)
+		}
+	}
+	defer stop()
 
 	rng := rand.New(rand.NewSource(*seed))
 	w := sparsity.RandomSparseFilter(rng, *steps, *lanes, *sp)
@@ -75,6 +83,7 @@ func main() {
 	}
 	if err := sched.Verify(f, p, s); err != nil {
 		fmt.Fprintln(os.Stderr, "tclsched: schedule verification FAILED:", err)
+		stop()
 		os.Exit(1)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,16 +53,18 @@ func TestValidateSize(t *testing.T) {
 	}
 }
 
-// TestLanesZeroExits2 runs the test binary as tclsched -lanes 0: it must
-// exit 2 with a tclsched message, not panic.
+// TestLanesZeroExits2 runs the test binary as tclsched -lanes 0 with a CPU
+// profile requested: it must exit 2 with a tclsched message, not panic,
+// and leave no profile behind.
 func TestLanesZeroExits2(t *testing.T) {
-	if os.Getenv("TCLSCHED_TEST_MAIN") == "1" {
-		os.Args = []string{"tclsched", "-lanes", "0"}
+	if prof := os.Getenv("TCLSCHED_TEST_PROFILE"); prof != "" {
+		os.Args = []string{"tclsched", "-lanes", "0", "-cpuprofile", prof}
 		main()
 		return
 	}
+	prof := filepath.Join(t.TempDir(), "p.out")
 	cmd := exec.Command(os.Args[0], "-test.run=^TestLanesZeroExits2$")
-	cmd.Env = append(os.Environ(), "TCLSCHED_TEST_MAIN=1")
+	cmd.Env = append(os.Environ(), "TCLSCHED_TEST_PROFILE="+prof)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err := cmd.Run()
@@ -71,5 +74,48 @@ func TestLanesZeroExits2(t *testing.T) {
 	}
 	if msg := stderr.String(); strings.Contains(msg, "panic") || !strings.HasPrefix(msg, "tclsched: ") {
 		t.Errorf("tclsched -lanes 0 stderr = %q, want one tclsched: message and no panic", msg)
+	}
+	if _, err := os.Stat(prof); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("tclsched -lanes 0 left a profile (stat: %v)", err)
+	}
+}
+
+// TestUsageErrorsExit2 runs the test binary as tclsched with each other bad
+// flag and a CPU profile requested: each must exit 2 with one tclsched
+// line, print nothing to stdout and create no profile, rather than
+// schedule anyway or leave an empty profile behind.
+func TestUsageErrorsExit2(t *testing.T) {
+	if args := os.Getenv("TCLSCHED_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"tclsched"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, tc := range []struct{ args, msg string }{
+		{"-repeat 0", "tclsched: -repeat 0 must be at least 1"},
+		{"-repeat -5", "tclsched: -repeat -5 must be at least 1"},
+		{"-pattern bogus", "tclsched: sched: unknown pattern"},
+		{"-alg bogus", "tclsched: unknown algorithm"},
+	} {
+		prof := filepath.Join(t.TempDir(), "p.out")
+		args := tc.args + " -cpuprofile " + prof
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrorsExit2$")
+		cmd.Env = append(os.Environ(), "TCLSCHED_TEST_ARGS="+args)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("tclsched %s: %v, want exit status 2; stdout:\n%s", args, err, stdout.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("tclsched %s printed to stdout:\n%s", args, stdout.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, tc.msg) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("tclsched %s stderr = %q, want one line starting %q", args, msg, tc.msg)
+		}
+		if _, err := os.Stat(prof); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("tclsched %s left a profile (stat: %v)", args, err)
+		}
 	}
 }

@@ -67,31 +67,18 @@ func main() {
 		return
 	}
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tclsim:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "tclsim:", err)
-		}
-	}()
-
-	zoo := nn.DefaultZoo()
-	zoo.ChannelScale, zoo.SpatialScale, zoo.Seed = *cscale, *sscale, *seed
-	zoo.Batch = *batch
-	opts := experiments.Options{Zoo: zoo, ActSeed: *aseed, Trials: *trials, Parallelism: *par}
-	if *models != "" {
-		opts.Models = strings.Split(*models, ",")
-	}
-
 	type runner struct {
 		id  string
 		run func(experiments.Options) (*experiments.Table, error)
 	}
+	// Every experiment and back-end name resolves before any profile is
+	// created or anything runs.
 	var runs []runner
 	if *beName != "" {
+		if _, err := backend.Lookup(*beName); err != nil {
+			fmt.Fprintln(os.Stderr, "tclsim:", err)
+			os.Exit(2)
+		}
 		name := *beName
 		runs = []runner{{"backend:" + name, func(o experiments.Options) (*experiments.Table, error) {
 			return experiments.BackendSpeedup(o, name)
@@ -110,27 +97,52 @@ func main() {
 			runs = append(runs, runner{id, run})
 		}
 	}
+
+	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tclsim:", err)
+		os.Exit(1)
+	}
+	// os.Exit skips deferred calls, so a failing exit stops the profiles
+	// itself.
+	stop := func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(os.Stderr, "tclsim:", err)
+		}
+	}
+	defer stop()
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "tclsim: "+format+"\n", args...)
+		stop()
+		os.Exit(1)
+	}
+
+	zoo := nn.DefaultZoo()
+	zoo.ChannelScale, zoo.SpatialScale, zoo.Seed = *cscale, *sscale, *seed
+	zoo.Batch = *batch
+	opts := experiments.Options{Zoo: zoo, ActSeed: *aseed, Trials: *trials, Parallelism: *par}
+	if *models != "" {
+		opts.Models = strings.Split(*models, ",")
+	}
+
 	for _, r := range runs {
 		id := r.id
 		start := time.Now()
 		tab, err := r.run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tclsim: %s: %v\n", id, err)
-			os.Exit(1)
+			fail("%s: %v", id, err)
 		}
 		fmt.Print(tab.Render())
 		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, tab); err != nil {
-				fmt.Fprintf(os.Stderr, "tclsim: %s: %v\n", id, err)
-				os.Exit(1)
+				fail("%s: %v", id, err)
 			}
 		}
 	}
 	if *mstats {
 		if err := metrics.Default.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "tclsim:", err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 	}
 }

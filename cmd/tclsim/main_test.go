@@ -122,8 +122,9 @@ func TestBadScaleFails(t *testing.T) {
 }
 
 // TestBadCountsExit2 runs the test binary as tclsim with each count below
-// its bound: each must exit 2 with a tclsim message naming the flag and
-// print no table, rather than run the library default in its place.
+// its bound: each must exit 2 with a tclsim message naming the flag, print
+// no table and create no profile, rather than run the library default in
+// its place.
 func TestBadCountsExit2(t *testing.T) {
 	if args := os.Getenv("TCLSIM_TEST_ARGS"); args != "" {
 		runMain(strings.Fields(args)...)
@@ -135,21 +136,46 @@ func TestBadCountsExit2(t *testing.T) {
 		{"-exp fig8a -models AlexNet-ES -batch -2", "-batch"},
 		{"-exp table2 -j -4", "-j"},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestBadCountsExit2$")
-		cmd.Env = append(os.Environ(), "TCLSIM_TEST_ARGS="+tc.args)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("tclsim %s: %v, want exit status 2; stdout:\n%s", tc.args, err, stdout.String())
-			continue
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("tclsim %s printed to stdout:\n%s", tc.args, stdout.String())
-		}
-		if msg := stderr.String(); !strings.HasPrefix(msg, "tclsim: "+tc.flag+" ") {
-			t.Errorf("tclsim %s stderr = %q, want one tclsim message naming %s", tc.args, msg, tc.flag)
-		}
+		checkUsageError(t, "TestBadCountsExit2", tc.args, "tclsim: "+tc.flag+" ")
+	}
+}
+
+// TestBadNamesExit2 runs the test binary as tclsim with an experiment or
+// back-end name that resolves to nothing: each must exit 2 with one tclsim
+// line, print nothing and create no profile.
+func TestBadNamesExit2(t *testing.T) {
+	if args := os.Getenv("TCLSIM_TEST_ARGS"); args != "" {
+		runMain(strings.Fields(args)...)
+		return
+	}
+	checkUsageError(t, "TestBadNamesExit2", "-exp bogus", "tclsim: unknown experiment \"bogus\"")
+	checkUsageError(t, "TestBadNamesExit2", "-backend bogus", "tclsim: backend: unknown back-end \"bogus\"")
+}
+
+// checkUsageError re-runs the test binary's named test as tclsim with args
+// and a CPU profile requested. It must exit 2, print nothing to stdout,
+// write one stderr line starting with msg, and create no profile.
+func checkUsageError(t *testing.T, test, args, msg string) {
+	t.Helper()
+	prof := filepath.Join(t.TempDir(), "p.out")
+	args += " -cpuprofile " + prof
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), "TCLSIM_TEST_ARGS="+args)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("tclsim %s: %v, want exit status 2; stdout:\n%s", args, err, stdout.String())
+		return
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("tclsim %s printed to stdout:\n%s", args, stdout.String())
+	}
+	if got := stderr.String(); !strings.HasPrefix(got, msg) || strings.Count(got, "\n") != 1 {
+		t.Errorf("tclsim %s stderr = %q, want one line starting %q", args, got, msg)
+	}
+	if _, err := os.Stat(prof); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("tclsim %s left a profile (stat: %v)", args, err)
 	}
 }

@@ -38,36 +38,35 @@ func fig11Sweep(o Options, series []struct {
 	for i := range out {
 		out[i] = make([]float64, len(sparsityLevels))
 	}
-	type job struct{ si, li int }
-	var jobs []job
-	for si := range series {
-		for li := range sparsityLevels {
-			jobs = append(jobs, job{si, li})
-		}
-	}
-	parallelDo(o, len(jobs), func(ji int) {
-		j := jobs[ji]
-		s := series[j.si]
-		// The seed depends only on the sparsity level, not the series, so
-		// every series schedules the same filters (paired comparison).
-		rng := rand.New(rand.NewSource(o.seed()*1000 + int64(j.li)))
-		// Incremental log-sum geomean: same accumulation order (and so the
-		// same float result) as collecting the per-trial speedups and calling
-		// geomean, without growing a slice per (series, level) point. Speedups
-		// are always positive (cols >= 1), so geomean's nonpositive guard
-		// never fired here.
-		n := o.trials()
-		var logSum float64
+	n := o.trials()
+	// One job per sparsity level. The seed depends only on the level, not
+	// the series, so every series schedules the same filters (a paired
+	// comparison): the job draws each trial's filter once, into storage it
+	// reuses, and schedules it under every series in its own kernel's arena.
+	parallelDo(o, len(sparsityLevels), func(li int) {
+		rng := rand.New(rand.NewSource(o.seed()*1000 + int64(li)))
+		w := make([]int32, fig11Steps*fig11Lanes)
+		perm := make([]int, len(w))
+		group := []sched.Filter{sched.NewFilter(fig11Lanes, fig11Steps, w, nil)}
+		sc := sched.NewScheduler()
+		// Incremental log-sum geomeans, folded per series in trial order:
+		// the same float result as collecting the per-trial speedups and
+		// calling geomean. Speedups are always positive (cols >= 1), so
+		// geomean's nonpositive guard never fired here.
+		logSum := make([]float64, len(series))
 		for trial := 0; trial < n; trial++ {
-			w := sparsity.RandomSparseFilter(rng, fig11Steps, fig11Lanes, sparsityLevels[j.li])
-			f := sched.NewFilter(fig11Lanes, fig11Steps, w, nil)
-			cols := sched.ScheduleFilter(f, s.P, s.Alg).Len()
-			if cols == 0 {
-				cols = 1
+			sparsity.FillRandomSparse(rng, w, perm, sparsityLevels[li])
+			for si, s := range series {
+				cols := sc.ScheduleGroup(group, s.P, s.Alg)[0].Len()
+				if cols == 0 {
+					cols = 1
+				}
+				logSum[si] += math.Log(float64(fig11Steps) / float64(cols))
 			}
-			logSum += math.Log(float64(fig11Steps) / float64(cols))
 		}
-		out[j.si][j.li] = math.Exp(logSum / float64(n))
+		for si := range series {
+			out[si][li] = math.Exp(logSum[si] / float64(n))
+		}
 	})
 	return out
 }

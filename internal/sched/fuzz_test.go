@@ -82,16 +82,24 @@ func assertKernelMatchesReference(t *testing.T, sc *Scheduler, filters []Filter,
 
 // FuzzKernelMatchesReference differentially fuzzes the optimized kernel
 // against the reference scheduler: random weight matrices and group sizes,
-// L/T/X patterns, all three algorithms, asserting bit-identical schedules.
-// The reference is the executable specification; any divergence is a kernel
-// bug. Run with `go test -fuzz FuzzKernelMatchesReference ./internal/sched`.
+// 1 to 80 lanes (every lane count the facade accepts reaches the kernel, and
+// 80 crosses a machine word), L/T/X patterns, all three algorithms,
+// asserting bit-identical schedules. The reference is the executable
+// specification; any divergence is a kernel bug. Run with
+// `go test -fuzz FuzzKernelMatchesReference ./internal/sched`.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3, 0, 4}, uint8(4), uint8(0), uint8(1))
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 9, 3, 3, 0, 1}, uint8(3), uint8(3), uint8(2))
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255}, uint8(2), uint8(6), uint8(3))
+	// One lane, where all offsets of one depth reach the same weight, so
+	// several candidate bits name one slot; then 64 and 65 lanes, either
+	// side of a machine word.
+	f.Add([]byte{0, 3, 5, 0, 7, 0, 0, 2, 9, 0, 0, 0, 4, 1}, uint8(0), uint8(3), uint8(0))
+	f.Add(seedBytes(64*6, 3), uint8(63), uint8(4), uint8(1))
+	f.Add(seedBytes(65*6*2, 5), uint8(64), uint8(1), uint8(1))
 	patterns := diffPatterns()
 	f.Fuzz(func(t *testing.T, raw []byte, lanesRaw, pIdx, nfRaw uint8) {
-		lanes := 2 + int(lanesRaw%15) // 2..16
+		lanes := 1 + int(lanesRaw%80) // 1..80
 		nf := 1 + int(nfRaw%4)        // 1..4 filters per group
 		per := len(raw) / nf
 		if per == 0 {
@@ -121,8 +129,8 @@ func FuzzKernelMatchesReference(f *testing.F) {
 
 // TestKernelMatchesReferenceSustained is the always-on differential run: a
 // few thousand random (filter group, pattern, algorithm) triples across the
-// sparsity range, reusing one Scheduler throughout so scratch-state leakage
-// between groups would be caught as a divergence.
+// sparsity range and 1 to 80 lanes, reusing one Scheduler throughout so
+// scratch-state leakage between groups would be caught as a divergence.
 func TestKernelMatchesReferenceSustained(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	patterns := diffPatterns()
@@ -132,7 +140,7 @@ func TestKernelMatchesReferenceSustained(t *testing.T) {
 		trials = 60
 	}
 	for trial := 0; trial < trials; trial++ {
-		lanes := 2 + rng.Intn(15)
+		lanes := 1 + rng.Intn(80)
 		steps := 1 + rng.Intn(24)
 		nf := 1 + rng.Intn(4)
 		sparsity := rng.Float64()
@@ -181,6 +189,19 @@ func TestKernelMatchesReferenceAtOffsetBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// seedBytes returns n fuzz-corpus bytes in which every k-th byte is zero and
+// the rest cycle through small signed weights, so a seed holds a fixed mix
+// of effectual and ineffectual slots at any lane count.
+func seedBytes(n, k int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		if i%k != 0 {
+			b[i] = byte(i%13 + 1)
+		}
+	}
+	return b
 }
 
 // FuzzGroupScheduleLockstep checks the joint-group invariants: identical

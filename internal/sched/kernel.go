@@ -10,10 +10,34 @@ import (
 // has at most 15 offsets; Pattern.Validate rejects any with more than this.
 const maxKernelOffsets = 64
 
+// Algorithm 1's per-lane key packs, from the top, the lane's candidate count
+// (≤ 64, 7 bits), the rank of its best candidate's |Dl| (< 64, 6 bits) and
+// the lane number (< 2^31, since NewFilter bounds a filter's slots), so the
+// least-flexible open slot, ties to the smaller |Dl| and then the lower
+// lane, is the minimum key. A lane with no candidate holds keyClosed, above
+// every real key. Keys stay below 2^63, so the difference of two keys, read
+// as an int64, orders them without a branch.
+const (
+	keyRankShift  = 32
+	keyCountShift = keyRankShift + 6
+	keyLaneMask   = 1<<keyRankShift - 1
+	keyClosed     = uint64(1<<63 - 1)
+)
+
 // Scheduler is a reusable scheduling kernel. It owns every piece of scratch
-// the scheduler needs — per-filter done/pending state, per-lane candidate
-// bitsets, the matching algorithm's owner/visited buffers, and the output
-// arena — so that steady-state scheduling performs zero heap allocations.
+// the scheduler needs — the live-weight plane, per-step and per-filter
+// pending counts, per-lane candidate bitsets and Algorithm 1 keys, the
+// matching algorithm's owner/visited buffers, and the output arena — so
+// that steady-state scheduling performs zero heap allocations.
+//
+// Each (filter, column) rebuilds the lanes' candidate sets from the live
+// plane, executes the head step's live weights in place, and then fills
+// the open lanes: greedy takes each lane's lowest candidate bit, matching
+// augments over the bits in order, and Algorithm 1 promotes the lane with
+// the minimum key until no key is open. Every take retires its weight from
+// the live plane and, through consume, from the candidate sets and keys of
+// the lanes that reach it. A filter whose weights have all executed idles
+// in lockstep with the group and is not rebuilt.
 //
 // Schedules returned by (*Scheduler).ScheduleGroup live in the scheduler's
 // arena: they are valid only until the next call on the same Scheduler, and
@@ -25,23 +49,39 @@ const maxKernelOffsets = 64
 // A Scheduler is not safe for concurrent use; use one per goroutine (the
 // package-level entry points draw from a sync.Pool).
 type Scheduler struct {
-	// Pattern plan, rebuilt per group (allocation-free once grown):
-	offs  []Offset  // the pattern's offsets, bit i of a candidate set == offs[i]
-	order []int16   // offset indices in stable (Dt, |Dl|, index) visit order
-	byDt  [][]int16 // byDt[dt]: offset indices with that lookahead depth
-	dtCap int       // len(byDt): 1 + the largest usable Dt this group
+	// Pattern plan, rebuilt per group. Bit j of a lane's candidate set is
+	// the algorithm's j-th preferred offset: (Dt, |Dl|, index) order for
+	// Algorithm 1 and matching, index order for greedy, so a lane's best
+	// candidate is its lowest set bit.
+	nOffs int
+	dt    [maxKernelOffsets]int    // bit j's lookahead depth
+	fwd   [maxKernelOffsets]int    // Dl mod lanes: lane ln reaches lane ln+fwd, wrapping
+	back  [maxKernelOffsets]int    // -Dl mod lanes: lane v is reached from lane v+back, wrapping
+	rank  [maxKernelOffsets]uint64 // the rank of bit j's |Dl|, in key position
+	byDt  []uint64                 // byDt[dt]: the bits of depth dt (byDt[0] is empty)
+	dtCap int                      // len(byDt): 1 + the largest usable Dt this group
 
 	// Per-group scratch:
-	done        []bool  // nf × steps × lanes: weight executed
-	stepPending []int32 // nf × steps: effectual weights left per dense step
+	live        []uint8 // nf × steps × lanes: 1 while an effectual weight waits
+	stepPending []int32 // steps: effectual weights left per dense step, group-wide
+	filtPending []int32 // nf: effectual weights left per filter
 	cand        []uint64
-	assigned    []bool
+	key         []uint64 // Algorithm 1's per-lane keys
+
+	// The (filter, column) being built:
+	w     []int32
+	fLive []uint8 // the filter's live plane
+	ents  []Entry
+	head  int
+	lanes int
+	steps int
+	taken int
 
 	// Matching scratch (window-position space: dt × lanes):
 	owner     []int32 // wpos -> owning lane during augmentation, -1 free
 	visited   []uint64
 	epoch     uint64
-	matchCand []int16 // lane -> matched offset index, -1 unmatched
+	matchCand []int8 // lane -> matched candidate bit, -1 unmatched
 
 	// Output arena:
 	entArena []Entry
@@ -151,31 +191,38 @@ func (s *Scheduler) runInfinite(filters []Filter, lanes, steps int) int {
 // arena and returns the shared column count.
 func (s *Scheduler) runKernel(filters []Filter, p Pattern, alg Algorithm, lanes, steps int) int {
 	nf := len(filters)
-	s.plan(p, steps)
+	s.plan(p, alg, lanes, steps)
+	s.lanes, s.steps = lanes, steps
 
-	// Per-filter execution state, flattened: done[i*steps*lanes + pos],
-	// stepPending[i*steps + st].
-	s.done = growSlice(s.done, nf*steps*lanes)
-	for i := range s.done {
-		s.done[i] = false
-	}
-	s.stepPending = growSlice(s.stepPending, nf*steps)
+	// Live plane and pending counts: live[i*steps*lanes + pos] is 1 while
+	// filter i's weight at pos waits to execute.
+	s.live = growSlice(s.live, nf*steps*lanes)
+	s.stepPending = growSlice(s.stepPending, steps)
+	s.filtPending = growSlice(s.filtPending, nf)
+	clear(s.stepPending)
 	pending := 0
 	for i, f := range filters {
-		sp := s.stepPending[i*steps : (i+1)*steps]
+		live := s.live[i*steps*lanes : (i+1)*steps*lanes]
+		n := int32(0)
 		for st := 0; st < steps; st++ {
-			n := int32(0)
-			for ln := 0; ln < lanes; ln++ {
-				if f.W[st*lanes+ln] != 0 {
-					n++
+			row := live[st*lanes : (st+1)*lanes]
+			m := int32(0)
+			for ln, w := range f.W[st*lanes : (st+1)*lanes] {
+				b := uint8(0)
+				if w != 0 {
+					b = 1
 				}
+				row[ln] = b
+				m += int32(b)
 			}
-			sp[st] = n
-			pending += int(n)
+			s.stepPending[st] += m
+			n += m
 		}
+		s.filtPending[i] = n
+		pending += int(n)
 	}
-	s.assigned = growSlice(s.assigned, lanes)
 	s.cand = growSlice(s.cand, lanes)
+	s.key = growSlice(s.key, lanes)
 	s.matchCand = growSlice(s.matchCand, lanes)
 	s.owner = growSlice(s.owner, s.dtCap*lanes)
 	s.visited = growSlice(s.visited, s.dtCap*lanes)
@@ -185,35 +232,27 @@ func (s *Scheduler) runKernel(filters []Filter, p Pattern, alg Algorithm, lanes,
 	s.entArena = growSlice(s.entArena, nf*steps*lanes)
 	s.colArena = growSlice(s.colArena, nf*steps)
 
-	stepClear := func(st int) bool {
-		for i := 0; i < nf; i++ {
-			if s.stepPending[i*steps+st] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-
 	head := 0
-	for head < steps && stepClear(head) {
+	for head < steps && s.stepPending[head] == 0 {
 		head++ // skip leading all-ineffectual steps (ALC pre-advance)
 	}
 	cols := 0
 	for pending > 0 {
 		for i, f := range filters {
 			entries := s.entArena[(i*steps+cols)*lanes : (i*steps+cols+1)*lanes]
-			for j := range entries {
-				entries[j] = Entry{}
+			clear(entries)
+			// A drained filter idles in lockstep: its entries stay zero.
+			if s.filtPending[i] > 0 {
+				s.w, s.fLive, s.ents, s.head = f.W, s.live[i*steps*lanes:(i+1)*steps*lanes], entries, head
+				n := s.buildColumn(alg)
+				s.filtPending[i] -= int32(n)
+				pending -= n
 			}
-			pending -= s.buildColumn(f, alg,
-				s.done[i*steps*lanes:(i+1)*steps*lanes],
-				s.stepPending[i*steps:(i+1)*steps],
-				head, entries)
 			s.colArena[i*steps+cols] = Column{Head: head, Entries: entries}
 		}
 		// Shared ALC advance: slide past every fully-consumed step.
 		adv := 0
-		for head+adv < steps && stepClear(head+adv) {
+		for head+adv < steps && s.stepPending[head+adv] == 0 {
 			adv++
 		}
 		if adv == 0 {
@@ -274,27 +313,29 @@ func (s *Scheduler) assembleInto(ents []Entry, fcols []Column, scheds []Schedule
 	}
 }
 
-// plan rebuilds the pattern plan: the candidate visit order (stable
-// (Dt, |Dl|, index), matching the reference's sorted candidate lists) and
-// the per-depth offset index used for incremental candidate invalidation.
-// Offsets whose depth can never fit the filter (Dt > steps-1) keep a bit
-// position but never enter a candidate set.
-func (s *Scheduler) plan(p Pattern, steps int) {
+// plan rebuilds the pattern plan for the group: it numbers the offsets in
+// the algorithm's visit order — stable (Dt, |Dl|, index), the order the
+// reference's candidate sort and better() scan select by, for Algorithm 1
+// and matching; index order, the reference's candidate list, for greedy —
+// and stores each one's lane shifts reduced mod lanes, its |Dl| rank and
+// its depth's bit set. Offsets whose depth can never fit the filter
+// (Dt > steps-1) keep a bit but never enter a candidate set.
+func (s *Scheduler) plan(p Pattern, alg Algorithm, lanes, steps int) {
 	k := len(p.Offsets)
-	s.offs = p.Offsets
-	s.order = growSlice(s.order, k)
-	for i := range s.order[:k] {
-		s.order[i] = int16(i)
+	var ord [maxKernelOffsets]int
+	for i := range ord[:k] {
+		ord[i] = i
 	}
-	// Insertion sort: k ≤ 64, stable, allocation-free.
-	ord := s.order[:k]
-	for i := 1; i < k; i++ {
-		for j := i; j > 0; j-- {
-			a, b := p.Offsets[ord[j]], p.Offsets[ord[j-1]]
-			if a.Dt < b.Dt || (a.Dt == b.Dt && abs(a.Dl) < abs(b.Dl)) {
-				ord[j], ord[j-1] = ord[j-1], ord[j]
-			} else {
-				break
+	if alg != GreedySimple {
+		// Insertion sort: k ≤ 64, stable, allocation-free.
+		for i := 1; i < k; i++ {
+			for j := i; j > 0; j-- {
+				a, b := p.Offsets[ord[j]], p.Offsets[ord[j-1]]
+				if a.Dt < b.Dt || (a.Dt == b.Dt && abs(a.Dl) < abs(b.Dl)) {
+					ord[j], ord[j-1] = ord[j-1], ord[j]
+				} else {
+					break
+				}
 			}
 		}
 	}
@@ -305,70 +346,105 @@ func (s *Scheduler) plan(p Pattern, steps int) {
 		}
 	}
 	s.dtCap = maxDt + 1
-	if cap(s.byDt) < s.dtCap {
-		s.byDt = make([][]int16, s.dtCap)
-	}
-	s.byDt = s.byDt[:s.dtCap]
-	for dt := range s.byDt {
-		s.byDt[dt] = s.byDt[dt][:0]
-	}
-	for i, o := range p.Offsets {
+	s.byDt = growSlice(s.byDt, s.dtCap)
+	clear(s.byDt)
+	s.nOffs = k
+	for j, oi := range ord[:k] {
+		o := p.Offsets[oi]
+		s.dt[j] = o.Dt
+		s.fwd[j] = wrapLane(o.Dl, lanes)
+		s.back[j] = wrapLane(-o.Dl, lanes)
+		// The rank counts the offsets with a smaller |Dl|: below 64, and
+		// ordered as |Dl| is, however large |Dl| gets.
+		r := uint64(0)
+		for _, q := range p.Offsets {
+			if abs(q.Dl) < abs(o.Dl) {
+				r++
+			}
+		}
+		s.rank[j] = r << keyRankShift
 		if o.Dt < s.dtCap {
-			s.byDt[o.Dt] = append(s.byDt[o.Dt], int16(i))
+			s.byDt[o.Dt] |= 1 << uint(j)
 		}
 	}
 }
 
 // rebuildCands recomputes every lane's candidate bitset for the current
-// window head: bit i is set when offset i reaches an effectual, unexecuted
-// weight. Called once per (filter, column); takes within the column keep the
-// sets current incrementally via consume.
-func (s *Scheduler) rebuildCands(f Filter, done []bool, head int) {
-	lanes, steps := f.Lanes, f.Steps
+// window head: bit j is set when offset j reaches a live weight. Each
+// offset ORs its shifted live row into the lanes' sets, in two straight
+// loops split where the lane index wraps. Called once per (filter, column);
+// takes within the column keep the sets current incrementally via consume.
+func (s *Scheduler) rebuildCands() {
+	lanes := s.lanes
 	cand := s.cand[:lanes]
-	for ln := range cand {
-		cand[ln] = 0
-	}
-	for i, o := range s.offs {
-		u := head + o.Dt
-		if u >= steps {
+	clear(cand)
+	for j := 0; j < s.nOffs; j++ {
+		u := s.head + s.dt[j]
+		if u >= s.steps {
 			continue
 		}
-		row := u * lanes
-		bit := uint64(1) << uint(i)
-		v := o.Dl % lanes
-		if v < 0 {
-			v += lanes
+		row := s.fLive[u*lanes : (u+1)*lanes]
+		sh := s.fwd[j]
+		n := lanes - sh
+		// Lanes [0, n) read row[sh:]; lanes [n, lanes) wrap to row[:sh].
+		dst, src := cand[:n], row[sh:]
+		src = src[:len(dst)]
+		for ln := range dst {
+			dst[ln] |= uint64(src[ln]) << uint(j)
 		}
-		// v tracks (ln + Dl) mod lanes as ln walks 0..lanes-1.
-		for ln := 0; ln < lanes; ln++ {
-			pos := row + v
-			if f.W[pos] != 0 && !done[pos] {
-				cand[ln] |= bit
-			}
-			v++
-			if v == lanes {
-				v = 0
-			}
+		dst, src = cand[n:], row[:sh]
+		src = src[:len(dst)]
+		for ln := range dst {
+			dst[ln] |= uint64(src[ln]) << uint(j)
 		}
 	}
 }
 
-// consume invalidates the just-executed weight at (u, v) in every lane's
-// candidate set: each offset of depth u-head that reaches (u, v) does so
-// from exactly one lane.
-func (s *Scheduler) consume(head, lanes, u, v int) {
-	dt := u - head
-	if dt < 1 || dt >= s.dtCap {
-		return
+// take executes the weight at dense (u, v) on lane ln and retires it from
+// every candidate set that holds it.
+func (s *Scheduler) take(ln, u, v int) {
+	pos := u*s.lanes + v
+	s.ents[ln] = Entry{Weight: s.w[pos], Src: int32(pos)}
+	s.fLive[pos] = 0
+	s.stepPending[u]--
+	s.taken++
+	s.consume(u-s.head, v)
+}
+
+// promote executes lane ln's candidate bit j.
+func (s *Scheduler) promote(ln, j int) {
+	v := ln + s.fwd[j]
+	if v >= s.lanes {
+		v -= s.lanes
 	}
-	for _, i := range s.byDt[dt] {
-		ln := (v - s.offs[i].Dl) % lanes
-		if ln < 0 {
-			ln += lanes
+	s.take(ln, s.head+s.dt[j], v)
+}
+
+// consume invalidates the just-executed weight at depth dt, lane v in every
+// lane's candidate set — each offset of that depth reaches it from exactly
+// one lane — and refreshes those lanes' Algorithm 1 keys (greedy and
+// matching never read them). A head weight (dt 0) is no candidate: byDt[0]
+// is empty.
+func (s *Scheduler) consume(dt, v int) {
+	for m := s.byDt[dt]; m != 0; m &= m - 1 {
+		j := mathbits.TrailingZeros64(m)
+		ln := v + s.back[j]
+		if ln >= s.lanes {
+			ln -= s.lanes
 		}
-		s.cand[ln] &^= uint64(1) << uint(i)
+		s.cand[ln] &^= 1 << uint(j)
+		s.refresh(ln)
 	}
+}
+
+// refresh recomputes lane ln's Algorithm 1 key from its candidate set.
+func (s *Scheduler) refresh(ln int) {
+	c := s.cand[ln]
+	k := keyClosed
+	if c != 0 {
+		k = uint64(mathbits.OnesCount64(c))<<keyCountShift | s.rank[mathbits.TrailingZeros64(c)&(maxKernelOffsets-1)] | uint64(ln)
+	}
+	s.key[ln] = k
 }
 
 // buildColumn is the optimized kernel for one (filter, column): identical
@@ -376,92 +452,63 @@ func (s *Scheduler) consume(head, lanes, u, v int) {
 // but candidates live in per-lane bitsets maintained incrementally, and the
 // matching algorithm runs on flat arrays with an epoch-stamped visited
 // buffer. Returns the number of weights executed.
-func (s *Scheduler) buildColumn(f Filter, alg Algorithm, done []bool, stepPending []int32, head int, entries []Entry) int {
-	lanes := f.Lanes
-	executed := 0
-	take := func(lane, pos int) {
-		entries[lane] = Entry{Weight: f.W[pos], Src: int32(pos)}
-		done[pos] = true
-		u := pos / lanes
-		stepPending[u]--
-		executed++
-		s.consume(head, lanes, u, pos-u*lanes)
-	}
-	assigned := s.assigned[:lanes]
-	// Pass 1: effectual weights at the head execute in place. Head positions
-	// (dt = 0) are never promotion candidates, so the candidate rebuild can
-	// follow the whole pass.
-	for ln := 0; ln < lanes; ln++ {
-		pos := head*lanes + ln
-		assigned[ln] = f.W[pos] != 0 && !done[pos]
-		if assigned[ln] {
-			take(ln, pos)
+func (s *Scheduler) buildColumn(alg Algorithm) int {
+	lanes := s.lanes
+	s.taken = 0
+	// Head positions (dt = 0) are never promotion candidates, so the
+	// rebuild may run before pass 1 executes them.
+	s.rebuildCands()
+	cand := s.cand[:lanes]
+	// Pass 1: live weights at the head execute in place; their lanes close.
+	for ln, b := range s.fLive[s.head*lanes : (s.head+1)*lanes] {
+		if b != 0 {
+			s.take(ln, s.head, ln)
+			cand[ln] = 0
 		}
 	}
-	s.rebuildCands(f, done, head)
 
 	switch alg {
 	case Matching:
-		s.matchColumn(head, lanes, take)
+		s.matchColumn()
 	case GreedySimple:
-		// Lanes claim the first reachable weight in pattern-offset order;
+		// Lanes claim their first reachable weight in pattern-offset order;
 		// consume keeps later lanes' sets current.
-		for ln := 0; ln < lanes; ln++ {
-			if assigned[ln] || s.cand[ln] == 0 {
-				continue
+		for ln := range cand {
+			if c := cand[ln]; c != 0 {
+				s.promote(ln, mathbits.TrailingZeros64(c))
 			}
-			o := s.offs[mathbits.TrailingZeros64(s.cand[ln])]
-			take(ln, (head+o.Dt)*lanes+wrapLane(ln+o.Dl, lanes))
-			assigned[ln] = true
 		}
 	default: // Algorithm1
+		keys := s.key[:lanes]
+		for ln := range keys {
+			s.refresh(ln)
+		}
 		for {
-			// Select the least-flexible open slot: fewest candidates, then
-			// smallest |Dl| of the best candidate, then lowest lane.
-			bestLane, bestN, bestDl, bestOff := -1, 0, 0, -1
-			for ln := 0; ln < lanes; ln++ {
-				if assigned[ln] || s.cand[ln] == 0 {
-					continue
-				}
-				n := mathbits.OnesCount64(s.cand[ln])
-				ci := s.firstCandidate(ln)
-				dl := abs(s.offs[ci].Dl)
-				if bestLane < 0 || n < bestN || (n == bestN && dl < bestDl) {
-					bestLane, bestN, bestDl, bestOff = ln, n, dl, ci
-				}
+			// The least-flexible open slot is the minimum key: one
+			// branch-free pass over the lanes.
+			m := keyClosed
+			for _, k := range keys {
+				d := int64(k - m)
+				m += uint64(d & (d >> 63))
 			}
-			if bestLane < 0 {
+			if m == keyClosed {
 				break
 			}
-			o := s.offs[bestOff]
-			take(bestLane, (head+o.Dt)*lanes+wrapLane(bestLane+o.Dl, lanes))
-			assigned[bestLane] = true
+			ln := int(m & keyLaneMask)
+			s.promote(ln, mathbits.TrailingZeros64(cand[ln]))
+			cand[ln], keys[ln] = 0, keyClosed
 		}
 	}
-	return executed
-}
-
-// firstCandidate returns the lane's best candidate offset index: the first
-// set bit in (Dt, |Dl|, index) order — the same ordering the reference's
-// better() scan selects.
-func (s *Scheduler) firstCandidate(ln int) int {
-	c := s.cand[ln]
-	for _, i := range s.order[:len(s.offs)] {
-		if c&(uint64(1)<<uint(i)) != 0 {
-			return int(i)
-		}
-	}
-	return -1
+	return s.taken
 }
 
 // matchColumn fills the column with a maximum bipartite matching (Kuhn's
-// augmenting paths) between free lanes and reachable weights. Weight
+// augmenting paths) between open lanes and reachable weights. Weight
 // positions index a compact (dt, lane) window space; owner[] is reset per
 // column, visited[] is epoch-stamped per augmentation root.
-func (s *Scheduler) matchColumn(head, lanes int, take func(lane, pos int)) {
-	assigned := s.assigned[:lanes]
-	nw := s.dtCap * lanes
-	owner := s.owner[:nw]
+func (s *Scheduler) matchColumn() {
+	lanes := s.lanes
+	owner := s.owner[:s.dtCap*lanes]
 	for i := range owner {
 		owner[i] = -1
 	}
@@ -470,46 +517,45 @@ func (s *Scheduler) matchColumn(head, lanes int, take func(lane, pos int)) {
 		matchCand[ln] = -1
 	}
 	for ln := 0; ln < lanes; ln++ {
-		if !assigned[ln] {
+		if s.cand[ln] != 0 {
 			s.epoch++
-			s.augment(ln, lanes)
+			s.augment(ln)
 		}
 	}
-	for ln := 0; ln < lanes; ln++ {
-		ci := matchCand[ln]
-		if ci < 0 {
+	for ln, j := range matchCand {
+		if j < 0 {
 			continue
 		}
-		o := s.offs[ci]
-		v := wrapLane(ln+o.Dl, lanes)
-		if owner[o.Dt*lanes+v] != int32(ln) {
+		v := ln + s.fwd[j]
+		if v >= lanes {
+			v -= lanes
+		}
+		if owner[s.dt[j]*lanes+v] != int32(ln) {
 			continue // displaced by an augmenting path
 		}
-		take(ln, (head+o.Dt)*lanes+v)
-		assigned[ln] = true
+		s.take(ln, s.head+s.dt[j], v)
 	}
 }
 
 // augment tries to match lane ln, recursively displacing owners along an
-// augmenting path. Candidates are visited in the plan's sorted order so the
-// search explores exactly the reference's candidate sequence.
-func (s *Scheduler) augment(ln, lanes int) bool {
-	c := s.cand[ln]
-	for _, oi := range s.order[:len(s.offs)] {
-		if c&(uint64(1)<<uint(oi)) == 0 {
-			continue
+// augmenting path. Candidate bits are numbered in the reference's sorted
+// order, so walking them low to high explores exactly its sequence.
+func (s *Scheduler) augment(ln int) bool {
+	for c := s.cand[ln]; c != 0; c &= c - 1 {
+		j := mathbits.TrailingZeros64(c)
+		v := ln + s.fwd[j]
+		if v >= s.lanes {
+			v -= s.lanes
 		}
-		o := s.offs[oi]
-		v := wrapLane(ln+o.Dl, lanes)
-		wpos := o.Dt*lanes + v
+		wpos := s.dt[j]*s.lanes + v
 		if s.visited[wpos] == s.epoch {
 			continue
 		}
 		s.visited[wpos] = s.epoch
 		own := s.owner[wpos]
-		if own < 0 || s.augment(int(own), lanes) {
+		if own < 0 || s.augment(int(own)) {
 			s.owner[wpos] = int32(ln)
-			s.matchCand[ln] = oi
+			s.matchCand[ln] = int8(j)
 			return true
 		}
 	}
@@ -526,8 +572,9 @@ func wrapLane(v, lanes int) int {
 
 // growSlice returns sl with length n, reusing capacity when possible. The
 // reused region may hold stale contents: callers either fully initialize it
-// (done is cleared, stepPending/arenas overwritten) or tolerate staleness by
-// construction (epoch-stamped buffers rely on monotone epochs).
+// (the live plane and pending counts are rewritten, arenas overwritten) or
+// tolerate staleness by construction (epoch-stamped buffers rely on
+// monotone epochs).
 func growSlice[T any](sl []T, n int) []T {
 	if cap(sl) < n {
 		return make([]T, n)

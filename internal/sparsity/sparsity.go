@@ -262,23 +262,36 @@ func (wm WeightModel) FillPruned(rng *rand.Rand, t *tensor.T, w fixed.Width, fra
 // RandomSparseFilter builds one randomly sparsified filter laid out as a
 // Steps×Lanes dense schedule (row-major), the workload of the paper's
 // Figure 11: "randomly sparsified 3×3 filters with 512 channels". Exactly
-// round(sparsity*len) positions are zero.
+// round(sparsity*len) positions are zero. It allocates the filter and the
+// permutation; FillRandomSparse draws the same filter into caller storage.
 func RandomSparseFilter(rng *rand.Rand, steps, lanes int, sparsity float64) []int32 {
 	n := steps * lanes
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(rng.Intn(200) + 1) // non-zero magnitudes; sign irrelevant
+	w := make([]int32, n)
+	FillRandomSparse(rng, w, make([]int, n), sparsity)
+	return w
+}
+
+// FillRandomSparse draws a RandomSparseFilter into w, using perm (at least
+// len(w) long) as the permutation's scratch: nonzero magnitudes first, then
+// round(sparsity*len(w)) positions zeroed by a uniformly random
+// permutation. The permutation is rand.Perm's own swap loop, so the filter
+// and the state rng is left in match a draw through rng.Perm exactly.
+func FillRandomSparse(rng *rand.Rand, w []int32, perm []int, sparsity float64) {
+	n := len(w)
+	for i := range w {
+		w[i] = int32(rng.Intn(200) + 1) // non-zero magnitudes; sign irrelevant
 	}
-	k := int(math.Round(sparsity * float64(n)))
-	if k > n {
-		k = n
+	k := min(int(math.Round(sparsity*float64(n))), n)
+	perm = perm[:n]
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
 	}
 	// Zero a uniformly random subset of size k.
-	perm := rng.Perm(n)
 	for _, idx := range perm[:k] {
-		out[idx] = 0
+		w[idx] = 0
 	}
-	return out
 }
 
 // Requantize8 derives 8-bit codes from 16-bit codes by the paper's

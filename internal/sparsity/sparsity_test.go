@@ -3,6 +3,7 @@ package sparsity
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +174,59 @@ func TestRandomSparseFilterExact(t *testing.T) {
 		got := sliceSparsity(w)
 		if math.Abs(got-sp) > 0.001 {
 			t.Errorf("sparsity %.3f, want %.1f", got, sp)
+		}
+	}
+}
+
+// permSparseFilter is the rng.Perm construction RandomSparseFilter's draw
+// is pinned to: nonzero magnitudes, then the first k indices of rng.Perm
+// zeroed.
+func permSparseFilter(rng *rand.Rand, n int, sparsity float64) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(rng.Intn(200) + 1)
+	}
+	k := int(math.Round(sparsity * float64(n)))
+	if k > n {
+		k = n
+	}
+	for _, idx := range rng.Perm(n)[:k] {
+		out[idx] = 0
+	}
+	return out
+}
+
+// TestFillRandomSparseMatchesPerm checks the one random-filter draw against
+// the rng.Perm construction: the allocating RandomSparseFilter and the fill
+// into reused (dirty) storage must produce the same filter and leave the
+// RNG in the same state, over seeds, sparsities and sizes.
+func TestFillRandomSparseMatchesPerm(t *testing.T) {
+	w := make([]int32, 0, 4608)
+	perm := make([]int, 0, 4608)
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, sp := range []float64{0, 0.5, 0.9, 1} {
+			for _, n := range []int{1, 7, 16 * 18, 16 * 288} {
+				want := rand.New(rand.NewSource(seed))
+				got := rand.New(rand.NewSource(seed))
+				fill := rand.New(rand.NewSource(seed))
+				ref := permSparseFilter(want, n, sp)
+				if alloc := RandomSparseFilter(got, 1, n, sp); !slices.Equal(alloc, ref) {
+					t.Fatalf("seed %d sparsity %g n %d: RandomSparseFilter differs from the rng.Perm draw", seed, sp, n)
+				}
+				w, perm = w[:n], perm[:n]
+				for i := range w {
+					w[i], perm[i] = -1, -1
+				}
+				FillRandomSparse(fill, w, perm, sp)
+				if !slices.Equal(w, ref) {
+					t.Fatalf("seed %d sparsity %g n %d: FillRandomSparse differs from the rng.Perm draw", seed, sp, n)
+				}
+				next := want.Int63()
+				if a, f := got.Int63(), fill.Int63(); a != next || f != next {
+					t.Fatalf("seed %d sparsity %g n %d: next Int63 %d (alloc) and %d (fill), want %d",
+						seed, sp, n, a, f, next)
+				}
+			}
 		}
 	}
 }
