@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check lint-workload bench-module bench-kernel serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fuzz-api fuzz-codec fmt clean
+.PHONY: all build vet test race check fmt-check lint-workload bench-module bench-kernel portable serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fuzz-api fuzz-codec fmt clean
 
 all: check
 
@@ -20,9 +20,10 @@ race:
 # lint the workload seam, run the full suite under the race detector (the
 # parallel engine is on by default, so every test doubles as a race test,
 # and the examples run as Example tests), run the window-walk benchmark
-# once, compile and test the end-to-end benchmark module against this
-# tree's APIs, and hold the committed benchmark baselines.
-check: fmt-check build vet lint-workload race bench-kernel bench-module bench-gate
+# once, test the portable window fold and vet a non-amd64 build, compile
+# and test the end-to-end benchmark module against this tree's APIs, and
+# hold the committed benchmark baselines.
+check: fmt-check build vet lint-workload race bench-kernel portable bench-module bench-gate
 
 # Fail on any file gofmt would rewrite (the first check of make check).
 fmt-check:
@@ -33,10 +34,19 @@ fmt-check:
 
 # The window walk's kernel-level number: BenchmarkEvalWindows times
 # evalWindows alone on fixed FC groups and reports ns per lane-word (one
-# lane's costs for 8 windows). One iteration keeps it compiling and
-# running; time it with -benchtime 1s -count 5 -cpu 1.
+# lane's costs for 8 windows), under the SWAR fold (.../swar) and the AVX2
+# fold (.../avx2, skipped on a CPU without AVX2). One iteration keeps both
+# compiling and running; time them with -benchtime 1s -count 5 -cpu 1.
 bench-kernel:
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkEvalWindows -benchtime 1x
+
+# The window walk's portable path, which an AVX2 host never takes: 386
+# binaries run natively on x86-64 and build no AVX2 fold, so the walk's
+# tests and fuzz seeds run the SWAR fold end to end; and vetting for arm64
+# keeps the non-amd64 file set compiling.
+portable:
+	GOARCH=386 $(GO) test ./internal/sim ./internal/sched
+	GOARCH=arm64 $(GO) vet ./...
 
 # The end-to-end benchmark (benchmark/, run by BENCHMARK.json) is a Go
 # module of its own, so ./... above never compiles it. Vet and test it
@@ -133,7 +143,8 @@ fuzz-sched:
 	$(GO) test ./internal/sched -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) -run '^$$'
 
 # Differential fuzz of the word-parallel window walk against its scalar
-# reference.
+# reference, under the SWAR fold and, where the CPU has AVX2, the AVX2
+# fold.
 fuzz-kernel:
 	$(GO) test ./internal/sim -fuzz FuzzEvalWindowsMatchesScalar -fuzztime $(FUZZTIME) -run '^$$'
 

@@ -29,6 +29,14 @@
 //
 //	tclbench -contention             # fig8a at parallelism 1,2,4,8, top mutex stacks
 //
+// -compare and -emit measure each selected suite in a fresh child process
+// of this tool (the parsed flags with one -suite each), so a suite's rows
+// never depend on what an earlier suite left in the process, and a
+// baseline and a comparison are always measured alike. Every option is a
+// flag: an argument after the flags is a usage error, as is a -threshold
+// outside [0, 1) (a NaN, infinite, negative or larger threshold would
+// switch the gate off).
+//
 // Comparison policy (internal/bench): allocs/op gates on every host — a
 // zero-alloc baseline must stay zero — while ns/op gates only between
 // non-contended runs at equal GOMAXPROCS. The sim suite measures steady
@@ -39,11 +47,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
+	"time"
 
 	"bittactical/internal/bench"
 )
@@ -52,35 +65,90 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// options are tclbench's parsed flags.
+type options struct {
+	emit, suite, ids, dir, current, promote string
+	compare, force, contention              bool
+	threshold                               float64
+	minTime                                 time.Duration
+}
+
+// parseFlags parses a tclbench command line into a fresh flag set. It
+// rejects any argument after the flags (the flag package stops at the
+// first one, so the flags after it would be dropped unseen), a -threshold
+// outside [0, 1) and an unknown suite name, each with a message on stderr.
+func parseFlags(args []string, stderr io.Writer) (*flag.FlagSet, *options, bool) {
 	fs := flag.NewFlagSet("tclbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		emit       = fs.String("emit", "", "regenerate baselines: sched, sim, serve, or all")
-		compare    = fs.Bool("compare", false, "measure and compare against committed baselines; exit 1 on regression")
-		suite      = fs.String("suite", "", "restrict to one suite (sched, sim, serve)")
-		threshold  = fs.Float64("threshold", 0.10, "fractional regression threshold")
-		force      = fs.Bool("force", false, "overwrite a baseline even with contended measurements")
-		ids        = fs.String("ids", "", "comma-separated ID prefixes; only matching baseline rows are compared")
-		dir        = fs.String("dir", ".", "directory holding the committed BENCH_*.json baselines")
-		current    = fs.String("current", "", "compare pre-recorded BENCH_*.json from this directory instead of measuring")
-		promote    = fs.String("promote", "", "adopt validated multi-core baselines from this directory into -dir")
-		minTime    = fs.Duration("mintime", 0, "minimum measured wall time per steady-state benchmark row (default 1s)")
-		contention = fs.Bool("contention", false, "profile mutex contention: fig8a at parallelism 1,2,4,8 with full mutex profiling, top contended stacks to stdout")
-	)
+	o := &options{}
+	fs.StringVar(&o.emit, "emit", "", "regenerate baselines: sched, sim, serve, or all")
+	fs.BoolVar(&o.compare, "compare", false, "measure and compare against committed baselines; exit 1 on regression")
+	fs.StringVar(&o.suite, "suite", "", "restrict to one suite (sched, sim, serve)")
+	fs.Float64Var(&o.threshold, "threshold", 0.10, "fractional regression threshold, at least 0 and below 1")
+	fs.BoolVar(&o.force, "force", false, "overwrite a baseline even with contended measurements")
+	fs.StringVar(&o.ids, "ids", "", "comma-separated ID prefixes; only matching baseline rows are compared")
+	fs.StringVar(&o.dir, "dir", ".", "directory holding the committed BENCH_*.json baselines")
+	fs.StringVar(&o.current, "current", "", "compare pre-recorded BENCH_*.json from this directory instead of measuring")
+	fs.StringVar(&o.promote, "promote", "", "adopt validated multi-core baselines from this directory into -dir")
+	fs.DurationVar(&o.minTime, "mintime", 0, "minimum measured wall time per steady-state benchmark row (default 1s)")
+	fs.BoolVar(&o.contention, "contention", false, "profile mutex contention: fig8a at parallelism 1,2,4,8 with full mutex profiling, top contended stacks to stdout")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return nil, nil, false
 	}
-	if *emit == "" && !*compare && *promote == "" && !*contention {
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "tclbench: unexpected argument %q: every option is a -flag\n", fs.Arg(0))
+		return nil, nil, false
+	}
+	if o.emit == "" && !o.compare && o.promote == "" && !o.contention {
 		fmt.Fprintln(stderr, "tclbench: nothing to do; pass -emit <suite|all>, -compare, -promote <dir>, or -contention")
 		fs.Usage()
+		return nil, nil, false
+	}
+	// Compare gates on x > b*(1+t) and c < b*(1-t): a NaN threshold makes
+	// both false, and one of 1 or more never fails a hit rate.
+	if t := o.threshold; math.IsNaN(t) || t < 0 || t >= 1 {
+		fmt.Fprintf(stderr, "tclbench: -threshold %v must be at least 0 and below 1\n", t)
+		return nil, nil, false
+	}
+	for _, name := range []string{o.emit, o.suite} {
+		if name != "" && selectSuites(name)[0] == nil {
+			fmt.Fprintf(stderr, "tclbench: unknown suite %q\n", name)
+			return nil, nil, false
+		}
+	}
+	return fs, o, true
+}
+
+// selected returns, in suite order, the suites this command line emits,
+// the suites it compares, and the suites it measures in this run: those
+// it emits, and those it compares when the comparison is measured live
+// rather than read from -current.
+func (o *options) selected() (emitted, compared, measured []*bench.Suite) {
+	if o.emit != "" {
+		emitted = selectSuites(o.emit)
+	}
+	if o.compare {
+		compared = selectSuites(o.suite)
+	}
+	for i := range bench.Suites {
+		s := &bench.Suites[i]
+		if slices.Contains(emitted, s) || (o.current == "" && slices.Contains(compared, s)) {
+			measured = append(measured, s)
+		}
+	}
+	return emitted, compared, measured
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs, o, ok := parseFlags(args, stderr)
+	if !ok {
 		return 2
 	}
 
 	logf := func(format string, a ...any) { fmt.Fprintf(stdout, format+"\n", a...) }
-	runOpts := bench.RunOpts{MinTime: *minTime}
+	runOpts := bench.RunOpts{MinTime: o.minTime}
 
-	if *contention {
+	if o.contention {
 		if err := bench.RunContention(logf, stdout); err != nil {
 			fmt.Fprintf(stderr, "tclbench: contention: %v\n", err)
 			return 2
@@ -88,55 +156,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *promote != "" {
-		return promoteBaselines(*promote, *dir, *suite, logf, stderr)
+	if o.promote != "" {
+		return promoteBaselines(o.promote, o.dir, o.suite, logf, stderr)
 	}
 
-	if *emit != "" {
-		for _, s := range selectSuites(*emit) {
-			if s == nil {
-				fmt.Fprintf(stderr, "tclbench: unknown suite %q\n", *emit)
-				return 2
-			}
-			logf("== emit %s ==", s.Name)
-			f, err := s.Run(logf, runOpts)
-			if err != nil {
-				fmt.Fprintf(stderr, "tclbench: %s: %v\n", s.Name, err)
-				return 2
-			}
-			path := filepath.Join(*dir, s.File)
-			if err := bench.WriteBaseline(path, f, *force); err != nil {
-				fmt.Fprintf(stderr, "tclbench: %v\n", err)
-				return 2
-			}
-			logf("wrote %s (%d benchmarks)", path, len(f.Benchmarks))
+	emitted, compared, measured := o.selected()
+	if len(measured) > 1 {
+		return runChildren(fs, measured, emitted, compared, logf, stdout, stderr)
+	}
+
+	for _, s := range emitted {
+		logf("== emit %s ==", s.Name)
+		f, err := s.Run(logf, runOpts)
+		if err != nil {
+			fmt.Fprintf(stderr, "tclbench: %s: %v\n", s.Name, err)
+			return 2
 		}
+		path := filepath.Join(o.dir, s.File)
+		if err := bench.WriteBaseline(path, f, o.force); err != nil {
+			fmt.Fprintf(stderr, "tclbench: %v\n", err)
+			return 2
+		}
+		logf("wrote %s (%d benchmarks)", path, len(f.Benchmarks))
 	}
 
-	if !*compare {
+	if !o.compare {
 		return 0
 	}
 
-	suites := selectSuites(*suite)
-	if *suite != "" && suites[0] == nil {
-		fmt.Fprintf(stderr, "tclbench: unknown suite %q\n", *suite)
-		return 2
-	}
 	fail := false
-	for _, s := range suites {
-		baseline, err := bench.Load(filepath.Join(*dir, s.File))
+	for _, s := range compared {
+		baseline, err := bench.Load(filepath.Join(o.dir, s.File))
 		if err != nil {
 			fmt.Fprintf(stderr, "tclbench: baseline %s: %v\n", s.File, err)
 			return 2
 		}
-		filterIDs(baseline, *ids)
+		filterIDs(baseline, o.ids)
 		if len(baseline.Benchmarks) == 0 {
-			logf("== %s: no baseline rows match -ids %q, skipped ==", s.Name, *ids)
+			logf("== %s: no baseline rows match -ids %q, skipped ==", s.Name, o.ids)
 			continue
 		}
 		var cur *bench.File
-		if *current != "" {
-			cur, err = bench.Load(filepath.Join(*current, s.File))
+		if o.current != "" {
+			cur, err = bench.Load(filepath.Join(o.current, s.File))
 		} else {
 			logf("== measure %s ==", s.Name)
 			cur, err = s.Run(logf, runOpts)
@@ -145,13 +207,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "tclbench: current %s: %v\n", s.Name, err)
 			return 2
 		}
-		res := bench.Compare(baseline, cur, *threshold)
+		res := bench.Compare(baseline, cur, o.threshold)
 		// Wall time is noisy under co-located load; a real regression
 		// reproduces, a noise spike does not. When a live measurement fails
 		// on ns/op alone, measure once more and keep each record's best
 		// time before concluding. Alloc regressions are deterministic and
 		// never retried; offline (-current) runs are never re-measured.
-		if *current == "" && res.Fail() && len(res.Missing) == 0 && nsOnly(res) {
+		if o.current == "" && res.Fail() && len(res.Missing) == 0 && nsOnly(res) {
 			logf("== %s: ns/op over threshold, re-measuring to rule out noise ==", s.Name)
 			again, err := s.Run(logf, runOpts)
 			if err != nil {
@@ -159,7 +221,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 			mergeBestNs(cur, again)
-			res = bench.Compare(baseline, cur, *threshold)
+			res = bench.Compare(baseline, cur, o.threshold)
 		}
 		for _, id := range res.SkippedNs {
 			logf("%s: %s: ns/op not comparable (contended or GOMAXPROCS mismatch), allocs still gated", s.Name, id)
@@ -171,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if r.Metric == "alloc_parity" {
 				fmt.Fprintf(stderr, "FAIL %s: %s exceeds the absolute cap %.2f\n", s.Name, r, bench.AllocParityCap)
 			} else {
-				fmt.Fprintf(stderr, "FAIL %s: %s exceeds threshold %.0f%%\n", s.Name, r, *threshold*100)
+				fmt.Fprintf(stderr, "FAIL %s: %s exceeds threshold %.0f%%\n", s.Name, r, o.threshold*100)
 			}
 		}
 		if res.Fail() {
@@ -186,6 +248,58 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logf("tclbench: regression gate passed")
 	return 0
+}
+
+// childArgs is the command line of the child process that measures suite
+// s: every flag set on fs except -suite, -emit and -compare, each as one
+// -name=value word, then those three for s alone. It is built from the
+// parsed flags, not from the raw arguments, so the child's selected()
+// measures exactly s whatever the parent's command line held.
+func childArgs(fs *flag.FlagSet, s *bench.Suite, emit, compare bool) []string {
+	var args []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "suite", "emit", "compare":
+		default:
+			args = append(args, "-"+f.Name+"="+f.Value.String())
+		}
+	})
+	e := ""
+	if emit {
+		e = s.Name
+	}
+	return append(args, "-suite="+s.Name, "-emit="+e, fmt.Sprintf("-compare=%t", compare))
+}
+
+// runChildren runs this tool once per measured suite, each run a fresh
+// process with the command line childArgs gives. It returns 2 if a child
+// could not run or failed to measure, else 1 if a child's gate failed,
+// else 0.
+func runChildren(fs *flag.FlagSet, measured, emitted, compared []*bench.Suite, logf func(string, ...any), stdout, stderr io.Writer) int {
+	exe, err := os.Executable()
+	if err != nil {
+		fmt.Fprintf(stderr, "tclbench: %v\n", err)
+		return 2
+	}
+	code := 0
+	for _, s := range measured {
+		logf("== %s: in a child process ==", s.Name)
+		cmd := exec.Command(exe, childArgs(fs, s, slices.Contains(emitted, s), slices.Contains(compared, s))...)
+		cmd.Stdout, cmd.Stderr = stdout, stderr
+		var exit *exec.ExitError
+		switch err := cmd.Run(); {
+		case err == nil:
+		case errors.As(err, &exit) && exit.ExitCode() == 1:
+			code = max(code, 1)
+		default:
+			fmt.Fprintf(stderr, "tclbench: %s: %v\n", s.Name, err)
+			code = 2
+		}
+	}
+	if code == 1 {
+		fmt.Fprintln(stderr, "tclbench: regression gate FAILED")
+	}
+	return code
 }
 
 // selectSuites resolves a suite selector: "" or "all" means every suite;
@@ -207,13 +321,8 @@ func selectSuites(name string) []*bench.Suite {
 // is how a single-core dev host adopts CI artifacts as the committed
 // baselines without ever being able to fabricate them locally.
 func promoteBaselines(src, dst, suite string, logf func(string, ...any), stderr io.Writer) int {
-	suites := selectSuites(suite)
-	if suite != "" && suites[0] == nil {
-		fmt.Fprintf(stderr, "tclbench: unknown suite %q\n", suite)
-		return 2
-	}
 	promoted := 0
-	for _, s := range suites {
+	for _, s := range selectSuites(suite) {
 		path := filepath.Join(src, s.File)
 		f, err := bench.Load(path)
 		if err != nil {

@@ -2,7 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -262,5 +267,127 @@ func TestPromoteRefusesTaintedArtifacts(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-promote", t.TempDir(), "-dir", t.TempDir()}, &out, &errOut); code != 1 {
 		t.Errorf("empty promote exit %d, want 1", code)
+	}
+}
+
+// asTool runs the test binary as tclbench, with the arguments a re-exec
+// test put in TCLBENCH_TEST_ARGS, and exits with its status.
+func asTool() {
+	if args := os.Getenv("TCLBENCH_TEST_ARGS"); args != "" {
+		os.Exit(run(strings.Fields(args), os.Stdout, os.Stderr))
+	}
+}
+
+// checkUsageExit re-runs the test binary's test as tclbench with args and
+// requires exit status 2, nothing on stdout (where a measurement or a
+// child process would log first) and one stderr line starting with want.
+func checkUsageExit(t *testing.T, test, args, want string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), "TCLBENCH_TEST_ARGS="+args)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("%s: %v, want exit status 2; stdout:\n%s", args, err, stdout.String())
+		return
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("%s printed to stdout:\n%s", args, stdout.String())
+	}
+	if got := stderr.String(); !strings.HasPrefix(got, want) || strings.Count(got, "\n") != 1 {
+		t.Errorf("%s: stderr = %q, want one line starting %q", args, got, want)
+	}
+}
+
+// TestBadThresholdExit2 runs the test binary as tclbench comparing a copy
+// of the committed baselines with a -threshold that would switch the gate
+// off: NaN makes every comparison false, a negative one fails equal
+// values, and 1 or more never fails a hit rate. Each must exit 2 with one
+// stderr line naming the flag, before measuring or comparing anything.
+// Thresholds in [0, 1) still compare.
+func TestBadThresholdExit2(t *testing.T) {
+	asTool()
+	cur := t.TempDir()
+	for _, s := range bench.Suites {
+		data, err := os.ReadFile(filepath.Join("..", "..", s.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cur, s.File), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	args := "-compare -dir ../.. -current " + cur + " -threshold "
+	for _, v := range []string{"NaN", "Inf", "-Inf", "1e9", "1", "-1", "-0.01"} {
+		checkUsageExit(t, "TestBadThresholdExit2", args+v, "tclbench: -threshold ")
+	}
+	for _, v := range []string{"0", "0.5"} {
+		var out, errOut bytes.Buffer
+		if code := run(strings.Fields(args+v), &out, &errOut); code != 0 {
+			t.Errorf("-threshold %s: exit %d, want 0\n%s", v, code, errOut.String())
+		}
+	}
+}
+
+// TestPositionalArgExit2 runs the test binary as tclbench with an
+// argument after the flags. The flag package stops parsing there, so
+// the flags after it would be dropped unseen: each must exit 2 with one
+// stderr line naming the argument, before measuring anything or starting
+// a child process.
+func TestPositionalArgExit2(t *testing.T) {
+	asTool()
+	for _, args := range []string{
+		"-compare sim",
+		"-compare extra",
+		"-emit all x",
+		"-compare -- -suite sched",
+		"-compare -threshold 0.2 sched -suite sched",
+	} {
+		checkUsageExit(t, "TestPositionalArgExit2", args, "tclbench: unexpected argument ")
+	}
+}
+
+// TestChildArgsMeasureOneSuite parses each child command line a
+// multi-suite run would start and requires it to measure exactly its own
+// suite, emitting and comparing it as the parent would, with every other
+// flag carried over unchanged.
+func TestChildArgsMeasureOneSuite(t *testing.T) {
+	for _, args := range [][]string{
+		{"-compare"},
+		{"-compare", "--"},
+		{"-emit", "all"},
+		{"-emit", "all", "-compare", "-threshold", "0.2", "-mintime", "2s", "-ids", "fig8a,serve/", "-force"},
+		{"-emit", "sim", "-compare", "-suite", "sched", "-dir", "a dir"},
+		{"-emit=serve", "-compare=true", "-suite=all"},
+	} {
+		fs, o, ok := parseFlags(args, io.Discard)
+		if !ok {
+			t.Fatalf("%q does not parse", args)
+		}
+		emitted, compared, measured := o.selected()
+		if len(measured) < 2 {
+			t.Fatalf("%q measures %d suites, want several", args, len(measured))
+		}
+		for _, s := range measured {
+			emit, cmp := slices.Contains(emitted, s), slices.Contains(compared, s)
+			child := childArgs(fs, s, emit, cmp)
+			_, co, ok := parseFlags(child, io.Discard)
+			if !ok {
+				t.Errorf("%q: child %q does not parse", args, child)
+				continue
+			}
+			ce, cc, cm := co.selected()
+			if len(cm) != 1 || cm[0] != s || slices.Contains(ce, s) != emit || slices.Contains(cc, s) != cmp {
+				t.Errorf("%q: child %q measures %d suites (emit %t, compare %t), want only %s (emit %t, compare %t)",
+					args, child, len(cm), slices.Contains(ce, s), slices.Contains(cc, s), s.Name, emit, cmp)
+			}
+			want := *o
+			want.suite, want.emit, want.compare = co.suite, co.emit, co.compare
+			if *co != want {
+				t.Errorf("%q: child %q parses to %+v, want %+v", args, child, *co, want)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"bittactical/internal/arch"
@@ -139,6 +140,11 @@ func buildDefaultConfigs() ([]arch.Config, error) {
 func measureServe(sh serveShape) (Record, *serve.LoadReport, error) {
 	sched.Shared.Reset()
 	sim.SharedPlanes.Reset()
+	// Pin the GC off from the cold reset through the window, as
+	// measureSteadySim does: a collection mid-window clears the sync.Pools,
+	// and the refill would be charged to the requests that follow it.
+	gcPct := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gcPct)
 	s := serve.New(serve.Config{
 		MaxInFlight:    sh.concurrency,
 		DefaultTimeout: 5 * time.Minute,

@@ -16,8 +16,10 @@ import (
 // group: 16 FC filters of 256 inputs (16 columns of 16 lanes before
 // skipping), about half the weights and 40% of the activations zero, at
 // 1, 49, 128 and 3,136 windows, with a T8<2,5> front end gating idle lanes
-// and without one. ns/lane-word is the time per lane per 8-window word
-// the walk folds: (columns × rows × lanes × ⌈windows/8⌉) per walk.
+// and without one, under each fold: swar, and avx2 where the CPU has it.
+// ns/lane-word is the time per lane per 8-window word the walk covers:
+// (columns × rows × lanes × ⌈windows/8⌉) per walk, the same count under
+// both folds.
 func BenchmarkEvalWindows(b *testing.B) {
 	for _, windows := range []int{1, 49, 128, 3136} {
 		lw := benchFCLayer(b, windows)
@@ -27,23 +29,29 @@ func BenchmarkEvalWindows(b *testing.B) {
 			if gated {
 				name = "gated"
 			}
-			b.Run(fmt.Sprintf("w%d/%s", windows, name), func(b *testing.B) {
-				ct := newCostTable(cfg.Backend, cfg.Width)
-				keyer := sched.NewCache(0).Keyer(cfg.Pattern, cfg.Scheduler)
-				ctx := prepareGroupInto(&groupScratch{}, cfg, lw, 0, &keyer, memoFor(cfg, lw, &keyer))
-				plane := buildPlane(lw, ct, 0)
-				for ri := range ctx.rowPlanes {
-					ctx.rowPlanes[ri] = plane
-				}
-				laneWords := ctx.cols * ctx.nrows * cfg.Lanes * ((windows + 7) / 8)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					clear(ctx.peTotals)
-					benchPartial = ctx.evalWindows(cfg)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(laneWords), "ns/lane-word")
-			})
+			for _, fold := range folds {
+				b.Run(fmt.Sprintf("w%d/%s/%s", windows, name, fold.name), func(b *testing.B) {
+					if !fold.ok {
+						b.Skip("CPU has no AVX2")
+					}
+					ct := newCostTable(cfg.Backend, cfg.Width)
+					keyer := sched.NewCache(0).Keyer(cfg.Pattern, cfg.Scheduler)
+					ctx := prepareGroupInto(&groupScratch{}, cfg, lw, 0, &keyer, memoFor(cfg, lw, &keyer))
+					ctx.avx2 = fold.avx2
+					plane := buildPlane(lw, ct, 0)
+					for ri := range ctx.rowPlanes {
+						ctx.rowPlanes[ri] = plane
+					}
+					laneWords := ctx.cols * ctx.nrows * cfg.Lanes * ((windows + 7) / 8)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						clear(ctx.peTotals)
+						benchPartial = ctx.evalWindows(cfg)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(laneWords), "ns/lane-word")
+				})
+			}
 		}
 	}
 }

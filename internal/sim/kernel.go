@@ -1,15 +1,23 @@
-// SWAR kernels of the window walk. Lanes within a PE are lockstep every
-// schedule column (they feed one adder tree), so the back-end's column
-// duration is the maximum serial cost over the PE's participating lanes —
-// the hottest reduction in the simulator: it runs once per (schedule
-// column, PE row, window). A window-minor cost plane puts one lane's costs
-// for 8 consecutive windows in one uint64, a lane-word, so evalWindows
-// (sim.go) walks each (column, row)'s windows a word at a time and folds
-// the word across the lanes with foldSync and foldCount. Their
-// accumulators are three words that stay in registers: the column max
-// (byteMax), the nonzero-cost counts one byte per window, and the cost
-// sums in 16-bit fields. The census tail per word (atLeastOne, byteSum,
-// dot, fieldSum) is SWAR too.
+// Folds of the window walk. Lanes within a PE are lockstep every schedule
+// column (they feed one adder tree), so the back-end's column duration is
+// the maximum serial cost over the PE's participating lanes — the hottest
+// reduction in the simulator: it runs once per (schedule column, PE row,
+// window). A window-minor cost plane puts one lane's costs for
+// consecutive windows in consecutive bytes, so evalWindows (sim.go) walks
+// each (column, row)'s windows 8 at a time, a lane-word (one uint64) per
+// lane, and folds each word across the (column, row)'s lane list. A fold
+// gives, per window, the max cost and the number of nonzero costs over
+// the listed lanes, and the cost sum. Two folds honor that contract. The
+// portable SWAR fold, foldSync and foldCount, takes one word per call and
+// runs wherever the CPU lacks AVX2. foldAVX2 (fold_amd64.s) takes a
+// 32-window block, four words, per 32-byte load into a blockFold, and
+// runs when the CPU has AVX2 (hasAVX2, fixed at init); the walk calls it
+// at a block's first word and reads the next three from its result.
+// The SWAR fold's accumulators are three words that stay in registers:
+// the column max (byteMax), the nonzero-cost counts one byte per window,
+// and the cost sums in 16-bit fields. Both folds feed one census tail
+// (atLeastOne, byteSum, dot), SWAR a word at a time, so the walk's
+// outputs do not depend on which fold ran.
 //
 // Invariant: every cost byte is <= maxLaneCost (127). The word-parallel
 // unsigned compare borrows through bit 7 of each byte, and the nonzero
@@ -19,9 +27,11 @@
 //
 // Exactness bounds a fold to laneChunk lanes: its byte counts reach at
 // most 128, and a dot product's 16-bit fields at most 4 × 127 × 128 <
-// 2^16. TestByteMax checks byteMax exhaustively over 7-bit byte pairs and
-// TestCensusKernels the census helpers at their bounds; the window walk's
-// scalar reference and its differential tests are in window_test.go.
+// 2^16. TestByteMax checks byteMax exhaustively over 7-bit byte pairs,
+// TestCensusKernels the census helpers at their bounds and
+// TestFoldBlockMatchesWords foldSync and foldCount against a scalar fold
+// and foldAVX2 against them; the window walk's scalar reference and its
+// differential tests are in window_test.go.
 package sim
 
 import (
@@ -39,6 +49,25 @@ const maxLaneCost = 127
 // 128, and dot stays exact for counts up to 128. Wider PEs fold their
 // lanes a chunk at a time and add up the chunks' sums and dot products.
 const laneChunk = 128
+
+// blockWindows is the windows one AVX2 fold covers: one 32-byte load,
+// four lane-words. A cost plane ends in blockWindows spare zero bytes, so
+// a block load that starts at any window of the plane's last slot stays
+// inside it.
+const blockWindows = 32
+
+// blockMask is one byte per window of a block, 8 windows a word: 0xff for
+// the windows the walk counts, 0 for those past the layer's last window.
+type blockMask [blockWindows / 8]uint64
+
+// blockFold is one AVX2 fold's result over a block of listed lanes: per
+// window, the max cost (mx) and the number of nonzero costs (nz), one byte
+// each, 8 windows a word; and sum, the costs summed over every window and
+// lane. Masked windows read as cost 0.
+type blockFold struct {
+	mx, nz blockMask
+	sum    int64
+}
 
 // SWAR constants: each byte of a word is one window.
 const (
@@ -75,16 +104,17 @@ func laneWord(plane []uint8, off int, valid uint64) uint64 {
 // the byte-wise max, nz counts the nonzero costs per window and sum holds
 // the costs summed in four 16-bit fields (each a pair of windows). The
 // counts and sums are exact for at most laneChunk lanes. The loop takes
-// two lanes a step and adds their words before widening them into the
-// sum. A second, independent max chain measured slower: under the Go
-// compiler's register allocation its extra accumulator spills more of the
-// compare's temporaries to the stack.
+// two lanes a step: it takes their max before folding it into the running
+// max, so the running max is one byteMax deep per step, and adds their
+// words before widening them into the sum. A second, independent max
+// chain measured slower: under the Go compiler's register allocation its
+// extra accumulator spills more of the compare's temporaries to the stack.
 func foldSync(plane []uint8, lanes []int, valid uint64) (mx, nz, sum uint64) {
 	i := 0
 	for ; i+1 < len(lanes); i += 2 {
 		x0 := laneWord(plane, lanes[i], valid)
 		x1 := laneWord(plane, lanes[i+1], valid)
-		mx = byteMax(byteMax(mx, x0), x1)
+		mx = byteMax(mx, byteMax(x0, x1))
 		nz += nonzero(x0) + nonzero(x1)
 		// Two 7-bit bytes add without a carry into the next byte.
 		x01 := x0 + x1

@@ -26,13 +26,15 @@ import (
 // costPlane stores each activation's serial cost for one (lowered layer,
 // act group) at one (back-end, width), window-minor: a packed
 // [Steps*Lanes][WindowCount]uint8 with one row of WindowCount cost bytes
-// per dense-schedule (step, lane) slot, followed by one spare zero word.
-// Slot s = step*Lanes + lane starts at byte s*WindowCount of data and
-// holds its costs for consecutive windows as consecutive bytes, so the
-// window walk loads one lane's costs for 8 windows with one little-endian
-// uint64. The spare word keeps a load that starts at any window of the
-// last slot in bounds; bytes a load reads past its slot's last window
-// belong to the next slot (or the spare word) and the walk masks them out.
+// per dense-schedule (step, lane) slot, followed by blockWindows (32)
+// spare zero bytes. Slot s = step*Lanes + lane starts at byte
+// s*WindowCount of data and holds its costs for consecutive windows as
+// consecutive bytes, so the window walk loads one lane's costs for a
+// 32-window block with one AVX2 load, or for 8 windows with one
+// little-endian uint64. The spare bytes keep a block load that starts at
+// any window of the last slot in bounds (offset + block start + 32 <=
+// len(data)); bytes a load reads past its slot's last window belong to the
+// next slot (or the spare) and the walk masks them out.
 //
 // Planes are immutable after build and shared read-only across
 // goroutines, groups, and configs.
@@ -50,7 +52,7 @@ func buildPlane(lw *nn.Lowered, ct *costTable, actGroup int) *costPlane {
 	rep := lw.ActGroupRep(actGroup)
 	p := &costPlane{
 		windows: W,
-		data:    make([]uint8, steps*lanes*W+8),
+		data:    make([]uint8, steps*lanes*W+blockWindows),
 	}
 	i := 0
 	for st := 0; st < steps; st++ {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -48,25 +47,28 @@ func TestPlaneMatchesPerRowRecompute(t *testing.T) {
 }
 
 // TestPlaneWindowMinorLayout checks the plane geometry at window counts
-// inside one 8-window word (1, 5) and past it (13): every (window, slot) cost
-// matches Act, the plane holds WindowCount*Steps*Lanes cost bytes plus one
-// spare word, and an 8-byte load starting at any window of the last slot —
-// so every word load of its last window group — stays in bounds and reads
-// zeros past the slot's last window.
+// inside one 8-window word (1, 5), past it (13) and past one 32-window
+// block (45): every (window, slot) cost matches Act, the plane holds
+// WindowCount*Steps*Lanes cost bytes plus 32 spare bytes, and a 32-byte
+// block load starting at any window of the last slot — so every block
+// load of its last window group — stays in bounds and reads zeros past
+// the slot's last window.
 func TestPlaneWindowMinorLayout(t *testing.T) {
-	for _, windows := range []int{1, 5, 13} {
+	for _, windows := range []int{1, 5, 13, 45} {
 		lw := testFC(t, 29, 20, 40, windows, 0.7)
 		checkPlaneMatchesAct(t, lw, serialConfigs())
 		p := buildPlane(lw, newCostTable(backend.MustLookup("TCLe"), fixed.W16), 0)
 		slots := lw.Steps * lw.Lanes
-		if got, want := p.sizeBytes(), int64(windows*slots+8); got != want {
+		if got, want := p.sizeBytes(), int64(windows*slots+blockWindows); got != want {
 			t.Fatalf("%d windows: plane holds %d bytes, want %d", windows, got, want)
 		}
 		last := p.data[(slots-1)*windows:]
 		for w := 0; w < windows; w++ {
-			word := binary.LittleEndian.Uint64(last[w:])
-			if n := windows - w; n < 8 && word>>(8*n) != 0 {
-				t.Fatalf("%d windows: load at window %d reads %#x past the last slot", windows, w, word)
+			block := last[w : w+blockWindows]
+			for j := windows - w; j < blockWindows; j++ {
+				if block[j] != 0 {
+					t.Fatalf("%d windows: block load at window %d reads %#x at byte %d, past the last slot", windows, w, block[j], j)
+				}
 			}
 		}
 	}

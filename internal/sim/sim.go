@@ -319,15 +319,34 @@ type groupCtx struct {
 	// configs sync the column on those alone; ungated ones sync every lane.
 	laneOffs []int
 	nEff     []int32
+	// maxOff is the largest offset in laneOffs. The walk reads 32 bytes
+	// from offset + block start, and block starts stay below span, so
+	// every read stays inside a plane whose length is at least
+	// maxOff + span.
+	maxOff int
+	// span is the windows rounded up to whole 32-window blocks.
+	span int
 	// rowPlanes[ri] is PE row ri's activation cost plane (rows of one act
 	// group share a plane; row-invariant layers share one across all
 	// rows). Resolved by the engine between prepare and the window walk.
 	rowPlanes []*costPlane
+	// winSums holds each PE row's column max per window summed over up to
+	// winFlushCols columns, in 16-bit fields: span/4 words a row, and per
+	// 8 windows two words, the even windows' sums and the odd windows'.
+	// Zeroed at prepare, summed and flushed by evalWindows.
+	winSums []uint64
+	// wideMax holds, for a PE wider than laneChunk lanes, the current
+	// (column, row)'s peMax per 8 windows, taken with its first lane chunk
+	// and read by the others: span/8 words, nil for narrower PEs.
+	wideMax []uint64
 	// peTotals[ri*WindowsPerTile+pc] is PE (row ri, column pc)'s cycle
-	// total over the group's windows: zeroed at prepare, summed by
-	// evalWindows, read by finishGroup.
+	// total over the group's windows: window w runs on PE column w mod
+	// WindowsPerTile in every (column, row), so evalWindows adds winSums
+	// to it once per winFlushCols columns instead of once per column.
+	// finishGroup reads it.
 	peTotals []int64
 	gate     bool
+	avx2     bool        // fold with foldAVX2; hasAVX2 unless a test picks a fold
 	base     groupResult // window-independent accumulations (full result when !needsWindows)
 }
 
@@ -449,7 +468,7 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 	f0 := g * rows
 	nrows := min(rows, lw.Filters-f0)
 	ctx := &sc.ctx
-	*ctx = groupCtx{nrows: nrows, windows: W}
+	*ctx = groupCtx{nrows: nrows, windows: W, avx2: hasAVX2}
 	r := &ctx.base
 
 	gr := groupRows{sc: sc, lw: lw, f0: f0, f1: f0 + nrows}
@@ -500,8 +519,9 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 	// Serial back-ends: column structure is window-independent; precompute
 	// each (column, row)'s lane list once for the window walk. The lists,
 	// their effectual counts and rowPlanes are rebuilt wholesale (reused
-	// dirty); the +=-summed PE totals are zeroed here.
+	// dirty); the +=-summed totals are zeroed here.
 	ctx.gate = cfg.HasFrontEnd()
+	ctx.span = blockWindows * ((W + blockWindows - 1) / blockWindows)
 	sc.laneOffs = grow(sc.laneOffs, cols*nrows*lanes)
 	ctx.laneOffs = sc.laneOffs
 	sc.nEff = grow(sc.nEff, cols*nrows)
@@ -509,29 +529,40 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 	sc.planes = grow(sc.planes, nrows)
 	ctx.rowPlanes = sc.planes
 	clear(ctx.rowPlanes)
+	sc.winSums = grow(sc.winSums, nrows*ctx.span/4)
+	ctx.winSums = sc.winSums
+	clear(ctx.winSums)
+	if lanes > laneChunk {
+		sc.wideMax = grow(sc.wideMax, ctx.span/8)
+		ctx.wideMax = sc.wideMax
+	}
 	sc.peTotals = grow(sc.peTotals, nrows*wg)
 	ctx.peTotals = sc.peTotals
 	clear(ctx.peTotals)
-	for ci := 0; ci < cols; ci++ {
-		for ri := 0; ri < nrows; ri++ {
-			col := schedules[ri].Columns[ci]
+	// Each row's schedule is read in column order, and each list is
+	// partitioned without a data-dependent branch: m is all ones for an
+	// effectual lane and zero for an idle one, and selects the lane's slot
+	// and its position (effectual lanes fill the list from the front, idle
+	// ones from the back).
+	maxSlot := 0
+	for ri := 0; ri < nrows; ri++ {
+		for ci, col := range schedules[ri].Columns[:cols] {
 			cr := ci*nrows + ri
 			offs := ctx.laneOffs[cr*lanes : (cr+1)*lanes]
-			// Effectual lanes fill the list from the front, idle ones from
-			// the back.
-			eff, idle := 0, lanes
+			eff, idle := 0, lanes-1
 			for ln, e := range col.Entries {
-				if e.Weight != 0 {
-					offs[eff] = int(e.Src) * W
-					eff++
-				} else {
-					idle--
-					offs[idle] = (col.Head*lanes + ln) * W
-				}
+				m := -int(uint32(e.Weight|-e.Weight) >> 31)
+				slot := col.Head*lanes + ln
+				slot ^= (slot ^ int(e.Src)) & m
+				offs[idle+(eff-idle)&m] = slot * W
+				maxSlot = max(maxSlot, slot)
+				eff -= m
+				idle -= 1 + m
 			}
 			ctx.nEff[cr] = int32(eff)
 		}
 	}
+	ctx.maxOff = maxSlot * W
 	return ctx
 }
 
@@ -550,23 +581,26 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 // activations", charged as "Tile Sync"). Each PE grid column owns the
 // windows congruent to its position.
 //
-// The walk is word-parallel over windows. Planes are window-minor, so one
-// uint64 load fetches a lane-word: one lane's costs for 8 consecutive
-// windows. For each (column, row) the walk takes the windows a word at a
-// time, words outside and lanes inside: it folds the word across the
-// (column, row)'s lane list (foldSync, foldCount) into, one byte per
-// window,
+// The walk is word-parallel over windows. Planes are window-minor, so a
+// lane's costs for consecutive windows are consecutive bytes, and one
+// uint64 holds a lane-word: one lane's costs for 8 windows. For each
+// (column, row) the walk takes the windows a word at a time, words outside
+// and lanes inside, and folds each word across the (column, row)'s lane
+// list into, one byte per window,
 //
 //   - peMax, the column max over the syncing lanes, raised to at least 1;
 //   - nzE and nzI, the number of nonzero costs over the effectual and the
 //     idle lanes;
 //
 // and the word's cost sums over the effectual lanes (and the idle ones
-// when no front end gates them). The word's census tail is SWAR as well:
-// byteSum gives its Σ peMax and dot its Σ peMax·nzE and Σ peMax·nzI; only
-// the PE totals take its windows one at a time. The Figure-9 lane census
-// then follows from sums alone (E: effectual lanes, I: idle lanes, nEff
-// and nIdle their counts, Σ over every (column, row, window)):
+// when no front end gates them). Two folds give these. The SWAR fold
+// (foldSync, foldCount) folds one word per call. The AVX2 fold (foldAVX2)
+// folds a 32-window block, four words, per pass: the walk runs it at each
+// block's first word and reads the block's next three words from its
+// results. One census tail serves both: byteSum gives a word's Σ peMax and
+// dot its Σ peMax·nzE and Σ peMax·nzI. The Figure-9 lane census then
+// follows from sums alone (E: effectual lanes, I: idle lanes, nEff and
+// nIdle their counts, Σ over every (column, row, window)):
 //
 //	Useful     = Σ_E c
 //	ColumnSync = Σ peMax·nzE − Σ_E c
@@ -577,24 +611,46 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 // and the lane cycles add Σ_I c only when the config has no front-end to
 // gate idle lanes. Every term is an exact integer sum, so the result is
 // bit-identical to a per-lane walk that classifies each (lane, window)
-// into one census bucket. A fold's counts and sums are exact for
-// laneChunk lanes, so a wider PE folds its lane list a chunk at a time and
-// adds up the chunks' sums and dot products; since every dot product
-// needs the column max, it first takes that max in one foldSync over all
-// of its syncing lanes. Costs are loaded from PE row ri's cost plane,
-// rowPlanes[ri], at the lane list's offsets; rows of one act group share
-// a plane, so row-invariant, grouped, and depthwise layers all take this
-// path.
+// into one census bucket, whichever fold ran. A fold's counts and sums
+// are exact for laneChunk lanes, so a wider PE folds its lane list a chunk
+// at a time, chunks outside and words inside, and adds up the chunks' sums
+// and dot products; since every dot product needs the column max, its
+// first chunk also folds all of its syncing lanes for that max and keeps
+// it, one word per 8 windows, in wideMax for the other chunks. Costs are
+// loaded from PE row ri's cost plane, rowPlanes[ri], at the lane list's
+// offsets; rows of one act group share a plane, so row-invariant,
+// grouped, and depthwise layers all take this path.
+//
+// Each window's peMax is added to its row's winSums, 16-bit fields that
+// hold winFlushCols columns; flushWindows adds them to the PE totals after
+// every winFlushCols columns and after the last.
 func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
-	span := 8 * ((ctx.windows + 7) / 8) // bytes of a cost row the words cover
-	last := span - 8
-	tail := ^uint64(0) >> (8 * uint(span-ctx.windows)) // the last word's windows
+	W, span, avx2 := ctx.windows, ctx.span, ctx.avx2
+	for _, p := range ctx.rowPlanes {
+		// A block load reads plane bytes [off+at, off+at+32) for an offset
+		// off <= maxOff and a block start at <= span-32.
+		if ctx.maxOff+span > len(p.data) {
+			panic(fmt.Sprintf("sim: lane offset %d + %d windows overrun a %d-byte cost plane", ctx.maxOff, span, len(p.data)))
+		}
+	}
+	// The AVX2 fold masks a block by full, or the last block by last; the
+	// SWAR fold masks the layer's last word by tail.
+	full := blockMask{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	var last blockMask
+	lastWindows := W - (span - blockWindows)
+	for k := range last {
+		n := min(max(lastWindows-8*k, 0), 8)
+		last[k] = ^uint64(0) >> (64 - 8*uint(n))
+	}
+	tail := last[(lastWindows-1)/8]
 	var (
 		costEff, costIdle int64 // Σ_E c, and Σ_I c without a front end
 		maxSum, maxEff    int64 // Σ peMax, Σ nEff·peMax
 		dotEff, dotIdle   int64 // Σ peMax·nzE, Σ peMax·nzI
+		fs, fe, fi        blockFold
 	)
+	wide := lanes > laneChunk
 	for ci := 0; ci < ctx.cols; ci++ {
 		for ri := 0; ri < ctx.nrows; ri++ {
 			cr := ci*ctx.nrows + ri
@@ -605,50 +661,84 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 				sync = list[:nEff]
 			}
 			plane := ctx.rowPlanes[ri].data
-			pe := ctx.peTotals[ri*wg : (ri+1)*wg]
-			pc := 0
+			sums := ctx.winSums[ri*span/4 : (ri+1)*span/4]
 			var rowMax int64 // Σ peMax over this (column, row)
-			for at := 0; at < span; at += 8 {
-				valid := ^uint64(0)
-				if at == last {
-					valid = tail
-				}
-				word := plane[at:]
-				var mx, peMax uint64
-				if lanes > laneChunk {
-					mx, _, _ = foldSync(word, sync, valid)
-				}
-				for c0 := 0; c0 < lanes; c0 += laneChunk {
-					c1 := min(c0+laneChunk, lanes)
-					e := min(max(nEff, c0), c1) // the chunk's effectual lanes are [c0, e)
-					m, nzE, sumE := foldSync(word, list[c0:e], valid)
-					var nzI uint64
-					if ctx.gate {
-						nzI = foldCount(word, list[e:c1], valid)
+			for c0 := 0; c0 < lanes; c0 += laneChunk {
+				c1 := min(c0+laneChunk, lanes)
+				e := min(max(nEff, c0), c1) // the chunk's effectual lanes are [c0, e)
+				eff, idle := list[c0:e], list[e:c1]
+				syncMax := wide && c0 == 0 // this chunk takes the wide PE's column max
+				for at := 0; at < W; at += 8 {
+					valid := ^uint64(0)
+					if at+8 > W {
+						valid = tail
+					}
+					// The fold: word k of the AVX2 pass over this block, or
+					// foldSync and foldCount over this word.
+					var mE, nzE, mI, nzI, mS uint64
+					if avx2 {
+						k := at >> 3 & 3
+						if k == 0 {
+							vb := &full
+							if at+blockWindows > W {
+								vb = &last
+							}
+							block := plane[at:]
+							foldAVX2(block, eff, vb, &fe)
+							foldAVX2(block, idle, vb, &fi)
+							if syncMax {
+								foldAVX2(block, sync, vb, &fs)
+							}
+							costEff += fe.sum
+							if !ctx.gate {
+								costIdle += fi.sum
+							}
+						}
+						mE, nzE, mI, nzI, mS = fe.mx[k], fe.nz[k], fi.mx[k], fi.nz[k], fs.mx[k]
 					} else {
-						var mI, sumI uint64
-						mI, nzI, sumI = foldSync(word, list[e:c1], valid)
-						m = byteMax(m, mI)
-						costIdle += fieldSum(sumI)
+						word := plane[at:]
+						var sum uint64
+						mE, nzE, sum = foldSync(word, eff, valid)
+						costEff += fieldSum(sum)
+						if ctx.gate {
+							nzI = foldCount(word, idle, valid)
+						} else {
+							mI, nzI, sum = foldSync(word, idle, valid)
+							costIdle += fieldSum(sum)
+						}
+						if syncMax {
+							mS, _, _ = foldSync(word, sync, valid)
+						}
 					}
-					mx = byteMax(mx, m)
-					peMax = atLeastOne(mx) & valid
-					costEff += fieldSum(sumE)
-					dotEff += dot(peMax, nzE)
-					dotIdle += dot(peMax, nzI)
-				}
-				rowMax += byteSum(peMax)
-				// Valid windows have peMax >= 1 and the masked ones are the
-				// word's top bytes, so this visits exactly the valid ones.
-				for ; peMax != 0; peMax >>= 8 {
-					pe[pc] += int64(peMax & 0xff)
-					if pc++; pc == wg {
-						pc = 0
+					// The census tail.
+					var p uint64 // peMax
+					if c0 == 0 {
+						m := mE
+						if !ctx.gate {
+							m = byteMax(m, mI)
+						}
+						if wide {
+							m = mS
+						}
+						p = atLeastOne(m) & valid
+						if wide {
+							ctx.wideMax[at/8] = p
+						}
+						rowMax += byteSum(p)
+						sums[at/4] += p & swarEven
+						sums[at/4+1] += p >> 8 & swarEven
+					} else {
+						p = ctx.wideMax[at/8]
 					}
+					dotEff += dot(p, nzE)
+					dotIdle += dot(p, nzI)
 				}
 			}
 			maxSum += rowMax
 			maxEff += int64(nEff) * rowMax
+		}
+		if (ci+1)%winFlushCols == 0 || ci+1 == ctx.cols {
+			ctx.flushWindows(wg)
 		}
 	}
 	wp := windowPartial{serial: costEff}
@@ -661,6 +751,29 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 		wp.serial += costIdle
 	}
 	return wp
+}
+
+// winFlushCols is the most columns winSums holds: a 16-bit field adds
+// one peMax <= maxLaneCost per column.
+const winFlushCols = 0xffff / maxLaneCost
+
+// flushWindows adds each row's winSums to its PE totals, window w to PE
+// column w mod wg, and zeroes them. Window w's sum is field (w mod 8)/2
+// of word 2(w/8) for an even w and of word 2(w/8)+1 for an odd one.
+func (ctx *groupCtx) flushWindows(wg int) {
+	W, span := ctx.windows, ctx.span
+	for ri := 0; ri < ctx.nrows; ri++ {
+		sums := ctx.winSums[ri*span/4 : ri*span/4+(W+7)/8*2]
+		pe := ctx.peTotals[ri*wg : (ri+1)*wg]
+		pc := 0
+		for w := 0; w < W; w++ {
+			pe[pc] += int64(sums[w>>3<<1|w&1] >> (w & 6 * 8) & 0xffff)
+			if pc++; pc == wg {
+				pc = 0
+			}
+		}
+		clear(sums)
+	}
 }
 
 // finishGroup completes a serial group's result shard from its window

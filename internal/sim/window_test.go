@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bittactical/internal/arch"
@@ -139,13 +140,14 @@ func denseFCLayer(tb testing.TB, lanes, windows int) *nn.Lowered {
 }
 
 // checkWindowsMatchScalar prepares every filter group of lw under cfg and
-// requires evalWindows to reproduce evalWindowsScalar: PE totals, every
-// census field and the serial lane cycles. The reference walks the group's
-// window groups in `slices` contiguous runs and sums them, so the single
-// word-parallel pass is also held to run boundaries that need not fall on
-// its 8-window words. One scratch arena serves every group, as on a pool
-// worker.
-func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, slices int) {
+// requires evalWindows, folding with foldAVX2 when avx2 is set and with
+// the SWAR fold otherwise, to reproduce evalWindowsScalar: PE totals,
+// every census field and the serial lane cycles. The reference walks the
+// group's window groups in `slices` contiguous runs and sums them, so the
+// single word-parallel pass is also held to run boundaries that need not
+// fall on its blocks or words. One scratch arena serves every group, as on
+// a pool worker.
+func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, slices int, avx2 bool) {
 	tb.Helper()
 	ct := newCostTable(cfg.Backend, cfg.Width)
 	planes := make([]*costPlane, lw.ActGroups())
@@ -160,6 +162,7 @@ func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, sli
 	memo := memoFor(cfg, lw, &keyer)
 	for f0 := 0; f0 < lw.Filters; f0 += cfg.FiltersPerTile {
 		ctx := prepareGroupInto(sc, cfg, lw, f0/cfg.FiltersPerTile, &keyer, memo)
+		ctx.avx2 = avx2
 		for ri := range ctx.rowPlanes {
 			ctx.rowPlanes[ri] = planes[lw.ActGroupOf(f0+ri)]
 		}
@@ -189,6 +192,14 @@ func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, sli
 	}
 }
 
+// folds are the window walk's two folds: swar runs on every host, avx2
+// only where the CPU has AVX2 (ok). Tests pick one per walk through
+// groupCtx.avx2.
+var folds = []struct {
+	name     string
+	avx2, ok bool
+}{{"swar", false, true}, {"avx2", true, hasAVX2}}
+
 // windowConfig is a serial config reshaped to the given geometry: gated
 // (T<2,5> front-end) or not, TCLe or TCLp, at 16 or 8 bits.
 func windowConfig(gated, tclp, w8 bool, lanes, wg int) arch.Config {
@@ -207,12 +218,26 @@ func windowConfig(gated, tclp, w8 bool, lanes, wg int) arch.Config {
 	return cfg
 }
 
-// TestEvalWindowsMatchesScalar pins the word-parallel walk to the scalar
-// reference across lane counts (including ones not divisible by 8),
-// window-group widths below, at and above one 8-window word, window counts
-// that are a multiple of neither 8 nor the group width, gated and ungated
-// configs, both serial back-ends and both widths. The subtests' chunks
-// label is how many runs the reference sums (1-4).
+// eachFold runs check once per fold as a subtest, skipping the AVX2 fold
+// where the CPU lacks it.
+func eachFold(t *testing.T, check func(t *testing.T, avx2 bool)) {
+	t.Helper()
+	for _, fold := range folds {
+		t.Run(fold.name, func(t *testing.T) {
+			if !fold.ok {
+				t.Skip("CPU has no AVX2")
+			}
+			check(t, fold.avx2)
+		})
+	}
+}
+
+// TestEvalWindowsMatchesScalar pins the word-parallel walk, under each
+// fold, to the scalar reference across lane counts (including ones not
+// divisible by 8), window-group widths below, at and above one 8-window
+// word, window counts that are a multiple of neither 8 nor the group
+// width, gated and ungated configs, both serial back-ends and both widths.
+// The subtests' chunks label is how many runs the reference sums (1-4).
 func TestEvalWindowsMatchesScalar(t *testing.T) {
 	layers := []struct {
 		kind nn.Kind
@@ -230,33 +255,72 @@ func TestEvalWindowsMatchesScalar(t *testing.T) {
 				for _, gated := range []bool{true, false} {
 					cfg := windowConfig(gated, tclp, w8, lanes, wg)
 					t.Run(fmt.Sprintf("%s/lanes%d/wg%d/%s/chunks%d", lw.Name, lanes, wg, cfg.Name, chunks), func(t *testing.T) {
-						checkWindowsMatchScalar(t, cfg, lw, chunks)
+						eachFold(t, func(t *testing.T, avx2 bool) { checkWindowsMatchScalar(t, cfg, lw, chunks, avx2) })
 					})
 				}
 			}
 		}
 	}
-	// Long rows of words; and past laneChunk (128) lanes a PE folds its
+	// Long rows of blocks; and past laneChunk (128) lanes a PE folds its
 	// lanes in chunks, two at 129 lanes and three at 260 and 300. In the
 	// dense layer every lane is effectual with a nonzero cost, so a
 	// window's count reaches the lane count and a byte would wrap at 256.
+	lw := windowLayer(t, nn.FC, 7, 16, 150, 0.4)
+	chunked := windowLayer(t, nn.FC, 9, 129, 21, 0.4)
+	wide := windowLayer(t, nn.FC, 8, 260, 21, 0)
+	dense := denseFCLayer(t, 300, 21)
 	for _, gated := range []bool{true, false} {
-		lw := windowLayer(t, nn.FC, 7, 16, 150, 0.4)
-		checkWindowsMatchScalar(t, windowConfig(gated, false, false, 16, 72), lw, 2)
-		checkWindowsMatchScalar(t, windowConfig(gated, true, true, 16, 8), lw, 3)
-		chunked := windowLayer(t, nn.FC, 9, 129, 21, 0.4)
-		checkWindowsMatchScalar(t, windowConfig(gated, true, false, 129, 16), chunked, 2)
-		wide := windowLayer(t, nn.FC, 8, 260, 21, 0)
-		checkWindowsMatchScalar(t, windowConfig(gated, false, false, 260, 16), wide, 1)
-		dense := denseFCLayer(t, 300, 21)
-		checkWindowsMatchScalar(t, windowConfig(gated, false, false, 300, 16), dense, 1)
+		t.Run(fmt.Sprintf("wide/gated=%v", gated), func(t *testing.T) {
+			eachFold(t, func(t *testing.T, avx2 bool) {
+				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 16, 72), lw, 2, avx2)
+				checkWindowsMatchScalar(t, windowConfig(gated, true, true, 16, 8), lw, 3, avx2)
+				checkWindowsMatchScalar(t, windowConfig(gated, true, false, 129, 16), chunked, 2, avx2)
+				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 260, 16), wide, 1, avx2)
+				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 300, 16), dense, 1, avx2)
+			})
+		})
 	}
+}
+
+// TestWindowSumsFlush runs a dense group of 4,500 columns whose
+// activations all lie in [0x7000, 0x7fff], so a window's column maxima
+// sum past 2^16 (the test checks that) and the walk's 16-bit window sums
+// must flush to the PE totals mid-group (winFlushCols). A PE column per
+// window (72 > 33 windows) makes each PE total one window's sum.
+func TestWindowSumsFlush(t *testing.T) {
+	const lanes, steps, windows = 4, 4500, 33
+	l := &nn.Layer{Name: "long-fc", Kind: nn.FC, K: 2, C: lanes * steps, R: 1, S: 1, Timesteps: windows}
+	l.Weights = tensor.New(2, lanes*steps, 1, 1)
+	for i := range l.Weights.Data {
+		l.Weights.Data[i] = 1
+	}
+	act := tensor.New(1, lanes*steps, 1, windows)
+	for i := range act.Data {
+		act.Data[i] = int32(0x7000 + i%0x0fff)
+	}
+	lw, err := nn.Lower(l, act, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := windowConfig(false, true, false, lanes, 72)
+	ct := newCostTable(cfg.Backend, cfg.Width)
+	keyer := sched.NewCache(0).Keyer(cfg.Pattern, cfg.Scheduler)
+	ctx := prepareGroupInto(&groupScratch{}, cfg, lw, 0, &keyer, memoFor(cfg, lw, &keyer))
+	if ctx.cols <= winFlushCols {
+		t.Fatalf("%d columns do not reach a flush every %d", ctx.cols, winFlushCols)
+	}
+	_, pe := evalWindowsScalar(ctx, cfg, lw, ct, 0, 0, windows)
+	if m := slices.Max(pe); m <= 0xffff {
+		t.Fatalf("largest window sum %d fits 16 bits", m)
+	}
+	eachFold(t, func(t *testing.T, avx2 bool) { checkWindowsMatchScalar(t, cfg, lw, 1, avx2) })
 }
 
 // FuzzEvalWindowsMatchesScalar drives the differential check over random
 // FC layers: lane count (1-300, so folds cross the 128-lane chunk
 // boundary), window count (1-300), window-group width, gating, back-end
-// and width all come from the fuzzer.
+// and width all come from the fuzzer. Each input runs under the SWAR fold,
+// and under the AVX2 fold where the CPU has it.
 func FuzzEvalWindowsMatchesScalar(f *testing.F) {
 	f.Add(int64(1), uint16(16), uint8(16), uint16(13), true, false, false)
 	f.Add(int64(2), uint16(12), uint8(72), uint16(90), false, true, false)
@@ -268,6 +332,35 @@ func FuzzEvalWindowsMatchesScalar(f *testing.F) {
 		nLanes := int(lanes)%300 + 1
 		cfg := windowConfig(gated, tclp, w8, nLanes, int(wg)%80+1)
 		lw := windowLayer(t, nn.FC, seed, nLanes, int(windows)%300+1, 0.4)
-		checkWindowsMatchScalar(t, cfg, lw, 1)
+		for _, fold := range folds {
+			if fold.ok {
+				checkWindowsMatchScalar(t, cfg, lw, 1, fold.avx2)
+			}
+		}
+	})
+}
+
+// TestEvalWindowsAllocatesNothing holds the walk to zero allocations under
+// each fold, gated and ungated, at one lane chunk and past it: the fold
+// buffers and masks live on the walk's stack and the sums in the arena.
+func TestEvalWindowsAllocatesNothing(t *testing.T) {
+	eachFold(t, func(t *testing.T, avx2 bool) {
+		for _, lanes := range []int{16, 129} {
+			lw := windowLayer(t, nn.FC, 3, lanes, 45, 0.4)
+			for _, gated := range []bool{true, false} {
+				cfg := windowConfig(gated, false, false, lanes, 16)
+				ct := newCostTable(cfg.Backend, cfg.Width)
+				keyer := sched.NewCache(0).Keyer(cfg.Pattern, cfg.Scheduler)
+				ctx := prepareGroupInto(&groupScratch{}, cfg, lw, 0, &keyer, memoFor(cfg, lw, &keyer))
+				ctx.avx2 = avx2
+				plane := buildPlane(lw, ct, 0)
+				for ri := range ctx.rowPlanes {
+					ctx.rowPlanes[ri] = plane
+				}
+				if n := testing.AllocsPerRun(20, func() { ctx.evalWindows(cfg) }); n != 0 {
+					t.Errorf("%d lanes, %s: the walk allocates %v times", lanes, cfg.Name, n)
+				}
+			}
+		}
 	})
 }
