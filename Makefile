@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check lint-workload bench-module bench-kernel portable serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fuzz-api fuzz-codec fmt clean
+.PHONY: all build vet test race check fmt-check lint-workload bench-module bench-kernel portable serve-smoke shard-smoke bench bench-gate bench-contention cache-stress bench-sim bench-sched bench-serve fuzz-sched fuzz-kernel fuzz-api fuzz-codec fuzz-serve fmt clean
 
 all: check
 
@@ -20,7 +20,7 @@ race:
 # lint the workload seam, run the full suite under the race detector (the
 # parallel engine is on by default, so every test doubles as a race test,
 # and the examples run as Example tests), run the window-walk benchmark
-# once, test the portable window fold and vet a non-amd64 build, compile
+# once, test the portable window walk and vet a non-amd64 build, compile
 # and test the end-to-end benchmark module against this tree's APIs, and
 # hold the committed benchmark baselines.
 check: fmt-check build vet lint-workload race bench-kernel portable bench-module bench-gate
@@ -34,16 +34,16 @@ fmt-check:
 
 # The window walk's kernel-level number: BenchmarkEvalWindows times
 # evalWindows alone on fixed FC groups and reports ns per lane-word (one
-# lane's costs for 8 windows), under the SWAR fold (.../swar) and the AVX2
-# fold (.../avx2, skipped on a CPU without AVX2). One iteration keeps both
+# lane's costs for 8 windows), under the SWAR walk (.../swar) and the AVX2
+# kernel (.../avx2, skipped on a CPU without AVX2). One iteration keeps both
 # compiling and running; time them with -benchtime 1s -count 5 -cpu 1.
 bench-kernel:
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkEvalWindows -benchtime 1x
 
-# The window walk's portable path, which an AVX2 host never takes: 386
-# binaries run natively on x86-64 and build no AVX2 fold, so the walk's
-# tests and fuzz seeds run the SWAR fold end to end; and vetting for arm64
-# keeps the non-amd64 file set compiling.
+# The window walk's portable path, which an AVX2 host takes only for PEs
+# wider than 128 lanes: 386 binaries run natively on x86-64 and build no
+# AVX2 kernel, so the walk's tests and fuzz seeds run the SWAR walk end to
+# end; and vetting for arm64 keeps the non-amd64 file set compiling.
 portable:
 	GOARCH=386 $(GO) test ./internal/sim ./internal/sched
 	GOARCH=arm64 $(GO) vet ./...
@@ -143,8 +143,8 @@ fuzz-sched:
 	$(GO) test ./internal/sched -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) -run '^$$'
 
 # Differential fuzz of the word-parallel window walk against its scalar
-# reference, under the SWAR fold and, where the CPU has AVX2, the AVX2
-# fold.
+# reference, under the SWAR walk and, where the CPU has AVX2, the AVX2
+# kernel.
 fuzz-kernel:
 	$(GO) test ./internal/sim -fuzz FuzzEvalWindowsMatchesScalar -fuzztime $(FUZZTIME) -run '^$$'
 
@@ -159,6 +159,12 @@ fuzz-codec:
 	$(GO) test ./internal/wsformat -fuzz FuzzDecodeRobust -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/compress -fuzz FuzzDecoderRobust -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/compress -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) -run '^$$'
+
+# Fuzz of /v1/simulate's request decoding and config resolution: arbitrary
+# bodies must never panic, every config that builds must validate, and
+# respelled backends and patterns must fingerprint alike.
+fuzz-serve:
+	$(GO) test ./internal/serve -fuzz FuzzSimulateRequest -fuzztime $(FUZZTIME) -run '^$$'
 
 fmt:
 	gofmt -w .

@@ -249,12 +249,46 @@ func (lw *Lowered) FilterRow(f int) []int32 {
 
 // FilterRowInto is FilterRow into caller-provided storage of length
 // Steps*Lanes, for engines that materialize many rows into a reused
-// arena.
+// arena. It gathers the row by stride instead of resolving each slot
+// through Weight: for each kernel offset (r, s) the filter's channels sit
+// one channel stride apart in the KCRS weight tensor, and a row slot is
+// step*Lanes + lane. Conv and FC rows take the channels in lane order, each
+// kernel offset's ceil(C/L) steps padded past the group's channels;
+// folded first layers lay the linearized reduction (r, s outer, channel
+// inner) across consecutive slots; depthwise rows hold the kernel offsets
+// in order. Every other slot is padding and reads 0.
 func (lw *Lowered) FilterRowInto(f int, out []int32) {
-	for st := 0; st < lw.Steps; st++ {
-		for ln := 0; ln < lw.Lanes; ln++ {
-			out[st*lw.Lanes+ln] = lw.Weight(f, st, ln)
+	out = out[:lw.Steps*lw.Lanes]
+	clear(out)
+	l, w := lw.layer, lw.layer.Weights
+	chanStride := w.Shape[2] * w.Shape[3]
+	base := f * w.Shape[1] * chanStride
+	// at is the weight-tensor index of channel 0 at kernel offset rs.
+	at := func(rs int) int { return base + rs/l.S*w.Shape[3] + rs%l.S }
+	switch l.Kind {
+	case Conv, FC:
+		gc := l.C
+		if l.Kind == Conv {
+			gc = l.GroupChannels()
 		}
+		// A kernel offset's channels start every rowLen slots.
+		rowLen := lw.chanGroups * lw.Lanes
+		if lw.folded {
+			rowLen = gc
+		}
+		for rs := 0; rs < l.R*l.S; rs++ {
+			src := at(rs)
+			dst := out[rs*rowLen : rs*rowLen+gc]
+			for c := range dst {
+				dst[c] = w.Data[src+c*chanStride]
+			}
+		}
+	case Depthwise:
+		for rs := 0; rs < l.R*l.S; rs++ {
+			out[rs] = w.Data[at(rs)]
+		}
+	default:
+		panic("nn: filter row of a non-compute layer")
 	}
 }
 

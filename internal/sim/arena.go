@@ -11,14 +11,14 @@ import (
 // Per-worker buffer reuse, mirroring the internal/sched kernel's arena
 // design. A figure sweep prepares tens of thousands of filter groups, and
 // each needs the same shapes every time: filter-row materializations, the
-// dense-schedule arena, and the lane-list, effectual-count, row-plane,
-// window-sum and PE-total grids the window walk reads. A worker prepares,
-// walks and finishes one group before it claims the next, so one
-// groupScratch per worker serves every group it runs, and steady-state
-// group turnover allocates nothing once the arena has warmed to the
-// largest group shape. Buffers that are rebuilt wholesale (weights, lane
-// lists and counts, planes) are reused dirty; the window sums and PE
-// totals, built with +=, are zeroed at carve time.
+// dense-schedule arena, and the lane-list, row-plane, window-sum and
+// PE-total grids the window walk reads. A worker prepares, walks and
+// finishes one group before it claims the next, so one groupScratch per
+// worker serves every group it runs, and steady-state group turnover
+// allocates nothing once the arena has warmed to the largest group shape.
+// Buffers that are rebuilt wholesale (weights, lane lists and counts,
+// planes) are reused dirty; the window sums and PE totals, built with +=,
+// are zeroed at carve time.
 
 // groupScratch is one pool worker's arena, handed out at pool spin-up
 // (indexed by the worker id runPool passes fn) and retained inside the
@@ -38,8 +38,8 @@ type groupScratch struct {
 	ptrs    []*sched.Schedule
 	// The group being run and the grids its context views.
 	ctx      groupCtx
-	laneOffs []int
-	nEff     []int32
+	list     []int
+	lists    laneLists
 	planes   []*costPlane
 	winSums  []uint64
 	wideMax  []uint64

@@ -16,10 +16,12 @@ import (
 // group: 16 FC filters of 256 inputs (16 columns of 16 lanes before
 // skipping), about half the weights and 40% of the activations zero, at
 // 1, 49, 128 and 3,136 windows, with a T8<2,5> front end gating idle lanes
-// and without one, under each fold: swar, and avx2 where the CPU has it.
+// and without one, under each walk: swar, and avx2 where the CPU has it.
 // ns/lane-word is the time per lane per 8-window word the walk covers:
 // (columns × rows × lanes × ⌈windows/8⌉) per walk, the same count under
-// both folds.
+// both walks. An avx2 walk builds each (column, row)'s lane list in the
+// kernel on every pass; a swar walk builds the group's lists on its first
+// pass and reuses them.
 func BenchmarkEvalWindows(b *testing.B) {
 	for _, windows := range []int{1, 49, 128, 3136} {
 		lw := benchFCLayer(b, windows)
@@ -29,15 +31,15 @@ func BenchmarkEvalWindows(b *testing.B) {
 			if gated {
 				name = "gated"
 			}
-			for _, fold := range folds {
-				b.Run(fmt.Sprintf("w%d/%s/%s", windows, name, fold.name), func(b *testing.B) {
-					if !fold.ok {
+			for _, walk := range walks {
+				b.Run(fmt.Sprintf("w%d/%s/%s", windows, name, walk.name), func(b *testing.B) {
+					if !walk.ok {
 						b.Skip("CPU has no AVX2")
 					}
 					ct := newCostTable(cfg.Backend, cfg.Width)
 					keyer := sched.NewCache(0).Keyer(cfg.Pattern, cfg.Scheduler)
 					ctx := prepareGroupInto(&groupScratch{}, cfg, lw, 0, &keyer, memoFor(cfg, lw, &keyer))
-					ctx.avx2 = fold.avx2
+					ctx.avx2 = walk.avx2
 					plane := buildPlane(lw, ct, 0)
 					for ri := range ctx.rowPlanes {
 						ctx.rowPlanes[ri] = plane

@@ -1,8 +1,10 @@
 package sim
 
+import "bittactical/internal/sched"
+
 // hasAVX2 reports whether this CPU and OS run AVX2 code; the window walk
-// folds with foldAVX2 when it holds and with the portable SWAR fold
-// otherwise. It is fixed at init.
+// runs columnAVX2 when it holds and the portable SWAR fold otherwise. It
+// is fixed at init.
 var hasAVX2 = detectAVX2()
 
 // detectAVX2 requires CPUID leaf 1's OSXSAVE and AVX bits (ECX 27 and 28),
@@ -23,15 +25,23 @@ func detectAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// foldAVX2 is the window walk's AVX2 fold: it folds the whole 32-window
-// block of every listed lane, reading 32 bytes at &plane[0]+off for each
-// lane offset off and masking them by valid, into f's per-window max,
-// per-window nonzero count and cost sum. It is exact for at most
-// laneChunk lanes, does no bounds check (the walk holds off + block start
-// + 32 <= len(plane data)), and may only run when hasAVX2 holds.
+// columnAVX2 is the window walk's AVX2 kernel for one (schedule column,
+// PE row); the walk calls it when hasAVX2 holds and the PE has at most
+// laneChunk lanes. entries is the column's lanes, headSlot the column
+// head's first slot (Head × Lanes) and slots the layer's Steps × Lanes.
+// It partitions the lanes into list, effectual ones first, as plane byte
+// offsets (slot × windows), and returns nEff = -1 before it reads a plane
+// byte if any slot is not below slots. It then walks every 32-window block
+// of the row's cost plane, len(sums)/8 of them, masking the last by last,
+// adds each block's peMax into the row's window sums, and returns the
+// effectual cost sum, the idle one (0 when gate holds), Σ peMax,
+// Σ peMax·nzE, Σ peMax·nzI and the effectual count. It is exact for at
+// most laneChunk lanes and does no other bounds check: the walk holds
+// (slots-1) × windows + 32 × len(sums)/8 <= len(plane) and len(list) >=
+// len(entries).
 //
 //go:noescape
-func foldAVX2(plane []uint8, lanes []int, valid *blockMask, f *blockFold)
+func columnAVX2(entries []sched.Entry, headSlot, slots, windows int, plane []uint8, sums []uint64, last *blockMask, list []int, gate bool) (costE, costI, maxSum, dotE, dotI int64, nEff int)
 
 // cpuid executes CPUID for leaf (EAX) and subleaf (ECX).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

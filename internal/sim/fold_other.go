@@ -2,11 +2,13 @@
 
 package sim
 
-// hasAVX2 is false off amd64: the window walk folds with the portable
-// SWAR fold alone.
+import "bittactical/internal/sched"
+
+// hasAVX2 is false off amd64: the window walk runs the portable SWAR fold
+// alone.
 const hasAVX2 = false
 
-// foldAVX2 is never called off amd64, where hasAVX2 is false.
-func foldAVX2(plane []uint8, lanes []int, valid *blockMask, f *blockFold) {
-	panic("sim: AVX2 fold on a non-amd64 build")
+// columnAVX2 is never called off amd64, where hasAVX2 is false.
+func columnAVX2(entries []sched.Entry, headSlot, slots, windows int, plane []uint8, sums []uint64, last *blockMask, list []int, gate bool) (costE, costI, maxSum, dotE, dotI int64, nEff int) {
+	panic("sim: AVX2 kernel on a non-amd64 build")
 }

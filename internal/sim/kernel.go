@@ -3,35 +3,38 @@
 // the maximum serial cost over the PE's participating lanes — the hottest
 // reduction in the simulator: it runs once per (schedule column, PE row,
 // window). A window-minor cost plane puts one lane's costs for
-// consecutive windows in consecutive bytes, so evalWindows (sim.go) walks
-// each (column, row)'s windows 8 at a time, a lane-word (one uint64) per
-// lane, and folds each word across the (column, row)'s lane list. A fold
-// gives, per window, the max cost and the number of nonzero costs over
-// the listed lanes, and the cost sum. Two folds honor that contract. The
-// portable SWAR fold, foldSync and foldCount, takes one word per call and
-// runs wherever the CPU lacks AVX2. foldAVX2 (fold_amd64.s) takes a
-// 32-window block, four words, per 32-byte load into a blockFold, and
-// runs when the CPU has AVX2 (hasAVX2, fixed at init); the walk calls it
-// at a block's first word and reads the next three from its result.
-// The SWAR fold's accumulators are three words that stay in registers:
-// the column max (byteMax), the nonzero-cost counts one byte per window,
-// and the cost sums in 16-bit fields. Both folds feed one census tail
-// (atLeastOne, byteSum, dot), SWAR a word at a time, so the walk's
-// outputs do not depend on which fold ran.
+// consecutive windows in consecutive bytes, so evalWindows (sim.go) folds
+// many windows per load. A fold gives, per window, the max cost and the
+// number of nonzero costs over a (column, row)'s lanes, and the cost sum;
+// a census tail turns them into peMax = max(1, column max) and the
+// Figure-9 sums. Two walks honor that contract. On a CPU with AVX2
+// (hasAVX2, fixed at init) and for PEs of at most laneChunk lanes, the
+// walk makes one columnAVX2 call (fold_amd64.s) per (column, row): the
+// call partitions the column's lanes into a list of plane offsets, folds
+// the row 32 windows (one 32-byte load per lane) at a time and keeps the
+// census tail in vector registers. Elsewhere the portable SWAR walk folds
+// one 8-window lane-word (a uint64) per step with foldSync and foldCount,
+// whose accumulators are three words that stay in registers: the column
+// max (byteMax), the nonzero-cost counts one byte per window, and the cost
+// sums in 16-bit fields; its census tail is atLeastOne, byteSum and dot, a
+// word at a time. Both give bit-identical outputs.
 //
 // Invariant: every cost byte is <= maxLaneCost (127). The word-parallel
-// unsigned compare borrows through bit 7 of each byte, and the nonzero
-// test (c + 0x7f) would carry into the next byte, so costs must leave the
+// unsigned compare borrows through bit 7 of each byte, the nonzero test
+// (c + 0x7f) would carry into the next byte, and the AVX2 kernel's
+// VPMADDUBSW takes peMax as its signed operand, so costs must leave the
 // high bit clear. newCostTable panics on any back-end cost outside [0,
 // maxLaneCost]; real costs never exceed width+1 <= 17.
 //
 // Exactness bounds a fold to laneChunk lanes: its byte counts reach at
 // most 128, and a dot product's 16-bit fields at most 4 × 127 × 128 <
-// 2^16. TestByteMax checks byteMax exhaustively over 7-bit byte pairs,
-// TestCensusKernels the census helpers at their bounds and
-// TestFoldBlockMatchesWords foldSync and foldCount against a scalar fold
-// and foldAVX2 against them; the window walk's scalar reference and its
-// differential tests are in window_test.go.
+// 2^16 under dot, or 2 × 127 × 128 = 32,512 under VPMADDUBSW, whose
+// unsigned operand holds the counts. TestByteMax checks byteMax
+// exhaustively over 7-bit byte pairs, TestCensusKernels the census
+// helpers at their bounds, TestFoldBlockMatchesWords foldSync and
+// foldCount against a scalar fold, and TestColumnAVX2 one columnAVX2 call
+// against a scalar walk of its column; the window walk's scalar reference
+// and its differential tests are in window_test.go.
 package sim
 
 import (
@@ -46,28 +49,21 @@ const maxLaneCost = 127
 
 // laneChunk is the most lanes one fold covers: a byte count of nonzero
 // costs stays at most 128 and a 16-bit cost-sum field at most 2 × 127 ×
-// 128, and dot stays exact for counts up to 128. Wider PEs fold their
-// lanes a chunk at a time and add up the chunks' sums and dot products.
+// 128, and dot and VPMADDUBSW stay exact for counts up to 128. The SWAR
+// walk folds a wider PE's lanes a chunk at a time and adds up the chunks'
+// sums and dot products; the AVX2 kernel serves PEs of at most laneChunk
+// lanes.
 const laneChunk = 128
 
-// blockWindows is the windows one AVX2 fold covers: one 32-byte load,
+// blockWindows is the windows one AVX2 block covers: one 32-byte load,
 // four lane-words. A cost plane ends in blockWindows spare zero bytes, so
 // a block load that starts at any window of the plane's last slot stays
-// inside it.
+// inside it, and the walk's window sums hold whole blocks.
 const blockWindows = 32
 
 // blockMask is one byte per window of a block, 8 windows a word: 0xff for
 // the windows the walk counts, 0 for those past the layer's last window.
 type blockMask [blockWindows / 8]uint64
-
-// blockFold is one AVX2 fold's result over a block of listed lanes: per
-// window, the max cost (mx) and the number of nonzero costs (nz), one byte
-// each, 8 windows a word; and sum, the costs summed over every window and
-// lane. Masked windows read as cost 0.
-type blockFold struct {
-	mx, nz blockMask
-	sum    int64
-}
 
 // SWAR constants: each byte of a word is one window.
 const (

@@ -311,29 +311,31 @@ type groupCtx struct {
 	nrows, cols  int
 	windows      int  // the layer's window count; evalWindows walks them all
 	needsWindows bool // serial back-ends walk windows; bit-parallel is done at prepare
-	// laneOffs[cr*lanes : (cr+1)*lanes] is (column, row) cr's lane list:
-	// each lane's cost row as a byte offset into its row's plane, slot ×
-	// windows, where the slot (step*lanes + lane) is the promoted weight's
-	// dense position for an effectual lane and the column head's for an
-	// idle one. The effectual lanes come first, nEff[cr] of them. Gated
-	// configs sync the column on those alone; ungated ones sync every lane.
-	laneOffs []int
-	nEff     []int32
-	// maxOff is the largest offset in laneOffs. The walk reads 32 bytes
-	// from offset + block start, and block starts stay below span, so
-	// every read stays inside a plane whose length is at least
-	// maxOff + span.
-	maxOff int
+	// schedules[ri] is PE row ri's schedule; the walk reads (column, row)
+	// cr's lanes from schedules[ri].Columns[ci]. A lane's cost row in its
+	// row's plane is its slot (step*lanes + lane): the promoted weight's
+	// dense position (Src) for an effectual lane, the column head's for an
+	// idle one. Gated configs sync the column on the effectual lanes alone;
+	// ungated ones sync every lane.
+	schedules []*sched.Schedule
+	// slots is the layer's Steps × Lanes: every slot a lane reads lies
+	// below it, and a plane holds slots × windows cost bytes.
+	slots int
+	// list is columnAVX2's lane list, one (column, row)'s at a time.
+	list []int
+	// lists is the SWAR walk's lane lists, built by its first walk of the
+	// group.
+	lists *laneLists
 	// span is the windows rounded up to whole 32-window blocks.
 	span int
 	// rowPlanes[ri] is PE row ri's activation cost plane (rows of one act
 	// group share a plane; row-invariant layers share one across all
 	// rows). Resolved by the engine between prepare and the window walk.
 	rowPlanes []*costPlane
-	// winSums holds each PE row's column max per window summed over up to
-	// winFlushCols columns, in 16-bit fields: span/4 words a row, and per
+	// winSums holds the walked PE row's column max per window summed over
+	// up to winFlushCols columns, in 16-bit fields: span/4 words, and per
 	// 8 windows two words, the even windows' sums and the odd windows'.
-	// Zeroed at prepare, summed and flushed by evalWindows.
+	// Zeroed at prepare, summed by the walk and zeroed by each flush.
 	winSums []uint64
 	// wideMax holds, for a PE wider than laneChunk lanes, the current
 	// (column, row)'s peMax per 8 windows, taken with its first lane chunk
@@ -341,13 +343,25 @@ type groupCtx struct {
 	wideMax []uint64
 	// peTotals[ri*WindowsPerTile+pc] is PE (row ri, column pc)'s cycle
 	// total over the group's windows: window w runs on PE column w mod
-	// WindowsPerTile in every (column, row), so evalWindows adds winSums
-	// to it once per winFlushCols columns instead of once per column.
+	// WindowsPerTile in every (column, row), so the walk adds winSums to
+	// it once per winFlushCols columns instead of once per column.
 	// finishGroup reads it.
 	peTotals []int64
 	gate     bool
-	avx2     bool        // fold with foldAVX2; hasAVX2 unless a test picks a fold
+	avx2     bool        // walk with columnAVX2; hasAVX2 unless a test picks a walk
 	base     groupResult // window-independent accumulations (full result when !needsWindows)
+}
+
+// laneLists is the SWAR walk's lane lists for one group, row-major:
+// offs[rc*lanes : (rc+1)*lanes], rc = ri*cols + ci, is (column ci, row
+// ri)'s lanes as plane byte
+// offsets, slot × windows, with the effectual lanes first, nEff[cr] of
+// them (nEff[rc]). built is cleared at prepare, so a group's first SWAR walk builds
+// the lists and later walks of it reuse them.
+type laneLists struct {
+	offs  []int
+	nEff  []int32
+	built bool
 }
 
 // windowPartial is the window walk's lane census and serial-cycle count
@@ -452,7 +466,8 @@ func groupCensus(schedules []*sched.Schedule, filters []sched.Filter) sched.Grou
 
 // prepareGroupInto builds the context of lw's filter group g under cfg:
 // the front-end census, datapath activity that depends only on column
-// structure, and the per-column lane references the window walk consumes.
+// structure, and, for serial back-ends, the schedules the window walk
+// reads its lanes from.
 // The census comes from the lowering's memo, which the group's first
 // preparation fills from its schedules (groupSchedules); after that only
 // serial back-ends, whose window walk reads the columns, look schedules
@@ -516,20 +531,21 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 		r.activity.OffsetEncodes += int64(cols) * int64(lanes) * int64(W)
 	}
 
-	// Serial back-ends: column structure is window-independent; precompute
-	// each (column, row)'s lane list once for the window walk. The lists,
-	// their effectual counts and rowPlanes are rebuilt wholesale (reused
-	// dirty); the +=-summed totals are zeroed here.
+	// Serial back-ends: the walk reads each (column, row)'s lanes from the
+	// schedules. The row planes are filled in by the engine; the
+	// +=-summed totals are zeroed here.
 	ctx.gate = cfg.HasFrontEnd()
+	ctx.schedules = schedules
+	ctx.slots = lw.Steps * lanes
 	ctx.span = blockWindows * ((W + blockWindows - 1) / blockWindows)
-	sc.laneOffs = grow(sc.laneOffs, cols*nrows*lanes)
-	ctx.laneOffs = sc.laneOffs
-	sc.nEff = grow(sc.nEff, cols*nrows)
-	ctx.nEff = sc.nEff
+	sc.list = grow(sc.list, lanes)
+	ctx.list = sc.list
+	sc.lists.built = false
+	ctx.lists = &sc.lists
 	sc.planes = grow(sc.planes, nrows)
 	ctx.rowPlanes = sc.planes
 	clear(ctx.rowPlanes)
-	sc.winSums = grow(sc.winSums, nrows*ctx.span/4)
+	sc.winSums = grow(sc.winSums, ctx.span/4)
 	ctx.winSums = sc.winSums
 	clear(ctx.winSums)
 	if lanes > laneChunk {
@@ -539,30 +555,6 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 	sc.peTotals = grow(sc.peTotals, nrows*wg)
 	ctx.peTotals = sc.peTotals
 	clear(ctx.peTotals)
-	// Each row's schedule is read in column order, and each list is
-	// partitioned without a data-dependent branch: m is all ones for an
-	// effectual lane and zero for an idle one, and selects the lane's slot
-	// and its position (effectual lanes fill the list from the front, idle
-	// ones from the back).
-	maxSlot := 0
-	for ri := 0; ri < nrows; ri++ {
-		for ci, col := range schedules[ri].Columns[:cols] {
-			cr := ci*nrows + ri
-			offs := ctx.laneOffs[cr*lanes : (cr+1)*lanes]
-			eff, idle := 0, lanes-1
-			for ln, e := range col.Entries {
-				m := -int(uint32(e.Weight|-e.Weight) >> 31)
-				slot := col.Head*lanes + ln
-				slot ^= (slot ^ int(e.Src)) & m
-				offs[idle+(eff-idle)&m] = slot * W
-				maxSlot = max(maxSlot, slot)
-				eff -= m
-				idle -= 1 + m
-			}
-			ctx.nEff[cr] = int32(eff)
-		}
-	}
-	ctx.maxOff = maxSlot * W
 	return ctx
 }
 
@@ -582,25 +574,26 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 // windows congruent to its position.
 //
 // The walk is word-parallel over windows. Planes are window-minor, so a
-// lane's costs for consecutive windows are consecutive bytes, and one
-// uint64 holds a lane-word: one lane's costs for 8 windows. For each
-// (column, row) the walk takes the windows a word at a time, words outside
-// and lanes inside, and folds each word across the (column, row)'s lane
-// list into, one byte per window,
+// lane's costs for consecutive windows are consecutive bytes. For each
+// (column, row) the walk partitions the column's lanes into a list of
+// plane offsets, effectual lanes first, and folds the row's windows
+// across that list into, one byte per window,
 //
 //   - peMax, the column max over the syncing lanes, raised to at least 1;
 //   - nzE and nzI, the number of nonzero costs over the effectual and the
 //     idle lanes;
 //
-// and the word's cost sums over the effectual lanes (and the idle ones
-// when no front end gates them). Two folds give these. The SWAR fold
-// (foldSync, foldCount) folds one word per call. The AVX2 fold (foldAVX2)
-// folds a 32-window block, four words, per pass: the walk runs it at each
-// block's first word and reads the block's next three words from its
-// results. One census tail serves both: byteSum gives a word's Σ peMax and
-// dot its Σ peMax·nzE and Σ peMax·nzI. The Figure-9 lane census then
-// follows from sums alone (E: effectual lanes, I: idle lanes, nEff and
-// nIdle their counts, Σ over every (column, row, window)):
+// and the cost sums over the effectual lanes (and the idle ones when no
+// front end gates them). Two walks do this. On a CPU with AVX2, and for
+// PEs of at most laneChunk lanes, walkKernel makes one columnAVX2 call
+// per (column, row): the call builds the list and folds the row 32
+// windows a block, its census kept in vector registers. Elsewhere
+// walkSWAR folds one 8-window lane-word (one uint64) per step over lists
+// it builds for the whole group on its first walk (buildLists), and a
+// SWAR census tail gives a word's Σ peMax (byteSum) and its Σ peMax·nzE
+// and Σ peMax·nzI (dot). The Figure-9 lane census then follows from sums
+// alone (E: effectual lanes, I: idle lanes, nEff and nIdle their counts,
+// Σ over every (column, row, window)):
 //
 //	Useful     = Σ_E c
 //	ColumnSync = Σ peMax·nzE − Σ_E c
@@ -611,57 +604,111 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 // and the lane cycles add Σ_I c only when the config has no front-end to
 // gate idle lanes. Every term is an exact integer sum, so the result is
 // bit-identical to a per-lane walk that classifies each (lane, window)
-// into one census bucket, whichever fold ran. A fold's counts and sums
-// are exact for laneChunk lanes, so a wider PE folds its lane list a chunk
-// at a time, chunks outside and words inside, and adds up the chunks' sums
-// and dot products; since every dot product needs the column max, its
-// first chunk also folds all of its syncing lanes for that max and keeps
-// it, one word per 8 windows, in wideMax for the other chunks. Costs are
-// loaded from PE row ri's cost plane, rowPlanes[ri], at the lane list's
-// offsets; rows of one act group share a plane, so row-invariant,
-// grouped, and depthwise layers all take this path.
+// into one census bucket, whichever walk ran. Costs are loaded from PE
+// row ri's cost plane, rowPlanes[ri]; rows of one act group share a
+// plane, so row-invariant, grouped, and depthwise layers all take this
+// path.
 //
-// Each window's peMax is added to its row's winSums, 16-bit fields that
-// hold winFlushCols columns; flushWindows adds them to the PE totals after
-// every winFlushCols columns and after the last.
+// Both walks go row by row, the row's columns in order. Each window's
+// peMax is added to winSums, 16-bit fields that hold winFlushCols
+// columns; flushWindows adds them to the row's PE totals after every
+// winFlushCols columns and after the row's last.
 func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
-	W, span, avx2 := ctx.windows, ctx.span, ctx.avx2
+	W, span := ctx.windows, ctx.span
 	for _, p := range ctx.rowPlanes {
 		// A block load reads plane bytes [off+at, off+at+32) for an offset
-		// off <= maxOff and a block start at <= span-32.
-		if ctx.maxOff+span > len(p.data) {
-			panic(fmt.Sprintf("sim: lane offset %d + %d windows overrun a %d-byte cost plane", ctx.maxOff, span, len(p.data)))
+		// off <= (slots-1)*W and a block start at <= span-32.
+		if (ctx.slots-1)*W+span > len(p.data) {
+			panic(fmt.Sprintf("sim: %d slots of %d windows overrun a %d-byte cost plane", ctx.slots, W, len(p.data)))
 		}
 	}
-	// The AVX2 fold masks a block by full, or the last block by last; the
-	// SWAR fold masks the layer's last word by tail.
-	full := blockMask{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	// The AVX2 kernel masks the row's last block by last; the SWAR walk
+	// masks the layer's last word by its word of last.
 	var last blockMask
 	lastWindows := W - (span - blockWindows)
 	for k := range last {
 		n := min(max(lastWindows-8*k, 0), 8)
 		last[k] = ^uint64(0) >> (64 - 8*uint(n))
 	}
-	tail := last[(lastWindows-1)/8]
+	var s walkSums
+	if ctx.avx2 && lanes <= laneChunk {
+		s = ctx.walkKernel(lanes, wg, &last)
+	} else {
+		s = ctx.walkSWAR(lanes, wg, last[(lastWindows-1)/8])
+	}
+	wp := windowPartial{serial: s.costEff}
+	wp.backEnd.Useful = s.costEff
+	wp.backEnd.ColumnSync = s.dotEff - s.costEff
+	wp.backEnd.AZero = s.maxEff - s.dotEff
+	wp.backEnd.WZero = s.dotIdle
+	wp.backEnd.BothZero = int64(lanes)*s.maxSum - s.maxEff - s.dotIdle
+	if !ctx.gate {
+		wp.serial += s.costIdle
+	}
+	return wp
+}
+
+// walkSums is a window walk's census sums over the group.
+type walkSums struct {
+	costEff, costIdle int64 // Σ_E c, and Σ_I c without a front end
+	maxSum, maxEff    int64 // Σ peMax, Σ nEff·peMax
+	dotEff, dotIdle   int64 // Σ peMax·nzE, Σ peMax·nzI
+}
+
+// walkKernel is the window walk under columnAVX2, one call per (column,
+// row); the PE has at most laneChunk lanes.
+func (ctx *groupCtx) walkKernel(lanes, wg int, last *blockMask) (s walkSums) {
+	for ri := 0; ri < ctx.nrows; ri++ {
+		plane := ctx.rowPlanes[ri].data
+		for ci, col := range ctx.schedules[ri].Columns[:ctx.cols] {
+			costE, costI, rowMax, dotE, dotI, nEff := columnAVX2(col.Entries[:lanes], col.Head*lanes, ctx.slots, ctx.windows,
+				plane, ctx.winSums, last, ctx.list, ctx.gate)
+			if nEff < 0 {
+				ctx.slotOutside(ci, ri, lanes)
+			}
+			s.costEff += costE
+			s.costIdle += costI
+			s.maxSum += rowMax
+			s.maxEff += int64(nEff) * rowMax
+			s.dotEff += dotE
+			s.dotIdle += dotI
+			if (ci+1)%winFlushCols == 0 || ci+1 == ctx.cols {
+				ctx.flushWindows(ri, wg)
+			}
+		}
+	}
+	return s
+}
+
+// walkSWAR is the portable window walk: for each (column, row) it takes
+// the windows a lane-word at a time, words outside and lanes inside, and
+// folds each word across the (column, row)'s lane list with foldSync and
+// foldCount; tail masks the layer's last word. A fold's counts and sums
+// are exact for laneChunk lanes, so a wider PE folds its lane list a chunk
+// at a time, chunks outside and words inside, and adds up the chunks'
+// sums and dot products; since every dot product needs the column max,
+// its first chunk also folds all of its syncing lanes for that max and
+// keeps it, one word per 8 windows, in wideMax for the other chunks.
+func (ctx *groupCtx) walkSWAR(lanes, wg int, tail uint64) walkSums {
+	ctx.buildLists(lanes)
+	W, sums := ctx.windows, ctx.winSums
 	var (
 		costEff, costIdle int64 // Σ_E c, and Σ_I c without a front end
 		maxSum, maxEff    int64 // Σ peMax, Σ nEff·peMax
 		dotEff, dotIdle   int64 // Σ peMax·nzE, Σ peMax·nzI
-		fs, fe, fi        blockFold
 	)
 	wide := lanes > laneChunk
-	for ci := 0; ci < ctx.cols; ci++ {
-		for ri := 0; ri < ctx.nrows; ri++ {
-			cr := ci*ctx.nrows + ri
-			list := ctx.laneOffs[cr*lanes : (cr+1)*lanes]
-			nEff := int(ctx.nEff[cr])
+	for ri := 0; ri < ctx.nrows; ri++ {
+		plane := ctx.rowPlanes[ri].data
+		for ci := 0; ci < ctx.cols; ci++ {
+			rc := ri*ctx.cols + ci
+			list := ctx.lists.offs[rc*lanes : (rc+1)*lanes]
+			nEff := int(ctx.lists.nEff[rc])
 			sync := list
 			if ctx.gate {
 				sync = list[:nEff]
 			}
-			plane := ctx.rowPlanes[ri].data
-			sums := ctx.winSums[ri*span/4 : (ri+1)*span/4]
 			var rowMax int64 // Σ peMax over this (column, row)
 			for c0 := 0; c0 < lanes; c0 += laneChunk {
 				c1 := min(c0+laneChunk, lanes)
@@ -673,42 +720,15 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 					if at+8 > W {
 						valid = tail
 					}
-					// The fold: word k of the AVX2 pass over this block, or
-					// foldSync and foldCount over this word.
-					var mE, nzE, mI, nzI, mS uint64
-					if avx2 {
-						k := at >> 3 & 3
-						if k == 0 {
-							vb := &full
-							if at+blockWindows > W {
-								vb = &last
-							}
-							block := plane[at:]
-							foldAVX2(block, eff, vb, &fe)
-							foldAVX2(block, idle, vb, &fi)
-							if syncMax {
-								foldAVX2(block, sync, vb, &fs)
-							}
-							costEff += fe.sum
-							if !ctx.gate {
-								costIdle += fi.sum
-							}
-						}
-						mE, nzE, mI, nzI, mS = fe.mx[k], fe.nz[k], fi.mx[k], fi.nz[k], fs.mx[k]
+					word := plane[at:]
+					mE, nzE, sum := foldSync(word, eff, valid)
+					costEff += fieldSum(sum)
+					var mI, nzI uint64
+					if ctx.gate {
+						nzI = foldCount(word, idle, valid)
 					} else {
-						word := plane[at:]
-						var sum uint64
-						mE, nzE, sum = foldSync(word, eff, valid)
-						costEff += fieldSum(sum)
-						if ctx.gate {
-							nzI = foldCount(word, idle, valid)
-						} else {
-							mI, nzI, sum = foldSync(word, idle, valid)
-							costIdle += fieldSum(sum)
-						}
-						if syncMax {
-							mS, _, _ = foldSync(word, sync, valid)
-						}
+						mI, nzI, sum = foldSync(word, idle, valid)
+						costIdle += fieldSum(sum)
 					}
 					// The census tail.
 					var p uint64 // peMax
@@ -717,8 +737,8 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 						if !ctx.gate {
 							m = byteMax(m, mI)
 						}
-						if wide {
-							m = mS
+						if syncMax {
+							m, _, _ = foldSync(word, sync, valid)
 						}
 						p = atLeastOne(m) & valid
 						if wide {
@@ -736,44 +756,106 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 			}
 			maxSum += rowMax
 			maxEff += int64(nEff) * rowMax
-		}
-		if (ci+1)%winFlushCols == 0 || ci+1 == ctx.cols {
-			ctx.flushWindows(wg)
+			if (ci+1)%winFlushCols == 0 || ci+1 == ctx.cols {
+				ctx.flushWindows(ri, wg)
+			}
 		}
 	}
-	wp := windowPartial{serial: costEff}
-	wp.backEnd.Useful = costEff
-	wp.backEnd.ColumnSync = dotEff - costEff
-	wp.backEnd.AZero = maxEff - dotEff
-	wp.backEnd.WZero = dotIdle
-	wp.backEnd.BothZero = int64(lanes)*maxSum - maxEff - dotIdle
-	if !ctx.gate {
-		wp.serial += costIdle
+	return walkSums{costEff, costIdle, maxSum, maxEff, dotEff, dotIdle}
+}
+
+// buildLists fills ctx.lists from the rows' schedules unless they are
+// built. Each list is partitioned without a data-dependent branch: m is
+// all ones for an effectual lane and zero for an idle one, and selects the
+// lane's slot and its position (effectual lanes fill the list from the
+// front, idle ones from the back). A slot outside the layer panics before
+// the walk reads a plane byte.
+func (ctx *groupCtx) buildLists(lanes int) {
+	l := ctx.lists
+	if l.built {
+		return
 	}
-	return wp
+	l.offs = grow(l.offs, ctx.cols*ctx.nrows*lanes)
+	l.nEff = grow(l.nEff, ctx.cols*ctx.nrows)
+	for ri := 0; ri < ctx.nrows; ri++ {
+		for ci, col := range ctx.schedules[ri].Columns[:ctx.cols] {
+			rc := ri*ctx.cols + ci
+			offs := l.offs[rc*lanes : (rc+1)*lanes]
+			eff, idle := 0, lanes-1
+			for ln, e := range col.Entries {
+				m := -int(uint32(e.Weight|-e.Weight) >> 31)
+				slot := col.Head*lanes + ln
+				slot ^= (slot ^ int(e.Src)) & m
+				if uint(slot) >= uint(ctx.slots) {
+					ctx.slotOutside(ci, ri, lanes)
+				}
+				offs[idle+(eff-idle)&m] = slot * ctx.windows
+				eff -= m
+				idle -= 1 + m
+			}
+			l.nEff[rc] = int32(eff)
+		}
+	}
+	l.built = true
+}
+
+// slotOutside panics for the first lane of (column ci, row ri) whose slot
+// is not below ctx.slots: the schedule names an activation the layer's
+// cost plane does not hold.
+func (ctx *groupCtx) slotOutside(ci, ri, lanes int) {
+	col := &ctx.schedules[ri].Columns[ci]
+	for ln, e := range col.Entries {
+		slot := col.Head*lanes + ln
+		if e.Weight != 0 {
+			slot = int(e.Src)
+		}
+		if uint(slot) >= uint(ctx.slots) {
+			panic(fmt.Sprintf("sim: column %d of PE row %d: lane %d reads slot %d outside the layer's %d", ci, ri, ln, slot, ctx.slots))
+		}
+	}
+	panic(fmt.Sprintf("sim: column %d of PE row %d: no lane reads outside the layer's %d slots", ci, ri, ctx.slots))
 }
 
 // winFlushCols is the most columns winSums holds: a 16-bit field adds
 // one peMax <= maxLaneCost per column.
 const winFlushCols = 0xffff / maxLaneCost
 
-// flushWindows adds each row's winSums to its PE totals, window w to PE
-// column w mod wg, and zeroes them. Window w's sum is field (w mod 8)/2
-// of word 2(w/8) for an even w and of word 2(w/8)+1 for an odd one.
-func (ctx *groupCtx) flushWindows(wg int) {
-	W, span := ctx.windows, ctx.span
-	for ri := 0; ri < ctx.nrows; ri++ {
-		sums := ctx.winSums[ri*span/4 : ri*span/4+(W+7)/8*2]
-		pe := ctx.peTotals[ri*wg : (ri+1)*wg]
-		pc := 0
+// flushWindows adds winSums to row ri's PE totals, window w to PE column
+// w mod wg, and zeroes them. Window w's sum is field (w mod 8)/2 of word
+// 2(w/8) for an even w and of word 2(w/8)+1 for an odd one. When wg is a
+// multiple of 8, the 8 windows of a word pair go to 8 consecutive PE
+// columns starting at 8k mod wg; windows past the layer's last carry a
+// zero sum, so the pair is added whole.
+func (ctx *groupCtx) flushWindows(ri, wg int) {
+	W := ctx.windows
+	sums := ctx.winSums[:(W+7)/8*2]
+	pe := ctx.peTotals[ri*wg : (ri+1)*wg]
+	pc := 0
+	if wg%8 == 0 {
+		for k := 0; k < len(sums); k += 2 {
+			e, o := sums[k], sums[k+1]
+			p := pe[pc : pc+8 : pc+8]
+			p[0] += int64(e & 0xffff)
+			p[1] += int64(o & 0xffff)
+			p[2] += int64(e >> 16 & 0xffff)
+			p[3] += int64(o >> 16 & 0xffff)
+			p[4] += int64(e >> 32 & 0xffff)
+			p[5] += int64(o >> 32 & 0xffff)
+			p[6] += int64(e >> 48)
+			p[7] += int64(o >> 48)
+			if pc += 8; pc == wg {
+				pc = 0
+			}
+		}
+	} else {
 		for w := 0; w < W; w++ {
 			pe[pc] += int64(sums[w>>3<<1|w&1] >> (w & 6 * 8) & 0xffff)
 			if pc++; pc == wg {
 				pc = 0
 			}
 		}
-		clear(sums)
 	}
+	clear(sums)
 }
 
 // finishGroup completes a serial group's result shard from its window

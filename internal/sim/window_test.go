@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"bittactical/internal/arch"
@@ -16,39 +17,52 @@ import (
 
 // evalWindowsScalar is the per-lane window walk the engine ran before the
 // word-parallel one, kept as its executable specification. It visits one
-// (column, row, window) at a time. From the prepared lane lists it reads
-// only which activation each lane sees and whether the lane is effectual:
-// a lane's slot is its plane offset divided by the window count, and the
-// lane is effectual when its position in the list is below the (column,
-// row)'s effectual count. It fetches every lane's cost straight through
-// Act and the cost table (so it does not depend on the plane layout),
-// takes the column max with columnMaxScalar, and classifies each lane into
-// one census bucket with a four-way switch. It walks the window range
-// [wLo, wHi) — whole window groups — and returns the census and serial
-// cycles over it with the per-(row, PE column) cycle totals.
+// (column, row, window) at a time. It derives each lane's slot from the
+// (column, row)'s schedule column itself, not from either walk's lane
+// lists: Src for a nonzero weight, Head×Lanes+lane otherwise; the lane is
+// effectual when its weight is nonzero. It fetches every lane's cost
+// straight through Act and the cost table (so it does not depend on the
+// plane layout), takes the column max with columnMaxScalar over the lanes
+// ordered effectual first, and classifies each lane into one census
+// bucket with a four-way switch. It walks the window range [wLo, wHi) —
+// whole window groups — and returns the census and serial cycles over it
+// with the per-(row, PE column) cycle totals.
 func evalWindowsScalar(ctx *groupCtx, cfg arch.Config, lw *nn.Lowered, ct *costTable, f0, wLo, wHi int) (wp windowPartial, peTotals []int64) {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
 	peTotals = make([]int64, ctx.nrows*wg)
 	laneCost := make([]uint8, lanes)
+	slots := make([]int, lanes)
 	for w0 := wLo; w0 < wHi; w0 += wg {
 		w1 := min(w0+wg, wHi)
 		for ci := 0; ci < ctx.cols; ci++ {
 			for ri := 0; ri < ctx.nrows; ri++ {
-				cr := ci*ctx.nrows + ri
-				offs := ctx.laneOffs[cr*lanes : (cr+1)*lanes]
-				nEff := int(ctx.nEff[cr])
+				// The lanes' slots, effectual lanes first.
+				col := ctx.schedules[ri].Columns[ci]
+				nEff := 0
+				for _, e := range col.Entries {
+					if e.Weight != 0 {
+						slots[nEff] = int(e.Src)
+						nEff++
+					}
+				}
+				i := nEff
+				for ln, e := range col.Entries {
+					if e.Weight == 0 {
+						slots[i] = col.Head*lanes + ln
+						i++
+					}
+				}
 				nSync := lanes
 				if ctx.gate {
 					nSync = nEff
 				}
 				for win := w0; win < w1; win++ {
-					for i, off := range offs {
-						slot := off / ctx.windows
+					for i, slot := range slots {
 						laneCost[i] = ct.costU8(lw.Act(f0+ri, win, slot/lanes, slot%lanes))
 					}
 					peMax := columnMaxScalar(laneCost, nSync)
 					peTotals[ri*wg+win-w0] += int64(peMax)
-					for i := range offs {
+					for i := range slots {
 						effectual := i < nEff
 						c := int(laneCost[i])
 						switch {
@@ -140,8 +154,9 @@ func denseFCLayer(tb testing.TB, lanes, windows int) *nn.Lowered {
 }
 
 // checkWindowsMatchScalar prepares every filter group of lw under cfg and
-// requires evalWindows, folding with foldAVX2 when avx2 is set and with
-// the SWAR fold otherwise, to reproduce evalWindowsScalar: PE totals,
+// requires evalWindows, under columnAVX2 when avx2 is set (and the PE has
+// at most laneChunk lanes) and the SWAR walk otherwise, to reproduce
+// evalWindowsScalar: PE totals,
 // every census field and the serial lane cycles. The reference walks the
 // group's window groups in `slices` contiguous runs and sums them, so the
 // single word-parallel pass is also held to run boundaries that need not
@@ -192,10 +207,10 @@ func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, sli
 	}
 }
 
-// folds are the window walk's two folds: swar runs on every host, avx2
+// walks are the window walk's two paths: swar runs on every host, avx2
 // only where the CPU has AVX2 (ok). Tests pick one per walk through
 // groupCtx.avx2.
-var folds = []struct {
+var walks = []struct {
 	name     string
 	avx2, ok bool
 }{{"swar", false, true}, {"avx2", true, hasAVX2}}
@@ -218,22 +233,22 @@ func windowConfig(gated, tclp, w8 bool, lanes, wg int) arch.Config {
 	return cfg
 }
 
-// eachFold runs check once per fold as a subtest, skipping the AVX2 fold
+// eachWalk runs check once per walk as a subtest, skipping the AVX2 walk
 // where the CPU lacks it.
-func eachFold(t *testing.T, check func(t *testing.T, avx2 bool)) {
+func eachWalk(t *testing.T, check func(t *testing.T, avx2 bool)) {
 	t.Helper()
-	for _, fold := range folds {
-		t.Run(fold.name, func(t *testing.T) {
-			if !fold.ok {
+	for _, walk := range walks {
+		t.Run(walk.name, func(t *testing.T) {
+			if !walk.ok {
 				t.Skip("CPU has no AVX2")
 			}
-			check(t, fold.avx2)
+			check(t, walk.avx2)
 		})
 	}
 }
 
 // TestEvalWindowsMatchesScalar pins the word-parallel walk, under each
-// fold, to the scalar reference across lane counts (including ones not
+// path, to the scalar reference across lane counts (including ones not
 // divisible by 8), window-group widths below, at and above one 8-window
 // word, window counts that are a multiple of neither 8 nor the group
 // width, gated and ungated configs, both serial back-ends and both widths.
@@ -255,7 +270,7 @@ func TestEvalWindowsMatchesScalar(t *testing.T) {
 				for _, gated := range []bool{true, false} {
 					cfg := windowConfig(gated, tclp, w8, lanes, wg)
 					t.Run(fmt.Sprintf("%s/lanes%d/wg%d/%s/chunks%d", lw.Name, lanes, wg, cfg.Name, chunks), func(t *testing.T) {
-						eachFold(t, func(t *testing.T, avx2 bool) { checkWindowsMatchScalar(t, cfg, lw, chunks, avx2) })
+						eachWalk(t, func(t *testing.T, avx2 bool) { checkWindowsMatchScalar(t, cfg, lw, chunks, avx2) })
 					})
 				}
 			}
@@ -263,17 +278,20 @@ func TestEvalWindowsMatchesScalar(t *testing.T) {
 	}
 	// Long rows of blocks; and past laneChunk (128) lanes a PE folds its
 	// lanes in chunks, two at 129 lanes and three at 260 and 300. In the
-	// dense layer every lane is effectual with a nonzero cost, so a
-	// window's count reaches the lane count and a byte would wrap at 256.
+	// dense layers every lane is effectual with a nonzero cost, so a
+	// window's count reaches the lane count: 128, the edge of the AVX2
+	// kernel's unsigned operand, and past 256, where a byte would wrap.
 	lw := windowLayer(t, nn.FC, 7, 16, 150, 0.4)
 	chunked := windowLayer(t, nn.FC, 9, 129, 21, 0.4)
 	wide := windowLayer(t, nn.FC, 8, 260, 21, 0)
+	dense128 := denseFCLayer(t, 128, 45)
 	dense := denseFCLayer(t, 300, 21)
 	for _, gated := range []bool{true, false} {
 		t.Run(fmt.Sprintf("wide/gated=%v", gated), func(t *testing.T) {
-			eachFold(t, func(t *testing.T, avx2 bool) {
+			eachWalk(t, func(t *testing.T, avx2 bool) {
 				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 16, 72), lw, 2, avx2)
 				checkWindowsMatchScalar(t, windowConfig(gated, true, true, 16, 8), lw, 3, avx2)
+				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 128, 16), dense128, 1, avx2)
 				checkWindowsMatchScalar(t, windowConfig(gated, true, false, 129, 16), chunked, 2, avx2)
 				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 260, 16), wide, 1, avx2)
 				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 300, 16), dense, 1, avx2)
@@ -313,14 +331,15 @@ func TestWindowSumsFlush(t *testing.T) {
 	if m := slices.Max(pe); m <= 0xffff {
 		t.Fatalf("largest window sum %d fits 16 bits", m)
 	}
-	eachFold(t, func(t *testing.T, avx2 bool) { checkWindowsMatchScalar(t, cfg, lw, 1, avx2) })
+	eachWalk(t, func(t *testing.T, avx2 bool) { checkWindowsMatchScalar(t, cfg, lw, 1, avx2) })
 }
 
 // FuzzEvalWindowsMatchesScalar drives the differential check over random
 // FC layers: lane count (1-300, so folds cross the 128-lane chunk
 // boundary), window count (1-300), window-group width, gating, back-end
-// and width all come from the fuzzer. Each input runs under the SWAR fold,
-// and under the AVX2 fold where the CPU has it.
+// and width all come from the fuzzer. Each input runs under the SWAR walk,
+// and under the AVX2 walk where the CPU has it. The seeds hold gated and
+// ungated configs at 1 to 128 lanes, the AVX2 kernel's range, and past it.
 func FuzzEvalWindowsMatchesScalar(f *testing.F) {
 	f.Add(int64(1), uint16(16), uint8(16), uint16(13), true, false, false)
 	f.Add(int64(2), uint16(12), uint8(72), uint16(90), false, true, false)
@@ -328,23 +347,27 @@ func FuzzEvalWindowsMatchesScalar(f *testing.F) {
 	f.Add(int64(4), uint16(127), uint8(16), uint16(40), true, false, false)
 	f.Add(int64(5), uint16(128), uint8(8), uint16(17), false, true, false)
 	f.Add(int64(6), uint16(256), uint8(12), uint16(9), true, true, true)
+	f.Add(int64(7), uint16(0), uint8(16), uint16(33), false, false, false)
+	f.Add(int64(8), uint16(31), uint8(12), uint16(64), false, false, true)
+	f.Add(int64(9), uint16(63), uint8(8), uint16(31), false, true, false)
+	f.Add(int64(10), uint16(127), uint8(16), uint16(45), false, false, false)
 	f.Fuzz(func(t *testing.T, seed int64, lanes uint16, wg uint8, windows uint16, gated, tclp, w8 bool) {
 		nLanes := int(lanes)%300 + 1
 		cfg := windowConfig(gated, tclp, w8, nLanes, int(wg)%80+1)
 		lw := windowLayer(t, nn.FC, seed, nLanes, int(windows)%300+1, 0.4)
-		for _, fold := range folds {
-			if fold.ok {
-				checkWindowsMatchScalar(t, cfg, lw, 1, fold.avx2)
+		for _, walk := range walks {
+			if walk.ok {
+				checkWindowsMatchScalar(t, cfg, lw, 1, walk.avx2)
 			}
 		}
 	})
 }
 
 // TestEvalWindowsAllocatesNothing holds the walk to zero allocations under
-// each fold, gated and ungated, at one lane chunk and past it: the fold
-// buffers and masks live on the walk's stack and the sums in the arena.
+// each path, gated and ungated, at one lane chunk and past it: the masks
+// live on the walk's stack, and the lane lists and sums in the arena.
 func TestEvalWindowsAllocatesNothing(t *testing.T) {
-	eachFold(t, func(t *testing.T, avx2 bool) {
+	eachWalk(t, func(t *testing.T, avx2 bool) {
 		for _, lanes := range []int{16, 129} {
 			lw := windowLayer(t, nn.FC, 3, lanes, 45, 0.4)
 			for _, gated := range []bool{true, false} {
@@ -359,6 +382,46 @@ func TestEvalWindowsAllocatesNothing(t *testing.T) {
 				}
 				if n := testing.AllocsPerRun(20, func() { ctx.evalWindows(cfg) }); n != 0 {
 					t.Errorf("%d lanes, %s: the walk allocates %v times", lanes, cfg.Name, n)
+				}
+			}
+		}
+	})
+}
+
+// TestEvalWindowsSlotOutside corrupts the first column of a prepared
+// group, one effectual lane's Src set to the layer's Steps × Lanes or to
+// -1, and requires both walks, gated and ungated, to panic naming the
+// slot before they read a plane byte: the window sums stay zero.
+func TestEvalWindowsSlotOutside(t *testing.T) {
+	lw := windowLayer(t, nn.FC, 11, 16, 45, 0.4)
+	eachWalk(t, func(t *testing.T, avx2 bool) {
+		for _, gated := range []bool{true, false} {
+			cfg := windowConfig(gated, false, false, 16, 16)
+			for _, bad := range []int32{int32(lw.Steps * lw.Lanes), -1} {
+				keyer := sched.NewCache(0).Keyer(cfg.Pattern, cfg.Scheduler)
+				ctx := prepareGroupInto(&groupScratch{}, cfg, lw, 0, &keyer, memoFor(cfg, lw, &keyer))
+				ctx.avx2 = avx2
+				plane := buildPlane(lw, newCostTable(cfg.Backend, cfg.Width), 0)
+				for ri := range ctx.rowPlanes {
+					ctx.rowPlanes[ri] = plane
+				}
+				entries := ctx.schedules[0].Columns[0].Entries
+				ln := slices.IndexFunc(entries, func(e sched.Entry) bool { return e.Weight != 0 })
+				if ln < 0 {
+					t.Fatal("the first column has no effectual lane")
+				}
+				entries[ln].Src = bad
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					ctx.evalWindows(cfg)
+					return ""
+				}()
+				want := fmt.Sprintf("reads slot %d outside the layer's %d", bad, lw.Steps*lw.Lanes)
+				if !strings.Contains(msg, want) {
+					t.Fatalf("%s, Src %d: walk panicked with %q, want %q", cfg.Name, bad, msg, want)
+				}
+				if i := slices.IndexFunc(ctx.winSums, func(s uint64) bool { return s != 0 }); i >= 0 {
+					t.Fatalf("%s, Src %d: window sum word %d = %#x before the panic", cfg.Name, bad, i, ctx.winSums[i])
 				}
 			}
 		}
