@@ -34,16 +34,16 @@ fmt-check:
 
 # The window walk's kernel-level number: BenchmarkEvalWindows times
 # evalWindows alone on fixed FC groups and reports ns per lane-word (one
-# lane's costs for 8 windows), under the SWAR walk (.../swar) and the AVX2
+# lane's costs for 8 windows), under the SWAR kernel (.../swar) and the AVX2
 # kernel (.../avx2, skipped on a CPU without AVX2). One iteration keeps both
-# compiling and running; time them with -benchtime 1s -count 5 -cpu 1.
+# compiling and running; time them with -benchtime 300x -count 5 -cpu 1.
 bench-kernel:
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkEvalWindows -benchtime 1x
 
-# The window walk's portable path, which an AVX2 host takes only for PEs
-# wider than 128 lanes: 386 binaries run natively on x86-64 and build no
-# AVX2 kernel, so the walk's tests and fuzz seeds run the SWAR walk end to
-# end; and vetting for arm64 keeps the non-amd64 file set compiling.
+# The window walk's SWAR kernel, its path on any host without AVX2: 386
+# binaries run natively on x86-64 and build no AVX2 kernel, so the walk's
+# tests and fuzz seeds run the SWAR kernel end to end; and vetting for
+# arm64 keeps the non-amd64 file set compiling.
 portable:
 	GOARCH=386 $(GO) test ./internal/sim ./internal/sched
 	GOARCH=arm64 $(GO) vet ./...
@@ -143,7 +143,7 @@ fuzz-sched:
 	$(GO) test ./internal/sched -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) -run '^$$'
 
 # Differential fuzz of the word-parallel window walk against its scalar
-# reference, under the SWAR walk and, where the CPU has AVX2, the AVX2
+# reference, under the SWAR kernel and, where the CPU has AVX2, the AVX2
 # kernel.
 fuzz-kernel:
 	$(GO) test ./internal/sim -fuzz FuzzEvalWindowsMatchesScalar -fuzztime $(FUZZTIME) -run '^$$'

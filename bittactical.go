@@ -149,6 +149,8 @@ type SimOptions = sim.Options
 
 // Simulate runs every layer of the model under the configuration using the
 // default engine options: one worker per CPU and the shared schedule cache.
+// A config that fails Validate, or whose PEs have more than 128 lanes (the
+// engine's exactness bound), is an error.
 func Simulate(cfg Config, m *Model, acts []*Tensor) (*Result, error) {
 	return SimulateContext(context.Background(), cfg, m, acts, SimOptions{})
 }

@@ -33,6 +33,23 @@ func TestPublicAPIQuickTour(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRejectsWidePE holds Simulate to the engine's lane bound: a
+// TCLe config with 129 lanes is an error, not a panic.
+func TestPublicAPIRejectsWidePE(t *testing.T) {
+	zoo := bittactical.DefaultZoo()
+	zoo.ChannelScale, zoo.SpatialScale = 0.1, 0.25
+	m, err := bittactical.BuildModel("MobileNet", zoo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bittactical.TCLe(bittactical.Trident(2, 5))
+	cfg.Lanes = 129
+	res, err := bittactical.Simulate(cfg, m, m.GenerateActs(1))
+	if err == nil || !strings.Contains(err.Error(), "at most 128") {
+		t.Fatalf("Simulate at 129 lanes = %v, %v; want the 128-lane bound's error", res, err)
+	}
+}
+
 func TestPublicAPISchedule(t *testing.T) {
 	w := make([]int32, 16*8)
 	for i := 0; i < len(w); i += 3 {

@@ -46,6 +46,17 @@ func main() {
 			"poll the server's /healthz for up to this long before driving (0 = no wait)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tclload: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
+	// A value out of range is a usage error, reported before contacting the
+	// server: serve.RunLoad would clamp the counts, and a deadline below
+	// 1 ms sends no timeout_ms, so the server would use its own default.
+	if err := validateFlags(*n, *conc, *timeout); err != nil {
+		fmt.Fprintln(os.Stderr, "tclload:", err)
+		os.Exit(2)
+	}
 
 	body := serve.SimulateRequest{Stream: *stream, TimeoutMs: timeout.Milliseconds()}
 	body.Model = *model
@@ -89,6 +100,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tclload: %d of %d requests failed\n", rep.Errors, rep.Requests)
 		os.Exit(2)
 	}
+}
+
+// validateFlags rejects -n and -c below 1 and a -timeout below 1 ms, the
+// unit of a request's timeout_ms.
+func validateFlags(n, conc int, timeout time.Duration) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n %d must be at least 1", n)
+	case conc < 1:
+		return fmt.Errorf("-c %d must be at least 1", conc)
+	case timeout < time.Millisecond:
+		return fmt.Errorf("-timeout %s must be at least 1ms", timeout)
+	}
+	return nil
 }
 
 // awaitReady polls base/healthz until it answers 200, the deadline passes,

@@ -36,6 +36,10 @@ func main() {
 		par     = flag.Int("j", 0, "worker parallelism (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tclpack: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *par < 0 {
 		fmt.Fprintf(os.Stderr, "tclpack: -j %d must be at least 0 (0 = GOMAXPROCS)\n", *par)

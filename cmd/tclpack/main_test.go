@@ -21,16 +21,22 @@ func Example() {
 	// WS images: 1474.3 KB (raw dense weights: 3388.0 KB; ws+ALC overhead included)
 }
 
-// TestBadCountsExit2 runs the test binary as tclpack with a negative -j:
-// it must exit 2 with a tclpack message and pack nothing, rather than run
-// at GOMAXPROCS.
+// TestBadCountsExit2 runs the test binary as tclpack with a negative -j, or
+// an argument after the flags (where flag parsing stops, so the flags
+// after it would be dropped unseen): each must exit 2 with one tclpack
+// line and pack nothing, rather than run at GOMAXPROCS.
 func TestBadCountsExit2(t *testing.T) {
 	if args := os.Getenv("TCLPACK_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"tclpack"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	for _, args := range []string{"-j -3", "-j -1 -model MobileNet"} {
+	for _, tc := range []struct{ args, msg string }{
+		{"-j -3", "tclpack: -j "},
+		{"-j -1 -model MobileNet", "tclpack: -j "},
+		{"-model MobileNet oops -j -1", `tclpack: unexpected argument "oops"`},
+	} {
+		args := tc.args
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadCountsExit2$")
 		cmd.Env = append(os.Environ(), "TCLPACK_TEST_ARGS="+args)
 		var stdout, stderr bytes.Buffer
@@ -44,8 +50,8 @@ func TestBadCountsExit2(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("tclpack %s printed to stdout:\n%s", args, stdout.String())
 		}
-		if msg := stderr.String(); !strings.HasPrefix(msg, "tclpack: -j ") {
-			t.Errorf("tclpack %s stderr = %q, want one tclpack message naming -j", args, msg)
+		if msg := stderr.String(); !strings.HasPrefix(msg, tc.msg) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("tclpack %s stderr = %q, want one line starting %q", args, msg, tc.msg)
 		}
 	}
 }

@@ -35,6 +35,10 @@ func main() {
 		mstats  = flag.Bool("metrics", false, "dump the engine metrics snapshot (JSON) after the run")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tclreport: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *par < 0 {
 		fmt.Fprintf(os.Stderr, "tclreport: -j %d must be at least 0 (0 = GOMAXPROCS)\n", *par)

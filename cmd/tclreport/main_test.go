@@ -118,9 +118,11 @@ func TestBadCountsExit2(t *testing.T) {
 }
 
 // TestBadNamesExit2 runs the test binary as tclreport with an -include list
-// naming an unknown experiment, alone or after a known one, and a CPU
-// profile requested: each must exit 2 with one tclreport line before
-// running anything, and create neither the report nor the profile.
+// naming an unknown experiment, alone or after a known one, or with an
+// argument after the flags (where flag parsing stops, so the flags after
+// it would be dropped unseen), and a CPU profile requested: each must exit
+// 2 with one tclreport line before running anything, and create neither
+// the report nor the profile.
 func TestBadNamesExit2(t *testing.T) {
 	if args := os.Getenv("TCLREPORT_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"tclreport"}, strings.Fields(args)...)
@@ -128,10 +130,14 @@ func TestBadNamesExit2(t *testing.T) {
 		main()
 		return
 	}
-	for _, include := range []string{"bogus", "table2,bogus"} {
+	for _, tc := range []struct{ include, msg string }{
+		{"bogus", `tclreport: unknown experiment "bogus"`},
+		{"table2,bogus", `tclreport: unknown experiment "bogus"`},
+		{"table2 bogus", `tclreport: unexpected argument "bogus"`},
+	} {
 		dir := t.TempDir()
 		out, prof := filepath.Join(dir, "report.md"), filepath.Join(dir, "p.out")
-		args := "-quick -include " + include + " -o " + out + " -cpuprofile " + prof
+		args := "-quick -o " + out + " -cpuprofile " + prof + " -include " + tc.include
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadNamesExit2$")
 		cmd.Env = append(os.Environ(), "TCLREPORT_TEST_ARGS="+args)
 		var stdout, stderr bytes.Buffer
@@ -145,9 +151,8 @@ func TestBadNamesExit2(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("tclreport %s printed to stdout:\n%s", args, stdout.String())
 		}
-		const msg = "tclreport: unknown experiment \"bogus\""
-		if got := stderr.String(); !strings.HasPrefix(got, msg) || strings.Count(got, "\n") != 1 {
-			t.Errorf("tclreport %s stderr = %q, want one line starting %q", args, got, msg)
+		if got := stderr.String(); !strings.HasPrefix(got, tc.msg) || strings.Count(got, "\n") != 1 {
+			t.Errorf("tclreport %s stderr = %q, want one line starting %q", args, got, tc.msg)
 		}
 		for _, path := range []string{out, prof} {
 			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {

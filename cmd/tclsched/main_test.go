@@ -81,9 +81,11 @@ func TestLanesZeroExits2(t *testing.T) {
 }
 
 // TestUsageErrorsExit2 runs the test binary as tclsched with each other bad
-// flag and a CPU profile requested: each must exit 2 with one tclsched
-// line, print nothing to stdout and create no profile, rather than
-// schedule anyway or leave an empty profile behind.
+// flag, or an argument after the flags (where flag parsing stops, so the
+// flags after it would be dropped unseen), and a CPU profile requested:
+// each must exit 2 with one tclsched line, print nothing to stdout and
+// create no profile, rather than schedule anyway or leave an empty profile
+// behind.
 func TestUsageErrorsExit2(t *testing.T) {
 	if args := os.Getenv("TCLSCHED_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"tclsched"}, strings.Fields(args)...)
@@ -95,6 +97,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-repeat -5", "tclsched: -repeat -5 must be at least 1"},
 		{"-pattern bogus", "tclsched: sched: unknown pattern"},
 		{"-alg bogus", "tclsched: unknown algorithm"},
+		{"-steps 4 oops -repeat 0", `tclsched: unexpected argument "oops"`},
 	} {
 		prof := filepath.Join(t.TempDir(), "p.out")
 		args := tc.args + " -cpuprofile " + prof

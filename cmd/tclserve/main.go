@@ -68,6 +68,16 @@ func main() {
 			"period of the coordinator's background worker /healthz probes (<= 0 disables probing)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tclserve: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
+	// A value out of range is a usage error, reported before listening:
+	// serve.New reads it as its default, which no command line means.
+	if err := validateFlags(*maxInFlight, *par, *defTimeout, *maxTimeout); err != nil {
+		fmt.Fprintln(os.Stderr, "tclserve:", err)
+		os.Exit(2)
+	}
 
 	cfg := serve.Config{
 		MaxInFlight:    *maxInFlight,
@@ -125,4 +135,22 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("tclserve: drained cleanly")
+}
+
+// validateFlags rejects -max-inflight below 1, -j below 0 and a
+// non-positive -timeout or -max-timeout. -cache-budget and
+// -health-interval take any value: a negative budget disables retention
+// and a non-positive interval disables probing.
+func validateFlags(maxInFlight, par int, timeout, maxTimeout time.Duration) error {
+	switch {
+	case maxInFlight < 1:
+		return fmt.Errorf("-max-inflight %d must be at least 1", maxInFlight)
+	case par < 0:
+		return fmt.Errorf("-j %d must be at least 0 (0 = GOMAXPROCS)", par)
+	case timeout <= 0:
+		return fmt.Errorf("-timeout %s must be positive", timeout)
+	case maxTimeout <= 0:
+		return fmt.Errorf("-max-timeout %s must be positive", maxTimeout)
+	}
+	return nil
 }

@@ -50,6 +50,10 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tclsim: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	// A count out of range is a usage error, reported before anything runs:
 	// the library reads 0 as its default, which no command line means.

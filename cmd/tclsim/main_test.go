@@ -141,8 +141,10 @@ func TestBadCountsExit2(t *testing.T) {
 }
 
 // TestBadNamesExit2 runs the test binary as tclsim with an experiment or
-// back-end name that resolves to nothing: each must exit 2 with one tclsim
-// line, print nothing and create no profile.
+// back-end name that resolves to nothing, or an argument after the flags
+// (where flag parsing stops, so the flags after it would be dropped
+// unseen): each must exit 2 with one tclsim line, print nothing and create
+// no profile.
 func TestBadNamesExit2(t *testing.T) {
 	if args := os.Getenv("TCLSIM_TEST_ARGS"); args != "" {
 		runMain(strings.Fields(args)...)
@@ -150,6 +152,7 @@ func TestBadNamesExit2(t *testing.T) {
 	}
 	checkUsageError(t, "TestBadNamesExit2", "-exp bogus", "tclsim: unknown experiment \"bogus\"")
 	checkUsageError(t, "TestBadNamesExit2", "-backend bogus", "tclsim: backend: unknown back-end \"bogus\"")
+	checkUsageError(t, "TestBadNamesExit2", "-exp table2 oops -trials 0", "tclsim: unexpected argument \"oops\"")
 }
 
 // checkUsageError re-runs the test binary's named test as tclsim with args

@@ -44,6 +44,10 @@ func main() {
 		par    = flag.Int("j", 0, "model-build parallelism (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tclzoo: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	// The library reads a batch of 0 (or less) as its default, which no
 	// command line means.

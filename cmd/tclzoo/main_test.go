@@ -36,19 +36,22 @@ func Example() {
 	//   blk2/ffn2      fc      K=128   C=512   1x1 s0 in 1x1 out 1x1  MACs=    8.39M  wsp=0.60
 }
 
-// TestBadCountsExit2 runs the test binary as tclzoo with a -batch below 1
-// or a negative -j: each must exit 2 with a tclzoo message and print no
-// model, rather than build at the library default.
+// TestBadCountsExit2 runs the test binary as tclzoo with a -batch below 1,
+// a negative -j, or an argument after the flags (where flag parsing stops,
+// so the flags after it would be dropped unseen): each must exit 2 with
+// one tclzoo line and print no model, rather than build at the library
+// default.
 func TestBadCountsExit2(t *testing.T) {
 	if args := os.Getenv("TCLZOO_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"tclzoo"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	for _, tc := range []struct{ args, flag string }{
-		{"-model BERT-Attn -batch -2", "-batch"},
-		{"-batch 0", "-batch"},
-		{"-model MobileNet -j -4", "-j"},
+	for _, tc := range []struct{ args, msg string }{
+		{"-model BERT-Attn -batch -2", "tclzoo: -batch "},
+		{"-batch 0", "tclzoo: -batch "},
+		{"-model MobileNet -j -4", "tclzoo: -j "},
+		{"-model BERT-Attn oops -batch 0", `tclzoo: unexpected argument "oops"`},
 	} {
 		args := tc.args
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadCountsExit2$")
@@ -64,8 +67,8 @@ func TestBadCountsExit2(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("tclzoo %s printed to stdout:\n%s", args, stdout.String())
 		}
-		if msg := stderr.String(); !strings.HasPrefix(msg, "tclzoo: "+tc.flag+" ") {
-			t.Errorf("tclzoo %s stderr = %q, want one tclzoo message naming %s", args, msg, tc.flag)
+		if msg := stderr.String(); !strings.HasPrefix(msg, tc.msg) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("tclzoo %s stderr = %q, want one line starting %q", args, msg, tc.msg)
 		}
 	}
 }

@@ -16,12 +16,12 @@ import (
 // group: 16 FC filters of 256 inputs (16 columns of 16 lanes before
 // skipping), about half the weights and 40% of the activations zero, at
 // 1, 49, 128 and 3,136 windows, with a T8<2,5> front end gating idle lanes
-// and without one, under each walk: swar, and avx2 where the CPU has it.
-// ns/lane-word is the time per lane per 8-window word the walk covers:
-// (columns × rows × lanes × ⌈windows/8⌉) per walk, the same count under
-// both walks. An avx2 walk builds each (column, row)'s lane list in the
-// kernel on every pass; a swar walk builds the group's lists on its first
-// pass and reuses them.
+// and without one, under each column kernel: swar (columnSWAR), and avx2
+// (columnAVX2) where the CPU has it. ns/lane-word is the time per lane per
+// 8-window word the walk covers: (columns × rows × lanes × ⌈windows/8⌉)
+// per walk, the same count under both kernels. Both rows do the same work
+// on every pass: each kernel call lists its (column, row)'s lanes, then
+// folds the row.
 func BenchmarkEvalWindows(b *testing.B) {
 	for _, windows := range []int{1, 49, 128, 3136} {
 		lw := benchFCLayer(b, windows)

@@ -4,8 +4,7 @@ package sim
 
 import "bittactical/internal/sched"
 
-// hasAVX2 is false off amd64: the window walk runs the portable SWAR fold
-// alone.
+// hasAVX2 is false off amd64: the window walk runs columnSWAR alone.
 const hasAVX2 = false
 
 // columnAVX2 is never called off amd64, where hasAVX2 is false.

@@ -1,23 +1,21 @@
-// Folds of the window walk. Lanes within a PE are lockstep every schedule
-// column (they feed one adder tree), so the back-end's column duration is
-// the maximum serial cost over the PE's participating lanes — the hottest
-// reduction in the simulator: it runs once per (schedule column, PE row,
-// window). A window-minor cost plane puts one lane's costs for
-// consecutive windows in consecutive bytes, so evalWindows (sim.go) folds
-// many windows per load. A fold gives, per window, the max cost and the
-// number of nonzero costs over a (column, row)'s lanes, and the cost sum;
-// a census tail turns them into peMax = max(1, column max) and the
-// Figure-9 sums. Two walks honor that contract. On a CPU with AVX2
-// (hasAVX2, fixed at init) and for PEs of at most laneChunk lanes, the
-// walk makes one columnAVX2 call (fold_amd64.s) per (column, row): the
-// call partitions the column's lanes into a list of plane offsets, folds
-// the row 32 windows (one 32-byte load per lane) at a time and keeps the
-// census tail in vector registers. Elsewhere the portable SWAR walk folds
-// one 8-window lane-word (a uint64) per step with foldSync and foldCount,
-// whose accumulators are three words that stay in registers: the column
-// max (byteMax), the nonzero-cost counts one byte per window, and the cost
-// sums in 16-bit fields; its census tail is atLeastOne, byteSum and dot, a
-// word at a time. Both give bit-identical outputs.
+// The window walk's column kernels. Lanes within a PE are lockstep every
+// schedule column (they feed one adder tree), so the back-end's column
+// duration is the maximum serial cost over the PE's participating lanes —
+// the hottest reduction in the simulator: it runs once per (schedule
+// column, PE row, window). A window-minor cost plane puts one lane's costs
+// for consecutive windows in consecutive bytes, so a kernel folds many
+// windows per load. One kernel call covers one (column, row): it lists the
+// column's lanes as plane offsets, effectual ones first, folds the row's
+// windows across that list into, per window, the max cost and the number
+// of nonzero costs, and turns them in a census tail into peMax = max(1,
+// column max) and the Figure-9 sums. evalWindows (sim.go) makes one call
+// per (row, column) and picks the kernel by groupCtx.avx2: columnAVX2
+// (fold_amd64.s) on a CPU with AVX2 (hasAVX2, fixed at init), 32 windows a
+// block with the census in vector registers, and columnSWAR everywhere
+// else, one 8-window lane-word (a uint64) a step with foldSync and
+// foldCount, whose accumulators are three words that stay in registers,
+// and a census tail of atLeastOne, byteSum and dot. The two share one
+// signature and one contract and give bit-identical results.
 //
 // Invariant: every cost byte is <= maxLaneCost (127). The word-parallel
 // unsigned compare borrows through bit 7 of each byte, the nonzero test
@@ -26,20 +24,21 @@
 // high bit clear. newCostTable panics on any back-end cost outside [0,
 // maxLaneCost]; real costs never exceed width+1 <= 17.
 //
-// Exactness bounds a fold to laneChunk lanes: its byte counts reach at
-// most 128, and a dot product's 16-bit fields at most 4 × 127 × 128 <
+// Exactness bounds a PE to maxLanes lanes: a kernel's byte counts reach
+// at most 128, and a dot product's 16-bit fields at most 4 × 127 × 128 <
 // 2^16 under dot, or 2 × 127 × 128 = 32,512 under VPMADDUBSW, whose
 // unsigned operand holds the counts. TestByteMax checks byteMax
 // exhaustively over 7-bit byte pairs, TestCensusKernels the census
-// helpers at their bounds, TestFoldBlockMatchesWords foldSync and
-// foldCount against a scalar fold, and TestColumnAVX2 one columnAVX2 call
-// against a scalar walk of its column; the window walk's scalar reference
-// and its differential tests are in window_test.go.
+// helpers at their bounds, and TestColumnKernels one call of either
+// kernel against a scalar walk of its column; the window walk's scalar
+// reference and its differential tests are in window_test.go.
 package sim
 
 import (
 	"encoding/binary"
 	"math/bits"
+
+	"bittactical/internal/sched"
 )
 
 // maxLaneCost bounds the per-value serial cost stored in cost tables and
@@ -47,15 +46,14 @@ import (
 // SWAR compare and the census's nonzero test.
 const maxLaneCost = 127
 
-// laneChunk is the most lanes one fold covers: a byte count of nonzero
-// costs stays at most 128 and a 16-bit cost-sum field at most 2 × 127 ×
-// 128, and dot and VPMADDUBSW stay exact for counts up to 128. The SWAR
-// walk folds a wider PE's lanes a chunk at a time and adds up the chunks'
-// sums and dot products; the AVX2 kernel serves PEs of at most laneChunk
-// lanes.
-const laneChunk = 128
+// maxLanes is the widest PE the engine simulates: a byte count of nonzero
+// costs stays at most 128, a 16-bit cost-sum field at most 2 × 127 × 128,
+// and dot and VPMADDUBSW stay exact for counts up to 128. Every Table 2
+// design has 16 lanes. The entry points reject a wider config (validate,
+// sweep.go) before any work.
+const maxLanes = 128
 
-// blockWindows is the windows one AVX2 block covers: one 32-byte load,
+// blockWindows is the windows one block covers: one 32-byte AVX2 load,
 // four lane-words. A cost plane ends in blockWindows spare zero bytes, so
 // a block load that starts at any window of the plane's last slot stays
 // inside it, and the walk's window sums hold whole blocks.
@@ -73,6 +71,61 @@ const (
 	swarEven = 0x00ff00ff00ff00ff // even bytes, widened to 16-bit fields
 	swarLo32 = 0x0000ffff0000ffff // even 16-bit fields, widened to 32 bits
 )
+
+// columnSWAR is the portable kernel for one (schedule column, PE row),
+// with columnAVX2's arguments, results and contract (fold_amd64.go). It
+// lists the lanes without a data-dependent branch: m is all ones for an
+// effectual lane and zero for an idle one, and selects the lane's slot
+// (Src, or headSlot + lane) and its place in list (effectual lanes fill it
+// from the front, idle ones from the back). A slot not below slots returns
+// nEff = -1 before a plane byte is read. It then folds the row a lane-word
+// at a time, len(sums)/2 words masked by last in the last block, and runs
+// the census tail on each word, adding its peMax into sums. A word of last
+// that is zero ends the row: every later window is past the layer's last.
+func columnSWAR(entries []sched.Entry, headSlot, slots, windows int, plane []uint8, sums []uint64, last *blockMask, list []int, gate bool) (costE, costI, maxSum, dotE, dotI int64, nEff int) {
+	back := len(entries) - 1 // the next idle lane's place
+	for ln, e := range entries {
+		m := -int(uint32(e.Weight|-e.Weight) >> 31)
+		slot := headSlot + ln
+		slot ^= (slot ^ int(e.Src)) & m
+		if uint(slot) >= uint(slots) {
+			return 0, 0, 0, 0, 0, -1
+		}
+		list[back+(nEff-back)&m] = slot * windows
+		nEff -= m
+		back -= 1 + m
+	}
+	eff, idle := list[:nEff], list[nEff:len(entries)]
+	words := len(sums) / 2
+	full := words - len(last) // words before the last block
+	for k := 0; k < words; k++ {
+		valid := ^uint64(0)
+		if k >= full {
+			if valid = last[k-full]; valid == 0 {
+				break
+			}
+		}
+		word := plane[8*k:]
+		mx, nzE, sum := foldSync(word, eff, valid)
+		costE += fieldSum(sum)
+		var nzI uint64
+		if gate {
+			nzI = foldCount(word, idle, valid)
+		} else {
+			var mI uint64
+			mI, nzI, sum = foldSync(word, idle, valid)
+			costI += fieldSum(sum)
+			mx = byteMax(mx, mI)
+		}
+		p := atLeastOne(mx) & valid // peMax
+		maxSum += byteSum(p)
+		dotE += dot(p, nzE)
+		dotI += dot(p, nzI)
+		sums[2*k] += p & swarEven
+		sums[2*k+1] += p >> 8 & swarEven
+	}
+	return costE, costI, maxSum, dotE, dotI, nEff
+}
 
 // byteMax returns the byte-wise max of two words whose bytes are at most
 // 127: (b|H)-a sets bit 7 of a byte exactly when that byte of b is >= the
@@ -99,7 +152,7 @@ func laneWord(plane []uint8, off int, valid uint64) uint64 {
 // word's first window, so lane offset off reads plane[off:off+8]. mx is
 // the byte-wise max, nz counts the nonzero costs per window and sum holds
 // the costs summed in four 16-bit fields (each a pair of windows). The
-// counts and sums are exact for at most laneChunk lanes. The loop takes
+// counts and sums are exact for at most maxLanes lanes. The loop takes
 // two lanes a step: it takes their max before folding it into the running
 // max, so the running max is one byteMax deep per step, and adds their
 // words before widening them into the sum. A second, independent max
@@ -126,7 +179,7 @@ func foldSync(plane []uint8, lanes []int, valid uint64) (mx, nz, sum uint64) {
 }
 
 // foldCount counts the nonzero costs per window of one lane-word of every
-// listed lane, read as in foldSync; exact for at most laneChunk lanes. It
+// listed lane, read as in foldSync; exact for at most maxLanes lanes. It
 // folds the idle lanes of a config whose front end gates them out of the
 // column sync.
 func foldCount(plane []uint8, lanes []int, valid uint64) (nz uint64) {

@@ -305,27 +305,24 @@ type groupResult struct {
 
 // groupCtx is the window-independent state of one filter group, built by
 // prepareGroupInto and read by evalWindows and finishGroup on the same
-// worker. Its grids view the worker's groupScratch, flattened by (column,
-// row): cr = ci*nrows + ri.
+// worker. Its slices view the worker's groupScratch.
 type groupCtx struct {
 	nrows, cols  int
 	windows      int  // the layer's window count; evalWindows walks them all
 	needsWindows bool // serial back-ends walk windows; bit-parallel is done at prepare
-	// schedules[ri] is PE row ri's schedule; the walk reads (column, row)
-	// cr's lanes from schedules[ri].Columns[ci]. A lane's cost row in its
-	// row's plane is its slot (step*lanes + lane): the promoted weight's
-	// dense position (Src) for an effectual lane, the column head's for an
-	// idle one. Gated configs sync the column on the effectual lanes alone;
+	// schedules[ri] is PE row ri's schedule; the walk reads (column ci,
+	// row ri)'s lanes from schedules[ri].Columns[ci]. A lane's cost row in
+	// its row's plane is its slot (step*lanes + lane): the promoted
+	// weight's dense position (Src) for an effectual lane, the column
+	// head's for an idle one. Gated configs sync the column on the effectual lanes alone;
 	// ungated ones sync every lane.
 	schedules []*sched.Schedule
 	// slots is the layer's Steps × Lanes: every slot a lane reads lies
 	// below it, and a plane holds slots × windows cost bytes.
 	slots int
-	// list is columnAVX2's lane list, one (column, row)'s at a time.
+	// list is the column kernel's lane list, one (column, row)'s at a
+	// time: Lanes plane offsets, effectual lanes first.
 	list []int
-	// lists is the SWAR walk's lane lists, built by its first walk of the
-	// group.
-	lists *laneLists
 	// span is the windows rounded up to whole 32-window blocks.
 	span int
 	// rowPlanes[ri] is PE row ri's activation cost plane (rows of one act
@@ -337,10 +334,6 @@ type groupCtx struct {
 	// 8 windows two words, the even windows' sums and the odd windows'.
 	// Zeroed at prepare, summed by the walk and zeroed by each flush.
 	winSums []uint64
-	// wideMax holds, for a PE wider than laneChunk lanes, the current
-	// (column, row)'s peMax per 8 windows, taken with its first lane chunk
-	// and read by the others: span/8 words, nil for narrower PEs.
-	wideMax []uint64
 	// peTotals[ri*WindowsPerTile+pc] is PE (row ri, column pc)'s cycle
 	// total over the group's windows: window w runs on PE column w mod
 	// WindowsPerTile in every (column, row), so the walk adds winSums to
@@ -348,20 +341,8 @@ type groupCtx struct {
 	// finishGroup reads it.
 	peTotals []int64
 	gate     bool
-	avx2     bool        // walk with columnAVX2; hasAVX2 unless a test picks a walk
+	avx2     bool        // walk with columnAVX2, else columnSWAR; hasAVX2 unless a test picks a kernel
 	base     groupResult // window-independent accumulations (full result when !needsWindows)
-}
-
-// laneLists is the SWAR walk's lane lists for one group, row-major:
-// offs[rc*lanes : (rc+1)*lanes], rc = ri*cols + ci, is (column ci, row
-// ri)'s lanes as plane byte
-// offsets, slot × windows, with the effectual lanes first, nEff[cr] of
-// them (nEff[rc]). built is cleared at prepare, so a group's first SWAR walk builds
-// the lists and later walks of it reuse them.
-type laneLists struct {
-	offs  []int
-	nEff  []int32
-	built bool
 }
 
 // windowPartial is the window walk's lane census and serial-cycle count
@@ -540,18 +521,12 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 	ctx.span = blockWindows * ((W + blockWindows - 1) / blockWindows)
 	sc.list = grow(sc.list, lanes)
 	ctx.list = sc.list
-	sc.lists.built = false
-	ctx.lists = &sc.lists
 	sc.planes = grow(sc.planes, nrows)
 	ctx.rowPlanes = sc.planes
 	clear(ctx.rowPlanes)
 	sc.winSums = grow(sc.winSums, ctx.span/4)
 	ctx.winSums = sc.winSums
 	clear(ctx.winSums)
-	if lanes > laneChunk {
-		sc.wideMax = grow(sc.wideMax, ctx.span/8)
-		ctx.wideMax = sc.wideMax
-	}
 	sc.peTotals = grow(sc.peTotals, nrows*wg)
 	ctx.peTotals = sc.peTotals
 	clear(ctx.peTotals)
@@ -573,27 +548,24 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 // activations", charged as "Tile Sync"). Each PE grid column owns the
 // windows congruent to its position.
 //
-// The walk is word-parallel over windows. Planes are window-minor, so a
-// lane's costs for consecutive windows are consecutive bytes. For each
-// (column, row) the walk partitions the column's lanes into a list of
-// plane offsets, effectual lanes first, and folds the row's windows
-// across that list into, one byte per window,
+// The walk goes row by row, the row's columns in order, one column kernel
+// call per (row, column): columnAVX2 when ctx.avx2 holds, columnSWAR
+// otherwise (kernel.go), both direct calls so the walk's buffers stay off
+// the heap. Planes are window-minor, so a lane's costs for consecutive
+// windows are consecutive bytes and a kernel folds many windows per load.
+// A call lists the column's lanes as plane offsets, effectual lanes
+// first, and folds the row's windows across that list into, one byte per
+// window,
 //
 //   - peMax, the column max over the syncing lanes, raised to at least 1;
 //   - nzE and nzI, the number of nonzero costs over the effectual and the
 //     idle lanes;
 //
-// and the cost sums over the effectual lanes (and the idle ones when no
-// front end gates them). Two walks do this. On a CPU with AVX2, and for
-// PEs of at most laneChunk lanes, walkKernel makes one columnAVX2 call
-// per (column, row): the call builds the list and folds the row 32
-// windows a block, its census kept in vector registers. Elsewhere
-// walkSWAR folds one 8-window lane-word (one uint64) per step over lists
-// it builds for the whole group on its first walk (buildLists), and a
-// SWAR census tail gives a word's Σ peMax (byteSum) and its Σ peMax·nzE
-// and Σ peMax·nzI (dot). The Figure-9 lane census then follows from sums
-// alone (E: effectual lanes, I: idle lanes, nEff and nIdle their counts,
-// Σ over every (column, row, window)):
+// and returns the cost sums over the effectual lanes (and the idle ones
+// when no front end gates them), Σ peMax, Σ peMax·nzE and Σ peMax·nzI.
+// The Figure-9 lane census then follows from sums alone (E: effectual
+// lanes, I: idle lanes, nEff and nIdle their counts, Σ over every
+// (column, row, window)):
 //
 //	Useful     = Σ_E c
 //	ColumnSync = Σ peMax·nzE − Σ_E c
@@ -604,15 +576,14 @@ func prepareGroupInto(sc *groupScratch, cfg arch.Config, lw *nn.Lowered, g int, 
 // and the lane cycles add Σ_I c only when the config has no front-end to
 // gate idle lanes. Every term is an exact integer sum, so the result is
 // bit-identical to a per-lane walk that classifies each (lane, window)
-// into one census bucket, whichever walk ran. Costs are loaded from PE
+// into one census bucket, whichever kernel ran. Costs are loaded from PE
 // row ri's cost plane, rowPlanes[ri]; rows of one act group share a
 // plane, so row-invariant, grouped, and depthwise layers all take this
 // path.
 //
-// Both walks go row by row, the row's columns in order. Each window's
-// peMax is added to winSums, 16-bit fields that hold winFlushCols
-// columns; flushWindows adds them to the row's PE totals after every
-// winFlushCols columns and after the row's last.
+// Each window's peMax is added to winSums, 16-bit fields that hold
+// winFlushCols columns; flushWindows adds them to the row's PE totals
+// after every winFlushCols columns and after the row's last.
 func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 	lanes, wg := cfg.Lanes, cfg.WindowsPerTile
 	W, span := ctx.windows, ctx.span
@@ -623,47 +594,34 @@ func (ctx *groupCtx) evalWindows(cfg arch.Config) windowPartial {
 			panic(fmt.Sprintf("sim: %d slots of %d windows overrun a %d-byte cost plane", ctx.slots, W, len(p.data)))
 		}
 	}
-	// The AVX2 kernel masks the row's last block by last; the SWAR walk
-	// masks the layer's last word by its word of last.
+	// The row's last block is masked by last.
 	var last blockMask
 	lastWindows := W - (span - blockWindows)
 	for k := range last {
 		n := min(max(lastWindows-8*k, 0), 8)
 		last[k] = ^uint64(0) >> (64 - 8*uint(n))
 	}
-	var s walkSums
-	if ctx.avx2 && lanes <= laneChunk {
-		s = ctx.walkKernel(lanes, wg, &last)
-	} else {
-		s = ctx.walkSWAR(lanes, wg, last[(lastWindows-1)/8])
+	// The census sums stay in a struct of six words, which the compiler
+	// keeps in memory: each call's results are added in place, where six
+	// locals were moved between registers and the stack around every call
+	// (up to 5% more time per lane-word in BenchmarkEvalWindows' avx2 rows).
+	var s struct {
+		costEff, costIdle int64 // Σ_E c, and Σ_I c without a front end
+		maxSum, maxEff    int64 // Σ peMax, Σ nEff·peMax
+		dotEff, dotIdle   int64 // Σ peMax·nzE, Σ peMax·nzI
 	}
-	wp := windowPartial{serial: s.costEff}
-	wp.backEnd.Useful = s.costEff
-	wp.backEnd.ColumnSync = s.dotEff - s.costEff
-	wp.backEnd.AZero = s.maxEff - s.dotEff
-	wp.backEnd.WZero = s.dotIdle
-	wp.backEnd.BothZero = int64(lanes)*s.maxSum - s.maxEff - s.dotIdle
-	if !ctx.gate {
-		wp.serial += s.costIdle
-	}
-	return wp
-}
-
-// walkSums is a window walk's census sums over the group.
-type walkSums struct {
-	costEff, costIdle int64 // Σ_E c, and Σ_I c without a front end
-	maxSum, maxEff    int64 // Σ peMax, Σ nEff·peMax
-	dotEff, dotIdle   int64 // Σ peMax·nzE, Σ peMax·nzI
-}
-
-// walkKernel is the window walk under columnAVX2, one call per (column,
-// row); the PE has at most laneChunk lanes.
-func (ctx *groupCtx) walkKernel(lanes, wg int, last *blockMask) (s walkSums) {
 	for ri := 0; ri < ctx.nrows; ri++ {
 		plane := ctx.rowPlanes[ri].data
 		for ci, col := range ctx.schedules[ri].Columns[:ctx.cols] {
-			costE, costI, rowMax, dotE, dotI, nEff := columnAVX2(col.Entries[:lanes], col.Head*lanes, ctx.slots, ctx.windows,
-				plane, ctx.winSums, last, ctx.list, ctx.gate)
+			var costE, costI, rowMax, dotE, dotI int64
+			var nEff int
+			if ctx.avx2 {
+				costE, costI, rowMax, dotE, dotI, nEff = columnAVX2(col.Entries[:lanes], col.Head*lanes, ctx.slots, W,
+					plane, ctx.winSums, &last, ctx.list, ctx.gate)
+			} else {
+				costE, costI, rowMax, dotE, dotI, nEff = columnSWAR(col.Entries[:lanes], col.Head*lanes, ctx.slots, W,
+					plane, ctx.winSums, &last, ctx.list, ctx.gate)
+			}
 			if nEff < 0 {
 				ctx.slotOutside(ci, ri, lanes)
 			}
@@ -678,125 +636,16 @@ func (ctx *groupCtx) walkKernel(lanes, wg int, last *blockMask) (s walkSums) {
 			}
 		}
 	}
-	return s
-}
-
-// walkSWAR is the portable window walk: for each (column, row) it takes
-// the windows a lane-word at a time, words outside and lanes inside, and
-// folds each word across the (column, row)'s lane list with foldSync and
-// foldCount; tail masks the layer's last word. A fold's counts and sums
-// are exact for laneChunk lanes, so a wider PE folds its lane list a chunk
-// at a time, chunks outside and words inside, and adds up the chunks'
-// sums and dot products; since every dot product needs the column max,
-// its first chunk also folds all of its syncing lanes for that max and
-// keeps it, one word per 8 windows, in wideMax for the other chunks.
-func (ctx *groupCtx) walkSWAR(lanes, wg int, tail uint64) walkSums {
-	ctx.buildLists(lanes)
-	W, sums := ctx.windows, ctx.winSums
-	var (
-		costEff, costIdle int64 // Σ_E c, and Σ_I c without a front end
-		maxSum, maxEff    int64 // Σ peMax, Σ nEff·peMax
-		dotEff, dotIdle   int64 // Σ peMax·nzE, Σ peMax·nzI
-	)
-	wide := lanes > laneChunk
-	for ri := 0; ri < ctx.nrows; ri++ {
-		plane := ctx.rowPlanes[ri].data
-		for ci := 0; ci < ctx.cols; ci++ {
-			rc := ri*ctx.cols + ci
-			list := ctx.lists.offs[rc*lanes : (rc+1)*lanes]
-			nEff := int(ctx.lists.nEff[rc])
-			sync := list
-			if ctx.gate {
-				sync = list[:nEff]
-			}
-			var rowMax int64 // Σ peMax over this (column, row)
-			for c0 := 0; c0 < lanes; c0 += laneChunk {
-				c1 := min(c0+laneChunk, lanes)
-				e := min(max(nEff, c0), c1) // the chunk's effectual lanes are [c0, e)
-				eff, idle := list[c0:e], list[e:c1]
-				syncMax := wide && c0 == 0 // this chunk takes the wide PE's column max
-				for at := 0; at < W; at += 8 {
-					valid := ^uint64(0)
-					if at+8 > W {
-						valid = tail
-					}
-					word := plane[at:]
-					mE, nzE, sum := foldSync(word, eff, valid)
-					costEff += fieldSum(sum)
-					var mI, nzI uint64
-					if ctx.gate {
-						nzI = foldCount(word, idle, valid)
-					} else {
-						mI, nzI, sum = foldSync(word, idle, valid)
-						costIdle += fieldSum(sum)
-					}
-					// The census tail.
-					var p uint64 // peMax
-					if c0 == 0 {
-						m := mE
-						if !ctx.gate {
-							m = byteMax(m, mI)
-						}
-						if syncMax {
-							m, _, _ = foldSync(word, sync, valid)
-						}
-						p = atLeastOne(m) & valid
-						if wide {
-							ctx.wideMax[at/8] = p
-						}
-						rowMax += byteSum(p)
-						sums[at/4] += p & swarEven
-						sums[at/4+1] += p >> 8 & swarEven
-					} else {
-						p = ctx.wideMax[at/8]
-					}
-					dotEff += dot(p, nzE)
-					dotIdle += dot(p, nzI)
-				}
-			}
-			maxSum += rowMax
-			maxEff += int64(nEff) * rowMax
-			if (ci+1)%winFlushCols == 0 || ci+1 == ctx.cols {
-				ctx.flushWindows(ri, wg)
-			}
-		}
+	wp := windowPartial{serial: s.costEff}
+	wp.backEnd.Useful = s.costEff
+	wp.backEnd.ColumnSync = s.dotEff - s.costEff
+	wp.backEnd.AZero = s.maxEff - s.dotEff
+	wp.backEnd.WZero = s.dotIdle
+	wp.backEnd.BothZero = int64(lanes)*s.maxSum - s.maxEff - s.dotIdle
+	if !ctx.gate {
+		wp.serial += s.costIdle
 	}
-	return walkSums{costEff, costIdle, maxSum, maxEff, dotEff, dotIdle}
-}
-
-// buildLists fills ctx.lists from the rows' schedules unless they are
-// built. Each list is partitioned without a data-dependent branch: m is
-// all ones for an effectual lane and zero for an idle one, and selects the
-// lane's slot and its position (effectual lanes fill the list from the
-// front, idle ones from the back). A slot outside the layer panics before
-// the walk reads a plane byte.
-func (ctx *groupCtx) buildLists(lanes int) {
-	l := ctx.lists
-	if l.built {
-		return
-	}
-	l.offs = grow(l.offs, ctx.cols*ctx.nrows*lanes)
-	l.nEff = grow(l.nEff, ctx.cols*ctx.nrows)
-	for ri := 0; ri < ctx.nrows; ri++ {
-		for ci, col := range ctx.schedules[ri].Columns[:ctx.cols] {
-			rc := ri*ctx.cols + ci
-			offs := l.offs[rc*lanes : (rc+1)*lanes]
-			eff, idle := 0, lanes-1
-			for ln, e := range col.Entries {
-				m := -int(uint32(e.Weight|-e.Weight) >> 31)
-				slot := col.Head*lanes + ln
-				slot ^= (slot ^ int(e.Src)) & m
-				if uint(slot) >= uint(ctx.slots) {
-					ctx.slotOutside(ci, ri, lanes)
-				}
-				offs[idle+(eff-idle)&m] = slot * ctx.windows
-				eff -= m
-				idle -= 1 + m
-			}
-			l.nEff[rc] = int32(eff)
-		}
-	}
-	l.built = true
+	return wp
 }
 
 // slotOutside panics for the first lane of (column ci, row ri) whose slot

@@ -359,6 +359,56 @@ func TestSimulateModelRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestEntryPointsRejectWidePE requires every engine entry point to return
+// the lane bound's error for a TCLe config one lane wider than maxLanes,
+// rather than panic or walk a PE its kernels cannot count exactly; and a
+// config of exactly maxLanes lanes to run.
+func TestEntryPointsRejectWidePE(t *testing.T) {
+	wide := arch.TCLe(sched.T(2, 5))
+	wide.Lanes = maxLanes + 1
+	zoo := nn.DefaultZoo()
+	zoo.ChannelScale, zoo.SpatialScale = 0.1, 0.25
+	m, err := nn.BuildModel("MobileNet", zoo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acts := m.GenerateActs(1)
+	lw := windowLayer(t, nn.FC, 1, wide.Lanes, 5, 0.4)
+	ctx := context.Background()
+	cfgs := []arch.Config{wide}
+	want := fmt.Sprintf("has %d lanes; the engine simulates PEs of at most %d", wide.Lanes, maxLanes)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"SimulateLayerContext", func() error {
+			_, err := SimulateLayerContext(ctx, wide, lw, Options{})
+			return err
+		}},
+		{"SimulateSweepContext", func() error {
+			_, err := SimulateSweepContext(ctx, cfgs, m, acts, Options{})
+			return err
+		}},
+		{"SimulateLoweredSweepContext", func() error {
+			_, err := SimulateLoweredSweepContext(ctx, cfgs, [][]*nn.Lowered{{lw}}, Options{})
+			return err
+		}},
+		{"SimulateGridContext", func() error {
+			_, err := SimulateGridContext(ctx, cfgs, m, acts, []int{0}, Options{})
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, want)
+		}
+	}
+	at := wide
+	at.Lanes = maxLanes
+	if _, err := SimulateLayerContext(ctx, at, windowLayer(t, nn.FC, 1, maxLanes, 5, 0.4), Options{}); err != nil {
+		t.Errorf("%d lanes: %v", maxLanes, err)
+	}
+}
+
 // cost is costU8 widened to int, for the table checks below.
 func (ct *costTable) cost(v int32) int { return int(ct.costU8(v)) }
 

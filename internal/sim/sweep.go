@@ -63,8 +63,9 @@ func SimulateSweepContext(ctx context.Context, cfgs []arch.Config, m *nn.Model, 
 // bit-identical to a standalone run of that (config, layers) pair at any
 // Parallelism.
 //
-// Every config must validate and every lowered layer must have been
-// lowered at its config's lane count; otherwise it returns an error.
+// Every config must validate and have at most 128 lanes, and every
+// lowered layer must have been lowered at its config's lane count;
+// otherwise it returns an error.
 // Cancellation is all-or-nothing: when ctx is cancelled or its deadline
 // passes, workers stop claiming filter groups — each worker's in-flight
 // group finishes first — and the call returns (nil, ctx.Err()) with no
@@ -77,7 +78,7 @@ func SimulateLoweredSweepContext(ctx context.Context, cfgs []arch.Config, lwss [
 		return nil, fmt.Errorf("sim: %d configs against %d layer lists", len(cfgs), len(lwss))
 	}
 	for k, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
+		if err := validate(cfg); err != nil {
 			return nil, err
 		}
 		for _, lw := range lwss[k] {
@@ -88,6 +89,19 @@ func SimulateLoweredSweepContext(ctx context.Context, cfgs []arch.Config, lwss [
 		}
 	}
 	return simulateSweep(ctx, cfgs, lwss, opts)
+}
+
+// validate is cfg.Validate, a hardware check, plus the engine's own
+// bound: the window walk's column kernels are exact for PEs of at most
+// maxLanes lanes (kernel.go).
+func validate(cfg arch.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Lanes > maxLanes {
+		return fmt.Errorf("sim: config %q has %d lanes; the engine simulates PEs of at most %d", cfg.Name, cfg.Lanes, maxLanes)
+	}
+	return nil
 }
 
 // LayerSchedules walks lw's filter groups in order under cfg, grouped
@@ -149,7 +163,7 @@ func SimulateGridContext(ctx context.Context, cfgs []arch.Config, m *nn.Model, a
 		return nil, err
 	}
 	for _, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
+		if err := validate(cfg); err != nil {
 			return nil, err
 		}
 	}

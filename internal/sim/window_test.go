@@ -18,8 +18,8 @@ import (
 // evalWindowsScalar is the per-lane window walk the engine ran before the
 // word-parallel one, kept as its executable specification. It visits one
 // (column, row, window) at a time. It derives each lane's slot from the
-// (column, row)'s schedule column itself, not from either walk's lane
-// lists: Src for a nonzero weight, Head×Lanes+lane otherwise; the lane is
+// (column, row)'s schedule column itself, not from a kernel's lane list:
+// Src for a nonzero weight, Head×Lanes+lane otherwise; the lane is
 // effectual when its weight is nonzero. It fetches every lane's cost
 // straight through Act and the cost table (so it does not depend on the
 // plane layout), takes the column max with columnMaxScalar over the lanes
@@ -154,10 +154,9 @@ func denseFCLayer(tb testing.TB, lanes, windows int) *nn.Lowered {
 }
 
 // checkWindowsMatchScalar prepares every filter group of lw under cfg and
-// requires evalWindows, under columnAVX2 when avx2 is set (and the PE has
-// at most laneChunk lanes) and the SWAR walk otherwise, to reproduce
-// evalWindowsScalar: PE totals,
-// every census field and the serial lane cycles. The reference walks the
+// requires evalWindows, under columnAVX2 when avx2 is set and columnSWAR
+// otherwise, to reproduce evalWindowsScalar: PE totals, every census field
+// and the serial lane cycles. The reference walks the
 // group's window groups in `slices` contiguous runs and sums them, so the
 // single word-parallel pass is also held to run boundaries that need not
 // fall on its blocks or words. One scratch arena serves every group, as on
@@ -207,9 +206,9 @@ func checkWindowsMatchScalar(tb testing.TB, cfg arch.Config, lw *nn.Lowered, sli
 	}
 }
 
-// walks are the window walk's two paths: swar runs on every host, avx2
-// only where the CPU has AVX2 (ok). Tests pick one per walk through
-// groupCtx.avx2.
+// walks are the window walk's two column kernels: swar (columnSWAR) runs
+// on every host, avx2 (columnAVX2) only where the CPU has AVX2 (ok). Tests
+// pick one per walk through groupCtx.avx2.
 var walks = []struct {
 	name     string
 	avx2, ok bool
@@ -233,8 +232,8 @@ func windowConfig(gated, tclp, w8 bool, lanes, wg int) arch.Config {
 	return cfg
 }
 
-// eachWalk runs check once per walk as a subtest, skipping the AVX2 walk
-// where the CPU lacks it.
+// eachWalk runs check once per kernel as a subtest, skipping the AVX2
+// kernel where the CPU lacks it.
 func eachWalk(t *testing.T, check func(t *testing.T, avx2 bool)) {
 	t.Helper()
 	for _, walk := range walks {
@@ -248,7 +247,7 @@ func eachWalk(t *testing.T, check func(t *testing.T, avx2 bool)) {
 }
 
 // TestEvalWindowsMatchesScalar pins the word-parallel walk, under each
-// path, to the scalar reference across lane counts (including ones not
+// kernel, to the scalar reference across lane counts (including ones not
 // divisible by 8), window-group widths below, at and above one 8-window
 // word, window counts that are a multiple of neither 8 nor the group
 // width, gated and ungated configs, both serial back-ends and both widths.
@@ -276,25 +275,18 @@ func TestEvalWindowsMatchesScalar(t *testing.T) {
 			}
 		}
 	}
-	// Long rows of blocks; and past laneChunk (128) lanes a PE folds its
-	// lanes in chunks, two at 129 lanes and three at 260 and 300. In the
-	// dense layers every lane is effectual with a nonzero cost, so a
-	// window's count reaches the lane count: 128, the edge of the AVX2
-	// kernel's unsigned operand, and past 256, where a byte would wrap.
+	// Long rows of blocks; and the widest PE the engine simulates, a dense
+	// layer in which every lane is effectual with a nonzero cost, so a
+	// window's count reaches maxLanes (128): the edge of the AVX2 kernel's
+	// unsigned operand and of the SWAR dot product's 16-bit fields.
 	lw := windowLayer(t, nn.FC, 7, 16, 150, 0.4)
-	chunked := windowLayer(t, nn.FC, 9, 129, 21, 0.4)
-	wide := windowLayer(t, nn.FC, 8, 260, 21, 0)
-	dense128 := denseFCLayer(t, 128, 45)
-	dense := denseFCLayer(t, 300, 21)
+	dense128 := denseFCLayer(t, maxLanes, 45)
 	for _, gated := range []bool{true, false} {
 		t.Run(fmt.Sprintf("wide/gated=%v", gated), func(t *testing.T) {
 			eachWalk(t, func(t *testing.T, avx2 bool) {
 				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 16, 72), lw, 2, avx2)
 				checkWindowsMatchScalar(t, windowConfig(gated, true, true, 16, 8), lw, 3, avx2)
-				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 128, 16), dense128, 1, avx2)
-				checkWindowsMatchScalar(t, windowConfig(gated, true, false, 129, 16), chunked, 2, avx2)
-				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 260, 16), wide, 1, avx2)
-				checkWindowsMatchScalar(t, windowConfig(gated, false, false, 300, 16), dense, 1, avx2)
+				checkWindowsMatchScalar(t, windowConfig(gated, false, false, maxLanes, 16), dense128, 1, avx2)
 			})
 		})
 	}
@@ -335,24 +327,24 @@ func TestWindowSumsFlush(t *testing.T) {
 }
 
 // FuzzEvalWindowsMatchesScalar drives the differential check over random
-// FC layers: lane count (1-300, so folds cross the 128-lane chunk
-// boundary), window count (1-300), window-group width, gating, back-end
-// and width all come from the fuzzer. Each input runs under the SWAR walk,
-// and under the AVX2 walk where the CPU has it. The seeds hold gated and
-// ungated configs at 1 to 128 lanes, the AVX2 kernel's range, and past it.
+// FC layers: lane count (1 to maxLanes, 128), window count (1-300),
+// window-group width, gating, back-end and width all come from the
+// fuzzer. Each input runs under columnSWAR, and under columnAVX2 where the
+// CPU has it. The seeds hold gated and ungated configs from 1 to 128
+// lanes.
 func FuzzEvalWindowsMatchesScalar(f *testing.F) {
 	f.Add(int64(1), uint16(16), uint8(16), uint16(13), true, false, false)
 	f.Add(int64(2), uint16(12), uint8(72), uint16(90), false, true, false)
 	f.Add(int64(3), uint16(8), uint8(4), uint16(29), true, true, true)
 	f.Add(int64(4), uint16(127), uint8(16), uint16(40), true, false, false)
-	f.Add(int64(5), uint16(128), uint8(8), uint16(17), false, true, false)
-	f.Add(int64(6), uint16(256), uint8(12), uint16(9), true, true, true)
+	f.Add(int64(5), uint16(100), uint8(8), uint16(17), false, true, false)
+	f.Add(int64(6), uint16(127), uint8(12), uint16(9), true, true, true)
 	f.Add(int64(7), uint16(0), uint8(16), uint16(33), false, false, false)
 	f.Add(int64(8), uint16(31), uint8(12), uint16(64), false, false, true)
 	f.Add(int64(9), uint16(63), uint8(8), uint16(31), false, true, false)
 	f.Add(int64(10), uint16(127), uint8(16), uint16(45), false, false, false)
 	f.Fuzz(func(t *testing.T, seed int64, lanes uint16, wg uint8, windows uint16, gated, tclp, w8 bool) {
-		nLanes := int(lanes)%300 + 1
+		nLanes := int(lanes)%maxLanes + 1
 		cfg := windowConfig(gated, tclp, w8, nLanes, int(wg)%80+1)
 		lw := windowLayer(t, nn.FC, seed, nLanes, int(windows)%300+1, 0.4)
 		for _, walk := range walks {
@@ -364,11 +356,11 @@ func FuzzEvalWindowsMatchesScalar(f *testing.F) {
 }
 
 // TestEvalWindowsAllocatesNothing holds the walk to zero allocations under
-// each path, gated and ungated, at one lane chunk and past it: the masks
-// live on the walk's stack, and the lane lists and sums in the arena.
+// each kernel, gated and ungated, at 16 lanes and at maxLanes: the mask
+// lives on the walk's stack, and the lane list and sums in the arena.
 func TestEvalWindowsAllocatesNothing(t *testing.T) {
 	eachWalk(t, func(t *testing.T, avx2 bool) {
-		for _, lanes := range []int{16, 129} {
+		for _, lanes := range []int{16, maxLanes} {
 			lw := windowLayer(t, nn.FC, 3, lanes, 45, 0.4)
 			for _, gated := range []bool{true, false} {
 				cfg := windowConfig(gated, false, false, lanes, 16)
@@ -390,8 +382,9 @@ func TestEvalWindowsAllocatesNothing(t *testing.T) {
 
 // TestEvalWindowsSlotOutside corrupts the first column of a prepared
 // group, one effectual lane's Src set to the layer's Steps × Lanes or to
-// -1, and requires both walks, gated and ungated, to panic naming the
-// slot before they read a plane byte: the window sums stay zero.
+// -1, and requires the walk under both kernels, gated and ungated, to
+// panic naming the slot before it reads a plane byte: the window sums
+// stay zero.
 func TestEvalWindowsSlotOutside(t *testing.T) {
 	lw := windowLayer(t, nn.FC, 11, 16, 45, 0.4)
 	eachWalk(t, func(t *testing.T, avx2 bool) {
