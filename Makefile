@@ -42,10 +42,12 @@ bench-kernel:
 
 # The window walk's SWAR kernel, its path on any host without AVX2: 386
 # binaries run natively on x86-64 and build no AVX2 kernel, so the walk's
-# tests and fuzz seeds run the SWAR kernel end to end; and vetting for
+# tests and fuzz seeds run the SWAR kernel end to end. The back-ends' term
+# streams, the cost table's only source, and their contract tests
+# (backend, bits, datapath) run there too, on 32-bit ints; and vetting for
 # arm64 keeps the non-amd64 file set compiling.
 portable:
-	GOARCH=386 $(GO) test ./internal/sim ./internal/sched
+	GOARCH=386 $(GO) test ./internal/sim ./internal/sched ./internal/backend/... ./internal/bits ./internal/datapath
 	GOARCH=arm64 $(GO) vet ./...
 
 # The end-to-end benchmark (benchmark/, run by BENCHMARK.json) is a Go

@@ -56,7 +56,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-timeout 0s", "tclload: -timeout 0s must be at least 1ms", 2},
 		{"-timeout -1s", "tclload: -timeout -1s must be at least 1ms", 2},
 		{"-n 4 oops -c 0", `tclload: unexpected argument "oops"`, 2},
-		{"-n 1 -c 1 -timeout 1ms", "tclload: ", 1},
+		{"-n 1 -c 1 -timeout 1ms", "tclload: serve: reading /metrics", 1},
 	} {
 		args := "-addr unsupported://nowhere " + tc.args
 		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrorsExit2$")

@@ -3,12 +3,12 @@
 // model, the structural datapath, and the energy/area model need to know
 // about how a processing element consumes activations:
 //
-//   - the per-value serial cost at a datapath width (the quantity cost
-//     tables and activation cost planes memoize);
-//   - the reference arithmetic (how a weight×activation product is formed,
-//     exactly — the golden model's semantic-preservation invariant);
-//   - the cycle-by-cycle serial term stream (what the structural datapath's
-//     lanes shift through the adder tree);
+//   - the serial term stream of each activation value: the factors a lane
+//     shift-adds through the adder tree, one per cycle. Its length is the
+//     value's serial cost (what cost tables and activation cost planes
+//     memoize), its factors sum to the value (the golden model's
+//     semantic-preservation invariant), and the structural datapath's
+//     lanes stream it as is;
 //   - the energy and area coefficients of the lane hardware.
 //
 // The paper's three back-ends — bit-parallel DaDianNao++, TCLp
@@ -41,28 +41,23 @@ type Backend interface {
 	// OffsetEncodes activity census and the offset-generator energy/area.
 	OffsetEncoder() bool
 
-	// Cost returns the serial cycles one lane spends on activation code v
-	// at width w: oneffset count for TCLe, dynamic precision bits for TCLp,
-	// 1 for bit-parallel. This is the value cost tables and activation cost
-	// planes precompute per code. It must lie in [0, 127]: the simulator
-	// packs costs one per byte with bit 7 clear, and panics on a cost
-	// outside that range.
-	Cost(v int32, w fixed.Width) int
-
-	// MAC returns the contribution of one (weight, activation) pair to a
-	// partial sum, computed through the back-end's own arithmetic (e.g. a
-	// Booth shift-add sequence for TCLe). Every back-end must be value
-	// exact: the result always equals weight*act — the golden model
+	// Terms appends to dst the serial factor stream one lane shifts
+	// through the adder tree for activation code v at width w, first
+	// cycle first, and returns the extended slice, as strconv.AppendInt
+	// does.
+	// Each cycle the lane adds weight×factor; a zero factor is an idle
+	// cycle (a zero bit inside a TCLp precision window, TCLp's
+	// sign-handling step, a bit-parallel multiply of zero).
+	//
+	// The stream is the back-end's one definition of v. Its length is the
+	// serial cycles a lane spends on v (oneffset count for TCLe, dynamic
+	// precision bits for TCLp, 1 for bit-parallel), which the simulator's
+	// cost tables store; it must be at most 127, because the simulator
+	// packs costs one per byte with bit 7 clear and panics on a longer
+	// stream. Its factors sum to v, so the golden model's Σ weight×factor
+	// is weight×v: every back-end is value exact, and the golden model
 	// verifies the route, not the destination.
-	MAC(weight, act int32, w fixed.Width) int64
-
-	// Terms expands an activation into the serial factor stream a lane
-	// shifts through the adder tree, in issue order. A zero factor is an
-	// idle lane cycle (e.g. a zero bit inside a TCLp precision window);
-	// the stream's length must equal Cost(act, w) for nonzero activations
-	// so the structural datapath's cycle counts cross-validate against the
-	// analytic cost model.
-	Terms(act int32, w fixed.Width) []int64
+	Terms(dst []int64, v int32, w fixed.Width) []int64
 
 	// Energy returns the back-end's per-event energy coefficients.
 	Energy() EnergyCoeffs

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,33 +88,29 @@ func TestNamesSorted(t *testing.T) {
 	}
 }
 
-// TestMACIsValueExact pins the golden-model invariant: every back-end's
-// arithmetic route must land exactly on weight*act.
-func TestMACIsValueExact(t *testing.T) {
-	for _, name := range Names() {
-		be := MustLookup(name)
-		for _, w := range []fixed.Width{fixed.W16, fixed.W8} {
-			for _, act := range []int32{0, 1, -1, 5, -5, 127, -127, w.MaxInt(), w.MinInt(), 0x70, -0x70} {
-				for _, weight := range []int32{0, 1, -1, 3, -97, w.MaxInt(), w.MinInt()} {
-					want := int64(weight) * int64(act)
-					if got := be.MAC(weight, act, w); got != want {
-						t.Fatalf("%s: MAC(%d, %d, %s) = %d, want %d", name, weight, act, w, got, want)
-					}
-				}
-			}
-		}
+// TestTermsContract pins the one definition every consumer reads, for
+// every back-end registered in this test binary, over the full code space
+// at both widths: the factors sum to v (the golden model's value
+// exactness), the stream is at most 127 factors long (the cost table's
+// byte bound), Terms appends to a non-empty prefix without touching it,
+// and the stream's length is the cycle count each paper back-end models.
+func TestTermsContract(t *testing.T) {
+	wantLen := map[string]func(v int32, w fixed.Width) int{
+		"bit-parallel": func(int32, fixed.Width) int { return 1 },
+		"TCLp":         func(v int32, w fixed.Width) int { return bits.ValuePrecision(v, w).Bits() },
+		"TCLe":         bits.OneffsetCount,
 	}
-}
-
-// TestTermsMatchCostAndValue pins the structural-datapath contract: the
-// serial term stream reconstructs the activation and its length equals the
-// analytic per-value cost for nonzero activations.
-func TestTermsMatchCostAndValue(t *testing.T) {
 	for _, name := range Names() {
-		be := MustLookup(name)
+		be, length := MustLookup(name), wantLen[name]
+		if length == nil {
+			t.Fatalf("%s: no expected stream length", name)
+		}
+		prefix := []int64{7, -7, 42}
+		buf := make([]int64, 0, 256)
 		for _, w := range []fixed.Width{fixed.W16, fixed.W8} {
-			for v := w.MinInt(); v <= w.MaxInt(); v += 13 {
-				ts := be.Terms(v, w)
+			for i := 0; i < 1<<uint(w); i++ {
+				v := fixed.SignExtend(uint32(i), w)
+				ts := be.Terms(nil, v, w)
 				var sum int64
 				for _, f := range ts {
 					sum += f
@@ -121,29 +118,17 @@ func TestTermsMatchCostAndValue(t *testing.T) {
 				if sum != int64(v) {
 					t.Fatalf("%s: Terms(%d, %s) sums to %d", name, v, w, sum)
 				}
-				if v != 0 {
-					if got, want := len(ts), be.Cost(v, w); got != want {
-						t.Fatalf("%s: len(Terms(%d, %s)) = %d, Cost = %d", name, v, w, got, want)
-					}
+				if len(ts) > 127 {
+					t.Fatalf("%s: Terms(%d, %s) has %d factors, more than 127", name, v, w, len(ts))
+				}
+				if got, want := len(ts), length(v, w); got != want {
+					t.Fatalf("%s: len(Terms(%d, %s)) = %d, want %d", name, v, w, got, want)
+				}
+				got := be.Terms(append(buf[:0], prefix...), v, w)
+				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], ts) {
+					t.Fatalf("%s: Terms(%v, %d, %s) = %v, want the prefix then %v", name, prefix, v, w, got, ts)
 				}
 			}
-		}
-	}
-}
-
-// TestPaperCostSemantics pins each paper back-end's cost to the bits
-// package primitive it models.
-func TestPaperCostSemantics(t *testing.T) {
-	bp, p, e := MustLookup("bit-parallel"), MustLookup("TCLp"), MustLookup("TCLe")
-	for _, v := range []int32{0, 1, -1, 0x8f, -0x8f, 255, 256, -4096} {
-		if got := bp.Cost(v, fixed.W16); got != 1 {
-			t.Errorf("bit-parallel Cost(%d) = %d, want 1", v, got)
-		}
-		if got, want := p.Cost(v, fixed.W16), bits.ValuePrecision(v, fixed.W16).Bits(); got != want {
-			t.Errorf("TCLp Cost(%d) = %d, want %d", v, got, want)
-		}
-		if got, want := e.Cost(v, fixed.W16), bits.OneffsetCount(v, fixed.W16); got != want {
-			t.Errorf("TCLe Cost(%d) = %d, want %d", v, got, want)
 		}
 	}
 }

@@ -8,14 +8,15 @@
 // lane walks every magnitude bit from bit 0 up to the value's highest set
 // bit — unlike TCLp there is no trailing-zero trim (the serial counter
 // always starts at bit 0) and no extra sign-handling cycle (the sign
-// travels beside the magnitude and steers the adder tree directly). A zero
+// travels beside the magnitude and steers the adder tree directly). That
+// walk is the back-end's term stream, its one definition: the engine's
+// cost tables read its length, the golden model its factors. A zero
 // activation costs nothing; the front-end scheduler skips it like any
 // other ineffectual value.
 package dstripes
 
 import (
 	"bittactical/internal/backend"
-	"bittactical/internal/bits"
 	"bittactical/internal/fixed"
 )
 
@@ -43,57 +44,17 @@ func (signMagnitude) Area() backend.AreaCoeffs {
 	return backend.AreaCoeffs{ComputeCorePerLaneMM2: 0.000552, DispatcherMM2: 0.39, ASUWireBits: 1}
 }
 
-// Cost is Hi+1 cycles: every magnitude bit from 0 through the highest set
-// bit, no low-order trim, no sign cycle. Zero for zero.
-func (signMagnitude) Cost(v int32, w fixed.Width) int {
-	return bits.ValuePrecision(v, w).Hi + 1
-}
-
-// MAC AND-adds each magnitude bit, the sign steering add vs. subtract —
-// value exact by construction.
-func (signMagnitude) MAC(weight, act int32, w fixed.Width) int64 {
-	m := int64(act)
-	neg := m < 0
-	if neg {
-		m = -m
+// Terms walks every magnitude bit from 0 through the highest set bit — Hi+1
+// cycles, no low-order trim, no sign cycle — a factor signed by the
+// value's sign for each set bit and an idle cycle for each clear one. Zero
+// streams nothing.
+func (signMagnitude) Terms(dst []int64, v int32, w fixed.Width) []int64 {
+	sign, m := int64(1), int64(v)
+	if m < 0 {
+		sign, m = -1, -m
 	}
-	var acc int64
-	for b := 0; m != 0; b++ {
-		if m&1 == 1 {
-			if neg {
-				acc -= int64(weight) << uint(b)
-			} else {
-				acc += int64(weight) << uint(b)
-			}
-		}
-		m >>= 1
+	for b := uint(0); m>>b != 0; b++ {
+		dst = append(dst, sign*(m&(1<<b)))
 	}
-	return acc
-}
-
-// Terms emits one signed factor per magnitude bit in [0, Hi], zeros for
-// unset bits; length equals Cost for nonzero activations.
-func (signMagnitude) Terms(act int32, w fixed.Width) []int64 {
-	if act == 0 {
-		return nil
-	}
-	neg := act < 0
-	m := act
-	if neg {
-		m = -m
-	}
-	p := bits.ValuePrecision(act, w)
-	out := make([]int64, 0, p.Hi+1)
-	for b := 0; b <= p.Hi; b++ {
-		if m&(1<<uint(b)) != 0 {
-			f := int64(1) << uint(b)
-			if neg {
-				f = -f
-			}
-			out = append(out, f)
-		} else {
-			out = append(out, 0)
-		}
-	}
-	return out
+	return dst
 }

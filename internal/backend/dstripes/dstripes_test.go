@@ -1,6 +1,7 @@
 package dstripes
 
 import (
+	"slices"
 	"testing"
 
 	"bittactical/internal/backend"
@@ -35,40 +36,34 @@ func TestCostIsMagnitudeBitsFromZero(t *testing.T) {
 		{255, 8}, // bits 0..7
 		{-1, 1},
 	}
+	cost := func(be backend.Backend, v int32) int { return len(be.Terms(nil, v, fixed.W16)) }
 	for _, c := range cases {
-		if got := be.Cost(c.v, fixed.W16); got != c.want {
-			t.Errorf("Cost(%d) = %d, want %d", c.v, got, c.want)
+		if got := cost(be, c.v); got != c.want {
+			t.Errorf("len(Terms(%d)) = %d, want %d", c.v, got, c.want)
 		}
 	}
 	// Distinct from TCLp on both ends: no low-order trim, no sign cycle.
 	tclp := backend.MustLookup("TCLp")
-	if be.Cost(8, fixed.W16) == tclp.Cost(8, fixed.W16) {
-		t.Error("Cost(8) should differ from TCLp (no trailing-zero trim)")
+	if cost(be, 8) == cost(tclp, 8) {
+		t.Error("cost of 8 should differ from TCLp (no trailing-zero trim)")
 	}
-	if be.Cost(-1, fixed.W16) == tclp.Cost(-1, fixed.W16) {
-		t.Error("Cost(-1) should differ from TCLp (no sign cycle)")
-	}
-}
-
-func TestMACIsValueExact(t *testing.T) {
-	be := backend.MustLookup(Name)
-	for _, w := range []fixed.Width{fixed.W16, fixed.W8} {
-		for act := w.MinInt(); act <= w.MaxInt(); act += 7 {
-			for _, weight := range []int32{0, 1, -1, 3, -97, w.MaxInt(), w.MinInt()} {
-				want := int64(weight) * int64(act)
-				if got := be.MAC(weight, act, w); got != want {
-					t.Fatalf("MAC(%d, %d, %s) = %d, want %d", weight, act, w, got, want)
-				}
-			}
-		}
+	if cost(be, -1) == cost(tclp, -1) {
+		t.Error("cost of -1 should differ from TCLp (no sign cycle)")
 	}
 }
 
-func TestTermsMatchCostAndValue(t *testing.T) {
+// TestTermsContract pins the back-end's one definition over the full code
+// space at both widths: the factors sum to v, the stream is at most 127
+// factors long, Terms appends to a non-empty prefix without touching it,
+// and the length is Hi+1, every magnitude bit from 0 up.
+func TestTermsContract(t *testing.T) {
 	be := backend.MustLookup(Name)
+	prefix := []int64{7, -7, 42}
+	buf := make([]int64, 0, 256)
 	for _, w := range []fixed.Width{fixed.W16, fixed.W8} {
-		for v := w.MinInt(); v <= w.MaxInt(); v += 5 {
-			ts := be.Terms(v, w)
+		for i := 0; i < 1<<uint(w); i++ {
+			v := fixed.SignExtend(uint32(i), w)
+			ts := be.Terms(nil, v, w)
 			var sum int64
 			for _, f := range ts {
 				sum += f
@@ -76,13 +71,15 @@ func TestTermsMatchCostAndValue(t *testing.T) {
 			if sum != int64(v) {
 				t.Fatalf("Terms(%d, %s) sums to %d", v, w, sum)
 			}
-			if v != 0 {
-				if got, want := len(ts), be.Cost(v, w); got != want {
-					t.Fatalf("len(Terms(%d, %s)) = %d, Cost = %d", v, w, got, want)
-				}
-				if got, want := len(ts), bits.ValuePrecision(v, w).Hi+1; got != want {
-					t.Fatalf("len(Terms(%d, %s)) = %d, want Hi+1 = %d", v, w, got, want)
-				}
+			if len(ts) > 127 {
+				t.Fatalf("Terms(%d, %s) has %d factors, more than 127", v, w, len(ts))
+			}
+			if got, want := len(ts), bits.ValuePrecision(v, w).Hi+1; got != want {
+				t.Fatalf("len(Terms(%d, %s)) = %d, want Hi+1 = %d", v, w, got, want)
+			}
+			got := be.Terms(append(buf[:0], prefix...), v, w)
+			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], ts) {
+				t.Fatalf("Terms(%v, %d, %s) = %v, want the prefix then %v", prefix, v, w, got, ts)
 			}
 		}
 	}

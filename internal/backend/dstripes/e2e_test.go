@@ -67,15 +67,16 @@ func TestEndToEndThroughEngine(t *testing.T) {
 // TestCostOrderingVsTCLp pins the modeled trade-off on the same data: the
 // sign-magnitude stream walks from bit 0, so a layer can never be faster
 // under dstripes-sm than under TCLp's trimmed window minus its sign step
-// overhead — per value, Cost_sm >= Bits - 1 and Cost_sm >= Hi+1.
+// overhead — per value, the stream length satisfies len_sm >= Bits - 1 and
+// len_sm >= Hi+1.
 func TestCostOrderingVsTCLp(t *testing.T) {
 	sm := backend.MustLookup(dstripes.Name)
 	tclp := backend.MustLookup("TCLp")
 	for _, w := range []fixed.Width{fixed.W16, fixed.W8} {
 		for v := w.MinInt(); v <= w.MaxInt(); v += 3 {
-			c, p := sm.Cost(v, w), tclp.Cost(v, w)
+			c, p := len(sm.Terms(nil, v, w)), len(tclp.Terms(nil, v, w))
 			if c < p-1 {
-				t.Fatalf("Cost(%d, %s): dstripes-sm %d < TCLp %d - 1", v, w, c, p)
+				t.Fatalf("len(Terms(%d, %s)): dstripes-sm %d < TCLp %d - 1", v, w, c, p)
 			}
 		}
 	}

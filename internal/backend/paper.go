@@ -25,19 +25,11 @@ func (bitParallel) Area() AreaCoeffs {
 	return AreaCoeffs{ComputeCorePerLaneMM2: 0.003193, ASUWireBits: 16}
 }
 
-// Cost is one cycle per value regardless of content: the multiplier does
-// not exploit the activation's bits.
-func (bitParallel) Cost(v int32, w fixed.Width) int { return 1 }
-
-func (bitParallel) MAC(weight, act int32, w fixed.Width) int64 {
-	return int64(weight) * int64(act)
-}
-
-func (bitParallel) Terms(act int32, w fixed.Width) []int64 {
-	if act == 0 {
-		return []int64{0} // the lane still burns the multiply cycle
-	}
-	return []int64{int64(act)} // one full-width multiply
+// Terms is one full-width multiply per value regardless of content: the
+// multiplier does not exploit the activation's bits, and a zero still
+// burns the cycle.
+func (bitParallel) Terms(dst []int64, v int32, w fixed.Width) []int64 {
+	return append(dst, int64(v))
 }
 
 // ---- TCLp (Dynamic-Stripes-style dynamic precision, Section 5.2) ----
@@ -57,57 +49,22 @@ func (tclp) Area() AreaCoeffs {
 	return AreaCoeffs{ComputeCorePerLaneMM2: 0.000552, DispatcherMM2: 0.39, ASUWireBits: 1}
 }
 
-func (tclp) Cost(v int32, w fixed.Width) int {
-	return bits.ValuePrecision(v, w).Bits()
-}
-
-// MAC forms the product by AND-adding each bit of the trimmed magnitude
-// window, sign applied at the end — the bit-serial lane's arithmetic.
-func (tclp) MAC(weight, act int32, w fixed.Width) int64 {
-	m := int64(act)
-	neg := m < 0
-	if neg {
-		m = -m
+// Terms walks the trimmed magnitude window [Lo, Hi] bit by bit, a signed
+// factor for each set bit and an idle cycle for each clear one, then idles
+// one more cycle on a negative value's sign handling.
+func (tclp) Terms(dst []int64, v int32, w fixed.Width) []int64 {
+	p := bits.ValuePrecision(v, w)
+	sign, m := int64(1), int64(v)
+	if p.Neg {
+		sign, m = -1, -m
 	}
-	var acc int64
-	for b := 0; m != 0; b++ {
-		if m&1 == 1 {
-			acc += int64(weight) << uint(b)
-		}
-		m >>= 1
-	}
-	if neg {
-		acc = -acc
-	}
-	return acc
-}
-
-func (tclp) Terms(act int32, w fixed.Width) []int64 {
-	if act == 0 {
-		return nil
-	}
-	neg := act < 0
-	m := act
-	if neg {
-		m = -m
-	}
-	p := bits.ValuePrecision(act, w)
-	out := make([]int64, 0, p.Bits())
 	for b := p.Lo; b <= p.Hi; b++ {
-		if m&(1<<uint(b)) != 0 {
-			f := int64(1) << uint(b)
-			if neg {
-				f = -f
-			}
-			out = append(out, f)
-		} else {
-			out = append(out, 0) // zero bit still costs the cycle
-		}
+		dst = append(dst, sign*(m&(1<<uint(b))))
 	}
-	if neg {
-		out = append(out, 0) // sign-handling step
+	if p.Neg {
+		dst = append(dst, 0) // sign-handling step
 	}
-	return out
+	return dst
 }
 
 // ---- TCLe (Pragmatic-style oneffsets, Section 5.2) ----
@@ -126,29 +83,7 @@ func (tcle) Area() AreaCoeffs {
 	return AreaCoeffs{ComputeCorePerLaneMM2: 0.001132, DispatcherMM2: 0.37, OffsetGenMM2: 2.89, ASUWireBits: 4}
 }
 
-func (tcle) Cost(v int32, w fixed.Width) int {
-	return bits.OneffsetCount(v, w)
-}
-
-// MAC shift-adds one signed term per oneffset of the Booth encoding.
-func (tcle) MAC(weight, act int32, w fixed.Width) int64 {
-	var psum int64
-	for _, t := range bits.Booth(act, w) {
-		term := int64(weight) << uint(t.Exp)
-		if t.Sign < 0 {
-			psum -= term
-		} else {
-			psum += term
-		}
-	}
-	return psum
-}
-
-func (tcle) Terms(act int32, w fixed.Width) []int64 {
-	ts := bits.Booth(act, w)
-	out := make([]int64, len(ts))
-	for i, t := range ts {
-		out[i] = t.Value()
-	}
-	return out
+// Terms is one signed shift-add per oneffset of the Booth encoding.
+func (tcle) Terms(dst []int64, v int32, w fixed.Width) []int64 {
+	return bits.AppendBooth(dst, v, w)
 }

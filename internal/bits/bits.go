@@ -17,55 +17,36 @@ package bits
 
 import (
 	"math/bits"
+	"slices"
 
 	"bittactical/internal/fixed"
 )
 
-// Term is one signed power of two of a Booth-encoded value: Sign * 2^Exp.
-type Term struct {
-	Exp  int  // power of two, 0-based
-	Sign int8 // +1 or -1
-}
-
-// Value reconstructs the numeric contribution of the term.
-func (t Term) Value() int64 {
-	v := int64(1) << uint(t.Exp)
-	if t.Sign < 0 {
-		return -v
-	}
-	return v
-}
-
-// Booth returns the modified-Booth ("canonical signed digit") encoding of v
-// at width w: the minimal-length list of signed powers of two summing to v.
-// Terms are returned most-significant first, which is the order the TCLe
-// offset generator streams them to the shifters.
-func Booth(v int32, w fixed.Width) []Term {
-	if v == 0 {
-		return nil
-	}
+// AppendBooth appends the modified-Booth ("canonical signed digit")
+// encoding of v at width w to dst and returns the extended slice, as
+// strconv.AppendInt does: the minimal-length list of signed powers of two
+// (±2^k) summing to v, most-significant first, which is the order the TCLe
+// offset generator streams them to the shifters. Zero appends nothing.
+func AppendBooth(dst []int64, v int32, w fixed.Width) []int64 {
+	start := len(dst)
 	// Canonical signed-digit recoding: scan from LSB, replace runs of ones
 	// 0111..1 with 1000..-1. Work in int64 to keep the +2^w carry visible.
 	x := int64(v)
-	var terms []Term
-	for i := 0; x != 0; i++ {
+	for p := int64(1); x != 0; p <<= 1 {
 		if x&1 == 1 {
 			// Two's-complement remainder mod 4 decides the digit.
 			if x&3 == 3 { // ...11 -> digit -1, carry
-				terms = append(terms, Term{Exp: i, Sign: -1})
+				dst = append(dst, -p)
 				x++
 			} else { // ...01 -> digit +1
-				terms = append(terms, Term{Exp: i, Sign: +1})
+				dst = append(dst, p)
 				x--
 			}
 		}
 		x >>= 1
 	}
-	// Reverse to MSB-first.
-	for i, j := 0, len(terms)-1; i < j; i, j = i+1, j-1 {
-		terms[i], terms[j] = terms[j], terms[i]
-	}
-	return terms
+	slices.Reverse(dst[start:]) // MSB first
+	return dst
 }
 
 // OneffsetCount returns the number of effectual terms of v, i.e. the number

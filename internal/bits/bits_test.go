@@ -2,6 +2,7 @@ package bits
 
 import (
 	mbits "math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,10 +12,10 @@ import (
 // reconstructBooth sums a term list back into a value: the functional model
 // of TCLe's shift-add datapath, the oracle the Booth encoder is checked
 // against.
-func reconstructBooth(terms []Term) int64 {
+func reconstructBooth(terms []int64) int64 {
 	var v int64
 	for _, t := range terms {
-		v += t.Value()
+		v += t
 	}
 	return v
 }
@@ -28,21 +29,15 @@ func setBitCount(v int32, w fixed.Width) int {
 func TestBoothPaperExample(t *testing.T) {
 	// Paper Section 5.2: 0b0000_0000_1000_1111 -> {+2^7, +2^4, -2^0}.
 	v := int32(0x008F)
-	terms := Booth(v, fixed.W16)
-	want := []Term{{7, +1}, {4, +1}, {0, -1}}
-	if len(terms) != len(want) {
-		t.Fatalf("Booth(%#x) = %v, want %v", v, terms, want)
-	}
-	for i := range want {
-		if terms[i] != want[i] {
-			t.Errorf("term[%d] = %v, want %v", i, terms[i], want[i])
-		}
+	terms := AppendBooth(nil, v, fixed.W16)
+	if want := []int64{1 << 7, 1 << 4, -1}; !slices.Equal(terms, want) {
+		t.Errorf("AppendBooth(nil, %#x) = %v, want %v", v, terms, want)
 	}
 }
 
 func TestBoothZero(t *testing.T) {
-	if got := Booth(0, fixed.W16); got != nil {
-		t.Errorf("Booth(0) = %v, want nil", got)
+	if got := AppendBooth(nil, 0, fixed.W16); len(got) != 0 {
+		t.Errorf("AppendBooth(nil, 0) = %v, want no terms", got)
 	}
 	if OneffsetCount(0, fixed.W16) != 0 {
 		t.Error("OneffsetCount(0) != 0")
@@ -51,8 +46,8 @@ func TestBoothZero(t *testing.T) {
 
 func TestBoothReconstruct(t *testing.T) {
 	for v := int32(-512); v <= 512; v++ {
-		if got := reconstructBooth(Booth(v, fixed.W16)); got != int64(v) {
-			t.Fatalf("Booth(%d) reconstructs to %d", v, got)
+		if got := reconstructBooth(AppendBooth(nil, v, fixed.W16)); got != int64(v) {
+			t.Fatalf("AppendBooth(nil, %d) reconstructs to %d", v, got)
 		}
 	}
 }
@@ -60,7 +55,7 @@ func TestBoothReconstruct(t *testing.T) {
 func TestBoothReconstructProperty(t *testing.T) {
 	f := func(raw int32) bool {
 		v := fixed.Sat(int64(raw), fixed.W16)
-		return reconstructBooth(Booth(v, fixed.W16)) == int64(v)
+		return reconstructBooth(AppendBooth(nil, v, fixed.W16)) == int64(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -91,7 +86,7 @@ func TestBoothMinimality(t *testing.T) {
 func TestOneffsetCountMatchesBoothLen(t *testing.T) {
 	f := func(raw int32) bool {
 		v := fixed.Sat(int64(raw), fixed.W16)
-		return OneffsetCount(v, fixed.W16) == len(Booth(v, fixed.W16))
+		return OneffsetCount(v, fixed.W16) == len(AppendBooth(nil, v, fixed.W16))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -183,14 +178,5 @@ func TestTCLeNeverSlowerThanTCLpOnSingles(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTermValue(t *testing.T) {
-	if (Term{Exp: 3, Sign: 1}).Value() != 8 {
-		t.Error("Term{3,+1}.Value() != 8")
-	}
-	if (Term{Exp: 3, Sign: -1}).Value() != -8 {
-		t.Error("Term{3,-1}.Value() != -8")
 	}
 }

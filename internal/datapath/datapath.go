@@ -8,10 +8,10 @@
 //     (ABRs) as a circular queue over the lookahead window, advanced by the
 //     per-column ALC field, with the shuffling multiplexers that keep the
 //     logical lookahead order stable without copying data between ABRs;
-//   - the back-end lanes consume the selected activation serially —
-//     bit-by-bit over the trimmed precision window (TCLp) or oneffset-by-
-//     oneffset (TCLe) — shift-adding through the adder tree into a psum
-//     register.
+//   - the back-end lanes stream the selected activation's term stream
+//     (backend.Backend.Terms) — bit-by-bit over the trimmed precision
+//     window (TCLp) or oneffset-by-oneffset (TCLe) — shift-adding through
+//     the adder tree into a psum register.
 //
 // Where the sim package *accounts* for column durations analytically, this
 // package *executes* them: every multiplexer select, ABR rotation, shifter
@@ -25,8 +25,6 @@ import (
 	"fmt"
 
 	"bittactical/internal/arch"
-	"bittactical/internal/backend"
-	"bittactical/internal/fixed"
 	"bittactical/internal/sched"
 )
 
@@ -115,28 +113,10 @@ func (a *ASU) Select(dt, lane int) (int32, error) {
 	return b.vals[lane], nil
 }
 
-// term is one serial step of a lane: the lane contributes weight×Factor to
-// the adder tree that cycle (Factor 0 = the lane idles the step, e.g. a
-// zero bit inside a TCLp precision window or a column-sync stall).
-type term struct {
-	Factor int64
-}
-
-// termsFor expands an activation into the back-end's serial stream.
-func termsFor(a int32, be backend.Backend, w fixed.Width) []term {
-	fs := be.Terms(a, w)
-	out := make([]term, len(fs))
-	for i, f := range fs {
-		out[i] = term{Factor: f}
-	}
-	return out
-}
-
 // PE is one processing element: weight lanes feeding an adder tree and a
 // psum register.
 type PE struct {
-	backEnd backend.Backend
-	Psum    int64
+	Psum int64
 	// Cycles counts serial cycles; TreeReductions counts adder-tree
 	// activations; ShiftOps counts lane shift-add events.
 	Cycles         int64
@@ -144,10 +124,14 @@ type PE struct {
 	ShiftOps       int64
 }
 
-// laneStream is a lane's issued work for one column.
+// laneStream is a lane's work for one column: its weight and the
+// back-end's term stream of its activation. Each cycle the lane adds
+// weight×factor to the adder tree; factor 0 idles the lane that cycle (a
+// zero bit inside a TCLp precision window), as does a drained stream
+// waiting on the column sync.
 type laneStream struct {
 	weight int32
-	terms  []term
+	terms  []int64
 }
 
 // issueColumn executes one schedule column: every lane streams its terms;
@@ -163,10 +147,10 @@ func (pe *PE) issueColumn(lanes []laneStream) int {
 		var tree int64
 		active := false
 		for _, ls := range lanes {
-			if k >= len(ls.terms) || ls.terms[k].Factor == 0 {
+			if k >= len(ls.terms) || ls.terms[k] == 0 {
 				continue
 			}
-			tree += int64(ls.weight) * ls.terms[k].Factor
+			tree += int64(ls.weight) * ls.terms[k]
 			pe.ShiftOps++
 			active = true
 		}
@@ -202,12 +186,13 @@ func RunFilter(cfg arch.Config, f sched.Filter, s *sched.Schedule, src ActSource
 		h = 0
 	}
 	asu := NewASU(f.Lanes, h, win, src)
-	pe := &PE{backEnd: cfg.Backend}
+	pe := &PE{}
 	lanes := make([]laneStream, f.Lanes)
 	for ci, col := range s.Columns {
 		asu.SlideTo(col.Head, f.Steps-1)
 		for ln, e := range col.Entries {
-			lanes[ln] = laneStream{}
+			ls := &lanes[ln]
+			ls.weight, ls.terms = e.Weight, ls.terms[:0]
 			if e.Weight == 0 {
 				continue
 			}
@@ -215,7 +200,7 @@ func RunFilter(cfg arch.Config, f sched.Filter, s *sched.Schedule, src ActSource
 			if err != nil {
 				return 0, Stats{}, fmt.Errorf("datapath: column %d lane %d: %w", ci, ln, err)
 			}
-			lanes[ln] = laneStream{weight: e.Weight, terms: termsFor(a, cfg.Backend, cfg.Width)}
+			ls.terms = cfg.Backend.Terms(ls.terms, a, cfg.Width)
 		}
 		pe.issueColumn(lanes)
 	}

@@ -180,46 +180,6 @@ func TestASUSelectErrors(t *testing.T) {
 	}
 }
 
-func TestTermsForSemantics(t *testing.T) {
-	// TCLe: terms reconstruct the value; count == oneffsets.
-	for _, v := range []int32{0x008F, -5, 1, 32767, -32767} {
-		ts := termsFor(v, backend.MustLookup("TCLe"), fixed.W16)
-		var sum int64
-		for _, x := range ts {
-			sum += x.Factor
-		}
-		if sum != int64(v) {
-			t.Errorf("TCLe terms of %d sum to %d", v, sum)
-		}
-		if len(ts) != bits.OneffsetCount(v, fixed.W16) {
-			t.Errorf("TCLe term count %d != oneffsets", len(ts))
-		}
-	}
-	// TCLp: stream length == precision bits; factors reconstruct.
-	for _, v := range []int32{0x008E, -6, 255, -32767} {
-		ts := termsFor(v, backend.MustLookup("TCLp"), fixed.W16)
-		if len(ts) != bits.ValuePrecision(v, fixed.W16).Bits() {
-			t.Errorf("TCLp stream of %d has %d steps, want %d",
-				v, len(ts), bits.ValuePrecision(v, fixed.W16).Bits())
-		}
-		var sum int64
-		for _, x := range ts {
-			sum += x.Factor
-		}
-		if sum != int64(v) {
-			t.Errorf("TCLp terms of %d sum to %d", v, sum)
-		}
-	}
-	// Zero costs nothing serially (column sync supplies the floor).
-	if len(termsFor(0, backend.MustLookup("TCLe"), fixed.W16)) != 0 || len(termsFor(0, backend.MustLookup("TCLp"), fixed.W16)) != 0 {
-		t.Error("zero activation must stream no terms")
-	}
-	// Bit-parallel: exactly one step.
-	if len(termsFor(1234, backend.MustLookup("bit-parallel"), fixed.W16)) != 1 {
-		t.Error("bit-parallel must take one step")
-	}
-}
-
 func TestStructuralProperty(t *testing.T) {
 	// Random filters and activations: structural psum == direct dot
 	// product, for both serial back-ends.

@@ -75,130 +75,84 @@ func (t Tally) Potentials() map[string]float64 {
 	}
 }
 
-// AnalyzeLayer tallies one lowered layer at the given data width.
+// AnalyzeLayer tallies one lowered layer at the given data width. It walks
+// the layer's act groups (lw.ActGroups): every filter of a group reads the
+// same activations, so each group's activations are analysed once and each
+// dense-schedule slot is weighted by the number of the group's filters
+// holding a nonzero weight there. Every term is a float64 sum of integers
+// far below 2^53, so the tally is exact in any order.
 func AnalyzeLayer(lw *nn.Lowered, width fixed.Width) Tally {
-	w := lw.Layer()
 	t := Tally{widthBits: float64(int(width))}
-
 	lanes, steps, wins := lw.Lanes, lw.Steps, lw.WindowCount
-	F := lw.Filters
+	slots, groups := steps*lanes, lw.ActGroups()
 
 	// Channel-padding slots of the laned layout are not work: the paper's
 	// potentials are over real MACs. Mask them out of every count.
-	pad := make([]bool, steps*lanes)
-	realPositions := 0
-	for st := 0; st < steps; st++ {
-		for ln := 0; ln < lanes; ln++ {
-			pad[st*lanes+ln] = lw.IsPad(st, ln)
-			if !pad[st*lanes+ln] {
-				realPositions++
-			}
+	pad := lw.PadMask() // nil when the layout has no padding
+	realPositions := slots
+	for _, p := range pad {
+		if p {
+			realPositions--
 		}
 	}
 
-	// cntW[step*lanes+lane] = filters with a non-zero weight there.
-	cntW := make([]int32, steps*lanes)
+	// cntW[g*slots+slot] = act group g's filters with a nonzero weight at
+	// slot (padding slots read 0); size[g] = act group g's filters.
+	cntW := make([]int32, groups*slots)
+	size := make([]float64, groups)
+	row := make([]int32, slots)
 	var nnzW int64
-	for f := 0; f < F; f++ {
-		for st := 0; st < steps; st++ {
-			for ln := 0; ln < lanes; ln++ {
-				if lw.Weight(f, st, ln) != 0 {
-					cntW[st*lanes+ln]++
-					nnzW++
-				}
+	for f := 0; f < lw.Filters; f++ {
+		g := lw.ActGroupOf(f)
+		size[g]++
+		lw.FilterRowInto(f, row)
+		for i, wt := range row {
+			if wt != 0 {
+				cntW[g*slots+i]++
+				nnzW++
 			}
 		}
 	}
-
-	pairsPerPos := float64(F)
-	t.totalPairs = float64(F) * float64(realPositions) * float64(wins)
+	t.totalPairs = float64(lw.Filters) * float64(realPositions) * float64(wins)
 	t.remW = float64(nnzW) * float64(wins)
 
-	if w.Kind == nn.Depthwise || (w.Kind == nn.Conv && w.Groups > 1) {
-		// Per-filter activation fetch (depthwise channels / grouped convs).
-		analyzePerFilter(lw, width, pad, &t)
-		return t
-	}
-
 	group := make([]int32, lanes)
-	for win := 0; win < wins; win++ {
-		for st := 0; st < steps; st++ {
-			var nzActs, groupOneff, realLanes int64
-			var wPairs, waPairs float64
-			var aeW float64
-			for ln := 0; ln < lanes; ln++ {
-				if pad[st*lanes+ln] {
-					group[ln] = 0
-					continue
-				}
-				realLanes++
-				a := lw.Act(0, win, st, ln)
-				group[ln] = a
-				cw := float64(cntW[st*lanes+ln])
-				wPairs += cw
-				if a != 0 {
-					nzActs++
-					waPairs += cw
-					oe := int64(bits.OneffsetCount(a, width))
-					groupOneff += oe
-					aeW += float64(oe) * cw
-				}
-			}
-			prec := float64(bits.GroupPrecision(group, width).Bits())
-			t.remA += float64(nzActs) * pairsPerPos
-			t.remWA += waPairs
-			t.remApBits += prec * float64(realLanes) * pairsPerPos
-			t.remAeBits += float64(groupOneff) * pairsPerPos
-			t.remWApBits += prec * wPairs
-			t.remWAeBits += aeW
-		}
-	}
-	return t
-}
-
-// analyzePerFilter handles layers whose activation fetch depends on the
-// filter index: depthwise layers (each PE row reads its own channel) and
-// grouped convolutions (each filter group reads its own channel slice).
-func analyzePerFilter(lw *nn.Lowered, width fixed.Width, pad []bool, t *Tally) {
-	lanes, steps, wins := lw.Lanes, lw.Steps, lw.WindowCount
-	group := make([]int32, lanes)
-	for f := 0; f < lw.Filters; f++ {
+	for g := 0; g < groups; g++ {
+		rep, cnt := lw.ActGroupRep(g), cntW[g*slots:(g+1)*slots]
 		for win := 0; win < wins; win++ {
 			for st := 0; st < steps; st++ {
 				var nzActs, groupOneff, realLanes int64
-				var waPairs, aeW, wCnt float64
+				var wPairs, waPairs, aeW float64
 				for ln := 0; ln < lanes; ln++ {
-					if pad[st*lanes+ln] {
+					i := st*lanes + ln
+					if pad != nil && pad[i] {
 						group[ln] = 0
 						continue
 					}
 					realLanes++
-					a := lw.Act(f, win, st, ln)
+					a := lw.Act(rep, win, st, ln)
 					group[ln] = a
-					wNZ := lw.Weight(f, st, ln) != 0
-					if wNZ {
-						wCnt++
-					}
+					cw := float64(cnt[i])
+					wPairs += cw
 					if a != 0 {
 						nzActs++
-						oe := float64(bits.OneffsetCount(a, width))
-						groupOneff += int64(oe)
-						if wNZ {
-							waPairs++
-							aeW += oe
-						}
+						waPairs += cw
+						oe := int64(bits.OneffsetCount(a, width))
+						groupOneff += oe
+						aeW += float64(oe) * cw
 					}
 				}
 				prec := float64(bits.GroupPrecision(group, width).Bits())
-				t.remA += float64(nzActs)
+				t.remA += float64(nzActs) * size[g]
 				t.remWA += waPairs
-				t.remApBits += prec * float64(realLanes)
-				t.remAeBits += float64(groupOneff)
-				t.remWApBits += prec * wCnt
+				t.remApBits += prec * float64(realLanes) * size[g]
+				t.remAeBits += float64(groupOneff) * size[g]
+				t.remWApBits += prec * wPairs
 				t.remWAeBits += aeW
 			}
 		}
 	}
+	return t
 }
 
 // AnalyzeModel tallies a full model against its activation tensors.

@@ -72,7 +72,7 @@ func RunLoad(ctx context.Context, o LoadOptions) (*LoadReport, error) {
 	}
 	before, err := fetchServeCounters(ctx, client, o.BaseURL)
 	if err != nil {
-		return nil, fmt.Errorf("tclload: reading /metrics: %w", err)
+		return nil, fmt.Errorf("serve: reading /metrics: %w", err)
 	}
 
 	type outcome struct {
@@ -122,7 +122,7 @@ func RunLoad(ctx context.Context, o LoadOptions) (*LoadReport, error) {
 
 	after, err := fetchServeCounters(ctx, client, o.BaseURL)
 	if err != nil {
-		return nil, fmt.Errorf("tclload: reading /metrics: %w", err)
+		return nil, fmt.Errorf("serve: reading /metrics: %w", err)
 	}
 
 	rep := &LoadReport{

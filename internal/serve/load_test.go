@@ -1,6 +1,21 @@
 package serve
 
-import "testing"
+import (
+	"context"
+	"strings"
+	"testing"
+)
+
+// TestRunLoadErrorNamesPackage: a drive that cannot read the server's
+// /metrics fails with a "serve:" error, so cmd/tclload's own "tclload:"
+// prefix is not doubled. The base URL's scheme is one no HTTP client
+// speaks, so the test opens no connection.
+func TestRunLoadErrorNamesPackage(t *testing.T) {
+	rep, err := RunLoad(context.Background(), LoadOptions{BaseURL: "unsupported://nowhere", Requests: 1, Concurrency: 1})
+	if rep != nil || err == nil || !strings.HasPrefix(err.Error(), "serve: reading /metrics: ") {
+		t.Fatalf("RunLoad = (%v, %v), want nil and an error starting %q", rep, err, "serve: reading /metrics: ")
+	}
+}
 
 // TestPercentileNearestRank pins percentile to the nearest-rank
 // definition: the p-quantile of n sorted samples is sample ceil(p*n), so

@@ -11,17 +11,19 @@ import (
 	"bittactical/internal/metrics"
 )
 
-// costlyBackend is a buggy back-end plugin: it prices every activation code
-// at 200 cycles, outside the [0, 127] the engine packs costs into, so the
-// engine panics while it builds the cost table. No test that walks
+// costlyBackend is a buggy back-end plugin: it streams every activation
+// code over 200 cycles, more than the 127 the engine packs costs into, so
+// the engine panics while it builds the cost table. No test that walks
 // backend.Names() simulates every entry, so registering it here breaks
 // nothing else in this package.
 type costlyBackend struct{ backend.Backend }
 
 const costlyName = "test-cost-200"
 
-func (costlyBackend) Name() string                { return costlyName }
-func (costlyBackend) Cost(int32, fixed.Width) int { return 200 }
+func (costlyBackend) Name() string { return costlyName }
+func (costlyBackend) Terms(dst []int64, _ int32, _ fixed.Width) []int64 {
+	return append(dst, make([]int64, 200)...)
+}
 
 func init() { backend.Register(costlyBackend{backend.MustLookup("TCLe")}) }
 

@@ -507,7 +507,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 // enginePanic is a panic recovered under an engine call: a bug, such as a
-// back-end plugin whose Cost leaves [0, 127], not a request error.
+// back-end plugin whose term streams run longer than 127 cycles, not a
+// request error.
 type enginePanic struct{ value any }
 
 func (e *enginePanic) Error() string { return fmt.Sprintf("serve: engine panic: %v", e.value) }

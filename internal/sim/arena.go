@@ -113,7 +113,7 @@ type costTableKey struct {
 }
 
 // costTables memoizes cost tables process-wide. A table is a pure
-// function of (back-end, width) — 2^width bytes built by 2^width Cost
+// function of (back-end, width) — 2^width bytes built by 2^width Terms
 // calls — and the experiment drivers invoke the engine once per (config,
 // layer), so without the memo a full-zoo sweep rebuilt the same handful
 // of tables hundreds of times over.

@@ -21,31 +21,33 @@ import (
 )
 
 // costTable memoizes the back-end's per-value serial cost of every code at
-// a width: oneffset count for TCLe, dynamic precision bits for TCLp, 1 for
-// the bit-parallel back-end — whatever the registered Backend's Cost says.
+// a width: the length of the registered Backend's term stream — oneffset
+// count for TCLe, dynamic precision bits for TCLp, 1 for the bit-parallel
+// back-end.
 type costTable struct {
 	width fixed.Width
 	tab   []uint8
 }
 
-// newCostTable evaluates be.Cost for every code at width w. The window
-// walk packs costs one per byte and relies on bit 7 staying clear
-// (kernel.go), so a cost outside [0, maxLaneCost] would corrupt the
-// neighbouring windows' column max and census. Real costs are far below
-// the bound (TCLp <= width+1, TCLe <= ceil((width+1)/2)); only a bug in a
-// compiled-in back-end can exceed it, so it panics rather than clamping a
-// wrong cost into a plausible one.
+// newCostTable stores len(be.Terms) for every code at width w, streaming
+// each code into one reused buffer. The window walk packs costs one per
+// byte and relies on bit 7 staying clear (kernel.go), so a stream longer
+// than maxLaneCost would corrupt the neighbouring windows' column max and
+// census. Real streams are far below the bound (TCLp <= width+1, TCLe <=
+// ceil((width+1)/2)); only a bug in a compiled-in back-end can exceed it,
+// so it panics rather than clamping a wrong cost into a plausible one.
 func newCostTable(be backend.Backend, w fixed.Width) *costTable {
 	n := 1 << uint(w)
 	ct := &costTable{width: w, tab: make([]uint8, n)}
+	var terms []int64
 	for i := 0; i < n; i++ {
 		v := fixed.SignExtend(uint32(i), w)
-		c := be.Cost(v, w)
-		if c < 0 || c > maxLaneCost {
-			panic(fmt.Sprintf("sim: back-end %q costs code %d at width %d as %d cycles, outside [0, %d]",
-				be.Name(), v, int(w), c, maxLaneCost))
+		terms = be.Terms(terms[:0], v, w)
+		if len(terms) > maxLaneCost {
+			panic(fmt.Sprintf("sim: back-end %q costs code %d at width %d as %d cycles, more than %d",
+				be.Name(), v, int(w), len(terms), maxLaneCost))
 		}
-		ct.tab[i] = uint8(c)
+		ct.tab[i] = uint8(len(terms))
 	}
 	return ct
 }

@@ -19,6 +19,7 @@ import (
 // may reorder work arbitrarily within its constraints, but each filter's
 // psum must come out bit-exact.
 func ExecuteGolden(cfg arch.Config, lw *nn.Lowered) error {
+	var terms []int64
 	return LayerSchedules(cfg, lw, func(f0 int, filters []sched.Filter, schedules []*sched.Schedule) error {
 		for i, s := range schedules {
 			f := f0 + i
@@ -28,7 +29,7 @@ func ExecuteGolden(cfg arch.Config, lw *nn.Lowered) error {
 				}
 			}
 			for win := 0; win < lw.WindowCount; win++ {
-				got := executePsum(cfg, lw, s, f, win)
+				got := executePsum(cfg, lw, s, f, win, &terms)
 				want := lw.ReferenceOutput(f, win)
 				if got != want {
 					return fmt.Errorf("sim: %s: filter %d window %d: datapath %d != reference %d",
@@ -42,10 +43,11 @@ func ExecuteGolden(cfg arch.Config, lw *nn.Lowered) error {
 
 // executePsum accumulates one output through the modeled datapath: the WSU
 // selects each entry's activation at its source, the dense (step, lane) its
-// mux input names; the back-end forms the product through its own
-// arithmetic — bit-parallel multiply, bit-serial AND-adds (TCLp), Booth
-// shift-adds (TCLe), or whatever the registered Backend's MAC models.
-func executePsum(cfg arch.Config, lw *nn.Lowered, s *sched.Schedule, f, win int) int64 {
+// mux input names, and the lane adds weight × factor for every factor of
+// the activation's term stream — one full multiply (bit-parallel), the
+// bit-serial AND-adds (TCLp), the Booth shift-adds (TCLe), or whatever the
+// registered Backend streams. terms is the streams' reused buffer.
+func executePsum(cfg arch.Config, lw *nn.Lowered, s *sched.Schedule, f, win int, terms *[]int64) int64 {
 	var psum int64
 	for _, col := range s.Columns {
 		for _, e := range col.Entries {
@@ -53,7 +55,10 @@ func executePsum(cfg arch.Config, lw *nn.Lowered, s *sched.Schedule, f, win int)
 				continue
 			}
 			a := lw.Act(f, win, int(e.Src)/s.Lanes, int(e.Src)%s.Lanes)
-			psum += cfg.Backend.MAC(e.Weight, a, cfg.Width)
+			*terms = cfg.Backend.Terms((*terms)[:0], a, cfg.Width)
+			for _, factor := range *terms {
+				psum += int64(e.Weight) * factor
+			}
 		}
 	}
 	return psum

@@ -17,8 +17,8 @@ import (
 	"bittactical/internal/sched"
 )
 
-// cancellationModel builds a model big enough that cancellation lands
-// mid-run at every realistic scheduling interleaving.
+// cancellationModel builds a scaled AlexNet-ES, whose 8 layers outnumber
+// the cancellation test's 4 workers.
 func cancellationModel(t *testing.T) (*nn.Model, []*nn.Lowered) {
 	t.Helper()
 	cfg := nn.DefaultZoo()
@@ -39,11 +39,15 @@ func cancellationModel(t *testing.T) (*nn.Model, []*nn.Lowered) {
 // goroutines, and a live context that is never cancelled yields output
 // bit-identical to a background-context run.
 func TestSimulateCancellation(t *testing.T) {
-	m, _ := cancellationModel(t)
+	const workers = 4
+	m, lws := cancellationModel(t)
+	if len(lws) <= workers {
+		t.Fatalf("%d layers, want more than the %d workers", len(lws), workers)
+	}
 	acts := m.GenerateActs(7)
 	cfgs := []arch.Config{arch.TCLe(sched.T(2, 5))}
 
-	want, err := SimulateSweepContext(context.Background(), cfgs, m, acts, fresh(4))
+	want, err := SimulateSweepContext(context.Background(), cfgs, m, acts, fresh(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +55,7 @@ func TestSimulateCancellation(t *testing.T) {
 	// Live but uncancelled context: bit-identical to the background run.
 	live, cancelLive := context.WithCancel(context.Background())
 	defer cancelLive()
-	got, err := SimulateSweepContext(live, cfgs, m, acts, fresh(4))
+	got, err := SimulateSweepContext(live, cfgs, m, acts, fresh(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +66,24 @@ func TestSimulateCancellation(t *testing.T) {
 	// Already-cancelled context: immediate ctx.Err(), nil result.
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SimulateSweepContext(pre, cfgs, m, acts, Options{Parallelism: 4})
+	res, err := SimulateSweepContext(pre, cfgs, m, acts, Options{Parallelism: workers})
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("pre-cancelled: got (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 
 	// Cancellation mid-run: prompt partial-free return and no goroutine
-	// leak. The deadline is far shorter than the model's cold-cache
-	// simulate time (hundreds of ms at this scale), so it always lands
-	// mid-run.
+	// leak. The deadline lands mid-run by construction, not by racing the
+	// sweep's wall time: a layer callback that blocks until the deadline
+	// holds each worker at the first layer it finishes, so at most 4 of the
+	// model's layers finish before the deadline fires and the pool cannot
+	// drain first.
 	before := runtime.NumGoroutine()
 	ctx, cancel2 := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel2()
+	opts := fresh(workers)
+	opts.OnLayerResult = func(int, int, LayerResult) { <-ctx.Done() }
 	start := time.Now()
-	res, err = SimulateSweepContext(ctx, cfgs, m, acts, fresh(4))
+	res, err = SimulateSweepContext(ctx, cfgs, m, acts, opts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-run cancel: err = %v, want DeadlineExceeded", err)

@@ -21,8 +21,9 @@
 // unsigned compare borrows through bit 7 of each byte, the nonzero test
 // (c + 0x7f) would carry into the next byte, and the AVX2 kernel's
 // VPMADDUBSW takes peMax as its signed operand, so costs must leave the
-// high bit clear. newCostTable panics on any back-end cost outside [0,
-// maxLaneCost]; real costs never exceed width+1 <= 17.
+// high bit clear. A cost is the length of a back-end's term stream, so it
+// is never negative, and newCostTable panics on any stream longer than
+// maxLaneCost; real costs never exceed width+1 <= 17.
 //
 // Exactness bounds a PE to maxLanes lanes: a kernel's byte counts reach
 // at most 128, and a dot product's 16-bit fields at most 4 × 127 × 128 <

@@ -15,10 +15,30 @@ import (
 // This file keeps the pre-registry back-end dispatch alive as test-only
 // reference implementations: each legacy type transliterates the body one
 // arm of the deleted switches (cost.go's cost table fill, golden.go's
-// executePsum) used to run for that kind. The differential tests below run
-// the full engine once with a registered back-end and once with its legacy
-// twin and require bit-identical results — the pin that the refactor moved
-// the semantics without changing them.
+// executePsum) used to run for that kind, as a Cost and a MAC method. The
+// differential tests below compare them with the registered back-ends'
+// term streams, and run the full engine once with a registered back-end
+// and once with its legacy twin, requiring bit-identical results — the pin
+// that the refactors moved the semantics without changing them.
+
+// legacyBackend is a legacy twin: the deleted switch arms' Cost and MAC,
+// runnable by the engine through legacyTerms.
+type legacyBackend interface {
+	backend.Backend
+	Cost(v int32, w fixed.Width) int
+	MAC(wt, a int32, w fixed.Width) int64
+}
+
+// legacyTerms is a legacy twin's term stream: Cost(v) cycles, the first
+// carrying MAC(1, v), so the engine's cost table reads the legacy cost and
+// the golden model's Σ weight×factor the legacy product.
+func legacyTerms(dst []int64, b legacyBackend, v int32, w fixed.Width) []int64 {
+	if n := b.Cost(v, w); n > 0 {
+		dst = append(dst, b.MAC(1, v, w))
+		dst = append(dst, make([]int64, n-1)...)
+	}
+	return dst
+}
 
 type legacyBitParallel struct{}
 
@@ -29,11 +49,8 @@ func (legacyBitParallel) Energy() backend.EnergyCoeffs         { return backend.
 func (legacyBitParallel) Area() backend.AreaCoeffs             { return backend.AreaCoeffs{} }
 func (legacyBitParallel) Cost(v int32, w fixed.Width) int      { return 1 }
 func (legacyBitParallel) MAC(wt, a int32, w fixed.Width) int64 { return int64(wt) * int64(a) }
-func (legacyBitParallel) Terms(a int32, w fixed.Width) []int64 {
-	if a == 0 {
-		return []int64{0}
-	}
-	return []int64{int64(a)}
+func (b legacyBitParallel) Terms(dst []int64, v int32, w fixed.Width) []int64 {
+	return legacyTerms(dst, b, v, w)
 }
 
 type legacyTCLp struct{}
@@ -67,32 +84,8 @@ func (legacyTCLp) MAC(wt, a int32, w fixed.Width) int64 {
 	return acc
 }
 
-func (legacyTCLp) Terms(a int32, w fixed.Width) []int64 {
-	if a == 0 {
-		return nil
-	}
-	neg := a < 0
-	m := a
-	if neg {
-		m = -m
-	}
-	p := bits.ValuePrecision(a, w)
-	out := make([]int64, 0, p.Bits())
-	for b := p.Lo; b <= p.Hi; b++ {
-		if m&(1<<uint(b)) != 0 {
-			f := int64(1) << uint(b)
-			if neg {
-				f = -f
-			}
-			out = append(out, f)
-		} else {
-			out = append(out, 0)
-		}
-	}
-	if neg {
-		out = append(out, 0)
-	}
-	return out
+func (b legacyTCLp) Terms(dst []int64, v int32, w fixed.Width) []int64 {
+	return legacyTerms(dst, b, v, w)
 }
 
 type legacyTCLe struct{}
@@ -107,35 +100,40 @@ func (legacyTCLe) Cost(v int32, w fixed.Width) int {
 	return bits.OneffsetCount(v, w)
 }
 
+// MAC shift-adds one signed term per digit of the canonical signed-digit
+// (Booth) recoding, scanned from the LSB as the deleted term list was
+// built.
 func (legacyTCLe) MAC(wt, a int32, w fixed.Width) int64 {
 	var psum int64
-	for _, t := range bits.Booth(a, w) {
-		term := int64(wt) << uint(t.Exp)
-		if t.Sign < 0 {
-			psum -= term
-		} else {
-			psum += term
+	x := int64(a)
+	for i := 0; x != 0; i++ {
+		if x&1 == 1 {
+			if x&3 == 3 {
+				psum -= int64(wt) << uint(i)
+				x++
+			} else {
+				psum += int64(wt) << uint(i)
+				x--
+			}
 		}
+		x >>= 1
 	}
 	return psum
 }
 
-func (legacyTCLe) Terms(a int32, w fixed.Width) []int64 {
-	ts := bits.Booth(a, w)
-	out := make([]int64, len(ts))
-	for i, t := range ts {
-		out[i] = t.Value()
-	}
-	return out
+func (b legacyTCLe) Terms(dst []int64, v int32, w fixed.Width) []int64 {
+	return legacyTerms(dst, b, v, w)
 }
 
 // legacyPairs couples each registered paper back-end with its test-only
 // reference.
 func legacyPairs() []struct {
-	registered, legacy backend.Backend
+	registered backend.Backend
+	legacy     legacyBackend
 } {
 	return []struct {
-		registered, legacy backend.Backend
+		registered backend.Backend
+		legacy     legacyBackend
 	}{
 		{backend.MustLookup("bit-parallel"), legacyBitParallel{}},
 		{backend.MustLookup("TCLp"), legacyTCLp{}},
@@ -143,31 +141,27 @@ func legacyPairs() []struct {
 	}
 }
 
-// TestRegisteredMatchesLegacyPrimitives pins Cost/MAC/Terms of every
-// registered paper back-end to the legacy switch bodies over the full code
-// space at both widths.
+// TestRegisteredMatchesLegacyPrimitives pins every registered paper
+// back-end's term stream to the legacy switch bodies over the full code
+// space at both widths: its length to the legacy Cost, and Σ −321×factor
+// to the legacy MAC(−321, v).
 func TestRegisteredMatchesLegacyPrimitives(t *testing.T) {
+	var terms []int64
 	for _, pair := range legacyPairs() {
 		for _, w := range []fixed.Width{fixed.W16, fixed.W8} {
 			n := 1 << uint(w)
 			for i := 0; i < n; i++ {
 				v := fixed.SignExtend(uint32(i), w)
-				if got, want := pair.registered.Cost(v, w), pair.legacy.Cost(v, w); got != want {
-					t.Fatalf("%s: Cost(%d, %s) = %d, legacy %d", pair.registered.Name(), v, w, got, want)
+				terms = pair.registered.Terms(terms[:0], v, w)
+				if got, want := len(terms), pair.legacy.Cost(v, w); got != want {
+					t.Fatalf("%s: len(Terms(%d, %s)) = %d, legacy Cost %d", pair.registered.Name(), v, w, got, want)
 				}
-				if got, want := pair.registered.MAC(-321, v, w), pair.legacy.MAC(-321, v, w); got != want {
-					t.Fatalf("%s: MAC(-321, %d, %s) = %d, legacy %d", pair.registered.Name(), v, w, got, want)
+				var mac int64
+				for _, f := range terms {
+					mac += -321 * f
 				}
-				if v%17 == 0 {
-					got, want := pair.registered.Terms(v, w), pair.legacy.Terms(v, w)
-					if len(got) != len(want) {
-						t.Fatalf("%s: Terms(%d, %s) len %d, legacy %d", pair.registered.Name(), v, w, len(got), len(want))
-					}
-					for k := range got {
-						if got[k] != want[k] {
-							t.Fatalf("%s: Terms(%d, %s)[%d] = %d, legacy %d", pair.registered.Name(), v, w, k, got[k], want[k])
-						}
-					}
+				if want := pair.legacy.MAC(-321, v, w); mac != want {
+					t.Fatalf("%s: Σ −321×Terms(%d, %s) = %d, legacy MAC %d", pair.registered.Name(), v, w, mac, want)
 				}
 			}
 		}

@@ -437,7 +437,8 @@ func TestCostTableValues(t *testing.T) {
 	}
 }
 
-// badCostBackend is a TCLe back-end whose Cost returns cost for code 5.
+// badCostBackend is a TCLe back-end whose term stream for code 5 is cost
+// idle cycles long.
 type badCostBackend struct {
 	backend.Backend
 	cost int
@@ -445,33 +446,31 @@ type badCostBackend struct {
 
 func (b badCostBackend) Name() string { return fmt.Sprintf("bad-cost%d", b.cost) }
 
-func (b badCostBackend) Cost(v int32, w fixed.Width) int {
+func (b badCostBackend) Terms(dst []int64, v int32, w fixed.Width) []int64 {
 	if v == 5 {
-		return b.cost
+		return append(dst, make([]int64, b.cost)...)
 	}
-	return b.Backend.Cost(v, w)
+	return b.Backend.Terms(dst, v, w)
 }
 
-// TestCostTableRejectsOutOfRangeCost pins the cost-table guard: a cost
-// outside [0, maxLaneCost] would set bit 7 of its packed byte and corrupt
-// the neighbouring windows of the word-parallel walk, so newCostTable
-// panics, naming the back-end, width, code and cost. Every registered
-// back-end stays inside the range at both widths.
+// TestCostTableRejectsOutOfRangeCost pins the cost-table guard: a term
+// stream longer than maxLaneCost would set bit 7 of its packed byte and
+// corrupt the neighbouring windows of the word-parallel walk, so
+// newCostTable panics, naming the back-end, width, code and cost. Every
+// registered back-end stays inside the range at both widths.
 func TestCostTableRejectsOutOfRangeCost(t *testing.T) {
-	for _, cost := range []int{-1, maxLaneCost + 1} {
-		be := badCostBackend{Backend: backend.MustLookup("TCLe"), cost: cost}
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				for _, want := range []string{be.Name(), "code 5 ", "width 8 ", fmt.Sprintf("as %d cycles", cost)} {
-					if !strings.Contains(msg, want) {
-						t.Errorf("cost %d: panic %q does not name %q", cost, msg, want)
-					}
+	be := badCostBackend{Backend: backend.MustLookup("TCLe"), cost: maxLaneCost + 1}
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			for _, want := range []string{be.Name(), "code 5 ", "width 8 ", fmt.Sprintf("as %d cycles", be.cost)} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("panic %q does not name %q", msg, want)
 				}
-			}()
-			newCostTable(be, fixed.W8)
+			}
 		}()
-	}
+		newCostTable(be, fixed.W8)
+	}()
 	for _, name := range backend.Names() {
 		for _, w := range []fixed.Width{fixed.W8, fixed.W16} {
 			newCostTable(backend.MustLookup(name), w)
