@@ -53,34 +53,37 @@ func TestCostIsMagnitudeBitsFromZero(t *testing.T) {
 }
 
 // TestTermsContract pins the back-end's one definition over the full code
-// space at both widths: the factors sum to v, the stream is at most 127
-// factors long, Terms appends to a non-empty prefix without touching it,
-// and the length is Hi+1, every magnitude bit from 0 up.
+// space at both widths, one subtest per width: the factors sum to v, the
+// stream is at most 127 factors long, Terms appends to a non-empty prefix
+// without touching it, and the length is Hi+1, every magnitude bit from 0
+// up.
 func TestTermsContract(t *testing.T) {
 	be := backend.MustLookup(Name)
 	prefix := []int64{7, -7, 42}
-	buf := make([]int64, 0, 256)
 	for _, w := range []fixed.Width{fixed.W16, fixed.W8} {
-		for i := 0; i < 1<<uint(w); i++ {
-			v := fixed.SignExtend(uint32(i), w)
-			ts := be.Terms(nil, v, w)
-			var sum int64
-			for _, f := range ts {
-				sum += f
+		t.Run(w.String(), func(t *testing.T) {
+			buf := make([]int64, 0, 256)
+			for i := 0; i < 1<<uint(w); i++ {
+				v := fixed.SignExtend(uint32(i), w)
+				ts := be.Terms(nil, v, w)
+				var sum int64
+				for _, f := range ts {
+					sum += f
+				}
+				if sum != int64(v) {
+					t.Fatalf("Terms(%d, %s) sums to %d", v, w, sum)
+				}
+				if len(ts) > 127 {
+					t.Fatalf("Terms(%d, %s) has %d factors, more than 127", v, w, len(ts))
+				}
+				if got, want := len(ts), bits.ValuePrecision(v, w).Hi+1; got != want {
+					t.Fatalf("len(Terms(%d, %s)) = %d, want Hi+1 = %d", v, w, got, want)
+				}
+				got := be.Terms(append(buf[:0], prefix...), v, w)
+				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], ts) {
+					t.Fatalf("Terms(%v, %d, %s) = %v, want the prefix then %v", prefix, v, w, got, ts)
+				}
 			}
-			if sum != int64(v) {
-				t.Fatalf("Terms(%d, %s) sums to %d", v, w, sum)
-			}
-			if len(ts) > 127 {
-				t.Fatalf("Terms(%d, %s) has %d factors, more than 127", v, w, len(ts))
-			}
-			if got, want := len(ts), bits.ValuePrecision(v, w).Hi+1; got != want {
-				t.Fatalf("len(Terms(%d, %s)) = %d, want Hi+1 = %d", v, w, got, want)
-			}
-			got := be.Terms(append(buf[:0], prefix...), v, w)
-			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], ts) {
-				t.Fatalf("Terms(%v, %d, %s) = %v, want the prefix then %v", prefix, v, w, got, ts)
-			}
-		}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package datapath
 
 import (
+	mbits "math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -177,6 +178,63 @@ func TestASUSelectErrors(t *testing.T) {
 	}
 	if _, err := asu.Select(0, 3); err != nil {
 		t.Errorf("valid select failed: %v", err)
+	}
+}
+
+// TestTermsForSemantics pins how a lane streams each back-end's terms
+// through one column (issueColumn): the psum gains exactly weight×v, the
+// column lasts one cycle per factor, a factor 0 idles the lane (no shift-add
+// event), and a drained or empty stream still costs the column-sync floor
+// of one cycle.
+func TestTermsForSemantics(t *testing.T) {
+	const weight = -97
+	column := func(name string, v int32) *PE {
+		pe := &PE{}
+		be := backend.MustLookup(name)
+		pe.issueColumn([]laneStream{{weight: weight, terms: be.Terms(nil, v, fixed.W16)}})
+		if want := int64(weight) * int64(v); pe.Psum != want {
+			t.Errorf("%s: psum after streaming %d = %d, want %d", name, v, pe.Psum, want)
+		}
+		return pe
+	}
+	// TCLe: one oneffset per cycle, every cycle a shift-add
+	// (0x8F = +2^7 +2^4 -2^0 takes three).
+	for _, v := range []int32{0x008F, -5, 1, 32767, -32767} {
+		pe, n := column("TCLe", v), int64(bits.OneffsetCount(v, fixed.W16))
+		if pe.Cycles != n || pe.ShiftOps != n {
+			t.Errorf("TCLe %d: %d cycles, %d shift-adds, want %d of each", v, pe.Cycles, pe.ShiftOps, n)
+		}
+	}
+	if pe := column("TCLe", 0x008F); pe.Cycles != 3 {
+		t.Errorf("TCLe 0x8F: %d cycles, want 3", pe.Cycles)
+	}
+	// TCLp: one cycle per bit of the trimmed precision window plus a
+	// negative value's sign cycle; only the set magnitude bits shift-add,
+	// a clear bit and the sign cycle idle the lane.
+	for _, v := range []int32{0x008E, -6, 255, -32767} {
+		pe, p := column("TCLp", v), bits.ValuePrecision(v, fixed.W16)
+		if pe.Cycles != int64(p.Bits()) {
+			t.Errorf("TCLp %d: %d cycles, want %d precision bits", v, pe.Cycles, p.Bits())
+		}
+		m := v
+		if m < 0 {
+			m = -m
+		}
+		if ops := int64(mbits.OnesCount32(uint32(m))); pe.ShiftOps != ops {
+			t.Errorf("TCLp %d: %d shift-adds, want %d", v, pe.ShiftOps, ops)
+		}
+	}
+	// Zero streams nothing under either serial back-end; the column sync
+	// supplies the one-cycle floor.
+	for _, name := range []string{"TCLe", "TCLp"} {
+		if pe := column(name, 0); pe.Cycles != 1 || pe.ShiftOps != 0 || pe.TreeReductions != 0 {
+			t.Errorf("%s 0: %d cycles, %d shift-adds, %d reductions, want 1, 0, 0",
+				name, pe.Cycles, pe.ShiftOps, pe.TreeReductions)
+		}
+	}
+	// Bit-parallel: exactly one step.
+	if pe := column("bit-parallel", 1234); pe.Cycles != 1 || pe.ShiftOps != 1 {
+		t.Errorf("bit-parallel 1234: %d cycles, %d shift-adds, want 1 of each", pe.Cycles, pe.ShiftOps)
 	}
 }
 
