@@ -8,7 +8,7 @@
 //
 //	tclpack -model AlexNet-ES -pattern 'T8<2,5>' -o /tmp/alexnet.tclw
 //	tclpack -model MobileNet -pattern 'L8<1,6>'
-//	tclpack -model ResNet50-SS -j 8      # parallel scheduling + packing
+//	tclpack -model ResNet50-SS -j 8      # layers scheduled and packed in parallel
 package main
 
 import (
@@ -19,8 +19,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bittactical/internal/arch"
 	"bittactical/internal/nn"
 	"bittactical/internal/sched"
+	"bittactical/internal/sim"
 	"bittactical/internal/wsformat"
 
 	_ "bittactical/internal/workloads/attention" // register the transformer-era zoo
@@ -49,98 +51,64 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := nn.DefaultZoo()
-	cfg.ChannelScale, cfg.SpatialScale = *cscale, *sscale
-	m, err := nn.BuildModel(*model, cfg)
+	zoo := nn.DefaultZoo()
+	zoo.ChannelScale, zoo.SpatialScale = *cscale, *sscale
+	m, err := nn.BuildModel(*model, zoo)
 	if err != nil {
 		fatal(err)
 	}
-	acts := m.GenerateActs(1)
-	lws, err := m.Lowered(16, acts)
+	cfg := arch.FrontEndOnly(p)
+	lws, err := m.Lowered(cfg.Lanes, m.GenerateActs(1))
 	if err != nil {
 		fatal(err)
 	}
 
-	// The offline pipeline is embarrassingly parallel across filter groups
-	// (each group schedules, verifies, and encodes independently); groups go
-	// into one shared queue and idle workers steal the next index, then the
-	// per-group images concatenate in deterministic order.
-	type job struct {
-		lw     *nn.Lowered
-		pad    []bool
-		f0, f1 int
-	}
-	var jobs []job
-	for _, lw := range lws {
-		pad := lw.PadMask()
-		for f0 := 0; f0 < lw.Filters; f0 += 16 {
-			f1 := f0 + 16
-			if f1 > lw.Filters {
-				f1 = lw.Filters
-			}
-			jobs = append(jobs, job{lw: lw, pad: pad, f0: f0, f1: f1})
-		}
-	}
+	// The offline pipeline is embarrassingly parallel across layers: idle
+	// workers claim the next layer and walk its filter groups as the engine
+	// groups them (sim.LayerSchedules), verifying, encoding and
+	// round-tripping every schedule; the per-layer images then concatenate
+	// in layer order.
 	type packed struct {
-		blob             []byte
-		rawBits, imgBits int64
-		filters, columns int
-		denseCols        int
-		err              error
+		blob    []byte
+		imgBits int64
+		columns int
+		err     error
 	}
-	results := make([]packed, len(jobs))
+	results := make([]packed, len(lws))
 	workers := *par
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(lws)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns a scheduler kernel: tclpack visits every group
-			// exactly once, so memoizing through the shared cache buys nothing
-			// — arena mode schedules allocation-free, and each group's
-			// schedules are fully consumed (verify, encode, round-trip) before
-			// the worker's next ScheduleGroup call invalidates them.
-			sc := sched.NewScheduler()
 			for {
-				ji := int(next.Add(1)) - 1
-				if ji >= len(jobs) {
+				li := int(next.Add(1)) - 1
+				if li >= len(lws) {
 					return
 				}
-				j := jobs[ji]
-				r := &results[ji]
-				lw := j.lw
-				group := make([]sched.Filter, j.f1-j.f0)
-				for i := range group {
-					group[i] = sched.NewFilter(lw.Lanes, lw.Steps, lw.FilterRow(j.f0+i), j.pad)
-				}
-				for i, s := range sc.ScheduleGroup(group, p, sched.Algorithm1) {
-					if err := sched.Verify(group[i], p, s); err != nil {
-						r.err = fmt.Errorf("%s filter %d: %w", lw.Name, j.f0+i, err)
-						return
+				lw, r := lws[li], &results[li]
+				r.err = sim.LayerSchedules(cfg, lw, func(f0 int, filters []sched.Filter, schedules []*sched.Schedule) error {
+					for i, s := range schedules {
+						if err := sched.Verify(filters[i], p, s); err != nil {
+							return fmt.Errorf("%s filter %d: %w", lw.Name, f0+i, err)
+						}
+						buf, err := wsformat.Encode(p, s, m.Width)
+						if err != nil {
+							return err
+						}
+						if err := wsformat.RoundTrip(p, s, m.Width); err != nil {
+							return fmt.Errorf("%s filter %d: %w", lw.Name, f0+i, err)
+						}
+						r.blob = append(r.blob, buf...)
+						r.imgBits += wsformat.SizeBits(p, s, m.Width)
+						r.columns += s.Len()
 					}
-					buf, err := wsformat.Encode(p, s, m.Width)
-					if err != nil {
-						r.err = err
-						return
-					}
-					if err := wsformat.RoundTrip(p, s, m.Width); err != nil {
-						r.err = fmt.Errorf("%s filter %d: %w", lw.Name, j.f0+i, err)
-						return
-					}
-					r.blob = append(r.blob, buf...)
-					r.rawBits += int64(lw.Steps) * int64(lw.Lanes) * int64(m.Width)
-					r.imgBits += wsformat.SizeBits(p, s, m.Width)
-					r.filters++
-					r.columns += s.Len()
-					r.denseCols += lw.Steps
-				}
+					return nil
+				})
 			}
 		}()
 	}
@@ -149,17 +117,17 @@ func main() {
 	var blob []byte
 	var rawBits, imgBits int64
 	var filters, columns, denseCols int
-	for i := range results {
-		r := &results[i]
+	for li, lw := range lws {
+		r := &results[li]
 		if r.err != nil {
 			fatal(r.err)
 		}
 		blob = append(blob, r.blob...)
-		rawBits += r.rawBits
 		imgBits += r.imgBits
-		filters += r.filters
 		columns += r.columns
-		denseCols += r.denseCols
+		filters += lw.Filters
+		denseCols += lw.Filters * lw.Steps
+		rawBits += int64(lw.Filters) * int64(lw.Steps) * int64(lw.Lanes) * int64(m.Width)
 	}
 	fmt.Printf("%s under %s: %d filters scheduled and verified\n", m.Name, p.Name, filters)
 	fmt.Printf("schedule: %d columns vs %d dense steps (%.2fx front-end compaction)\n",

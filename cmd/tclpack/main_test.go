@@ -3,22 +3,62 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// runMain calls main with args as its command line. main defines its flags
+// on every call, so each call gets a fresh flag.CommandLine.
+func runMain(args ...string) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	os.Args = append([]string{"tclpack"}, args...)
+	flag.CommandLine = flag.NewFlagSet("tclpack", flag.ExitOnError)
+	main()
+}
+
 // Example runs the pipeline at its default flags: AlexNet-ES scheduled
 // under T8<2,5>, every schedule verified, packed and round-tripped.
 func Example() {
-	defer func(args []string) { os.Args = args }(os.Args)
-	os.Args = []string{"tclpack"}
-	main()
+	runMain()
 	// Output:
 	// AlexNet-ES under T8<2,5>: 2656 filters scheduled and verified
 	// schedule: 37888 columns vs 108416 dense steps (2.86x front-end compaction)
 	// WS images: 1474.3 KB (raw dense weights: 3388.0 KB; ws+ALC overhead included)
+}
+
+// TestImagesIndependentOfWorkers packs one model at -j 1 and at -j 2: the
+// written images must be byte-identical, because the layers' images
+// concatenate in layer order whichever worker packed them.
+func TestImagesIndependentOfWorkers(t *testing.T) {
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	// The footprint report on stdout is not under test here.
+	defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
+	os.Stdout = devnull
+	dir := t.TempDir()
+	var images [][]byte
+	for _, j := range []string{"1", "2"} {
+		path := filepath.Join(dir, "j"+j+".tclw")
+		runMain("-model", "MobileNet", "-j", j, "-o", path)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, img)
+	}
+	if len(images[0]) == 0 {
+		t.Fatal("-j 1 wrote an empty image")
+	}
+	if !bytes.Equal(images[0], images[1]) {
+		t.Errorf("-j 1 and -j 2 images differ (%d and %d bytes)", len(images[0]), len(images[1]))
+	}
 }
 
 // TestBadCountsExit2 runs the test binary as tclpack with a negative -j, or

@@ -25,6 +25,7 @@
 package accel
 
 import (
+	"bittactical/internal/arch"
 	"bittactical/internal/bits"
 	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
@@ -46,13 +47,11 @@ func (l LayerCycles) Speedup() float64 {
 	return float64(l.DenseCycles) / float64(l.Cycles)
 }
 
-// denseCycles is the DaDianNao++ reference used by every model here,
-// matching the sim engine's normalization: 64 resident filters (4 tiles ×
-// 16 rows), 16 lanes, one window at a time per tile.
+// denseCycles is the DaDianNao++ reference used by every model here, the
+// sim engine's normalization: 64 resident filters (4 tiles × 16 rows), one
+// window at a time per tile.
 func denseCycles(lw *nn.Lowered) int64 {
-	groups := (lw.Filters + 15) / 16
-	rounds := (groups + 3) / 4
-	return int64(rounds) * int64(lw.Steps) * int64(lw.WindowCount)
+	return arch.DaDianNaoPP().DenseCycles(lw.Filters, lw.Steps, lw.WindowCount)
 }
 
 // ---- SCNN ----

@@ -1,11 +1,14 @@
 package accel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"bittactical/internal/arch"
 	"bittactical/internal/fixed"
 	"bittactical/internal/nn"
+	"bittactical/internal/sim"
 	"bittactical/internal/sparsity"
 	"bittactical/internal/tensor"
 )
@@ -138,6 +141,44 @@ func TestDenseCyclesNormalization(t *testing.T) {
 	want := int64(2) * int64(lw.Steps) * int64(lw.WindowCount)
 	if got := denseCycles(lw); got != want {
 		t.Errorf("denseCycles = %d, want %d", got, want)
+	}
+}
+
+// TestDenseCyclesMatchEngine requires every baseline here to normalize to
+// the engine's dense reference: for every conv layer of a zoo model, the
+// DenseCycles of SCNN, Cambricon-X and Cnvlutin equal the DenseCycles a
+// DaDianNao++ simulation of the layer reports.
+func TestDenseCyclesMatchEngine(t *testing.T) {
+	z := nn.DefaultZoo()
+	z.ChannelScale, z.SpatialScale = 0.1, 0.25
+	m, err := nn.BuildModel("AlexNet-ES", z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := arch.DaDianNaoPP()
+	lws, err := m.Lowered(cfg.Lanes, m.GenerateActs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.SimulateLoweredSweepContext(context.Background(), []arch.Config{cfg}, [][]*nn.Lowered{lws}, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	convs := 0
+	for i, lw := range lws {
+		if lw.Kind != nn.Conv {
+			continue
+		}
+		convs++
+		want := res[0][i].DenseCycles
+		for _, r := range []LayerCycles{SCNN(lw), CambriconX(lw), Cnvlutin(lw)} {
+			if r.DenseCycles != want {
+				t.Errorf("%s layer %s: DenseCycles %d, engine's DaDianNao++ %d", r.Name, lw.Name, r.DenseCycles, want)
+			}
+		}
+	}
+	if convs == 0 {
+		t.Fatal("model has no conv layers")
 	}
 }
 

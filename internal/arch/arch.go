@@ -58,6 +58,22 @@ func (c Config) Serial() bool {
 	return c.Backend != nil && c.Backend.Serial()
 }
 
+// FilterGroups is how many groups a layer's filters form on c (Section
+// 5.3): a group fills one tile's FiltersPerTile PE rows, the last one
+// short.
+func (c Config) FilterGroups(filters int) int {
+	return (filters + c.FiltersPerTile - 1) / c.FiltersPerTile
+}
+
+// DenseCycles is the DaDianNao++ time of a layer lowered to steps dense
+// steps over windows windows on c's tile geometry: its filter groups run
+// c.Tiles at a time, and each round takes every step of every window. It
+// is the basis every speedup here is normalized to.
+func (c Config) DenseCycles(filters, steps, windows int) int64 {
+	rounds := (c.FilterGroups(filters) + c.Tiles - 1) / c.Tiles
+	return int64(rounds) * int64(steps) * int64(windows)
+}
+
 // PeakMACsPerCycle is the chip's dense-equivalent multiply bandwidth.
 func (c Config) PeakMACsPerCycle() int64 {
 	per := int64(c.Tiles) * int64(c.FiltersPerTile) * int64(c.Lanes) * int64(c.WindowsPerTile)

@@ -83,7 +83,7 @@ func Enumerate(cfg arch.Config, lw *nn.Lowered, k Costs) []Choice {
 	cols := int64(lw.Steps) // dense columns bound the schedule length
 	wg := int64(cfg.WindowsPerTile)
 	numWGroups := (int64(lw.WindowCount) + wg - 1) / wg
-	groups := int64((lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile)
+	groups := int64(cfg.FilterGroups(lw.Filters))
 	// Activation footprint streamed per full pass over the windows.
 	actPass := int64(lw.Steps) * int64(lw.Lanes) * numWGroups
 

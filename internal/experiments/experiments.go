@@ -349,19 +349,12 @@ func fx(v float64, prec int) string {
 func f1(v float64) string { return fx(v, 1) }
 func f2(v float64) string { return fx(v, 2) }
 
-// speedupOf is sim.Result.Speedup over a bare layer slice: total dense
-// cycles against total actual cycles. The figure runners consume engine
-// cells as []sim.LayerResult without assembling a Result per cell.
+// speedupOf is sim.Result.Speedup over a bare layer slice. The figure
+// runners consume engine cells as []sim.LayerResult; the Result wrapping
+// one stays on the stack.
 func speedupOf(layers []sim.LayerResult) float64 {
-	var cycles, dense int64
-	for i := range layers {
-		cycles += layers[i].Cycles
-		dense += layers[i].DenseCycles
-	}
-	if cycles == 0 {
-		return 1
-	}
-	return float64(dense) / float64(cycles)
+	r := sim.Result{Layers: layers}
+	return r.Speedup()
 }
 
 // speedups is speedupOf over one config's row of cells, one per workload.

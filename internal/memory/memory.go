@@ -248,7 +248,7 @@ func LayerTraffic(cfg arch.Config, lw *nn.Lowered) Traffic {
 	inBits := CompressedBits(in.Data, w)
 	t.ActInBytes = (inBits + 7) / 8
 	if cfg.ASBytesPerTile > 0 && t.ActInBytes > int64(cfg.ASBytesPerTile) {
-		groups := (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
+		groups := cfg.FilterGroups(lw.Filters)
 		rounds := int64((groups + cfg.Tiles - 1) / cfg.Tiles)
 		if rounds > 1 {
 			t.ActInBytes *= rounds

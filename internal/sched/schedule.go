@@ -125,6 +125,15 @@ type Stats struct {
 	DenseSteps int
 }
 
+// Add accumulates another census.
+func (s *Stats) Add(o Stats) {
+	s.Columns += o.Columns
+	s.DenseSteps += o.DenseSteps
+	for k := range s.Slots {
+		s.Slots[k] += o.Slots[k]
+	}
+}
+
 // Stats classifies every slot of the schedule against the filter: an
 // effectual weight at its own dense position is unpromoted, one from a later
 // step of its own lane lookahead, and one from another lane lookaside.

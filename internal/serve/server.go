@@ -397,33 +397,39 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing layers")
 		return
 	}
+	for _, li := range req.Layers {
+		if li < 0 || li >= len(m.Layers) {
+			s.failures.Inc()
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("layer index %d out of range (model %q has %d layers)", li, m.Name, len(m.Layers)))
+			return
+		}
+	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
-	var grid [][]sim.LayerResult
+	var res []*sim.Result
 	err = func() (err error) {
 		defer recoverEngine(&err)
-		grid, err = sim.SimulateGridContext(ctx, cfgs, m, m.GenerateActs(actSeed), req.Layers, sim.Options{Parallelism: s.cfg.Parallelism})
+		// The slice is a model of its own. Activations are drawn for the
+		// whole model, because GenerateActs draws layer by layer.
+		acts := m.GenerateActs(actSeed)
+		slice := *m
+		slice.Layers = make([]*nn.Layer, len(req.Layers))
+		sliceActs := make([]*tensor.T, len(req.Layers))
+		for i, li := range req.Layers {
+			slice.Layers[i], sliceActs[i] = m.Layers[li], acts[li]
+		}
+		res, err = sim.SimulateSweepContext(ctx, cfgs, &slice, sliceActs, sim.Options{Parallelism: s.cfg.Parallelism})
 		return err
 	}()
 	if err != nil {
-		var pe *enginePanic
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) || errors.As(err, &pe) {
-			s.writeEngineError(w, err)
-			return
-		}
-		// Anything else from the grid entry is a request problem (layer
-		// index out of range).
-		s.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.writeEngineError(w, err)
 		return
 	}
-	resp := ShardResponse{Model: m.Name, Cells: make([][]LayerPayload, len(cfgs))}
-	for _, cfg := range cfgs {
-		resp.Configs = append(resp.Configs, cfg.Name)
-	}
-	for k := range grid {
-		resp.Cells[k] = make([]LayerPayload, len(grid[k]))
-		for i, l := range grid[k] {
+	resp := ShardResponse{Model: m.Name, Cells: make([][]LayerPayload, len(res))}
+	for k, cr := range res {
+		resp.Configs = append(resp.Configs, cr.Config)
+		resp.Cells[k] = make([]LayerPayload, len(cr.Layers))
+		for i, l := range cr.Layers {
 			resp.Cells[k][i] = layerPayload(l)
 		}
 	}

@@ -21,8 +21,9 @@ import (
 // model's layers over the workers — by LPT bin packing on predicted serial
 // cycles (sim.EstimateSweepLayerCosts), so the conv1-class layers that
 // dominate cost do not pile onto one shard — each worker simulates its
-// layer slice for every config (POST /v1/shard → sim.SimulateGridContext),
-// and the coordinator reassembles cells in fixed (config, layer) order.
+// layer slice for every config (POST /v1/shard: the slice is a model of
+// its own, run through sim.SimulateSweepContext), and the coordinator
+// reassembles cells in fixed (config, layer) order.
 //
 // The merge is deterministic and bit-identical to single-process output at
 // any worker count AND any partition for the same reason the in-process

@@ -100,10 +100,11 @@ func TestShardEndpoint(t *testing.T) {
 		t.Fatalf("model has %d layers; slice test needs >= 3", nLayers)
 	}
 
-	// An out-of-order, non-contiguous slice: the response must follow the
-	// request's layer list, not the model's.
-	layers := []int{nLayers - 1, 0, 2}
-	body := smallBody(fmt.Sprintf(`"configs":[{"backend":"tcle","pattern":"T8<2,5>"}],"layers":[%d,0,2]`, nLayers-1))
+	// An out-of-order, non-contiguous slice with a duplicated index: the
+	// response must follow the request's layer list, not the model's, and
+	// both cells of the duplicate must equal the full sweep's.
+	layers := []int{nLayers - 1, 0, 2, 0}
+	body := smallBody(fmt.Sprintf(`"configs":[{"backend":"tcle","pattern":"T8<2,5>"}],"layers":[%d,0,2,0]`, nLayers-1))
 	rec := postJSON(t, h, "/v1/shard", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/v1/shard = %d: %s", rec.Code, rec.Body.String())
@@ -125,6 +126,7 @@ func TestShardEndpoint(t *testing.T) {
 	// Bad slices are request errors.
 	for name, bad := range map[string]string{
 		"out of range": smallBody(fmt.Sprintf(`"configs":[{"backend":"dense"}],"layers":[%d]`, nLayers)),
+		"negative":     smallBody(`"configs":[{"backend":"dense"}],"layers":[0,-1]`),
 		"no layers":    smallBody(`"configs":[{"backend":"dense"}]`),
 		"no configs":   smallBody(`"layers":[0]`),
 	} {

@@ -5,44 +5,31 @@ import (
 	"bittactical/internal/nn"
 )
 
-// EstimateLayerCost predicts the serial cycles layer l contributes to a
-// sweep under cfg, from geometry alone — no activations, no scheduling, no
-// simulation. It is exactly the dense-baseline arithmetic mergeLayer uses
-// for LayerResult.DenseCycles (ceil(ceil(F/rows)/tiles) · Steps · Windows),
-// so the prediction is pinned testable against real engine output.
+// EstimateSweepLayerCosts predicts each layer's serial-cycle contribution to
+// a sweep under cfgs from geometry alone — no activations, no scheduling,
+// no simulation — indexed like m.Layers. Under one config a layer costs
+// exactly the LayerResult.DenseCycles a simulation reports
+// (arch.Config.DenseCycles), and the costs sum over the configs, because a
+// shard worker simulates its layer slice under every config.
 //
 // The serving tier's shard coordinator balances layer partitions on this
-// value: the per-layer serial cost of every back-end in the family is the
-// dense schedule length scaled by a value-dependent compaction factor that
-// varies far less across layers than the orders-of-magnitude geometric
-// spread between a conv1-class layer and a late fully-connected one, so the
-// dense prediction ranks layers by cost well enough for LPT bin packing.
-func EstimateLayerCost(cfg arch.Config, l *nn.Layer) (int64, error) {
-	// Lower touches only layer geometry until an activation is fetched, so a
-	// nil input tensor is safe here.
-	lw, err := nn.Lower(l, nil, cfg.Lanes)
-	if err != nil {
-		return 0, err
-	}
-	denseGroups := (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
-	denseRounds := (denseGroups + cfg.Tiles - 1) / cfg.Tiles
-	return int64(denseRounds) * int64(lw.Steps) * int64(lw.WindowCount), nil
-}
-
-// EstimateSweepLayerCosts predicts each layer's serial-cycle contribution to
-// a whole sweep: EstimateLayerCost summed over the sweep's configs, indexed
-// like m.Layers. This is the cost key the shard coordinator's LPT
-// partitioner balances worker slices on — a worker simulates its layer
-// slice under every config, so the per-layer key must aggregate the sweep.
+// key (LPT bin packing): the per-layer serial cost of every back-end in the
+// family is the dense schedule length scaled by a value-dependent
+// compaction factor that varies far less across layers than the
+// orders-of-magnitude geometric spread between a conv1-class layer and a
+// late fully-connected one, so the dense prediction ranks layers by cost
+// well enough.
 func EstimateSweepLayerCosts(cfgs []arch.Config, m *nn.Model) ([]int64, error) {
 	costs := make([]int64, len(m.Layers))
 	for _, cfg := range cfgs {
 		for i, l := range m.Layers {
-			c, err := EstimateLayerCost(cfg, l)
+			// Lower touches only layer geometry until an activation is
+			// fetched, so a nil input tensor is safe here.
+			lw, err := nn.Lower(l, nil, cfg.Lanes)
 			if err != nil {
 				return nil, err
 			}
-			costs[i] += c
+			costs[i] += cfg.DenseCycles(lw.Filters, lw.Steps, lw.WindowCount)
 		}
 	}
 	return costs, nil

@@ -8,12 +8,12 @@ import (
 	"bittactical/internal/sched"
 )
 
-// TestEstimateLayerCostMatchesDenseCycles pins the cost estimate to the
-// engine: for every layer of a real zoo model, under both a dense and a
-// serial configuration, EstimateLayerCost must equal the DenseCycles the
-// simulator reports — the estimate IS the merge arithmetic, computed
-// without running anything.
-func TestEstimateLayerCostMatchesDenseCycles(t *testing.T) {
+// TestEstimateMatchesDenseCycles pins the cost estimate to the engine: for
+// every layer of a real zoo model, under both a dense and a serial
+// configuration, a one-config EstimateSweepLayerCosts must equal the
+// DenseCycles the simulator reports — the estimate IS the merge
+// arithmetic, computed without running anything.
+func TestEstimateMatchesDenseCycles(t *testing.T) {
 	z := nn.DefaultZoo()
 	z.ChannelScale, z.SpatialScale = 0.1, 0.25
 	m, err := nn.BuildModel("AlexNet-ES", z)
@@ -26,14 +26,14 @@ func TestEstimateLayerCostMatchesDenseCycles(t *testing.T) {
 		arch.TCLe(sched.T(2, 5)),
 	} {
 		res := simModel(t, cfg, m, acts, Options{Parallelism: 2})
+		est, err := EstimateSweepLayerCosts([]arch.Config{cfg}, m)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
 		for i, l := range m.Layers {
-			est, err := EstimateLayerCost(cfg, l)
-			if err != nil {
-				t.Fatalf("%s layer %d: %v", cfg.Name, i, err)
-			}
-			if got := res.Layers[i].DenseCycles; est != got {
+			if got := res.Layers[i].DenseCycles; est[i] != got {
 				t.Errorf("%s layer %s: estimate %d != simulated dense cycles %d",
-					cfg.Name, l.Name, est, got)
+					cfg.Name, l.Name, est[i], got)
 			}
 		}
 	}
@@ -57,17 +57,19 @@ func TestEstimateSweepLayerCosts(t *testing.T) {
 	if len(costs) != len(m.Layers) {
 		t.Fatalf("%d costs for %d layers", len(costs), len(m.Layers))
 	}
-	for i, l := range m.Layers {
-		var want int64
-		for _, cfg := range cfgs {
-			c, err := EstimateLayerCost(cfg, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want += c
+	want := make([]int64, len(m.Layers))
+	for _, cfg := range cfgs {
+		one, err := EstimateSweepLayerCosts([]arch.Config{cfg}, m)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if costs[i] != want {
-			t.Errorf("layer %d: sweep cost %d != per-config sum %d", i, costs[i], want)
+		for i, c := range one {
+			want[i] += c
+		}
+	}
+	for i := range m.Layers {
+		if costs[i] != want[i] {
+			t.Errorf("layer %d: sweep cost %d != per-config sum %d", i, costs[i], want[i])
 		}
 		if costs[i] <= 0 {
 			t.Errorf("layer %d: non-positive predicted cost %d", i, costs[i])

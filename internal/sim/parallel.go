@@ -33,12 +33,11 @@ type Options struct {
 	// result has fully merged — from whichever worker goroutine finished
 	// the layer's last filter group, concurrently with callbacks for other
 	// layers. cfg indexes the sweep's config list, layer the config's
-	// lowered-layer list (for SimulateGridContext, the position within the
-	// requested layer subset). The callback must be safe for concurrent
-	// use and should not block: the pool worker that fired it cannot
-	// claim more work until it returns. The returned results are
-	// unaffected — streaming consumers get early sight of each layer, not
-	// a different answer.
+	// lowered-layer list (for SimulateSweepContext, the model's layer
+	// list). The callback must be safe for concurrent use and should not
+	// block: the pool worker that fired it cannot claim more work until it
+	// returns. The returned results are unaffected — streaming consumers
+	// get early sight of each layer, not a different answer.
 	OnLayerResult func(cfg, layer int, r LayerResult)
 }
 

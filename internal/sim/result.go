@@ -141,11 +141,7 @@ func (r *Result) BackEnd() Breakdown {
 func (r *Result) FrontEnd() sched.Stats {
 	var s sched.Stats
 	for _, l := range r.Layers {
-		s.Columns += l.FrontEnd.Columns
-		s.DenseSteps += l.FrontEnd.DenseSteps
-		for i := range s.Slots {
-			s.Slots[i] += l.FrontEnd.Slots[i]
-		}
+		s.Add(l.FrontEnd)
 	}
 	return s
 }

@@ -94,8 +94,9 @@ func (cw *configWork) planeFor(li, actGroup int, pc *PlaneCache) *costPlane {
 // order so no result depends on execution interleaving — per config,
 // output is bit-identical to a serial run at any Parallelism and any sweep
 // composition. A cancelled ctx stops the pool from claiming further groups
-// and returns (nil, ctx.Err()) — never a partial merge. The entry points
-// validate every config and lane count before calling it.
+// and returns (nil, ctx.Err()) — never a partial merge.
+// SimulateLoweredSweepContext, its one caller, validates every config and
+// lane count first.
 func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered, opts Options) ([][]LayerResult, error) {
 	cache := opts.cache()
 	planeCache := opts.planeCache()
@@ -109,7 +110,7 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 	for k, cfg := range cfgs {
 		totalLayers += len(lwss[k])
 		for _, lw := range lwss[k] {
-			totalGroups += (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
+			totalGroups += cfg.FilterGroups(lw.Filters)
 			if cfg.Serial() {
 				totalSlots += lw.ActGroups()
 			}
@@ -147,7 +148,7 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 				lwk.planes = st.slots[slotOff : slotOff+lw.ActGroups()]
 				slotOff += lw.ActGroups()
 			}
-			groups := (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
+			groups := cfg.FilterGroups(lw.Filters)
 			lwk.groups = st.groups[groupOff : groupOff+groups]
 			groupOff += groups
 			lwk.remaining.Store(int32(groups))
@@ -226,13 +227,10 @@ func simulateSweep(ctx context.Context, cfgs []arch.Config, lwss [][]*nn.Lowered
 func mergeLayer(cfg arch.Config, lw *nn.Lowered, groups []groupResult) LayerResult {
 	r := LayerResult{Name: lw.Name, MACs: lw.Layer().MACs()}
 
-	rows := cfg.FiltersPerTile
-	steps, F, W := lw.Steps, lw.Filters, lw.WindowCount
+	W := lw.WindowCount
 
 	// Dense baseline reference (DaDianNao++ shares the rows/lanes geometry).
-	denseGroups := (F + rows - 1) / rows
-	denseRounds := (denseGroups + cfg.Tiles - 1) / cfg.Tiles
-	r.DenseCycles = int64(denseRounds) * int64(steps) * int64(W)
+	r.DenseCycles = cfg.DenseCycles(lw.Filters, lw.Steps, W)
 
 	// Reduction-split factor for window-poor layers on multi-column tiles.
 	split := 1
@@ -250,10 +248,7 @@ func mergeLayer(cfg arch.Config, lw *nn.Lowered, groups []groupResult) LayerResu
 	if l := lw.Layer(); l.Kind != nn.FC && l.Stride > 0 {
 		rowsPerAct = int64((l.R + l.Stride - 1) / l.Stride)
 	}
-	tilesUsed := denseGroups
-	if tilesUsed > cfg.Tiles {
-		tilesUsed = cfg.Tiles
-	}
+	tilesUsed := min(cfg.FilterGroups(lw.Filters), cfg.Tiles)
 	r.Activity.ActReads = int64(len(lw.Input().Data)) * rowsPerAct * int64(tilesUsed)
 
 	// Tile counts are single digits in every modeled design; spill to the
@@ -272,18 +267,9 @@ func mergeLayer(cfg arch.Config, lw *nn.Lowered, groups []groupResult) LayerResu
 			groupCycles = (groupCycles + int64(split) - 1) / int64(split)
 		}
 		tileTime[g%cfg.Tiles] += groupCycles
-		r.FrontEnd.Columns += gr.frontEnd.Columns
-		r.FrontEnd.DenseSteps += gr.frontEnd.DenseSteps
-		for k := range gr.frontEnd.Slots {
-			r.FrontEnd.Slots[k] += gr.frontEnd.Slots[k]
-		}
+		r.FrontEnd.Add(gr.frontEnd)
 		r.BackEnd.Add(gr.backEnd)
-		r.Activity.SerialLaneCycles += gr.activity.SerialLaneCycles
-		r.Activity.ParallelMACs += gr.activity.ParallelMACs
-		r.Activity.WSColumnReads += gr.activity.WSColumnReads
-		r.Activity.MuxSelects += gr.activity.MuxSelects
-		r.Activity.PsumAccesses += gr.activity.PsumAccesses
-		r.Activity.OffsetEncodes += gr.activity.OffsetEncodes
+		r.Activity.Add(gr.activity)
 	}
 	for _, t := range tileTime {
 		if t > r.Cycles {
@@ -366,7 +352,7 @@ type groupMemo struct {
 // once between them.
 func memoFor(cfg arch.Config, lw *nn.Lowered, keyer *sched.Keyer) groupMemo {
 	m := lw.Memo()
-	groups := (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
+	groups := cfg.FilterGroups(lw.Filters)
 	if !cfg.HasFrontEnd() {
 		return groupMemo{census: m.Census(cfg.FiltersPerTile, groups, nil)}
 	}
@@ -435,12 +421,7 @@ func groupCensus(schedules []*sched.Schedule, filters []sched.Filter) sched.Grou
 		c.Cols = schedules[0].Len()
 	}
 	for i, s := range schedules {
-		st := s.Stats(filters[i])
-		c.Stats.Columns += st.Columns
-		c.Stats.DenseSteps += st.DenseSteps
-		for k := range st.Slots {
-			c.Stats.Slots[k] += st.Slots[k]
-		}
+		c.Stats.Add(s.Stats(filters[i]))
 	}
 	return c
 }

@@ -393,10 +393,6 @@ func TestEntryPointsRejectWidePE(t *testing.T) {
 			_, err := SimulateLoweredSweepContext(ctx, cfgs, [][]*nn.Lowered{{lw}}, Options{})
 			return err
 		}},
-		{"SimulateGridContext", func() error {
-			_, err := SimulateGridContext(ctx, cfgs, m, acts, []int{0}, Options{})
-			return err
-		}},
 	} {
 		if err := tc.run(); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, want)

@@ -34,15 +34,32 @@ func SimulateLayerContext(ctx context.Context, cfg arch.Config, lw *nn.Lowered, 
 // engine invocation. Every config's (layer, filter group) items are
 // flattened into one queue on one worker pool, so independent configs
 // overlap instead of executing back to back, and the tail of one config's
-// largest layer no longer idles the pool before the next config starts. The model is lowered once per distinct lane count, and
-// row-invariant layers' activation cost planes are resolved through the
-// options' plane cache, so configs sharing a (back-end, width) share
-// planes. Results are returned in config order, each bit-identical to a
-// sweep of that config alone.
+// largest layer no longer idles the pool before the next config starts.
+// The model is lowered once per distinct lane count, so configs of one lane
+// count share a lowering (its memo and content hash), and row-invariant
+// layers' activation cost planes are resolved through the options' plane
+// cache, so configs sharing a (back-end, width) share planes. Results are
+// returned in config order, each bit-identical to a sweep of that config
+// alone.
 //
-// Cancellation matches SimulateLoweredSweepContext.
+// A slice of a model's layers is a model of its own: a shard worker builds
+// an nn.Model of its layers and their activation tensors and calls this.
+// Validation and cancellation match SimulateLoweredSweepContext.
 func SimulateSweepContext(ctx context.Context, cfgs []arch.Config, m *nn.Model, acts []*tensor.T, opts Options) ([]*Result, error) {
-	layerss, err := SimulateGridContext(ctx, cfgs, m, acts, nil, opts)
+	lwByLanes := make(map[int][]*nn.Lowered)
+	lwss := make([][]*nn.Lowered, len(cfgs))
+	for k, cfg := range cfgs {
+		lws, ok := lwByLanes[cfg.Lanes]
+		if !ok {
+			var err error
+			if lws, err = m.Lowered(cfg.Lanes, acts); err != nil {
+				return nil, err
+			}
+			lwByLanes[cfg.Lanes] = lws
+		}
+		lwss[k] = lws
+	}
+	layerss, err := SimulateLoweredSweepContext(ctx, cfgs, lwss, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +139,7 @@ func LayerSchedules(cfg arch.Config, lw *nn.Lowered, fn func(f0 int, filters []s
 		return err
 	}
 	keyer := sched.Shared.Keyer(cfg.Pattern, cfg.Scheduler)
-	groups := (lw.Filters + cfg.FiltersPerTile - 1) / cfg.FiltersPerTile
+	groups := cfg.FilterGroups(lw.Filters)
 	var keys *sched.MemoTable[sched.GroupKey]
 	if cfg.HasFrontEnd() {
 		keys = lw.Memo().Keys(cfg.FiltersPerTile, groups)
@@ -144,52 +161,3 @@ func LayerSchedules(cfg arch.Config, lw *nn.Lowered, fn func(f0 int, filters []s
 // cannot live on its stack: the row source it hands the schedule cache,
 // which calls it on a miss, keeps the arena reachable.
 var walkScratch = sync.Pool{New: func() any { return new(groupScratch) }}
-
-// SimulateGridContext runs an arbitrary rectangle of the (config, layer)
-// design-space grid: every config in cfgs against exactly the model layers
-// named by layerIdx (indices into the lowered layer list, any order,
-// duplicates allowed; nil means every layer in order). The returned
-// [config][i] cell corresponds to layerIdx[i].
-//
-// This is the shard-worker entry point: a coordinator that partitions a
-// sweep's layers across processes has each worker simulate its slice of
-// the grid. Each cell is computed by the same per-layer pipeline as a full
-// sweep — a layer's result depends only on its own filter groups — so a
-// cell is bit-identical however the grid is partitioned, which is what
-// makes the coordinator's fixed-order merge reproduce single-process
-// output exactly. Cancellation matches SimulateLoweredSweepContext.
-func SimulateGridContext(ctx context.Context, cfgs []arch.Config, m *nn.Model, acts []*tensor.T, layerIdx []int, opts Options) ([][]LayerResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, cfg := range cfgs {
-		if err := validate(cfg); err != nil {
-			return nil, err
-		}
-	}
-	lwByLanes := make(map[int][]*nn.Lowered)
-	lwss := make([][]*nn.Lowered, len(cfgs))
-	for k, cfg := range cfgs {
-		lws, ok := lwByLanes[cfg.Lanes]
-		if !ok {
-			var err error
-			lws, err = m.Lowered(cfg.Lanes, acts)
-			if err != nil {
-				return nil, err
-			}
-			lwByLanes[cfg.Lanes] = lws
-		}
-		if layerIdx != nil {
-			sub := make([]*nn.Lowered, len(layerIdx))
-			for i, li := range layerIdx {
-				if li < 0 || li >= len(lws) {
-					return nil, fmt.Errorf("sim: layer index %d out of range (model %q has %d layers)", li, m.Name, len(lws))
-				}
-				sub[i] = lws[li]
-			}
-			lws = sub
-		}
-		lwss[k] = lws
-	}
-	return simulateSweep(ctx, cfgs, lwss, opts)
-}

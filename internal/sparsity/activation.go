@@ -1,6 +1,7 @@
 package sparsity
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 
@@ -74,97 +75,21 @@ type GELUAct struct {
 // Name identifies the GELU-shaped signed law.
 func (m GELUAct) Name() string { return "gelu-signed" }
 
-func (m GELUAct) negFrac() float64 {
-	if m.NegFrac == 0 {
-		return 0.30
+// law is m with its defaults resolved.
+func (m GELUAct) law() twoLevel {
+	return twoLevel{
+		zeroFrac: m.ZeroFrac, meanLog2: m.MeanLog2, sigmaLog2: m.SigmaLog2,
+		groupShare: cmp.Or(m.GroupShare, 0.95), zeroGroupShare: cmp.Or(m.ZeroGroupShare, 0.92),
+		negFrac: cmp.Or(m.NegFrac, 0.30), negCapLog2: cmp.Or(m.NegCapLog2, m.MeanLog2-2), sigBits: m.SigBits,
 	}
-	return m.NegFrac
-}
-
-func (m GELUAct) negCapLog2() float64 {
-	if m.NegCapLog2 == 0 {
-		return m.MeanLog2 - 2
-	}
-	return m.NegCapLog2
-}
-
-func (m GELUAct) groupShare() float64 {
-	if m.GroupShare == 0 {
-		return 0.95
-	}
-	return m.GroupShare
-}
-
-func (m GELUAct) zeroGroupShare() float64 {
-	if m.ZeroGroupShare == 0 {
-		return 0.92
-	}
-	return m.ZeroGroupShare
-}
-
-// code draws sign and magnitude for one non-zero GELU activation given its
-// log2 magnitude before sign handling.
-func (m GELUAct) code(rng *rand.Rand, lg float64, w fixed.Width) int32 {
-	neg := rng.Float64() < m.negFrac()
-	if neg {
-		// The negative lobe is bounded: fold the tail back under the cap.
-		if c := m.negCapLog2(); lg > c {
-			lg = c - (lg-c)*0.25
-		}
-	}
-	return quantizeLog2(lg, neg, m.SigBits, w)
 }
 
 // Sample draws one code from the marginal law.
-func (m GELUAct) Sample(rng *rand.Rand, w fixed.Width) int32 {
-	if rng.Float64() < m.ZeroFrac {
-		return 0
-	}
-	lg := m.MeanLog2 + m.SigmaLog2*rng.NormFloat64()
-	return m.code(rng, lg, w)
-}
+func (m GELUAct) Sample(rng *rand.Rand, w fixed.Width) int32 { return m.law().sample(rng, w) }
 
-// FillTensor fills t with the structured two-level law: block zero-gating
-// and a shared per-patch magnitude factor as in ActModel.FillTensor, with
-// GELU sign handling per value.
-func (m GELUAct) FillTensor(rng *rand.Rand, t *tensor.T, w fixed.Width) {
-	c, h, wd := t.Shape[1], t.Shape[2], t.Shape[3]
-	gShare := m.groupShare()
-	gSigma := m.SigmaLog2 * math.Sqrt(gShare)
-	vSigma := m.SigmaLog2 * math.Sqrt(1-gShare)
-	zg := m.zeroGroupShare() * m.ZeroFrac
-	zv := 0.0
-	if zg < 1 {
-		zv = (m.ZeroFrac - zg) / (1 - zg)
-	}
-	hPatches := (h + blockSpatial - 1) / blockSpatial
-	wPatches := (wd + blockSpatial - 1) / blockSpatial
-	patchFactor := make([]float64, hPatches*wPatches)
-	for i := range patchFactor {
-		patchFactor[i] = gSigma * rng.NormFloat64()
-	}
-	for c0 := 0; c0 < c; c0 += blockChannels {
-		for h0 := 0; h0 < h; h0 += blockSpatial {
-			for w0 := 0; w0 < wd; w0 += blockSpatial {
-				if rng.Float64() < zg {
-					continue
-				}
-				gFactor := patchFactor[(h0/blockSpatial)*wPatches+w0/blockSpatial]
-				for ci := c0; ci < c0+blockChannels && ci < c; ci++ {
-					for hi := h0; hi < h0+blockSpatial && hi < h; hi++ {
-						for wi := w0; wi < w0+blockSpatial && wi < wd; wi++ {
-							if rng.Float64() < zv {
-								continue
-							}
-							lg := m.MeanLog2 + gFactor + vSigma*rng.NormFloat64()
-							t.Set(0, ci, hi, wi, m.code(rng, lg, w))
-						}
-					}
-				}
-			}
-		}
-	}
-}
+// FillTensor fills t with the structured two-level law of
+// ActModel.FillTensor, with GELU sign handling per value.
+func (m GELUAct) FillTensor(rng *rand.Rand, t *tensor.T, w fixed.Width) { m.law().fill(rng, t, w) }
 
 // SoftmaxAct models attention-probability inputs: within each reduction row
 // (the channel axis, i.e. one query's probabilities over all keys) the

@@ -12,6 +12,7 @@
 package sparsity
 
 import (
+	"cmp"
 	"math"
 	mathbits "math/bits"
 	"math/rand"
@@ -112,18 +113,14 @@ type ActModel struct {
 	SigBits int
 }
 
-func (m ActModel) groupShare() float64 {
-	if m.GroupShare == 0 {
-		return 0.95
+// law is m with its defaults resolved. A negative code's magnitude is
+// unbounded.
+func (m ActModel) law() twoLevel {
+	return twoLevel{
+		zeroFrac: m.ZeroFrac, meanLog2: m.MeanLog2, sigmaLog2: m.SigmaLog2,
+		groupShare: cmp.Or(m.GroupShare, 0.95), zeroGroupShare: cmp.Or(m.ZeroGroupShare, 0.92),
+		negFrac: m.NegFrac, negCapLog2: math.Inf(1), sigBits: m.SigBits,
 	}
-	return m.GroupShare
-}
-
-func (m ActModel) zeroGroupShare() float64 {
-	if m.ZeroGroupShare == 0 {
-		return 0.92
-	}
-	return m.ZeroGroupShare
 }
 
 // quantizeLog2 converts a log2 magnitude to a clamped non-zero code,
@@ -168,13 +165,41 @@ func TruncateSigBits(v int32, sigBits int) int32 {
 }
 
 // Sample draws one activation code at width w from the marginal law.
-func (m ActModel) Sample(rng *rand.Rand, w fixed.Width) int32 {
-	if rng.Float64() < m.ZeroFrac {
+func (m ActModel) Sample(rng *rand.Rand, w fixed.Width) int32 { return m.law().sample(rng, w) }
+
+// FillTensor fills t — interpreted as (1, C, H, W) — with the structured
+// two-level law described on ActModel.
+func (m ActModel) FillTensor(rng *rand.Rand, t *tensor.T, w fixed.Width) { m.law().fill(rng, t, w) }
+
+// twoLevel is the structured log-normal law ActModel and GELUAct share,
+// with their defaults resolved: ZeroFrac, MeanLog2, SigmaLog2, the two
+// shares and SigBits as on ActModel. A non-zero code is negative with
+// probability negFrac (no draw when it is 0), and a negative code's log2
+// magnitude above negCapLog2 folds back under the cap (GELU's bounded
+// dip).
+type twoLevel struct {
+	zeroFrac, meanLog2, sigmaLog2 float64
+	groupShare, zeroGroupShare    float64
+	negFrac, negCapLog2           float64
+	sigBits                       int
+}
+
+// code draws the sign of one non-zero code of log2 magnitude lg and
+// quantizes it. fill calls it once per value, so it takes l by pointer.
+func (l *twoLevel) code(rng *rand.Rand, lg float64, w fixed.Width) int32 {
+	neg := l.negFrac > 0 && rng.Float64() < l.negFrac
+	if neg && lg > l.negCapLog2 {
+		lg = l.negCapLog2 - (lg-l.negCapLog2)*0.25
+	}
+	return quantizeLog2(lg, neg, l.sigBits, w)
+}
+
+// sample draws one code from the marginal law.
+func (l twoLevel) sample(rng *rand.Rand, w fixed.Width) int32 {
+	if rng.Float64() < l.zeroFrac {
 		return 0
 	}
-	lg := m.MeanLog2 + m.SigmaLog2*rng.NormFloat64()
-	neg := m.NegFrac > 0 && rng.Float64() < m.NegFrac
-	return quantizeLog2(lg, neg, m.SigBits, w)
+	return l.code(rng, l.meanLog2+l.sigmaLog2*rng.NormFloat64(), w)
 }
 
 // Correlation neighborhoods of FillTensor: the magnitude scale is shared by
@@ -186,17 +211,17 @@ const (
 	blockSpatial  = 4
 )
 
-// FillTensor fills t — interpreted as (1, C, H, W) — with the structured
-// two-level law described on ActModel.
-func (m ActModel) FillTensor(rng *rand.Rand, t *tensor.T, w fixed.Width) {
+// fill fills t — interpreted as (1, C, H, W) — with the two-level law:
+// block zero-gating and a shared per-patch magnitude factor, then per-value
+// zeros, jitter and sign.
+func (l twoLevel) fill(rng *rand.Rand, t *tensor.T, w fixed.Width) {
 	c, h, wd := t.Shape[1], t.Shape[2], t.Shape[3]
-	gShare := m.groupShare()
-	gSigma := m.SigmaLog2 * math.Sqrt(gShare)
-	vSigma := m.SigmaLog2 * math.Sqrt(1-gShare)
-	zg := m.zeroGroupShare() * m.ZeroFrac
+	gSigma := l.sigmaLog2 * math.Sqrt(l.groupShare)
+	vSigma := l.sigmaLog2 * math.Sqrt(1-l.groupShare)
+	zg := l.zeroGroupShare * l.zeroFrac
 	zv := 0.0
 	if zg < 1 {
-		zv = (m.ZeroFrac - zg) / (1 - zg)
+		zv = (l.zeroFrac - zg) / (1 - zg)
 	}
 	hPatches := (h + blockSpatial - 1) / blockSpatial
 	wPatches := (wd + blockSpatial - 1) / blockSpatial
@@ -218,9 +243,8 @@ func (m ActModel) FillTensor(rng *rand.Rand, t *tensor.T, w fixed.Width) {
 							if rng.Float64() < zv {
 								continue
 							}
-							lg := m.MeanLog2 + gFactor + vSigma*rng.NormFloat64()
-							neg := m.NegFrac > 0 && rng.Float64() < m.NegFrac
-							t.Set(0, ci, hi, wi, quantizeLog2(lg, neg, m.SigBits, w))
+							lg := l.meanLog2 + gFactor + vSigma*rng.NormFloat64()
+							t.Set(0, ci, hi, wi, l.code(rng, lg, w))
 						}
 					}
 				}
